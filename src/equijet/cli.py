@@ -31,8 +31,7 @@ from .parser import parse_factored, parse_jet, to_jet
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
 from .scalars import Scalar, scalar_to_text
 from .tower import build_tower, build_tower_system, check_family
-from .weierstrass import LinearChange, find_regular_change, regularity_order, \
-    weierstrass_divide, weierstrass_prepare
+from .weierstrass import prepare_in, weierstrass_divide
 
 ENV_ORDER = "EQUIJET_ORDER"
 SCHEMA = "equijet-report/1"
@@ -70,21 +69,21 @@ def _poly_entry(P: PseudoPolynomial) -> dict:
             "coefficients": [_jet_entry(c) for c in P.coeffs]}
 
 
-def _change_entry(ch: LinearChange) -> dict:
-    return ch.describe()
-
-
-def _level_entries(levels) -> list:
+def _level_entries(levels, axis: bool = False) -> list:
+    """Tower levels; ``axis`` adds the family check's exactness flag."""
     out = []
     for lv in levels:
-        out.append({
+        entry = {
             "index": lv.index,
             "degree": lv.degree,
             "disc_index": lv.disc_index,
             "poly": _poly_entry(lv.poly),
             "unit": _jet_entry(lv.unit),
-            "change": _change_entry(lv.change),
-        })
+            "change": lv.change.describe(),
+        }
+        if axis:
+            entry["axis_vanishing_exact"] = lv.axis_vanishing_exact
+        out.append(entry)
     return out
 
 
@@ -95,12 +94,24 @@ def _add_common(p: _Parser, vars_required: bool = True):
                    help="comma-separated coordinate names, innermost first")
     p.add_argument("--params", default="",
                    help="comma-separated deformation parameter names")
-    p.add_argument("--order", type=int,
-                   default=int(os.environ.get(ENV_ORDER, DEFAULT_ORDER)),
+    # a string default goes through ``type`` too, so a bad environment
+    # value is a usage error like a bad flag
+    p.add_argument("--order", type=_order,
+                   default=os.environ.get(ENV_ORDER, str(DEFAULT_ORDER)),
                    help=f"certification order (default {DEFAULT_ORDER}, env {ENV_ORDER})")
     p.add_argument("--seed", type=int, default=0, help="seed for coordinate searches")
     p.add_argument("--machine", action="store_true",
                    help="print only the machine report")
+
+
+def _order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {order}")
+    return order
 
 
 def _names(csv: str) -> Tuple[str, ...]:
@@ -120,7 +131,10 @@ def _rationals(csv: str) -> List[Fraction]:
     for part in csv.split(","):
         part = part.strip()
         if part:
-            out.append(Fraction(part))
+            try:
+                out.append(Fraction(part))
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"not a rational value: {part!r}") from None
     return out
 
 
@@ -145,16 +159,10 @@ def _report(command: str, inputs: dict, args, result: dict) -> dict:
 def _cmd_prepare(args) -> Tuple[dict, List[str], int]:
     ctx = _context(args)
     f = parse_jet(args.expr, ctx, args.order)
-    change = LinearChange.identity(ctx.coords)
-    from .jets import INFINITE_ORDER
-
-    if regularity_order(f, args.var) == INFINITE_ORDER:
-        change = find_regular_change(f, args.var, ctx.coords, seed=args.seed)
-        f = change.apply(f)
-    pf = weierstrass_prepare(f, args.var)
+    pf, change = prepare_in(f, args.var, ctx.coords, seed=args.seed)
     result = {
         "variable": args.var,
-        "change": _change_entry(change),
+        "change": change.describe(),
         "unit": _jet_entry(pf.unit),
         "poly": _poly_entry(pf.poly),
         "exact": pf.exact,
@@ -222,15 +230,7 @@ def _cmd_check_family(args) -> Tuple[dict, List[str], int]:
     rep = check_family(F, seed=args.seed)
     result = {
         "verdict": rep.verdict,
-        "levels": [{
-            "index": lc.index,
-            "degree": lc.degree,
-            "disc_index": lc.disc_index,
-            "poly": _poly_entry(lc.poly),
-            "unit": _jet_entry(lc.unit),
-            "change": _change_entry(lc.change),
-            "axis_vanishing_exact": lc.axis_vanishing_exact,
-        } for lc in rep.levels],
+        "levels": _level_entries(rep.levels, axis=True),
         "witness": None if rep.witness is None else _jet_entry(rep.witness),
         "witness_note": rep.witness_note,
         "terminal_unit": None if rep.terminal_unit is None else _jet_entry(rep.terminal_unit),
@@ -290,10 +290,6 @@ def _cmd_binomial(args) -> Tuple[dict, List[str], int]:
     human = [f"family: ({', '.join(str(c) for c in sf.family)})",
              f"witness: {sf.witness[0]}", f"verified: {rep.passed}"]
     return result, human, 0
-
-
-def _mero_context() -> VarContext:
-    return VarContext.make(("x1", "x2"))
 
 
 def _parse_germ(text: str, ctx: VarContext, order: int) -> FactoredGerm:
@@ -498,8 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_argparser().parse_args(argv)
         result, human, code = _DISPATCH[args.command](args)
         inputs = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("machine",) and v is not None}
-        inputs = {k: v for k, v in inputs.items() if not callable(v)}
+                  if k != "machine" and v is not None and not callable(v)}
         report = _report(args.command, inputs, args, result)
         text = json.dumps(report, indent=2) + "\n"
         if args.machine:

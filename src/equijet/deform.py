@@ -279,15 +279,6 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet, z_name: str = "z") -> SolutionFami
 
 
 @dataclass(frozen=True)
-class LevelFamilies:
-    """Families for one level's unknowns: the coefficient vector of the
-    pseudopolynomial at this level and the unit used one step below it."""
-
-    coeffs: Tuple[Jet, ...]
-    unit: Jet
-
-
-@dataclass(frozen=True)
 class TowerSolution:
     """A parametrized solution of a tower's preparation identities.
 

@@ -31,7 +31,7 @@ from .errors import (
     SubstitutionDivergenceError,
     UnknownVariableError,
 )
-from .scalars import Scalar, as_scalar, scalar_to_text
+from .scalars import Scalar, as_scalar, scalar_inverse, scalar_to_text
 
 DEFAULT_ORDER = 16
 
@@ -264,7 +264,7 @@ class Jet:
         c0 = self.constant_term()
         if not c0:
             raise NotAUnitError("constant term vanishes; not a unit")
-        inv0 = 1 / c0 if isinstance(c0, Fraction) else c0.inverse()
+        inv0 = scalar_inverse(c0)
         # self = c0 * (1 - u) with u of positive valuation
         u = Jet.constant(self.ctx, 1, self.order, exact=True) - self.scale(inv0)
         acc = Jet.constant(self.ctx, 1, self.order, exact=True)

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .jets import Jet, VarContext
 from .polygcd import (
+    content_split,
     exact_divide,
     exact_power_dividing,
     is_constant,
@@ -42,6 +43,14 @@ from .polygcd import (
     rational_roots,
     squarefree_decomposition,
     sturm_real_root_count,
+)
+from .pseudopoly import resultant_jets
+from .scalars import (
+    FieldElement,
+    NumberField,
+    Scalar,
+    scalar_inverse,
+    scalar_is_rational,
     uni_deg,
     uni_divmod,
     uni_gcd,
@@ -49,8 +58,6 @@ from .polygcd import (
     uni_squarefree_part,
     uni_trim,
 )
-from .pseudopoly import resultant_jets
-from .scalars import FieldElement, NumberField, Scalar, scalar_is_rational
 
 _C_NAME = "cconst"
 
@@ -91,11 +98,7 @@ class FactoredGerm:
                 if not is_constant(jet_gcd(factors[i][0], factors[j][0])):
                     raise PreconditionError(
                         f"declared factors share a divisor: {factors[i][0]} and {factors[j][0]}")
-        bound = sum(((base.total_degree() or 0) * exp for base, exp in factors)) + 2
-        product = Jet.constant(ctx, 1, bound)
-        for base, exp in factors:
-            product = product * base.with_order(bound) ** exp
-        return cls(factors=factors, product=product)
+        return cls(factors=factors, product=_product(*zip(*factors)))
 
     @property
     def ctx(self) -> VarContext:
@@ -116,8 +119,15 @@ class OneForm:
     a: Jet
     b: Jet
 
-    def divides(self, h: Jet) -> bool:
-        return exact_divide(self.a, h) is not None and exact_divide(self.b, h) is not None
+    def divided(self, h: Jet, times: int) -> Optional["OneForm"]:
+        """The form divided by ``h^times``, or None when a division is not exact."""
+        a, b = self.a, self.b
+        for _ in range(times):
+            qa, qb = exact_divide(a, h), exact_divide(b, h)
+            if qa is None or qb is None:
+                return None
+            a, b = qa, qb
+        return OneForm(a=a, b=b)
 
     def coefficient_gcd(self) -> Jet:
         return jet_gcd(self.a, self.b)
@@ -129,7 +139,11 @@ class DivisorRecord:
     c: Scalar
     mu: int
     rho: Jet
-    minpoly: Optional[Tuple[Fraction, ...]] = None  # set when c is algebraic
+
+    @property
+    def minpoly(self) -> Optional[Tuple[Fraction, ...]]:
+        """The minimal polynomial of ``c`` when it is algebraic."""
+        return self.c.field.minpoly if isinstance(self.c, FieldElement) else None
 
 
 @dataclass(frozen=True)
@@ -213,9 +227,7 @@ def _constants_for(h: Jet, fp: Jet, gp: Jet) -> List[Scalar]:
     if uni_deg(gcd_c) < 1:
         return []
     core = uni_squarefree_part(gcd_c)
-    lead = core[-1]
-    inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
-    core = uni_scale(core, inv)
+    core = uni_scale(core, scalar_inverse(core[-1]))
     out: List[Scalar] = list(rational_roots(core))
     leftover = list(core)
     for r in out:
@@ -301,12 +313,42 @@ def _reality_flag(records: Sequence[DivisorRecord]) -> str:
     return "indeterminate"
 
 
+def _records_for(piece: Jet, mult: int, fp: Jet, gp: Jet) -> List[DivisorRecord]:
+    """Split a squarefree piece of the 1-form's divisor, of multiplicity
+    ``mult``, by the constants found for it; the records must multiply back
+    to the piece."""
+    records: List[DivisorRecord] = []
+    remaining = piece
+    for c in _constants_for(piece, fp, gp):
+        shifted = fp - gp.scale(c)
+        hc = jet_gcd(piece, shifted)
+        if is_constant(hc):
+            continue
+        dc_m, rho = exact_power_dividing(shifted, hc)
+        if dc_m - 1 != mult:
+            raise LemmaViolationError(
+                f"power bookkeeping fails for divisor {hc}: power {dc_m} in "
+                f"f - c g vs multiplicity {mult} in the form")
+        records.append(DivisorRecord(h=hc, c=c, mu=mult, rho=rho))
+        q = exact_divide(remaining, hc)
+        if q is None:
+            raise LemmaViolationError(
+                "constant-split factors do not multiply back into the divisor")
+        remaining = q
+    if not is_constant(remaining):
+        raise LemmaViolationError(
+            f"divisor {remaining} of the 1-form admits no constant; "
+            "a declared factor was not irreducible")
+    return records
+
+
 def analyze(f: FactoredGerm, g: FactoredGerm,
             candidates: Sequence[Jet] = ()) -> MeroAnalysis:
     """Full divisor analysis of the 1-form of f/g.
 
-    The coefficient gcd of theta is split by squarefree decomposition and by
-    the constants found for each squarefree piece; every divisor must admit
+    The coefficient gcd of theta is split by squarefree decomposition, each
+    piece into its x2-content and the rest, and those by the constants found
+    for them; every divisor must admit
     a constant (anything else is a lemma violation signalling a reducible
     declared factor).  User candidates are checked informationally; those
     with mu = 0 never enter the divisor product.
@@ -317,37 +359,16 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
     records: List[DivisorRecord] = []
     if not is_constant(d):
         for piece, mult in squarefree_decomposition(d):
-            remaining = piece
-            for c in _constants_for(piece, fp, gp):
-                shifted = fp - gp.scale(c)
-                hc = jet_gcd(piece, shifted)
-                if is_constant(hc):
-                    continue
-                dc_m, rho = exact_power_dividing(shifted, hc)
-                if dc_m - 1 != mult:
-                    raise LemmaViolationError(
-                        f"power bookkeeping fails for divisor {hc}: power {dc_m} in "
-                        f"f - c g vs multiplicity {mult} in the form")
-                minpoly = c.field.minpoly if isinstance(c, FieldElement) else None
-                records.append(DivisorRecord(h=hc, c=c, mu=mult, rho=rho, minpoly=minpoly))
-                q = exact_divide(remaining, hc)
-                if q is None:
-                    raise LemmaViolationError(
-                        "constant-split factors do not multiply back into the divisor")
-                remaining = q
-            if not is_constant(remaining):
-                raise LemmaViolationError(
-                    f"divisor {remaining} of the 1-form admits no constant; "
-                    "a declared factor was not irreducible")
-    omega_a, omega_b = th.a, th.b
+            # eliminating x2 finds no constant for a factor in x1 alone, so
+            # the x2-content of each piece is searched apart from the rest
+            for part in content_split(piece):
+                if not is_constant(part):
+                    records += _records_for(part, mult, fp, gp)
+    omega = th
     for rec in records:
-        for _ in range(rec.mu):
-            qa = exact_divide(omega_a, rec.h)
-            qb = exact_divide(omega_b, rec.h)
-            if qa is None or qb is None:
-                raise ConsistencyError("dividing the form by its divisors failed")
-            omega_a, omega_b = qa, qb
-    omega = OneForm(a=omega_a, b=omega_b)
+        omega = omega.divided(rec.h, rec.mu)
+        if omega is None:
+            raise ConsistencyError("dividing the form by its divisors failed")
     if not is_constant(omega.coefficient_gcd()):
         raise ConsistencyError("the reduced form still has a nonconstant coefficient gcd")
 
@@ -358,9 +379,7 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
             continue
         dc = divisor_constant(cand, f, g)
         if dc is not None:
-            minpoly = dc.c.field.minpoly if isinstance(dc.c, FieldElement) else None
-            informational.append(DivisorRecord(h=cand, c=dc.c, mu=dc.mu,
-                                               rho=dc.rho, minpoly=minpoly))
+            informational.append(DivisorRecord(h=cand, c=dc.c, mu=dc.mu, rho=dc.rho))
     return MeroAnalysis(theta=th, records=tuple(records), omega=omega,
                         informational=tuple(informational),
                         reality=_reality_flag(records))
@@ -391,10 +410,6 @@ class SystemS:
     mus: Tuple[int, ...]
     solution: Tuple[Jet, ...]
     verified: bool
-
-    @property
-    def residual_system(self) -> Tuple[Jet, ...]:
-        return tuple(lhs - rhs for lhs, rhs in self.equations)
 
 
 def emit_system(analysis: MeroAnalysis, f: FactoredGerm, g: FactoredGerm) -> SystemS:
@@ -506,21 +521,14 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
         try:
             fg_f = FactoredGerm.build(list(zip(f_slices, sysS.f_exponents)))
             fg_g = FactoredGerm.build(list(zip(g_slices, sysS.g_exponents)))
-            th = theta(fg_f, fg_g)
-            omega_a, omega_b = th.a, th.b
+            omega = theta(fg_f, fg_g)
             for hk, mu in zip(h_slices, sysS.mus):
-                hk = hk.with_order(omega_a.order)
-                for _ in range(mu):
-                    qa = exact_divide(omega_a, hk)
-                    qb = exact_divide(omega_b, hk)
-                    if qa is None or qb is None:
-                        division_exact = False
-                        break
-                    omega_a, omega_b = qa, qb
-                if not division_exact:
+                omega = omega.divided(hk.with_order(omega.a.order), mu)
+                if omega is None:
+                    division_exact = False
                     break
             if division_exact:
-                isolated = is_constant(jet_gcd(omega_a, omega_b))
+                isolated = is_constant(omega.coefficient_gcd())
         except (PreconditionError, ConsistencyError) as err:
             division_exact = False
             note = str(err)

@@ -12,118 +12,26 @@ The jet-facing entry points (:func:`jet_gcd`, :func:`exact_divide`,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .jets import Jet, VarContext, term_sort_key
-from .scalars import Scalar
+from .scalars import (
+    Scalar,
+    Uni,
+    scalar_inverse,
+    uni_deg,
+    uni_derivative,
+    uni_divmod,
+    uni_eval,
+    uni_gcd,
+    uni_neg,
+    uni_trim,
+)
 
-Uni = List[Scalar]  # ascending coefficients
 Biv = Dict[Tuple[int, int], Scalar]  # (e1, e2) -> coefficient
-
-
-# -- univariate helpers -------------------------------------------------
-
-def uni_trim(p: Uni) -> Uni:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def uni_is_zero(p: Uni) -> bool:
-    return not p
-
-
-def uni_deg(p: Uni) -> int:
-    return len(p) - 1
-
-
-def uni_add(a: Uni, b: Uni) -> Uni:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        out.append(x + y)
-    return uni_trim(out)
-
-
-def uni_neg(a: Uni) -> Uni:
-    return [-c for c in a]
-
-
-def uni_mul(a: Uni, b: Uni) -> Uni:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return uni_trim(out)
-
-
-def uni_scale(a: Uni, s: Scalar) -> Uni:
-    if not s:
-        return []
-    return [c * s for c in a]
-
-
-def uni_divmod(a: Uni, b: Uni) -> Tuple[Uni, Uni]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    q: Uni = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
-    while a and len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = a[shift + i] - c * y
-        uni_trim(a)
-    return uni_trim(q), a
-
-
-def uni_gcd(a: Uni, b: Uni) -> Uni:
-    """Monic gcd over the scalar field."""
-    a, b = uni_trim(list(a)), uni_trim(list(b))
-    while b:
-        _, r = uni_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
-    return [c * inv for c in a]
-
-
-def uni_derivative(a: Uni) -> Uni:
-    return uni_trim([c * i for i, c in enumerate(a)][1:])
-
-
-def uni_squarefree_part(a: Uni) -> Uni:
-    g = uni_gcd(a, uni_derivative(a))
-    if uni_deg(g) < 1:
-        return list(a)
-    q, r = uni_divmod(a, g)
-    if r:
-        raise PreconditionError("squarefree part division left a remainder")
-    return q
-
-
-def uni_eval(a: Uni, x: Scalar) -> Scalar:
-    acc: Scalar = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def rational_roots(a: Uni) -> List[Fraction]:
@@ -132,9 +40,7 @@ def rational_roots(a: Uni) -> List[Fraction]:
     if not a or any(not isinstance(c, Fraction) for c in a):
         return []
     # clear denominators to integer coefficients
-    den = 1
-    for c in a:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in a))
     ints = [int(c * den) for c in a]
     shift = 0
     while ints[shift] == 0:
@@ -148,12 +54,6 @@ def rational_roots(a: Uni) -> List[Fraction]:
                 if cand not in roots and uni_eval(a, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def _divisors(n: int) -> List[int]:
@@ -275,9 +175,19 @@ def _biv_divide_by_uni(b: Biv, c: Uni) -> Biv:
     return _biv_from_x2(out)
 
 
+def content_split(j: Jet) -> Tuple[Jet, Jet]:
+    """``(content, primitive)`` of an exact bivariate polynomial viewed as a
+    polynomial in the second variable: the content, a polynomial in the
+    first variable alone, is the monic gcd of its coefficients."""
+    b = to_biv(j)
+    content = _content_x2(b)
+    return (from_biv(j.ctx, {(e1, 0): c for e1, c in enumerate(content) if c}, j.order),
+            from_biv(j.ctx, _biv_divide_by_uni(b, content), j.order))
+
+
 def _biv_prem(a: Biv, b: Biv) -> Biv:
     """Pseudo-remainder of a by b in the second variable."""
-    da, db = biv_deg_x2(a), biv_deg_x2(b)
+    db = biv_deg_x2(b)
     cols_b = _biv_coeffs_in_x2(b)
     lead_b = cols_b.get(db, [])
     r = dict(a)
@@ -308,14 +218,9 @@ def _biv_gcd(a: Biv, b: Biv) -> Biv:
     if not b:
         return dict(a)
     da, db = biv_deg_x2(a), biv_deg_x2(b)
-    if da == 0 and db == 0:
-        g = uni_gcd(_content_x2(a), _content_x2(b))
-        return {(e1, 0): c for e1, c in enumerate(g) if c}
-    if da == 0:
-        g = uni_gcd(_content_x2(a), _content_x2(b))
-        return {(e1, 0): c for e1, c in enumerate(g) if c}
-    if db == 0:
-        g = uni_gcd(_content_x2(b), _content_x2(a))
+    if da == 0 or db == 0:
+        flat, other = (a, b) if da == 0 else (b, a)
+        g = uni_gcd(_content_x2(flat), _content_x2(other))
         return {(e1, 0): c for e1, c in enumerate(g) if c}
     cont = uni_gcd(_content_x2(a), _content_x2(b))
     f1, f2 = _biv_primitive(a), _biv_primitive(b)
@@ -338,7 +243,7 @@ def _biv_normalize(b: Biv) -> Biv:
     lead = b[lead_key]
     if lead == 1:
         return b
-    inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
+    inv = scalar_inverse(lead)
     return {k: v * inv for k, v in b.items()}
 
 
@@ -384,7 +289,7 @@ def exact_divide(a: Jet, b: Jet) -> Optional[Jet]:
     rem = dict(a.terms)
     lead_key = max(b.terms, key=term_sort_key)
     lead = b.terms[lead_key]
-    inv = (1 / lead) if isinstance(lead, Fraction) else lead.inverse()
+    inv = scalar_inverse(lead)
     quot: Dict[Tuple[int, ...], Scalar] = {}
     while rem:
         rk = max(rem, key=term_sort_key)
@@ -447,21 +352,15 @@ def squarefree_decomposition(d: Jet) -> List[Tuple[Jet, int]]:
     while not is_constant(chain[-1]):
         nxt = jet_gcd_many([chain[-1], chain[-1].derivative(x1).with_order(d.order),
                             chain[-1].derivative(x2).with_order(d.order)])
-        nxt = _strip_constant(nxt)
-        chain.append(nxt)
-        if is_constant(nxt):
-            break
+        chain.append(_strip_constant(nxt))
     parts: List[Tuple[Jet, int]] = []
     sq = [ _strip_constant(reduced(c)) if not is_constant(c) else c for c in chain ]
     for m in range(len(sq) - 1):
-        upper = sq[m + 1] if m + 1 < len(sq) else None
-        if upper is None or is_constant(upper):
-            piece = sq[m]
-        else:
-            q = exact_divide(sq[m], upper)
-            if q is None:
+        piece, upper = sq[m], sq[m + 1]
+        if not is_constant(upper):
+            piece = exact_divide(piece, upper)
+            if piece is None:
                 raise PreconditionError("squarefree decomposition division failed")
-            piece = q
         if not is_constant(piece):
             parts.append((from_biv(d.ctx, _biv_normalize(to_biv(piece)), d.order), m + 1))
     return parts

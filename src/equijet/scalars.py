@@ -10,7 +10,10 @@ the extension is genuinely needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from itertools import zip_longest
+from typing import List, Tuple, Union
+
+from .errors import PreconditionError
 
 
 def _frac(v) -> Fraction:
@@ -21,57 +24,115 @@ def _frac(v) -> Fraction:
     raise TypeError(f"not a rational value: {v!r}")
 
 
-# -- small univariate helpers over Fraction (ascending coefficient lists) ----
+def scalar_inverse(s: "Scalar") -> "Scalar":
+    return 1 / s if isinstance(s, Fraction) else s.inverse()
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
+
+# -- univariate polynomials over the scalars (ascending coefficient lists) ----
+# The one set of helpers for the extension field below, ``polygcd`` and
+# ``mero``.
+
+Uni = List["Scalar"]
+
+
+def uni_trim(p: Uni) -> Uni:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_mul(a, b):
+def uni_deg(p: Uni) -> int:
+    return len(p) - 1
+
+
+def uni_neg(a: Uni) -> Uni:
+    return [-c for c in a]
+
+
+def uni_sub(a: Uni, b: Uni) -> Uni:
+    return uni_trim([x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))])
+
+
+def uni_mul(a: Uni, b: Uni) -> Uni:
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        if not x:
+            continue
         for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return uni_trim(out)
 
 
-def _poly_divmod(a, b):
-    # b must be nonzero; field coefficients, so this is plain long division
+def uni_scale(a: Uni, s: "Scalar") -> Uni:
+    if not s:
+        return []
+    return [c * s for c in a]
+
+
+def uni_divmod(a: Uni, b: Uni) -> Tuple[Uni, Uni]:
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
+    q: Uni = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = scalar_inverse(b[-1])
+    while a and len(a) >= len(b):
+        if not a[-1]:
+            a.pop()
+            continue
         shift = len(a) - len(b)
-        coeff = a[-1] * inv_lead
-        q[shift] = coeff
+        c = a[-1] * inv
+        q[shift] = c
         for i, y in enumerate(b):
-            a[shift + i] -= coeff * y
-        _poly_trim(a)
-    return _poly_trim(q), a
+            a[shift + i] = a[shift + i] - c * y
+        uni_trim(a)
+    return uni_trim(q), a
 
 
-def _poly_ext_gcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g, all over Fraction."""
-    r0, r1 = list(a), list(b)
+def uni_gcd(a: Uni, b: Uni) -> Uni:
+    """Monic gcd over the scalar field."""
+    a, b = uni_trim(list(a)), uni_trim(list(b))
+    while b:
+        _, r = uni_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return []
+    inv = scalar_inverse(a[-1])
+    return [c * inv for c in a]
+
+
+def uni_derivative(a: Uni) -> Uni:
+    return uni_trim([c * i for i, c in enumerate(a)][1:])
+
+
+def uni_squarefree_part(a: Uni) -> Uni:
+    g = uni_gcd(a, uni_derivative(a))
+    if uni_deg(g) < 1:
+        return list(a)
+    q, r = uni_divmod(a, g)
+    if r:
+        raise PreconditionError("squarefree part division left a remainder")
+    return q
+
+
+def uni_eval(a: Uni, x: "Scalar") -> "Scalar":
+    acc: Scalar = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _uni_inverse_mod(a: Uni, m: Uni) -> Tuple[Uni, Uni]:
+    """Return (g, s) with s*a = g modulo m, g = gcd(a, m) up to a scalar."""
+    r0, r1 = list(a), list(m)
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _poly_trim(r1):
-        q, r = _poly_divmod(r0, r1)
+    while uni_trim(r1):
+        q, r = uni_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    za = list(a) + [Fraction(0)] * (n - len(a))
-    zb = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(za, zb)
+        s0, s1 = s1, uni_sub(s0, uni_mul(q, s1))
+    return r0, s0
 
 
 class NumberField:
@@ -101,7 +162,7 @@ class NumberField:
     def element(self, coeffs) -> "Scalar":
         vec = [_frac(c) for c in coeffs]
         if len(vec) >= len(self.minpoly):
-            _, vec = _poly_divmod(vec, list(self.minpoly))
+            _, vec = uni_divmod(vec, list(self.minpoly))
         vec = vec + [Fraction(0)] * (self.degree - len(vec))
         if all(c == 0 for c in vec[1:]):
             return vec[0]
@@ -172,12 +233,12 @@ class FieldElement:
         vec = self._lift(other)
         if vec is None:
             return NotImplemented
-        return self.field.element(_poly_mul(list(self.coeffs), vec))
+        return self.field.element(uni_mul(list(self.coeffs), vec))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        g, s, _ = _poly_ext_gcd(list(self.coeffs), list(self.field.minpoly))
+        g, s = _uni_inverse_mod(list(self.coeffs), list(self.field.minpoly))
         if len(g) != 1:
             # gcd with the modulus is nonconstant: the modulus was reducible
             raise ZeroDivisionError("element is a zero divisor; minimal polynomial is not irreducible")

@@ -1,19 +1,31 @@
-"""The recursive equisingularity ladder and the parametrized-family check.
+"""The equisingularity ladder: one descent, with a policy for towers and
+one for parametrized families.
 
-Building a tower for a germ ``f`` in coordinates ``x_1..x_n`` proceeds top
-down: prepare ``f`` in ``x_n`` (after a regularizing linear change if
-needed), then repeatedly take the first nonzero generalized discriminant of
-the current distinguished polynomial, prepare it in the next coordinate
-down, and stop as soon as that discriminant is a unit.  Each level records
-the discriminant index, the unit, and the coordinate change used, so the
-whole ladder can be re-verified from its stored data.
+The ladder of a germ ``f`` in coordinates ``x_1..x_n`` is built top down by
+one loop, :meth:`_Ladder.run`.  At level ``i`` the current series is
+prepared in ``x_i``, after a regularizing linear change of ``x_1..x_i`` when
+it is not regular in ``x_i``; the levels already recorded are carried
+through that change.  The level is recorded, and the first nonzero
+generalized discriminant of its distinguished polynomial becomes the series
+of level ``i - 1``.  Each level records the discriminant index, the unit and
+the coordinate change used, so the whole ladder can be re-verified from its
+stored data.
 
-For a family over parameters ``t`` the same descent runs with ``t`` inert:
-coordinate changes act on the ``x`` block only, and at every step the chosen
-discriminant must vanish identically on the parameter axis ``{x = 0}``.  A
-discriminant that vanishes at ``t = 0`` without vanishing identically is the
-negative witness.  Any "vanishes identically" claim that rests on truncated
-non-exact data downgrades the verdict to inconclusive rather than guessing.
+What the callers add is the policy applied at each level:
+
+* towers (:func:`build_tower`, :func:`build_tower_system`) stop at the first
+  discriminant that is a unit, end as ``"trivial"`` when a preparation has
+  degree 0 (the series is a unit), and raise :class:`InconclusiveError`
+  when a discriminant below the first nonzero one vanishes only modulo the
+  certification order on non-exact data;
+* families (:func:`check_family`) hold the parameters ``t`` inert, so
+  coordinate changes act on the ``x`` block only, and at every level both
+  the prepared polynomial and the chosen discriminant must vanish
+  identically on the parameter axis ``{x = 0}``.  A discriminant that
+  vanishes at ``t = 0`` without vanishing identically is the negative
+  witness.  Any "vanishes identically" claim that rests on truncated
+  non-exact data is collected in ``uncertified`` and downgrades the verdict
+  to inconclusive rather than guessing.
 
 Analytic conditions (polydisc radii, root localization) are not symbolically
 decidable and are outside every verdict issued here; reports say so.
@@ -21,7 +33,7 @@ decidable and are outside every verdict issued here; reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -35,12 +47,7 @@ from .pseudopoly import (
     PseudoPolynomial,
     generalized_discriminants,
 )
-from .weierstrass import (
-    LinearChange,
-    find_regular_change,
-    regularity_order,
-    weierstrass_prepare,
-)
+from .weierstrass import LinearChange, prepare_in, weierstrass_prepare
 
 SCOPE_NOTE = ("verdicts cover the discriminant-ladder conditions only; "
               "polydisc radii and root-localization are analytic conditions "
@@ -67,6 +74,17 @@ class TowerLevel:
     def degree(self) -> int:
         return self.poly.degree
 
+    @property
+    def axis_vanishing_exact(self) -> bool:
+        """Exactness of the vanishing on the parameter axis ``{x = 0}``, where
+        only the constant coefficient survives; linear changes keep it."""
+        return self.poly.coeffs[-1].exact
+
+    def remapped(self, change: LinearChange) -> "TowerLevel":
+        """The same level in the coordinates after ``change``."""
+        return replace(self, poly=self.poly.map_coeffs(change.apply),
+                       unit=change.apply(self.unit))
+
 
 @dataclass(frozen=True)
 class Tower:
@@ -81,7 +99,7 @@ class Tower:
     kind: str  # "unit-reached" (full descent) or "trivial" (early unit)
     order: int
     seed: int
-    caveats: Tuple[str, ...]
+    caveats: Tuple[str, ...]  # always empty: towers raise instead
     factors: Optional[Tuple[PseudoPolynomial, ...]] = None
 
     @property
@@ -109,20 +127,9 @@ class Tower:
 
 
 @dataclass(frozen=True)
-class LevelCertificate:
-    index: int
-    degree: int
-    disc_index: Optional[int]
-    poly: PseudoPolynomial
-    unit: Jet
-    change: LinearChange
-    axis_vanishing_exact: bool
-
-
-@dataclass(frozen=True)
 class FamilyReport:
     verdict: str  # "equisingular" | "not-equisingular" | "inconclusive"
-    levels: Tuple[LevelCertificate, ...]
+    levels: Tuple[TowerLevel, ...]
     witness: Optional[Jet]
     witness_note: str
     terminal_unit: Optional[Jet]
@@ -132,24 +139,87 @@ class FamilyReport:
     scope_note: str = SCOPE_NOTE
 
 
-def _prepare_in(current: Jet, var: str, block: Sequence[str], seed: int):
-    """Regularize (if needed) and prepare; returns (prepared, change)."""
-    from .jets import INFINITE_ORDER
-
-    if regularity_order(current, var) == INFINITE_ORDER:
-        change = find_regular_change(current, var, block, seed=seed)
-        current = change.apply(current)
-    else:
-        change = LinearChange.identity(tuple(block))
-    return weierstrass_prepare(current, var), change
-
-
 def _gendisc_caveats(gd: GenDiscSequence, level: int) -> List[str]:
     return [
         f"descent to level {level}: vanishing of discriminant index {l} "
         f"is certified only modulo degree {gd.entries[l - 1].order}"
         for l in gd.uncertified_below
     ]
+
+
+class _Ladder:
+    """The descent shared by towers and families.
+
+    :meth:`run` walks down the ladder of ``f`` and calls the policy hooks of
+    the subclass: ``on_unit(index, disc_index, unit)`` when the series of
+    level ``index`` is the unit ``unit``; ``on_level(level)`` when a level
+    is prepared, before it is recorded; ``on_discriminant(index, gd)`` with
+    the discriminants of the last recorded level, whose first nonzero entry
+    is the series of level ``index``.  A hook that returns anything but None
+    ends the descent with that value.
+    """
+
+    def __init__(self, f: Jet, seed: int):
+        if not f.ctx.coords:
+            raise PreconditionError("need at least one coordinate")
+        if f.is_zero():
+            raise PreconditionError(f"input vanishes to order {f.order}")
+        self.f = f
+        self.seed = seed
+        self.levels: List[TowerLevel] = []
+
+    def run(self):
+        xs = self.f.ctx.coords
+        current = self.f
+        disc_index: Optional[int] = None
+        for i in range(len(xs), 0, -1):
+            prepared, change = prepare_in(current, xs[i - 1], xs[:i], self.seed)
+            if not change.is_identity:
+                self.levels = [lv.remapped(change) for lv in self.levels]
+            if prepared.poly.degree == 0:
+                return self.on_unit(i, disc_index, prepared.unit)
+            level = TowerLevel(index=i, poly=prepared.poly, unit=prepared.unit,
+                               disc_index=disc_index, change=change)
+            done = self.on_level(level)
+            if done is not None:
+                return done
+            self.levels.append(level)
+            gd = generalized_discriminants(level.poly)
+            done = self.on_discriminant(i - 1, gd)
+            if done is not None:
+                return done
+            disc_index, current = gd.first_nonzero, gd.first_entry
+        # the bottom discriminants are constants, so a tower always stops
+        # above; a family gets here only with an unwitnessed non-unit
+        raise ConsistencyError("descent reached the bottom without a unit discriminant")
+
+    def on_level(self, level: TowerLevel):
+        return None
+
+
+class _TowerLadder(_Ladder):
+    def on_unit(self, index, disc_index, unit):
+        # the whole germ is a unit; empty zero set, nothing to ladder
+        return self._tower(index, disc_index, unit, "trivial")
+
+    def on_discriminant(self, index, gd):
+        caveats = _gendisc_caveats(gd, index)
+        if caveats:
+            raise InconclusiveError("; ".join(caveats))
+        if gd.first_entry.is_unit():
+            kind = "unit-reached" if index == 0 else "trivial"
+            return self._tower(index, gd.first_nonzero, gd.first_entry, kind)
+        return None
+
+    def _tower(self, index, disc_index, unit, kind) -> Tower:
+        source = self.f
+        for lv in self.levels:
+            source = lv.change.apply(source)
+        return Tower(
+            input_jet=self.f, source=source, levels=tuple(self.levels),
+            terminal_index=index, terminal_disc_index=disc_index,
+            terminal_unit=unit, kind=kind,
+            order=self.f.order, seed=self.seed, caveats=())
 
 
 def build_tower(f: Jet, seed: int = 0) -> Tower:
@@ -161,67 +231,7 @@ def build_tower(f: Jet, seed: int = 0) -> Tower:
     """
     if f.ctx.n_params:
         raise PreconditionError("build_tower expects a parameter-free context")
-    return _descend(f, seed=seed, strict_zero_claims=True)
-
-
-def _descend(f: Jet, seed: int, strict_zero_claims: bool) -> Tower:
-    ctx = f.ctx
-    xs = ctx.coords
-    if not xs:
-        raise PreconditionError("need at least one coordinate")
-    if f.is_zero():
-        raise PreconditionError(f"input vanishes to order {f.order}")
-
-    n = len(xs)
-    caveats: List[str] = []
-    levels: List[TowerLevel] = []
-    source = f
-    current = f
-    disc_index: Optional[int] = None
-
-    for i in range(n, 0, -1):
-        var = xs[i - 1]
-        block = xs[:i]
-        prepared, change = _prepare_in(current, var, block, seed)
-        if not change.is_identity:
-            source = change.apply(source)
-            levels = [
-                TowerLevel(
-                    index=lv.index,
-                    poly=lv.poly.map_coeffs(change.apply),
-                    unit=change.apply(lv.unit),
-                    disc_index=lv.disc_index,
-                    change=lv.change,
-                )
-                for lv in levels
-            ]
-        if prepared.poly.degree == 0:
-            # the whole germ is a unit; empty zero set, nothing to ladder
-            return Tower(
-                input_jet=f, source=source, levels=tuple(levels),
-                terminal_index=i, terminal_disc_index=disc_index,
-                terminal_unit=prepared.unit, kind="trivial",
-                order=f.order, seed=seed, caveats=tuple(caveats))
-        levels.append(TowerLevel(index=i, poly=prepared.poly, unit=prepared.unit,
-                                 disc_index=disc_index, change=change))
-        gd = generalized_discriminants(prepared.poly)
-        new_caveats = _gendisc_caveats(gd, i - 1)
-        caveats.extend(new_caveats)
-        if new_caveats and strict_zero_claims:
-            raise InconclusiveError("; ".join(new_caveats))
-        disc_index = gd.first_nonzero
-        delta = gd.first_entry
-        if delta.is_unit():
-            kind = "unit-reached" if i - 1 == 0 else "trivial"
-            return Tower(
-                input_jet=f, source=source, levels=tuple(levels),
-                terminal_index=i - 1, terminal_disc_index=disc_index,
-                terminal_unit=delta, kind=kind,
-                order=f.order, seed=seed, caveats=tuple(caveats))
-        current = delta
-
-    # the bottom discriminants are constants, so the loop always terminates
-    raise ConsistencyError("descent reached the bottom without a unit discriminant")
+    return _TowerLadder(f, seed).run()
 
 
 def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
@@ -244,7 +254,7 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
         product = product * g
     if product.is_zero():
         raise PreconditionError("product of the system vanishes to the certification order")
-    prepared0, change = _prepare_in(product, var, ctx.coords, seed)
+    _, change = prepare_in(product, var, ctx.coords, seed)
     factors = []
     unit = Jet.constant(ctx, 1, product.order)
     for g in gs:
@@ -255,7 +265,11 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
     for fac in factors[1:]:
         top_jet = top_jet * fac.as_jet()
 
-    inner = _descend(top_jet, seed=seed, strict_zero_claims=True)
+    inner = _TowerLadder(top_jet, seed).run()
+    if not inner.levels:
+        # every entry is a unit: empty zero set, nothing to ladder
+        return replace(inner, input_jet=product, source=product, terminal_unit=product,
+                       order=product.order, factors=tuple(factors))
     # carry the product and the combined unit through any coordinate changes
     # the inner descent applied, so the stored identities stay coherent
     source = change.apply(product)
@@ -264,17 +278,10 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
             source = lv.change.apply(source)
             unit = lv.change.apply(unit)
             factors = [fac.map_coeffs(lv.change.apply) for fac in factors]
-    top_level = inner.levels[0]
-    levels = (TowerLevel(index=top_level.index, poly=top_level.poly,
-                         unit=top_level.unit * unit, disc_index=None,
-                         change=change),) + inner.levels[1:]
-    return Tower(
-        input_jet=product, source=source, levels=levels,
-        terminal_index=inner.terminal_index,
-        terminal_disc_index=inner.terminal_disc_index,
-        terminal_unit=inner.terminal_unit, kind=inner.kind,
-        order=product.order, seed=seed, caveats=inner.caveats,
-        factors=tuple(factors))
+    top = inner.levels[0]
+    levels = (replace(top, unit=top.unit * unit, change=change),) + inner.levels[1:]
+    return replace(inner, input_jet=product, source=source, levels=levels,
+                   order=product.order, factors=tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -323,6 +330,60 @@ def verify_tower(tw: Tower) -> TowerVerification:
     return TowerVerification(tuple(results), terminal_ok, all_passed)
 
 
+class _FamilyLadder(_Ladder):
+    def __init__(self, F: Jet, seed: int):
+        super().__init__(F, seed)
+        self.zero_x = {name: 0 for name in F.ctx.coords}
+        self.uncertified: List[str] = []
+
+    def run(self):
+        negative = self._on_axis(self.f, "vanishing of the family on the parameter axis",
+                                 "the family does not vanish on the parameter axis")
+        return negative if negative is not None else super().run()
+
+    def on_unit(self, index, disc_index, unit):
+        raise ConsistencyError("family preparation degenerated to a unit")
+
+    def on_level(self, level):
+        # only reachable when a vanishing claim above was uncertified
+        return self._on_axis(
+            level.poly.coeffs[-1],
+            f"level {level.index}: vanishing of the prepared polynomial on the parameter axis",
+            "prepared polynomial does not vanish on the parameter axis")
+
+    def on_discriminant(self, index, gd):
+        self.uncertified.extend(_gendisc_caveats(gd, index))
+        delta = gd.first_entry
+        if delta.is_unit():
+            if self.uncertified:
+                return self._report("inconclusive", None, "", delta)
+            return self._report("equisingular", None,
+                                "descent terminated at a unit discriminant", delta)
+        return self._on_axis(
+            delta, f"level {index}: vanishing of the discriminant on the parameter axis",
+            "discriminant vanishes at the origin but not along the parameter axis")
+
+    def _on_axis(self, j: Jet, claim: str, note: str) -> Optional[FamilyReport]:
+        """The negative report when ``j`` does not vanish on the parameter
+        axis; else None, after noting an uncertified vanishing."""
+        axis = j.restrict(self.zero_x)
+        if axis.is_zero():
+            if not axis.exact:
+                self.uncertified.append(f"{claim} is certified only modulo degree {axis.order}")
+            return None
+        if self.uncertified:
+            return self._report("inconclusive", axis,
+                                f"candidate witness: {note}; but earlier vanishing "
+                                "claims were not exact", None)
+        return self._report("not-equisingular", axis, note, None)
+
+    def _report(self, verdict, witness, note, terminal_unit) -> FamilyReport:
+        return FamilyReport(
+            verdict=verdict, levels=tuple(self.levels), witness=witness,
+            witness_note=note, terminal_unit=terminal_unit,
+            uncertified=tuple(self.uncertified), order=self.f.order, seed=self.seed)
+
+
 def check_family(F: Jet, seed: int = 0) -> FamilyReport:
     """Decide Zariski equisingularity of a parametrized family.
 
@@ -330,109 +391,4 @@ def check_family(F: Jet, seed: int = 0) -> FamilyReport:
     on the coordinate block only.  See the module docstring for the verdict
     semantics; inconclusive is returned, never guessed past.
     """
-    ctx = F.ctx
-    xs = ctx.coords
-    if not xs:
-        raise PreconditionError("need at least one coordinate")
-    if F.is_zero():
-        raise PreconditionError(f"input vanishes to order {F.order}")
-
-    uncertified: List[str] = []
-    zero_x = {name: 0 for name in xs}
-
-    on_axis = F.restrict(zero_x)
-    if not on_axis.is_zero():
-        return FamilyReport(
-            verdict="not-equisingular", levels=(), witness=on_axis,
-            witness_note="the family does not vanish on the parameter axis",
-            terminal_unit=None, uncertified=(), order=F.order, seed=seed)
-    if not on_axis.exact:
-        uncertified.append(
-            f"vanishing of the family on the parameter axis is certified only modulo degree {F.order}")
-
-    levels: List[LevelCertificate] = []
-    current = F
-    disc_index: Optional[int] = None
-    n = len(xs)
-
-    for i in range(n, 0, -1):
-        var = xs[i - 1]
-        block = xs[:i]
-        prepared, change = _prepare_in(current, var, block, seed)
-        if prepared.poly.degree == 0:
-            raise ConsistencyError("family preparation degenerated to a unit")
-        if not change.is_identity:
-            levels = [
-                LevelCertificate(
-                    index=lc.index,
-                    degree=lc.degree,
-                    disc_index=lc.disc_index,
-                    poly=lc.poly.map_coeffs(change.apply),
-                    unit=change.apply(lc.unit),
-                    change=lc.change,
-                    axis_vanishing_exact=lc.axis_vanishing_exact,
-                )
-                for lc in levels
-            ]
-        last_coeff_axis = prepared.poly.coeffs[-1].restrict(zero_x)
-        if not last_coeff_axis.is_zero():
-            # preparation produced a polynomial not vanishing on the axis;
-            # only reachable when the axis-vanishing above was uncertified
-            return _family_negative(levels, last_coeff_axis, uncertified, F, seed,
-                                    "prepared polynomial does not vanish on the parameter axis")
-        if not last_coeff_axis.exact:
-            uncertified.append(
-                f"level {i}: vanishing of the prepared polynomial on the parameter "
-                f"axis is certified only modulo degree {last_coeff_axis.order}")
-        levels.append(LevelCertificate(
-            index=i, degree=prepared.poly.degree, disc_index=disc_index,
-            poly=prepared.poly, unit=prepared.unit, change=change,
-            axis_vanishing_exact=last_coeff_axis.exact))
-
-        gd = generalized_discriminants(prepared.poly)
-        uncertified.extend(_gendisc_caveats(gd, i - 1))
-        disc_index = gd.first_nonzero
-        delta = gd.first_entry
-
-        if delta.is_unit():
-            if uncertified:
-                return FamilyReport(
-                    verdict="inconclusive", levels=tuple(levels), witness=None,
-                    witness_note="", terminal_unit=delta,
-                    uncertified=tuple(uncertified), order=F.order, seed=seed)
-            return FamilyReport(
-                verdict="equisingular", levels=tuple(levels), witness=None,
-                witness_note="descent terminated at a unit discriminant",
-                terminal_unit=delta, uncertified=(), order=F.order, seed=seed)
-
-        axis = delta.restrict(zero_x)
-        if not axis.is_zero():
-            return _family_negative(
-                levels, axis, uncertified, F, seed,
-                "discriminant vanishes at the origin but not along the parameter axis")
-        if not axis.exact:
-            uncertified.append(
-                f"level {i - 1}: vanishing of the discriminant on the parameter "
-                f"axis is certified only modulo degree {axis.order}")
-        if i == 1:
-            # no coordinates remain; a non-unit discriminant cannot vanish
-            # identically here, so the restriction above already decided
-            raise ConsistencyError("bottom discriminant neither unit nor witnessed")
-        current = delta
-
-    raise ConsistencyError("family descent fell through")
-
-
-def _family_negative(levels, witness: Jet, uncertified: List[str], F: Jet,
-                     seed: int, note: str) -> FamilyReport:
-    if uncertified:
-        return FamilyReport(
-            verdict="inconclusive", levels=tuple(levels), witness=witness,
-            witness_note=f"candidate witness: {note}; but earlier vanishing "
-                         "claims were not exact",
-            terminal_unit=None, uncertified=tuple(uncertified),
-            order=F.order, seed=seed)
-    return FamilyReport(
-        verdict="not-equisingular", levels=tuple(levels), witness=witness,
-        witness_note=note, terminal_unit=None, uncertified=(),
-        order=F.order, seed=seed)
+    return _FamilyLadder(F, seed).run()

@@ -50,8 +50,7 @@ class LinearChange:
         k = len(self.block)
         if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
             raise PreconditionError("linear change matrix does not match its block")
-        if _det(self.matrix) == 0:
-            raise PreconditionError("linear change matrix is singular")
+        _mat_inverse(self.matrix)  # raises PreconditionError when singular
 
     @classmethod
     def identity(cls, block: Sequence[str]) -> "LinearChange":
@@ -94,34 +93,11 @@ class LinearChange:
             subst[name] = form
         return f.compose(subst)
 
-    def apply_inverse(self, f: Jet) -> Jet:
-        return self.inverse().apply(f)
-
     def describe(self) -> dict:
         return {
             "block": list(self.block),
             "matrix": [[str(c) for c in row] for row in self.matrix],
         }
-
-
-def _det(matrix) -> Fraction:
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def _mat_inverse(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -264,10 +240,8 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0,
     if best is None:
         raise NoRegularDirectionError(
             f"no regular direction found within the budget of {budget} candidates")
-    coeffs = best[1]
-    if all(c == 0 for c in coeffs):
-        return LinearChange.identity(block)
-    return LinearChange.shear(block, var, coeffs)
+    # all-zero coefficients give the identity
+    return LinearChange.shear(block, var, best[1])
 
 
 def _split(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
@@ -384,6 +358,21 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
             candidate = candidate.map_coeffs(
                 lambda c: Jet(f.ctx, order, c.terms, True))
     return PreparedForm(unit=unit, poly=candidate, order=order)
+
+
+def prepare_in(f: Jet, var: str, block: Sequence[str],
+               seed: int = 0) -> Tuple[PreparedForm, LinearChange]:
+    """Prepare ``f`` in ``var`` after a regularizing change of the ``block``
+    variables, searched only when ``f`` is not regular in ``var``.
+
+    Returns the prepared form of the changed series and the change used.
+    """
+    if regularity_order(f, var) == INFINITE_ORDER:
+        change = find_regular_change(f, var, block, seed=seed)
+        f = change.apply(f)
+    else:
+        change = LinearChange.identity(block)
+    return weierstrass_prepare(f, var), change
 
 
 def _unit_key(ctx: VarContext, var: str, e: int) -> Tuple[int, ...]:

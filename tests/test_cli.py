@@ -8,6 +8,9 @@ import pytest
 from equijet.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# reports the corpus does not cover; kept out of ``corpus/`` so that the
+# benchmark's corpus job mix stays as it is
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(argv):
@@ -116,3 +119,42 @@ def test_corpus_matches_committed_reports(fixture):
     assert code == 0
     expected = (CORPUS / "expected" / (fixture.stem + ".json")).read_text()
     assert out == expected
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN.glob("*.args")),
+                         ids=lambda p: p.stem)
+def test_golden_reports(fixture):
+    argv = fixture.read_text().splitlines()
+    code, out = run(argv)
+    expected = (GOLDEN / "expected" / (fixture.stem + ".json")).read_text()
+    verdict = json.loads(expected)["result"].get("verdict")
+    assert code == (3 if verdict == "inconclusive" else 0)
+    assert out == expected
+
+
+def test_golden_reports_cover_their_cases():
+    def result(name):
+        return json.loads((GOLDEN / "expected" / f"{name}.json").read_text())["result"]
+
+    truncated = result("family_truncated_inconclusive")
+    assert truncated["verdict"] == "inconclusive"
+    assert not any(lv["axis_vanishing_exact"] for lv in truncated["levels"])
+    identity = [["1", "0"], ["0", "1"]]
+    # a shear below the top level remaps the level above it
+    for name in ("tower_lower_shear", "family_lower_shear"):
+        assert result(name)["levels"][1]["change"]["matrix"] != identity
+    assert result("tower_system_shear")["levels"][0]["change"]["matrix"] != identity
+
+
+@pytest.mark.parametrize("argv, env_order", [
+    (["tower", "x2^2 - x1^3", "--vars", "x1,x2", "--order", "-3"], None),
+    (["mero-deform", "--f", "(x1)*(x2)", "--g", "(x1+x2)^2", "--t", "abc"], None),
+    (["tower", "x2^2 - x1^3", "--vars", "x1,x2"], "abc"),
+], ids=["negative-order", "bad-rational", "bad-env-order"])
+def test_bad_input_is_a_one_line_usage_error(argv, env_order, monkeypatch, capsys):
+    if env_order is not None:
+        monkeypatch.setenv("EQUIJET_ORDER", env_order)
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

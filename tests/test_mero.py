@@ -312,6 +312,29 @@ def test_analyze_lemma_bookkeeping_randomized():
         done += 1
 
 
+@pytest.mark.parametrize("f_factors, g_factors", [
+    # f - g = x1^2 (4 x1 - 4 x2 - 5 x1^2)
+    (lambda: [(x2() - x1() + x1() ** 2, 1), (x2() - x1() - x1() ** 2, 1)],
+     lambda: [(x2() - x1() + 2 * x1() ** 2, 2)]),
+    # f - g = 2 x1^2 (2 + x1)^2
+    (lambda: [(x2() - x1() - x1() ** 2, 1), (x2() + x1(), 1)],
+     lambda: [(x2() - 3 * x1() - 2 * x1() ** 2, 1), (x2() + 3 * x1() + x1() ** 2, 1)]),
+], ids=["x1-divisor", "x1-times-unit-divisor"])
+def test_analyze_divisor_in_x1_alone(f_factors, g_factors):
+    # a divisor factor in x1 alone gets no constant from eliminating x2; the
+    # analysis splits it off as the x2-content of its squarefree piece
+    f, g = germ(*f_factors()), germ(*g_factors())
+    an = analyze(f, g)
+    assert an.records
+    divisor = Jet.constant(X, 1, 16)
+    for rec in an.records:
+        target = f.product - g.product.scale(rec.c)
+        power = rec.h.with_order(target.order) ** (rec.mu + 1)
+        assert exact_divide(target, power) is not None
+        divisor = divisor * rec.h.with_order(16) ** rec.mu
+    assert proportional(an.theta.coefficient_gcd(), divisor)
+
+
 def test_divisors_of_f_or_g_never_divide_theta():
     f = germ((x2(), 2))
     g = germ((x1(), 1))

@@ -145,6 +145,15 @@ def test_system_with_repeated_entry():
     assert verify_tower(tw).all_passed
 
 
+def test_system_of_units_is_trivial():
+    # like a single unit germ: empty zero set, no levels, the product as unit
+    tw = build_tower_system([1 + x1(), 1 + x2()])
+    assert tw.kind == "trivial" and tw.levels == ()
+    assert tw.terminal_unit == (1 + x1()) * (1 + x2())
+    assert [fac.degree for fac in tw.factors] == [0, 0]
+    assert verify_tower(tw).all_passed
+
+
 def test_family_equisingular_unit_deformation():
     F = x2(TX2) ** 2 - (1 + t()) * x1(TX2) ** 3
     rep = check_family(F)
