@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # every option but -h is long, so "-x2^2+x1^3" is an expression
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 # -- serialization --------------------------------------------------------
 

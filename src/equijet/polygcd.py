@@ -336,34 +336,30 @@ def squarefree_decomposition(d: Jet) -> List[Tuple[Jet, int]]:
     if d.is_zero() or is_constant(d):
         return []
     x1, x2 = d.ctx.names
-
-    def reduced(j: Jet) -> Jet:
-        g = jet_gcd_many([j, j.derivative(x1).with_order(j.order),
-                          j.derivative(x2).with_order(j.order)])
-        if is_constant(g):
-            return j
-        q = exact_divide(j, g)
-        if q is None:
-            raise PreconditionError("squarefree reduction division failed")
-        return q
-
-    # chain[m] has the factors of multiplicity > m, each once
+    # with d = prod p_k^k, chain[m] is prod p_k^(k - m) over k > m
     chain = [d]
     while not is_constant(chain[-1]):
         nxt = jet_gcd_many([chain[-1], chain[-1].derivative(x1).with_order(d.order),
                             chain[-1].derivative(x2).with_order(d.order)])
         chain.append(_strip_constant(nxt))
+    # sq[m] has the factors of multiplicity > m, each once
+    sq = [_strip_constant(_divide(c, nxt)) for c, nxt in zip(chain, chain[1:])]
+    sq.append(chain[-1])
     parts: List[Tuple[Jet, int]] = []
-    sq = [ _strip_constant(reduced(c)) if not is_constant(c) else c for c in chain ]
     for m in range(len(sq) - 1):
         piece, upper = sq[m], sq[m + 1]
         if not is_constant(upper):
-            piece = exact_divide(piece, upper)
-            if piece is None:
-                raise PreconditionError("squarefree decomposition division failed")
+            piece = _divide(piece, upper)
         if not is_constant(piece):
             parts.append((from_biv(d.ctx, _biv_normalize(to_biv(piece)), d.order), m + 1))
     return parts
+
+
+def _divide(a: Jet, b: Jet) -> Jet:
+    q = exact_divide(a, b)
+    if q is None:
+        raise PreconditionError("squarefree decomposition division failed")
+    return q
 
 
 def _strip_constant(j: Jet) -> Jet:

@@ -5,11 +5,15 @@ The ladder of a germ ``f`` in coordinates ``x_1..x_n`` is built top down by
 one loop, :meth:`_Ladder.run`.  At level ``i`` the current series is
 prepared in ``x_i``, after a regularizing linear change of ``x_1..x_i`` when
 it is not regular in ``x_i``; the levels already recorded are carried
-through that change.  The level is recorded, and the first nonzero
-generalized discriminant of its distinguished polynomial becomes the series
-of level ``i - 1``.  Each level records the discriminant index, the unit and
-the coordinate change used, so the whole ladder can be re-verified from its
-stored data.
+through that change.  Each level is prepared in its own coordinates
+``x_1..x_i``, with the parameters kept: a truncated coefficient is then
+known to be a series in those variables only, and without parameters the
+level of index 1 is exactly ``x_1^p``.  The unit and the coefficients are
+widened back to the full context, so reports keep full-width exponents.
+The level is recorded, and the first nonzero generalized discriminant of
+its distinguished polynomial becomes the series of level ``i - 1``.  Each
+level records the discriminant index, the unit and the coordinate change
+used, so the whole ladder can be re-verified from its stored data.
 
 What the callers add is the policy applied at each level:
 
@@ -47,7 +51,12 @@ from .pseudopoly import (
     PseudoPolynomial,
     generalized_discriminants,
 )
-from .weierstrass import LinearChange, prepare_in, weierstrass_prepare
+from .weierstrass import (
+    LinearChange,
+    prepare_in,
+    regularizing_change,
+    weierstrass_prepare,
+)
 
 SCOPE_NOTE = ("verdicts cover the discriminant-ladder conditions only; "
               "polydisc radii and root-localization are analytic conditions "
@@ -169,16 +178,21 @@ class _Ladder:
         self.levels: List[TowerLevel] = []
 
     def run(self):
-        xs = self.f.ctx.coords
+        ctx = self.f.ctx
+        xs = ctx.coords
         current = self.f
         disc_index: Optional[int] = None
         for i in range(len(xs), 0, -1):
-            prepared, change = prepare_in(current, xs[i - 1], xs[:i], self.seed)
+            # the series of level i is one in x_1..x_i and the parameters
+            prepared, change = prepare_in(current.in_context(ctx.without(xs[i:])),
+                                          xs[i - 1], xs[:i], self.seed)
             if not change.is_identity:
                 self.levels = [lv.remapped(change) for lv in self.levels]
+            unit = prepared.unit.in_context(ctx)
             if prepared.poly.degree == 0:
-                return self.on_unit(i, disc_index, prepared.unit)
-            level = TowerLevel(index=i, poly=prepared.poly, unit=prepared.unit,
+                return self.on_unit(i, disc_index, unit)
+            poly = prepared.poly.map_coeffs(lambda c: c.in_context(ctx))
+            level = TowerLevel(index=i, poly=poly, unit=unit,
                                disc_index=disc_index, change=change)
             done = self.on_level(level)
             if done is not None:
@@ -254,7 +268,7 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
         product = product * g
     if product.is_zero():
         raise PreconditionError("product of the system vanishes to the certification order")
-    _, change = prepare_in(product, var, ctx.coords, seed)
+    change = regularizing_change(product, var, ctx.coords, seed)
     factors = []
     unit = Jet.constant(ctx, 1, product.order)
     for g in gs:

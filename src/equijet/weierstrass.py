@@ -8,9 +8,12 @@ variables.
 Preparation carries one extra step worth calling out: the unit and the
 distinguished polynomial produced by the finite-order iteration are, in
 general, only known modulo the order.  When the input is an exact polynomial
-the candidate distinguished factor is checked by exact polynomial division;
-on success the factorization is certified exact, which is what later lets
-vanishing claims about discriminants stay sound.
+the candidate distinguished factor, lifted to an exact polynomial, is
+checked by :func:`polygcd.exact_divide`; on success the factorization is
+certified exact, which is what later lets vanishing claims about
+discriminants stay sound.  In a one-variable context the distinguished
+polynomial is exactly ``var^p`` whatever the input, because a series in one
+variable is a unit times a power of it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .jets import INFINITE_ORDER, Jet, VarContext
+from .polygcd import exact_divide
 from .pseudopoly import PseudoPolynomial
 
 #: How many integer directions the regularizing search will try.
@@ -286,51 +290,14 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     return q, r
 
 
-def _exact_poly_divide(f: Jet, candidate: PseudoPolynomial, var: str):
-    """Exact polynomial division of an exact jet by a monic candidate factor.
-
-    Returns the exact quotient jet when the remainder is exactly zero, else
-    None.  Everything runs at a raised order so no truncation can occur.
-    """
-    deg_f = f.total_degree()
-    if deg_f is None:
-        return None
-    big = deg_f + candidate.degree + 2
-    coeffs = {e: c.with_order(big) for e, c in f.coefficients_in(var).items()}
-    w_coeffs = [c.polynomial_part(c.order - 1).with_order(big) for c in candidate.coeffs]
-    p = candidate.degree
-    top = max(coeffs, default=0)
-    ctx = f.ctx
-    zero = Jet.zero(ctx, big)
-    quotient: Dict[int, Jet] = {}
-    work = dict(coeffs)
-    for e in range(top, p - 1, -1):
-        qe = work.get(e, zero)
-        if qe.is_zero():
-            continue
-        quotient[e - p] = qe
-        for j, wc in enumerate(w_coeffs, start=1):
-            tgt = e - j
-            work[tgt] = work.get(tgt, zero) - qe * wc
-        work.pop(e, None)
-    if any(not work.get(e, zero).is_zero() for e in list(work)):
-        return None
-    q = Jet.zero(ctx, big)
-    vkey = [0] * len(ctx.names)
-    vi = ctx.index(var)
-    for e, c in quotient.items():
-        vkey[vi] = e
-        q = q + c * Jet.monomial(ctx, tuple(vkey), order=big)
-    return q
-
-
 def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     """Factor ``f = unit * W`` with ``W`` monic distinguished in ``var``.
 
     Requires finite regularity order ``p``; computed by dividing ``var^p`` by
-    ``f``.  For exact polynomial input the candidate factor is re-verified by
-    exact division, upgrading the factorization to an exact identity whenever
-    the distinguished polynomial really is polynomial.
+    ``f``.  In a one-variable context ``W`` is exactly ``var^p``.  For exact
+    input the candidate ``W`` is certified by :func:`polygcd.exact_divide`;
+    on success ``W`` is exact, and so is the unit unless the quotient
+    reaches the certification order.
     """
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
@@ -351,28 +318,35 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     candidate = PseudoPolynomial.from_jet(vp - r, var)
     if any(c.constant_term() for c in candidate.coeffs):
         raise ConsistencyError("prepared polynomial is not distinguished")
-    if f.exact and not candidate.exact:
-        exact_q = _exact_poly_divide(f, candidate, var)
-        if exact_q is not None and exact_q.is_unit():
-            unit = Jet(f.ctx, order, exact_q.terms, exact_q.total_degree() < order)
-            candidate = candidate.map_coeffs(
-                lambda c: Jet(f.ctx, order, c.terms, True))
+    # the coefficients hold only terms below the order, so nothing is dropped
+    lifted = candidate.map_coeffs(lambda c: Jet(c.ctx, order, c.terms, True))
+    if len(f.ctx.names) == 1:
+        # a one-variable series is a unit times var^p
+        candidate = lifted
+    if f.exact:
+        exact_q = exact_divide(f, lifted.as_jet())
+        if exact_q is not None:
+            unit, candidate = exact_q.truncate(order), lifted
     return PreparedForm(unit=unit, poly=candidate, order=order)
+
+
+def regularizing_change(f: Jet, var: str, block: Sequence[str],
+                        seed: int = 0) -> LinearChange:
+    """The identity when ``f`` is regular in ``var``, else a shear of the
+    ``block`` variables found by :func:`find_regular_change`."""
+    if regularity_order(f, var) == INFINITE_ORDER:
+        return find_regular_change(f, var, block, seed=seed)
+    return LinearChange.identity(block)
 
 
 def prepare_in(f: Jet, var: str, block: Sequence[str],
                seed: int = 0) -> Tuple[PreparedForm, LinearChange]:
-    """Prepare ``f`` in ``var`` after a regularizing change of the ``block``
-    variables, searched only when ``f`` is not regular in ``var``.
+    """Prepare ``f`` in ``var`` after :func:`regularizing_change`.
 
     Returns the prepared form of the changed series and the change used.
     """
-    if regularity_order(f, var) == INFINITE_ORDER:
-        change = find_regular_change(f, var, block, seed=seed)
-        f = change.apply(f)
-    else:
-        change = LinearChange.identity(block)
-    return weierstrass_prepare(f, var), change
+    change = regularizing_change(f, var, block, seed)
+    return weierstrass_prepare(change.apply(f), var), change
 
 
 def _unit_key(ctx: VarContext, var: str, e: int) -> Tuple[int, ...]:

@@ -158,3 +158,11 @@ def test_bad_input_is_a_one_line_usage_error(argv, env_order, monkeypatch, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["-x2^2+x1^3", "-x2^2 + x1^3"], ids=["unspaced", "spaced"])
+def test_expression_may_start_with_minus(expr):
+    code, out = machine_run(["tower", expr, "--vars", "x1,x2"])
+    _, expected = machine_run(["tower", "0 - x2^2 + x1^3", "--vars", "x1,x2"])
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(expected)["result"]

@@ -84,6 +84,22 @@ def test_squarefree_decomposition():
     assert proportional(by_mult[1], x1() + x2())
 
 
+def test_squarefree_decomposition_takes_each_gcd_once(monkeypatch):
+    import equijet.polygcd as polygcd
+
+    calls = []
+    real = polygcd.jet_gcd
+    monkeypatch.setattr(polygcd, "jet_gcd", lambda a, b: calls.append(1) or real(a, b))
+    d = (x1() - x2()) ** 2 * (x1() + x2()) ** 3 * (x2() - x1() ** 2)
+    parts = {m: p for p, m in squarefree_decomposition(d)}
+    # two gcds per step of a chain of four; none is taken again
+    assert len(calls) == 6
+    assert sorted(parts) == [1, 2, 3]
+    assert proportional(parts[1], x2() - x1() ** 2)
+    assert proportional(parts[2], x1() - x2())
+    assert proportional(parts[3], x1() + x2())
+
+
 def test_exact_power_dividing():
     a = (x1() - x2()) ** 3 * x2()
     m, cof = exact_power_dividing(a, x1() - x2())

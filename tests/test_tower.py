@@ -131,6 +131,34 @@ def test_system_of_two_lines():
     assert tw.degree_sequence == (2, 2)
 
 
+def test_system_prepares_the_product_once(monkeypatch):
+    import equijet.tower as tower
+    import equijet.weierstrass as weierstrass
+
+    calls = []
+    real = weierstrass.weierstrass_prepare
+
+    def counted(f, var):
+        calls.append(f)
+        return real(f, var)
+
+    monkeypatch.setattr(weierstrass, "weierstrass_prepare", counted)
+    monkeypatch.setattr(tower, "weierstrass_prepare", counted)
+    build_tower_system([x2() - x1(), x2() + x1()])
+    # one per entry, then the two levels of the descent
+    assert len(calls) == 4
+
+
+def test_parameter_free_bottom_level_is_exactly_a_power():
+    # the top distinguished polynomial is a genuine series
+    tw = build_tower((1 + x1()) * x2() ** 2 - x1() ** 2)
+    assert not tw.levels[0].poly.exact
+    bottom = tw.levels[-1]
+    assert bottom.index == 1 and bottom.poly.exact
+    assert bottom.poly.as_jet() == x1(order=bottom.poly.order) ** bottom.degree
+    assert verify_tower(tw).all_passed
+
+
 def test_system_singleton_matches_plain_tower():
     tw_sys = build_tower_system([x2() ** 2 - x1() ** 3])
     tw = build_tower(cusp())

@@ -181,3 +181,93 @@ def test_prepare_divide_consistency():
 def test_prepare_not_regular():
     with pytest.raises(NotRegularError):
         weierstrass_prepare(x1() * x2(), "x2")
+
+
+def random_germ(rng, order):
+    """An x2-regular polynomial, sometimes times a polynomial unit; its
+    distinguished factor is a polynomial or a genuine series."""
+    p = rng.randrange(1, 4)
+    f = x2(order) ** p
+    for _ in range(rng.randrange(1, 4)):
+        key = (rng.randrange(1, 4), rng.randrange(0, p + 2))
+        f = f + Jet.monomial(X2, key, Fraction(rng.randrange(-3, 4)), order)
+    if rng.random() < 0.5:
+        u = Jet.constant(X2, 1, order)
+        for _ in range(rng.randrange(1, 3)):
+            key = (rng.randrange(0, 2), rng.randrange(0, 2))
+            u = u + Jet.monomial(X2, key, rng.randrange(1, 3), order)
+        f = f * u
+    return f
+
+
+def holds_modulo_order(pf, f):
+    """``unit * W == f`` modulo the stated order of the preparation."""
+    w = pf.poly.map_coeffs(lambda c: Jet(c.ctx, pf.order, c.terms, True)).as_jet()
+    return (pf.unit * w - f).is_zero()
+
+
+def holds_identically(pf, f):
+    """``unit * W == f`` recomputed well above every degree involved."""
+    big = 2 * pf.order + f.total_degree()
+    lhs = pf.unit.with_order(big) * pf.poly.as_jet().with_order(big)
+    return (lhs - f.with_order(big)).is_zero()
+
+
+def test_prepare_genuine_series_is_not_flagged_exact():
+    order = 12
+    f = (x2(order) - x1(order) ** 2) * (1 + x1(order) + x2(order)) + x2(order) ** 3
+    pf = weierstrass_prepare(f, "x2")
+    assert not pf.exact and not pf.poly.exact
+    assert holds_modulo_order(pf, f)
+
+
+def test_prepare_in_one_variable_is_exactly_a_power():
+    ctx = VarContext.make(["x1"])
+    x = Jet.variable(ctx, "x1", 8)
+    f = Jet(ctx, 8, (x ** 2 * (3 + x)).terms, False)
+    pf = weierstrass_prepare(f, "x1")
+    assert pf.poly.exact and pf.poly.as_jet() == x ** 2
+    assert not pf.unit.exact and (pf.unit - (3 + x)).is_zero()
+
+
+def test_prepare_exact_claims_hold_on_a_seeded_scan():
+    rng = random.Random(1)
+    claims = 0
+    for _ in range(300):
+        f = random_germ(rng, 10)
+        pf = weierstrass_prepare(f, "x2")
+        assert holds_modulo_order(pf, f)
+        if pf.exact:
+            claims += 1
+            assert holds_identically(pf, f)
+    assert claims > 150
+
+
+def test_prepare_exact_flag_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def germs(draw):
+        order = draw(st.integers(6, 10))
+        p = draw(st.integers(1, 3))
+        f = x2(order) ** p
+        small = st.tuples(st.integers(1, 3), st.integers(0, p + 1), st.integers(-3, 3))
+        for a, b, c in draw(st.lists(small, max_size=3)):
+            f = f + Jet.monomial(X2, (a, b), c, order)
+        unit = Jet.constant(X2, 1, order)
+        for a, b, c in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                               st.integers(1, 2)), max_size=2)):
+            unit = unit + Jet.monomial(X2, (a, b), c, order)
+        return f * unit
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(germs())
+    def check(f):
+        pf = weierstrass_prepare(f, "x2")
+        if pf.exact:
+            assert holds_identically(pf, f)
+        else:
+            assert holds_modulo_order(pf, f)
+
+    check()
