@@ -224,7 +224,7 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     raise NotASolutionError(f"input is not an exact {n}-th power to its order")
 
 
-def binomial_family(y1_hat: Jet, y2_hat: Jet, z_name: str = "z") -> SolutionFamily:
+def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     """The explicit one-z family through a solution of ``y1^2 = y2^3`` over a
     single variable.
 
@@ -256,10 +256,10 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet, z_name: str = "z") -> SolutionFami
 
     x_names = (x_name,)
     y_names = ("y1", "y2") if x_name not in ("y1", "y2") else ("yy1", "yy2")
-    z_names = (z_name,)
+    z_names = ("z",)
     fam_ctx = VarContext.make(x_names + z_names)
     sys_ctx = VarContext.make(x_names + y_names)
-    z = Jet.variable(fam_ctx, z_name, order)
+    z = Jet.variable(fam_ctx, "z", order)
     xv = Jet.variable(fam_ctx, x_name, order)
     family = (xv ** (3 * e) * z ** 3, xv ** (2 * e) * z ** 2)
     system = (Jet.variable(sys_ctx, y_names[0], order) ** 2
@@ -314,7 +314,7 @@ def _family_pseudopoly(tsol: TowerSolution, level_index: int, fam_ctx: VarContex
     return PseudoPolynomial(var, coeffs)
 
 
-def build_deformation(tsol: TowerSolution, t_name: str = "t") -> DeformationResult:
+def build_deformation(tsol: TowerSolution) -> DeformationResult:
     """Substitute ``z -> t * z(x)`` into the top-level coefficient families.
 
     The supplied families are first verified against the tower's own
@@ -403,32 +403,27 @@ def build_deformation(tsol: TowerSolution, t_name: str = "t") -> DeformationResu
             f"nesting violated: {violations[0].reason} (variable {violations[0].variable})")
 
     top = levels[0]
-    def_ctx = VarContext.make(tuple(x_names), params=(t_name,))
+    def_ctx = VarContext.make(tuple(x_names), params=("t",))
     order = tower.order
-    tvar = Jet.variable(def_ctx, t_name, order)
+    tvar = Jet.variable(def_ctx, "t", order)
     subst = {}
     for name, w in zip(tsol.z_names, tsol.witness):
         subst[name] = tvar * w.in_context(def_ctx)
-    var = x_names[top.index - 1]
-    F = Jet.monomial(def_ctx, _key(def_ctx, var, top.degree), order=order)
+    v = Jet.variable(def_ctx, x_names[top.index - 1], order)
+    F = v ** top.degree
     for j, fam_coeff in enumerate(tsol.families[top.index], start=1):
         coeff = fam_coeff.in_context(fam_ctx).compose(subst) if subst else \
             fam_coeff.in_context(def_ctx)
-        F = F + coeff * Jet.monomial(def_ctx, _key(def_ctx, var, top.degree - j), order=order)
+        F = F + coeff * v ** (top.degree - j)
 
-    fiber_one = F.restrict({t_name: 1}, drop=True)
+    fiber_one = F.restrict({"t": 1}, drop=True)
     matches = (fiber_one - top.poly.as_jet().in_context(fiber_one.ctx)).is_zero()
-    fiber_zero = F.restrict({t_name: 0}, drop=True)
+    fiber_zero = F.restrict({"t": 0}, drop=True)
     return DeformationResult(
-        deformation=F, parameter=t_name,
+        deformation=F, parameter="t",
         fiber_one_matches=matches,
         fiber_zero=fiber_zero,
         fiber_zero_polynomial=fiber_zero.exact,
         identity_residuals=tuple(residuals),
         nesting_violations=tuple(violations))
 
-
-def _key(ctx: VarContext, var: str, e: int) -> Tuple[int, ...]:
-    key = [0] * len(ctx.names)
-    key[ctx.index(var)] = e
-    return tuple(key)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .deform import SolutionFamily, verify_family
 from .errors import (
@@ -43,6 +43,7 @@ from .polygcd import (
     rational_roots,
     squarefree_decomposition,
     sturm_real_root_count,
+    x2_content,
 )
 from .pseudopoly import resultant_jets
 from .scalars import (
@@ -53,10 +54,8 @@ from .scalars import (
     scalar_is_rational,
     uni_deg,
     uni_divmod,
-    uni_gcd,
     uni_scale,
     uni_squarefree_part,
-    uni_trim,
 )
 
 _C_NAME = "cconst"
@@ -210,20 +209,10 @@ def _constants_for(h: Jet, fp: Jet, gp: Jet) -> List[Scalar]:
     g3 = gp.in_context(ctx3).with_order(bound)
     cvar = Jet.variable(ctx3, _C_NAME, bound)
     res = resultant_jets(h3.with_order(bound), f3 - cvar * g3, elim)
-    keep_idx = ctx3.index(keep)
-    c_idx = ctx3.index(_C_NAME)
-    by_keep: Dict[int, List[Scalar]] = {}
-    for key, coeff in res.terms.items():
-        col = by_keep.setdefault(key[keep_idx], [])
-        while len(col) <= key[c_idx]:
-            col.append(Fraction(0))
-        col[key[c_idx]] = coeff
-    if not by_keep:
+    if res.is_zero():
         raise LemmaViolationError(
             "elimination degenerated: the resultant vanishes identically")
-    gcd_c: List[Scalar] = []
-    for col in by_keep.values():
-        gcd_c = uni_gcd(gcd_c, uni_trim(col)) if gcd_c else uni_gcd(uni_trim(col), [])
+    gcd_c = x2_content(res.in_context(VarContext.make((_C_NAME, keep))))
     if uni_deg(gcd_c) < 1:
         return []
     core = uni_squarefree_part(gcd_c)

@@ -33,6 +33,9 @@ from .scalars import (
 
 Biv = Dict[Tuple[int, int], Scalar]  # (e1, e2) -> coefficient
 
+#: How many times :func:`exact_power_dividing` divides before giving up.
+POWER_CAP = 64
+
 
 def rational_roots(a: Uni) -> List[Fraction]:
     """All rational roots of a polynomial with rational coefficients."""
@@ -175,12 +178,18 @@ def _biv_divide_by_uni(b: Biv, c: Uni) -> Biv:
     return _biv_from_x2(out)
 
 
+def x2_content(j: Jet) -> Uni:
+    """The content of a bivariate polynomial viewed as a polynomial in the
+    second variable: the monic gcd of its coefficients, a polynomial in the
+    first variable alone."""
+    return _content_x2(to_biv(j))
+
+
 def content_split(j: Jet) -> Tuple[Jet, Jet]:
-    """``(content, primitive)`` of an exact bivariate polynomial viewed as a
-    polynomial in the second variable: the content, a polynomial in the
-    first variable alone, is the monic gcd of its coefficients."""
+    """``(content, primitive)`` of an exact bivariate polynomial, with the
+    content :func:`x2_content`."""
     b = to_biv(j)
-    content = _content_x2(b)
+    content = x2_content(j)
     return (from_biv(j.ctx, {(e1, 0): c for e1, c in enumerate(content) if c}, j.order),
             from_biv(j.ctx, _biv_divide_by_uni(b, content), j.order))
 
@@ -310,13 +319,13 @@ def exact_divide(a: Jet, b: Jet) -> Optional[Jet]:
     return Jet(a.ctx, max(a.order, deg + 1), quot, True)
 
 
-def exact_power_dividing(a: Jet, h: Jet, cap: int = 64) -> Tuple[int, Jet]:
+def exact_power_dividing(a: Jet, h: Jet) -> Tuple[int, Jet]:
     """Largest m with h^m dividing a exactly; returns (m, cofactor)."""
     if a.is_zero():
         raise PreconditionError("zero has no finite divisor power")
     m = 0
     cof = a
-    while m < cap:
+    while m < POWER_CAP:
         q = exact_divide(cof, h)
         if q is None:
             return m, cof

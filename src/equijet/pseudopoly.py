@@ -21,6 +21,7 @@ computed division-free (Berkowitz's algorithm).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -116,18 +117,24 @@ class PseudoPolynomial:
             poly = poly * (v - Jet.constant(ctx, r, order))
         return cls.from_jet(poly, var)
 
-    def as_jet(self, order: Optional[int] = None) -> Jet:
-        order = order if order is not None else self.order
-        acc = Jet.monomial(self.ctx, self._mono(self.degree), order=order)
-        for j, a in enumerate(self.coeffs, start=1):
-            power = self.degree - j
-            acc = acc + a.truncate(order) * Jet.monomial(self.ctx, self._mono(power), order=order)
-        return acc
+    def as_jet(self) -> Jet:
+        """``v^p + a_1 v^(p-1) + ... + a_p`` as one jet.
 
-    def _mono(self, e: int) -> Tuple[int, ...]:
-        key = [0] * len(self.ctx.names)
-        key[self.ctx.index(self.var)] = e
-        return tuple(key)
+        The term ``a_j v^(p-j)`` is known modulo ``order(a_j) + p - j``, so
+        the jet is stated modulo the least of these (the polynomial's own
+        order at degree 0).
+        """
+        idx = self.ctx.index(self.var)
+        p = self.degree
+        lead = [0] * len(self.ctx.names)
+        lead[idx] = p
+        terms = {tuple(lead): Fraction(1)}
+        for j, a in enumerate(self.coeffs, start=1):
+            for key, coeff in a.terms.items():
+                terms[key[:idx] + (p - j,) + key[idx + 1:]] = coeff
+        order = min((a.order + p - j for j, a in enumerate(self.coeffs, start=1)),
+                    default=self.order)
+        return Jet(self.ctx, order, terms, self.exact)
 
     def map_coeffs(self, fn) -> "PseudoPolynomial":
         if not self.coeffs:

@@ -5,6 +5,11 @@ fixed-point iteration; it converges within the certification order because
 the low part of a regular series has positive valuation in the remaining
 variables.
 
+A series that is not regular in ``var`` is made so by an integer shear
+``x_j -> x_j + c_j * var`` of a block of coordinates (:class:`LinearChange`),
+found by a seeded search over the directions ``c``: the valuation of ``f``
+on the line spanned by a direction is its regularity order after the shear.
+
 Preparation carries one extra step worth calling out: the unit and the
 distinguished polynomial produced by the finite-order iteration are, in
 general, only known modulo the order.  When the input is an exact polynomial
@@ -22,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import (
     ConsistencyError,
@@ -30,7 +35,7 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .jets import INFINITE_ORDER, Jet, VarContext
+from .jets import INFINITE_ORDER, Jet
 from .polygcd import exact_divide
 from .pseudopoly import PseudoPolynomial
 
@@ -40,86 +45,58 @@ CHANGE_BUDGET = 200
 
 @dataclass(frozen=True)
 class LinearChange:
-    """An invertible integer matrix acting on a block of variables.
+    """The integer shear ``x_j -> x_j + c_j * target`` of a block of variables.
 
-    The change substitutes ``x_i -> sum_j M[i][j] x_j`` for the block
-    variables and fixes everything else, so parameters are never mixed into
-    coordinates as long as the block stays inside the coordinate part.
+    ``coeffs`` holds one ``c_j`` per block variable other than ``target``, in
+    block order; the target and every variable outside the block are fixed,
+    so parameters are never mixed into coordinates as long as the block
+    stays inside the coordinate part.  All-zero coefficients give the
+    identity, and the inverse shear negates them.
     """
 
     block: Tuple[str, ...]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    target: str
+    coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        k = len(self.block)
-        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
-            raise PreconditionError("linear change matrix does not match its block")
-        _mat_inverse(self.matrix)  # raises PreconditionError when singular
+        object.__setattr__(self, "block", tuple(self.block))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if self.target not in self.block:
+            raise PreconditionError(f"shear target {self.target!r} not in block {self.block}")
+        if len(self.coeffs) != len(self.block) - 1:
+            raise PreconditionError("a shear needs one coefficient per block variable "
+                                    "other than its target")
 
-    @classmethod
-    def identity(cls, block: Sequence[str]) -> "LinearChange":
-        k = len(block)
-        rows = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
-                     for i in range(k))
-        return cls(tuple(block), rows)
-
-    @classmethod
-    def shear(cls, block: Sequence[str], target: str, coeffs: Sequence[int]) -> "LinearChange":
-        """``x_j -> x_j + c_j * target`` for each block variable except the
-        target itself."""
-        block = tuple(block)
-        t = block.index(target)
-        k = len(block)
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        for i, c in zip((i for i in range(k) if i != t), coeffs):
+    @property
+    def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """``M`` with ``x_i -> sum_j M[i][j] x_j``: the identity except in
+        the target column."""
+        k, t = len(self.block), self.block.index(self.target)
+        rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        for i, c in zip((i for i in range(k) if i != t), self.coeffs):
             rows[i][t] = Fraction(c)
-        return cls(block, tuple(tuple(row) for row in rows))
+        return tuple(tuple(row) for row in rows)
 
     @property
     def is_identity(self) -> bool:
-        k = len(self.block)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(k) for j in range(k))
+        return not any(self.coeffs)
 
     def inverse(self) -> "LinearChange":
-        return LinearChange(self.block, _mat_inverse(self.matrix))
+        return LinearChange(self.block, self.target, tuple(-c for c in self.coeffs))
 
     def apply(self, f: Jet) -> Jet:
         if self.is_identity:
             return f
-        subst = {}
-        for i, name in enumerate(self.block):
-            form = Jet.zero(f.ctx, f.order)
-            for j, other in enumerate(self.block):
-                c = self.matrix[i][j]
-                if c:
-                    form = form + Jet.variable(f.ctx, other, f.order).scale(c)
-            subst[name] = form
-        return f.compose(subst)
+        t = Jet.variable(f.ctx, self.target, f.order)
+        others = (name for name in self.block if name != self.target)
+        return f.compose({name: Jet.variable(f.ctx, name, f.order) + t.scale(c)
+                          for name, c in zip(others, self.coeffs) if c})
 
     def describe(self) -> dict:
         return {
             "block": list(self.block),
             "matrix": [[str(c) for c in row] for row in self.matrix],
         }
-
-
-def _mat_inverse(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    m = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise PreconditionError("linear change matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 @dataclass(frozen=True)
@@ -141,58 +118,40 @@ def regularity_order(f: Jet, var: str):
     INFINITE_ORDER means the restriction vanishes to the certification
     order (identically, when the jet is exact).
     """
-    idx = f.ctx.index(var)
-    best = None
-    for key, _ in f.terms.items():
-        if any(e for i, e in enumerate(key) if i != idx):
-            continue
-        d = key[idx]
-        if best is None or d < best:
-            best = d
-    return INFINITE_ORDER if best is None else best
+    return _directional_order(f, [f.ctx.index(var)], [1])
 
 
-def _directional_order(f: Jet, block_idx: List[int], v_pos: int, direction: List[int]):
-    """Regularity order after the shear with the given direction vector.
-
-    ``direction`` is indexed like ``block_idx`` with a 1 at ``v_pos``.  Only
-    terms supported inside the block can contribute.
+def _directional_order(f: Jet, block_idx: Sequence[int], direction: Sequence[int]):
+    """Valuation of ``f`` on the line through ``direction``, which is indexed
+    like ``block_idx``: the regularity order in the variable where the
+    direction is 1 after the shear by the other entries.  Only terms
+    supported inside the block contribute; INFINITE_ORDER when none is left.
     """
+    outside = [i for i in range(len(f.ctx.names)) if i not in block_idx]
     sums: Dict[int, object] = {}
-    block = set(block_idx)
     for key, coeff in f.terms.items():
-        if any(e for i, e in enumerate(key) if e and i not in block):
+        if any(key[i] for i in outside):
             continue
         val = coeff
-        ok = True
-        for pos, i in enumerate(block_idx):
-            e = key[i]
-            if not e:
-                continue
-            c = direction[pos]
-            if c == 0:
-                ok = False
-                break
-            val = val * Fraction(c) ** e
-        if not ok:
-            continue
-        d = sum(key)
-        cur = sums.get(d)
-        sums[d] = val if cur is None else cur + val
-    live = [d for d, v in sums.items() if v]
-    return min(live) if live else None
+        for i, c in zip(block_idx, direction):
+            if key[i]:
+                val = val * Fraction(c) ** key[i]
+        if val:
+            d = sum(key)
+            cur = sums.get(d)
+            sums[d] = val if cur is None else cur + val
+    return min((d for d, v in sums.items() if v), default=INFINITE_ORDER)
 
 
-def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0,
-                        budget: int = CHANGE_BUDGET) -> LinearChange:
+def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -> LinearChange:
     """Search for an integer shear making ``f`` regular in ``var``.
 
-    Deterministic for a fixed seed: candidate directions are enumerated by
-    growing maximal entry, each shell shuffled by the seeded generator, with
-    the identity always tried first.  Among the tried candidates the lowest
-    resulting regularity order wins (ties go to the earliest candidate); the
-    search stops early once the valuation of ``f`` itself is achieved, since
-    no direction can do better.
+    Deterministic for a fixed seed: up to :data:`CHANGE_BUDGET` candidate
+    directions are enumerated by growing maximal entry, each shell shuffled
+    by the seeded generator, with the identity always tried first.  Among
+    the tried candidates the lowest resulting regularity order wins (ties go
+    to the earliest candidate); the search stops early once the valuation of
+    ``f`` on the block is achieved, since no direction can do better.
     """
     if f.is_zero():
         raise PreconditionError("cannot regularize the zero jet")
@@ -201,16 +160,12 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0,
         raise PreconditionError(f"target variable {var!r} not in block {block}")
     block_idx = [f.ctx.index(b) for b in block]
     v_pos = block.index(var)
-    floor = None
-    for key in f.terms:
-        if any(e for i, e in enumerate(key) if e and i not in set(block_idx)):
-            continue
-        d = sum(key)
-        if floor is None or d < floor:
-            floor = d
+    outside = [i for i in range(len(f.ctx.names)) if i not in block_idx]
+    floor = min((sum(key) for key in f.terms if not any(key[i] for i in outside)), default=None)
     if floor is None:
         raise NoRegularDirectionError(
-            f"no term of f is supported in the block {block}; tried 0 of {budget} candidates")
+            f"no term of f is supported in the block {block}; "
+            f"tried 0 of {CHANGE_BUDGET} candidates")
 
     free = len(block) - 1
     rng = random.Random(seed)
@@ -218,34 +173,24 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0,
     def candidates():
         yield (0,) * free
         bound = 1
-        while True:
+        while free:
             shell = [c for c in itertools.product(range(-bound, bound + 1), repeat=free)
-                     if max((abs(x) for x in c), default=0) == bound]
+                     if max(abs(x) for x in c) == bound]
             rng.shuffle(shell)
             yield from shell
             bound += 1
 
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    tried = 0
-    for cand in candidates():
-        if tried >= budget:
-            break
-        tried += 1
-        direction = list(cand[:v_pos]) + [1] + list(cand[v_pos:])
-        order = _directional_order(f, block_idx, v_pos, direction)
-        if order is None:
-            continue
-        if best is None or order < best[0]:
-            best = (order, cand)
+    best_order, best = INFINITE_ORDER, None
+    for cand in itertools.islice(candidates(), CHANGE_BUDGET):
+        order = _directional_order(f, block_idx, cand[:v_pos] + (1,) + cand[v_pos:])
+        if order < best_order:
+            best_order, best = order, cand
             if order == floor:
                 break
-        if free == 0:
-            break
     if best is None:
         raise NoRegularDirectionError(
-            f"no regular direction found within the budget of {budget} candidates")
-    # all-zero coefficients give the identity
-    return LinearChange.shear(block, var, best[1])
+            f"no regular direction found within the budget of {CHANGE_BUDGET} candidates")
+    return LinearChange(block, var, best)
 
 
 def _split(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
@@ -310,7 +255,7 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         unit = f
         poly = PseudoPolynomial(var, (), ctx=f.ctx, order=order)
         return PreparedForm(unit=unit, poly=poly, order=order)
-    vp = Jet.monomial(f.ctx, _unit_key(f.ctx, var, p), order=order)
+    vp = Jet.variable(f.ctx, var, order) ** p
     q, r = weierstrass_divide(vp, f, var)
     if not q.is_unit():
         raise ConsistencyError("division quotient is not a unit; input was not regular")
@@ -336,7 +281,7 @@ def regularizing_change(f: Jet, var: str, block: Sequence[str],
     ``block`` variables found by :func:`find_regular_change`."""
     if regularity_order(f, var) == INFINITE_ORDER:
         return find_regular_change(f, var, block, seed=seed)
-    return LinearChange.identity(block)
+    return LinearChange(tuple(block), var, (0,) * (len(block) - 1))
 
 
 def prepare_in(f: Jet, var: str, block: Sequence[str],
@@ -348,8 +293,3 @@ def prepare_in(f: Jet, var: str, block: Sequence[str],
     change = regularizing_change(f, var, block, seed)
     return weierstrass_prepare(change.apply(f), var), change
 
-
-def _unit_key(ctx: VarContext, var: str, e: int) -> Tuple[int, ...]:
-    key = [0] * len(ctx.names)
-    key[ctx.index(var)] = e
-    return tuple(key)

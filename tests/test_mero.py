@@ -24,6 +24,7 @@ from equijet.polygcd import (
     is_constant,
     jet_gcd,
     squarefree_decomposition,
+    x2_content,
 )
 
 X = VarContext.make(["x1", "x2"])
@@ -98,6 +99,12 @@ def test_squarefree_decomposition_takes_each_gcd_once(monkeypatch):
     assert proportional(parts[1], x2() - x1() ** 2)
     assert proportional(parts[2], x1() - x2())
     assert proportional(parts[3], x1() + x2())
+
+
+def test_x2_content_is_the_monic_gcd_of_the_x2_coefficients():
+    f = (x1() ** 2 + x1()) * (x2() ** 2 - x1() * x2()).scale(3)
+    assert x2_content(f) == [0, 1, 1]
+    assert x2_content(x2() ** 2 + x1()) == [1]
 
 
 def test_exact_power_dividing():

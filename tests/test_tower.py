@@ -245,3 +245,27 @@ def test_family_inconclusive_on_truncated_data():
     rep = check_family(F)
     assert rep.verdict == "inconclusive"
     assert rep.uncertified
+
+
+def test_truncated_top_polynomial_is_stated_modulo_the_order():
+    # the coefficient orders are 15 and 16, yet each term a_j*x2^(2-j) of W
+    # is known modulo 16
+    f = (1 + x1()) * x2() ** 2 - x1() ** 2 + x2() ** 3
+    tw = build_tower(f)
+    top = tw.levels[0]
+    assert [c.order for c in top.poly.coeffs] == [15, 16]
+    assert top.poly.as_jet().order == 16
+    assert verify_tower(tw).all_passed
+
+
+def test_system_with_a_genuine_series_factor_is_conclusive():
+    def system(order):
+        y1, y2 = x1(order=order), x2(order=order)
+        return [y2 ** 2 - 3 * y1 ** 3 + y2 ** 3, y2 + 2 * y1 + y1 ** 3]
+
+    tw = build_tower_system(system(10))
+    assert tw.degree_sequence == (3, 7)
+    assert tw.index_sequence == (1, 7)
+    assert verify_tower(tw).all_passed
+    high = build_tower_system(system(22))
+    assert (high.degree_sequence, high.index_sequence) == (tw.degree_sequence, tw.index_sequence)

@@ -76,10 +76,48 @@ def test_find_change_deterministic():
 
 
 def test_linear_change_inverse_roundtrip():
-    ch = LinearChange.shear(("x1", "x2"), "x2", [2])
+    ch = LinearChange(("x1", "x2"), "x2", (2,))
     f = x2() ** 2 - x1() ** 3
     g = ch.apply(f)
     assert ch.inverse().apply(g) == f
+
+
+X3 = VarContext.make(["x1", "x2", "x3"])
+
+
+def test_shear_rejects_a_target_outside_the_block():
+    with pytest.raises(PreconditionError):
+        LinearChange(("x1", "x2"), "x3", (1,))
+
+
+def test_shear_rejects_the_wrong_number_of_coefficients():
+    with pytest.raises(PreconditionError):
+        LinearChange(("x1", "x2", "x3"), "x3", (1,))
+    with pytest.raises(PreconditionError):
+        LinearChange(("x1", "x2"), "x2", (1, 2))
+
+
+def test_shear_matrix_is_the_identity_but_for_the_target_column():
+    ch = LinearChange(("x1", "x2", "x3"), "x2", (3, -1))
+    one, zero = Fraction(1), Fraction(0)
+    assert ch.matrix == ((one, Fraction(3), zero),
+                         (zero, one, zero),
+                         (zero, Fraction(-1), one))
+    assert ch.describe() == {"block": ["x1", "x2", "x3"],
+                             "matrix": [["1", "3", "0"], ["0", "1", "0"], ["0", "-1", "1"]]}
+    assert not ch.is_identity
+    assert LinearChange(("x1", "x2", "x3"), "x2", (0, 0)).is_identity
+
+
+def test_shear_inverse_undoes_a_three_variable_shear():
+    ch = LinearChange(("x1", "x2", "x3"), "x2", (3, -1))
+    v = {n: Jet.variable(X3, n, 12) for n in X3.names}
+    f = v["x3"] ** 2 - v["x1"] ** 3 * v["x2"] + (1 + v["x1"]) * v["x2"] ** 4
+    g = ch.apply(f)
+    assert g != f
+    assert ch.inverse().apply(g) == f
+    # x1 -> x1 + 3 x2 and x3 -> x3 - x2, the target fixed
+    assert ch.apply(v["x1"] + v["x2"] + v["x3"]) == v["x1"] + 3 * v["x2"] + v["x3"]
 
 
 def test_divide_polynomial_example():
