@@ -36,10 +36,6 @@ from .weierstrass import prepare_in, weierstrass_divide
 ENV_ORDER = "EQUIJET_ORDER"
 SCHEMA = "equijet-report/1"
 
-COMMANDS = ("prepare", "divide", "gendisc", "tower", "check-family",
-            "verify-family", "binomial", "mero-analyze", "emit-system",
-            "mero-deform")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -103,7 +99,7 @@ def _add_common(p: _Parser, vars_required: bool = True):
                    help="comma-separated deformation parameter names")
     # a string default goes through ``type`` too, so a bad environment
     # value is a usage error like a bad flag
-    p.add_argument("--order", type=_order,
+    p.add_argument("--order", type=_non_negative_int,
                    default=os.environ.get(ENV_ORDER, str(DEFAULT_ORDER)),
                    help=f"certification order (default {DEFAULT_ORDER}, env {ENV_ORDER})")
     p.add_argument("--seed", type=int, default=0, help="seed for coordinate searches")
@@ -111,14 +107,14 @@ def _add_common(p: _Parser, vars_required: bool = True):
                    help="print only the machine report")
 
 
-def _order(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
-        order = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if order < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {order}")
-    return order
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _names(csv: str) -> Tuple[str, ...]:
@@ -470,7 +466,7 @@ def _build_argparser() -> _Parser:
     p = sub.add_parser("mero-deform", help="slice the interpolated family")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--k0", type=int, default=4)
+    p.add_argument("--k0", type=_non_negative_int, default=4)
     p.add_argument("--t", default="", help="comma-separated rational parameter values")
     p.add_argument("--zvars", default="")
     p.add_argument("--fam", action="append", help="family component (repeatable)")

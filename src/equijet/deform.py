@@ -383,15 +383,11 @@ def build_deformation(tsol: TowerSolution) -> DeformationResult:
                         component=f"u[{unit_level}]", variable=name,
                         reason=f"the unit below level {i} may use x-prefix {unit_level} "
                                f"and z-prefix {tsol.tau.get(unit_level, 0)}"))
-            unit_fam = unit_fam.in_context(fam_ctx)
-            for j in range(l - 1):
-                residuals.append(gd.entries[j])
+            rhs = unit_fam.in_context(fam_ctx)
             if below is not None:
-                rhs = unit_fam * _family_pseudopoly(tsol, below.index, fam_ctx,
-                                                    x_names[below.index - 1]).as_jet()
-            else:
-                rhs = unit_fam
-            residuals.append(gd.entries[l - 1] - rhs)
+                rhs = rhs * _family_pseudopoly(tsol, below.index, fam_ctx,
+                                               x_names[below.index - 1]).as_jet()
+            residuals.extend(gd.descent_residuals(l, rhs))
 
     bad = [r for r in residuals if not r.is_zero()]
     if bad:

@@ -15,7 +15,9 @@ and the first nonzero index detects the number of distinct roots:
 ``first_nonzero = p - #distinct + 1``.
 
 The coefficient ring (jets) has zero divisors, so every determinant here is
-computed division-free (Berkowitz's algorithm).
+computed division-free (Berkowitz's algorithm).  Its pass meets the
+determinant of every leading principal submatrix on the way, so one pass over
+the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
 """
 
 from __future__ import annotations
@@ -182,6 +184,11 @@ class GenDiscSequence:
     def certified(self) -> bool:
         return not self.uncertified_below
 
+    def descent_residuals(self, l: int, rhs: Jet) -> Tuple[Jet, ...]:
+        """``(Delta_1, ..., Delta_{l-1}, Delta_l - rhs)``: all zero exactly
+        when descending at index ``l`` onto ``rhs`` is correct."""
+        return self.entries[:l - 1] + (self.entries[l - 1] - rhs,)
+
 
 def _coeff_degree(P: PseudoPolynomial) -> int:
     degs = [c.total_degree() for c in P.coeffs]
@@ -236,48 +243,46 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     return [_settle(s, base_order) for s in sums]
 
 
-def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
-    """Division-free determinant of a square matrix of jets."""
+def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
+    """Division-free determinants of the leading principal submatrices of a
+    square matrix of jets, top-left 1-by-1 block first, each modulo the least
+    order in the matrix, from one Berkowitz pass (it extends each block's
+    characteristic polynomial to the next)."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
-        raise PreconditionError("berkowitz_det needs a nonempty square matrix")
+        raise PreconditionError("a determinant needs a nonempty square matrix")
     ctx = rows[0][0].ctx
     order = min(e.order for r in rows for e in r)
     one = Jet.constant(ctx, 1, order)
     # charpoly coefficient vector of the 1x1 leading principal submatrix
     vec: List[Jet] = [one, -rows[0][0].truncate(order)]
+    minors = [-vec[-1]]
     for r in range(1, n):
-        sub = [[rows[i][j] for j in range(r)] for i in range(r)]
-        row = [rows[r][j] for j in range(r)]
-        col = [rows[i][r] for i in range(r)]
-        diag = rows[r][r]
-        # first column of the Toeplitz factor: 1, -a, -R.C, -R.M.C, ...
-        col0: List[Jet] = [one, -diag.truncate(order)]
-        w = col
+        # Toeplitz factor of the block [[M, C], [R, a]]: 1, -a, -R.C, -R.M.C, ...
+        col0: List[Jet] = [one, -rows[r][r].truncate(order)]
+        w = [rows[i][r] for i in range(r)]
         for _ in range(r):
-            dot = Jet.zero(ctx, order)
-            for x, y in zip(row, w):
-                dot = dot + x * y
-            col0.append(-dot)
-            w = [sum((sub[i][j] * w[j] for j in range(r)), Jet.zero(ctx, order))
+            col0.append(-sum((x * y for x, y in zip(rows[r][:r], w)), Jet.zero(ctx, order)))
+            w = [sum((rows[i][j] * w[j] for j in range(r)), Jet.zero(ctx, order))
                  for i in range(r)]
-        new_vec: List[Jet] = []
-        for i in range(r + 2):
-            acc = Jet.zero(ctx, order)
-            for j in range(min(i, r) + 1):
-                acc = acc + col0[i - j] * vec[j]
-            new_vec.append(acc)
-        vec = new_vec
-    det = vec[-1]
-    return det if n % 2 == 0 else -det
+        vec = [sum((col0[i - j] * vec[j] for j in range(min(i, r) + 1)), Jet.zero(ctx, order))
+               for i in range(r + 2)]
+        minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
+    return minors
 
 
-def hankel_minor(P: PseudoPolynomial, k: int) -> Jet:
-    """Determinant of the k-by-k Hankel matrix of power sums.
+def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
+    """Division-free determinant of a square matrix of jets."""
+    return berkowitz_minors(rows)[-1]
 
-    Equals the sum over all k-element root subsets of the squared Vandermonde
-    of the subset.  Exact coefficients are lifted to a truncation-free order,
-    so the certified answer stays exact whatever its degree.
+
+def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
+    """``d_1..d_k``, the leading principal minors of the k-by-k Hankel matrix
+    of power sums, from one :func:`power_sums` call and one Berkowitz pass.
+
+    ``d_j`` is the sum over all j-element root subsets of the squared
+    Vandermonde of the subset.  Exact coefficients are lifted to a
+    truncation-free order, so certified answers stay exact whatever their degree.
     """
     if not (1 <= k <= P.degree):
         raise PreconditionError(f"k={k} out of range 1..{P.degree}")
@@ -285,11 +290,19 @@ def hankel_minor(P: PseudoPolynomial, k: int) -> Jet:
     P = _exact_lift(P, _coeff_degree(P) * (2 * k - 1) * k + 2)
     sums = power_sums(P, 2 * k - 1)
     rows = [[sums[i + j] for j in range(k)] for i in range(k)]
-    return _settle(berkowitz_det(rows), base_order)
+    return [_settle(d, base_order) for d in berkowitz_minors(rows)]
+
+
+def hankel_minor(P: PseudoPolynomial, k: int) -> Jet:
+    """``d_k``, the determinant of the k-by-k Hankel matrix of power sums:
+    the last of :func:`hankel_minors`."""
+    return hankel_minors(P, k)[-1]
 
 
 def generalized_discriminants(P: PseudoPolynomial) -> GenDiscSequence:
     """All ``Delta_l`` of a monic polynomial, with first-nonzero bookkeeping.
+
+    The entries are ``hankel_minors(P, p)`` read backwards: one pass.
 
     Raises :class:`InconclusiveError` if every entry vanishes to the
     certification order without being exactly zero (cannot happen for honest
@@ -298,16 +311,8 @@ def generalized_discriminants(P: PseudoPolynomial) -> GenDiscSequence:
     p = P.degree
     if p < 1:
         raise PreconditionError("generalized discriminants need degree >= 1")
-    entries = tuple(hankel_minor(P, p - l + 1) for l in range(1, p + 1))
-    first = None
-    uncertified: List[int] = []
-    for l, entry in enumerate(entries, start=1):
-        if entry.is_zero():
-            if not entry.exact:
-                uncertified.append(l)
-        else:
-            first = l
-            break
+    entries = tuple(reversed(hankel_minors(P, p)))
+    first = next((l for l, entry in enumerate(entries, start=1) if not entry.is_zero()), None)
     if first is None:
         raise InconclusiveError(
             f"all generalized discriminants vanish to order {P.order}")
@@ -316,7 +321,7 @@ def generalized_discriminants(P: PseudoPolynomial) -> GenDiscSequence:
         entries=entries,
         first_nonzero=first,
         order=P.order,
-        uncertified_below=tuple(l for l in uncertified if l < first),
+        uncertified_below=tuple(l for l in range(1, first) if not entries[l - 1].exact),
     )
 
 

@@ -320,25 +320,22 @@ def verify_tower(tw: Tower) -> TowerVerification:
     """
     results: List[LevelVerification] = []
     for pos, level in enumerate(tw.levels):
+        rhs = level.unit * level.poly.as_jet()
         if pos == 0:
-            lhs = tw.source
-            vanish_ok = True
+            residuals = (tw.source - rhs,)
         else:
             gd = generalized_discriminants(tw.levels[pos - 1].poly)
-            l = level.disc_index
-            vanish_ok = all(gd.entries[j].is_zero() for j in range(l - 1))
-            lhs = gd.entries[l - 1]
-        rhs = level.unit * level.poly.as_jet()
-        ok = (lhs - rhs).is_zero()
+            residuals = gd.descent_residuals(level.disc_index, rhs)
+        ok = residuals[-1].is_zero()
+        vanish_ok = all(r.is_zero() for r in residuals[:-1])
         note = "" if ok and vanish_ok else "identity or vanishing fails"
         results.append(LevelVerification(level.index, ok, vanish_ok, note))
 
     terminal_ok = True
     if tw.levels and tw.terminal_disc_index is not None:
         gd = generalized_discriminants(tw.levels[-1].poly)
-        l = tw.terminal_disc_index
-        terminal_ok = (all(gd.entries[j].is_zero() for j in range(l - 1))
-                       and (gd.entries[l - 1] - tw.terminal_unit).is_zero()
+        terminal_ok = (all(r.is_zero() for r in gd.descent_residuals(
+                           tw.terminal_disc_index, tw.terminal_unit))
                        and tw.terminal_unit.is_unit())
     all_passed = terminal_ok and all(r.identity_holds and r.vanishing_holds for r in results)
     return TowerVerification(tuple(results), terminal_ok, all_passed)

@@ -150,7 +150,8 @@ def test_golden_reports_cover_their_cases():
     (["tower", "x2^2 - x1^3", "--vars", "x1,x2", "--order", "-3"], None),
     (["mero-deform", "--f", "(x1)*(x2)", "--g", "(x1+x2)^2", "--t", "abc"], None),
     (["tower", "x2^2 - x1^3", "--vars", "x1,x2"], "abc"),
-], ids=["negative-order", "bad-rational", "bad-env-order"])
+    (["mero-deform", "--f", "(x1)*(x2)", "--g", "(x1+x2)^2", "--k0", "-1"], None),
+], ids=["negative-order", "bad-rational", "bad-env-order", "negative-k0"])
 def test_bad_input_is_a_one_line_usage_error(argv, env_order, monkeypatch, capsys):
     if env_order is not None:
         monkeypatch.setenv("EQUIJET_ORDER", env_order)

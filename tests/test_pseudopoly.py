@@ -9,6 +9,7 @@ from equijet.jets import Jet, VarContext
 from equijet.pseudopoly import (
     PseudoPolynomial,
     berkowitz_det,
+    berkowitz_minors,
     generalized_discriminants,
     hankel_minor,
     power_sums,
@@ -80,6 +81,9 @@ def test_berkowitz_matches_laplace_oracle():
             m = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
             rows = [[const(v) for v in row] for row in m]
             assert berkowitz_det(rows).constant_term() == laplace(m)
+            # the same pass yields every leading principal minor
+            assert [d.constant_term() for d in berkowitz_minors(rows)] == \
+                [laplace([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
 
 
 def test_hankel_minor_two_roots():
@@ -147,6 +151,36 @@ def test_gendisc_first_nonzero_counts_distinct_roots():
         gd = generalized_discriminants(PseudoPolynomial.from_roots(Y, "y", roots))
         assert gd.first_nonzero == p - len(set(roots)) + 1
         assert gd.certified
+
+
+def test_gendisc_entries_are_the_hankel_minors():
+    # one pass over the p-by-p matrix gives each entry exactly as its own
+    # minor would: same terms, order and exact flag
+    rng = random.Random(41)
+    ctx = VarContext.make(["x1", "x2", "y"])
+
+    def coeff(order, exact):
+        terms = {(rng.randrange(4), rng.randrange(3), 0): Fraction(rng.randrange(-3, 4))
+                 for _ in range(rng.randrange(3))}
+        return Jet(ctx, order, {k: v for k, v in terms.items() if sum(k) < order}, exact)
+
+    for case in range(24):
+        p = rng.randrange(2, 5)
+        if case % 2:
+            # truncated, each coefficient known to its own order
+            P = PseudoPolynomial("y", [coeff(rng.randrange(4, 9), False) for _ in range(p)])
+        else:
+            # exact, with a repeated root now and then
+            roots = [coeff(40, True) for _ in range(p)]
+            roots[-1] = rng.choice(roots)
+            f = Jet.constant(ctx, 1, 40)
+            for r in roots:
+                f = f * (Jet.variable(ctx, "y", 40) - r)
+            P = PseudoPolynomial.from_jet(f, "y")
+            assert P.exact
+        gd = generalized_discriminants(P)
+        for l in range(1, p + 1):
+            assert gd.entries[l - 1] == hankel_minor(P, p - l + 1)
 
 
 def test_resultant_linear():

@@ -4,6 +4,7 @@ import pytest
 
 from equijet.errors import InconclusiveError, PreconditionError
 from equijet.jets import Jet, VarContext
+from equijet.pseudopoly import generalized_discriminants
 from equijet.tower import (
     Tower,
     TowerLevel,
@@ -114,6 +115,30 @@ def test_verify_tower_catches_tampering():
     rep = verify_tower(tampered)
     assert not rep.all_passed
     assert not rep.levels[1].identity_holds
+
+
+def test_descent_residuals_above_index_one():
+    # (x3 - x1)^2 (x3 - x2) has a double root, so Delta_1 vanishes and the
+    # top level descends at index 2; so does the level (x2 - x1)^2 below it
+    X3 = VarContext.make(["x1", "x2", "x3"])
+    x = {name: Jet.variable(X3, name, 12) for name in X3.names}
+    tw = build_tower((x["x3"] - x["x1"]) ** 2 * (x["x3"] - x["x2"]))
+    assert tw.index_sequence == (2, 2)
+    top, below = tw.levels
+    rhs = below.unit * below.poly.as_jet()
+    gd = generalized_discriminants(top.poly)
+    residuals = gd.descent_residuals(2, rhs)
+    assert residuals == (gd.entries[0], gd.entries[1] - rhs)
+    assert all(r.is_zero() and r.exact for r in residuals)
+    # a wrong right-hand side shows in the last residual only
+    off = gd.descent_residuals(2, below.poly.as_jet())
+    assert off[0].is_zero() and not off[1].is_zero()
+    # descending at index 1 would skip no vanishing and miss the identity
+    assert len(gd.descent_residuals(1, rhs)) == 1
+    assert not gd.descent_residuals(1, rhs)[0].is_zero()
+    terminal = generalized_discriminants(below.poly).descent_residuals(2, tw.terminal_unit)
+    assert all(r.is_zero() for r in terminal)
+    assert verify_tower(tw).all_passed
 
 
 def test_verify_empty_tower_vacuous():
