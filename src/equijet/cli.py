@@ -59,10 +59,8 @@ def _scalar_entry(s: Scalar):
 
 
 def _jet_entry(j: Jet) -> dict:
-    terms = []
-    for key in sorted(j.terms, key=lambda k: (sum(k), k)):
-        terms.append({"exponents": list(key),
-                      "coefficient": _scalar_entry(j.terms[key])})
+    terms = [{"exponents": list(key), "coefficient": _scalar_entry(coeff)}
+             for key, coeff in j.graded_items()]
     return {"text": jet_to_text(j), "order": j.order, "exact": j.exact,
             "terms": terms}
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .jets import Jet, VarContext
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
-from .scalars import scalar_nth_root
+from .scalars import scalar_inverse, scalar_nth_root
 from .tower import Tower
 
 
@@ -195,27 +195,23 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     val = a.order_of()
     if val % n:
         raise NotASolutionError(f"valuation {val} is not divisible by {n}")
-    lead = a.terms[(val,)]
+    x = a.ctx.names[0]
+    lead = a.coefficient((val,))
     lead_root = scalar_nth_root(lead, n)
     if lead_root is None:
         raise NotASolutionError(
             f"leading coefficient {lead} has no {n}-th root in the scalar field")
     # a = lead * x^val * (1 + B); solve (1 + C)^n = 1 + B degree by degree
-    shifted = {(k[0] - val,): v / lead for k, v in a.terms.items()}
-    u = Jet(a.ctx, a.order - val, shifted, a.exact)
-    w = Jet.constant(a.ctx, 1, u.order)
+    u = a.shift(x, -val).scale(scalar_inverse(lead))
+    w = Jet.constant(a.ctx, 1, u.order, exact=False)
     for d in range(1, u.order):
-        resid = u - w ** n
-        coeff = resid.terms.get((d,))
+        coeff = (u - w ** n).coefficient((d,))
         if coeff:
             w = w + Jet.monomial(a.ctx, (d,), coeff * Fraction(1, n), order=u.order)
-    shift = val // n
-    scaled = w.scale(lead_root)
-    root = Jet(a.ctx, u.order + shift,
-               {(k[0] + shift,): v for k, v in scaled.terms.items()}, False)
+    root = w.scale(lead_root).shift(x, val // n)
     # certify exactness when the power genuinely reproduces the input
     if a.exact:
-        lifted = Jet(a.ctx, a.order, root.terms, True)
+        lifted = Jet.polynomial(a.ctx, root.graded_items(), a.order)
         if (lifted.with_order(a.order + n * (lifted.total_degree() or 0)) ** n
                 - a.with_order(a.order + n * (lifted.total_degree() or 0))).is_zero():
             return lifted
@@ -238,19 +234,13 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     if y1_hat.is_zero():
         raise NotASolutionError("first target component vanishes to its order")
     x_name = y1_hat.ctx.names[0]
-    if (y1_hat ** 2 - y2_hat ** 3).terms:
+    if not (y1_hat ** 2 - y2_hat ** 3).is_zero():
         raise NotASolutionError("targets do not satisfy y1^2 = y2^3 to the order")
     d = y1_hat.order_of()
     if d % 3:
         raise NotASolutionError(f"valuation {d} of the first component is not in 3Z")
     e = d // 3 - 1
-    shifted = {}
-    for key, coeff in y1_hat.terms.items():
-        if key[0] < 3 * e:
-            raise NotASolutionError("first component is not divisible by the expected monomial")
-        shifted[(key[0] - 3 * e,)] = coeff
-    cube = Jet(y1_hat.ctx, y1_hat.order - 3 * e, shifted, y1_hat.exact)
-    witness = jet_nth_root(cube, 3)
+    witness = jet_nth_root(y1_hat.shift(x_name, -3 * e), 3)
     order = min(y1_hat.order, y2_hat.order)
     witness = witness.with_order(order) if witness.exact else witness.truncate(order)
 

@@ -14,7 +14,9 @@ Conventions:
 * canonical term order for display and reports is graded lexicographic
   (total degree first, then the exponent tuple);
 * binary operations require equal contexts and truncate at the minimum of
-  the two orders.
+  the two orders;
+* the term dict is this module's own format: other modules read jets
+  through the queries and build them with the named constructors.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import (
     ContextMismatchError,
     InconclusiveError,
     NotAUnitError,
+    PreconditionError,
     SubstitutionDivergenceError,
     UnknownVariableError,
 )
@@ -144,13 +147,30 @@ class Jet:
     def monomial(cls, ctx: VarContext, exps: Exponents, coeff=1, order: int = DEFAULT_ORDER) -> "Jet":
         return cls(ctx, order, {tuple(exps): as_scalar(coeff)}, True)
 
+    @classmethod
+    def polynomial(cls, ctx: VarContext, terms, order: int) -> "Jet":
+        """The exact polynomial with these terms (a mapping or ``(exponents,
+        coefficient)`` pairs) at its settled order: ``order``, or one above
+        its total degree when that is higher (1 for the zero polynomial)."""
+        terms = dict(terms)
+        deg = max((sum(k) for k in terms), default=0)
+        return cls(ctx, max(order, deg + 1), terms, True)
+
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def coefficient(self, exps: Exponents) -> Scalar:
+        """The stored coefficient of the monomial ``exps``; zero if absent."""
+        return self.terms.get(tuple(exps), Fraction(0))
+
+    def graded_items(self) -> List[Tuple[Exponents, Scalar]]:
+        """The ``(exponents, coefficient)`` pairs in graded-lex order."""
+        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.ctx.names), Fraction(0))
+        return self.coefficient((0,) * len(self.ctx.names))
 
     def is_unit(self) -> bool:
         return bool(self.constant_term())
@@ -318,11 +338,7 @@ class Jet:
                     f"substitution for {name!r} has nonzero constant term")
             values[self.ctx.index(name)] = val
 
-        occurring = set()
-        for key in self.terms:
-            for i, e in enumerate(key):
-                if e:
-                    occurring.add(i)
+        occurring = {self.ctx.index(name) for name in self.occurring()}
         for i in occurring - set(values):
             if not target.has(self.ctx.names[i]):
                 raise ContextMismatchError(
@@ -348,7 +364,7 @@ class Jet:
             return result
 
         acc = Jet.zero(target, order, exact=True)
-        for key, coeff in sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0])):
+        for key, coeff in self.graded_items():
             term = Jet.constant(target, coeff, order, exact=True)
             for i, e in enumerate(key):
                 if e:
@@ -443,6 +459,51 @@ class Jet:
         degs = [k[idx] for k in self.terms]
         return max(degs) if degs else None
 
+    def split(self, name: str, p: int) -> Tuple["Jet", "Jet"]:
+        """``(low, high)`` with ``self = low + name^p * high`` and the degree
+        of ``low`` in ``name`` below ``p``; both keep this jet's order."""
+        idx = self.ctx.index(name)
+        low: Dict[Exponents, Scalar] = {}
+        high: Dict[Exponents, Scalar] = {}
+        for key, coeff in self.terms.items():
+            if key[idx] < p:
+                low[key] = coeff
+            else:
+                high[key[:idx] + (key[idx] - p,) + key[idx + 1:]] = coeff
+        return (Jet(self.ctx, self.order, low, self.exact),
+                Jet(self.ctx, self.order, high, self.exact))
+
+    def shift(self, name: str, k: int) -> "Jet":
+        """``name^k * self``, known modulo ``order + k``.  A negative ``k`` is
+        exact division by the monomial; every term must be divisible."""
+        idx = self.ctx.index(name)
+        out: Dict[Exponents, Scalar] = {}
+        for key, coeff in self.terms.items():
+            if key[idx] + k < 0:
+                raise PreconditionError(f"{self} is not divisible by {name}^{-k}")
+            out[key[:idx] + (key[idx] + k,) + key[idx + 1:]] = coeff
+        return Jet(self.ctx, max(self.order + k, 0), out, self.exact)
+
+    def valuation_along(self, direction: Mapping[str, int]):
+        """Valuation on the line ``x_j = c_j * t`` through ``direction``, with
+        every variable it omits set to zero; INFINITE_ORDER when that
+        restriction vanishes to the order."""
+        line = [(self.ctx.index(name), Fraction(c)) for name, c in direction.items()]
+        inside = {i for i, _ in line}
+        sums: Dict[int, Scalar] = {}
+        for key, coeff in self.terms.items():
+            if any(e for i, e in enumerate(key) if i not in inside):
+                continue
+            val = coeff
+            for i, c in line:
+                if key[i]:
+                    val = val * c ** key[i]
+            if val:
+                d = sum(key)
+                cur = sums.get(d)
+                sums[d] = val if cur is None else cur + val
+        return min((d for d, v in sums.items() if v), default=INFINITE_ORDER)
+
     # -- order bookkeeping -------------------------------------------------
 
     def truncate(self, new_order: int) -> "Jet":
@@ -494,8 +555,7 @@ def jet_to_text(j: Jet) -> str:
     if not j.terms:
         return "0"
     pieces = []
-    for key in sorted(j.terms, key=term_sort_key):
-        coeff = j.terms[key]
+    for key, coeff in j.graded_items():
         mono = "*".join(
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(j.ctx.names, key) if e)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .jets import Jet, VarContext, term_sort_key
+from .jets import Jet, term_sort_key
 from .scalars import (
     Scalar,
     Uni,
@@ -109,12 +109,7 @@ def _require_exact(j: Jet, what: str) -> None:
 def to_biv(j: Jet) -> Biv:
     if len(j.ctx.names) != 2:
         raise PreconditionError("bivariate machinery needs a two-variable context")
-    return {k: v for k, v in j.terms.items()}
-
-
-def from_biv(ctx: VarContext, b: Biv, min_order: int) -> Jet:
-    deg = max((e1 + e2 for (e1, e2) in b), default=0)
-    return Jet(ctx, max(min_order, deg + 1), dict(b), True)
+    return dict(j.graded_items())
 
 
 def _biv_coeffs_in_x2(b: Biv) -> Dict[int, Uni]:
@@ -190,8 +185,8 @@ def content_split(j: Jet) -> Tuple[Jet, Jet]:
     content :func:`x2_content`."""
     b = to_biv(j)
     content = x2_content(j)
-    return (from_biv(j.ctx, {(e1, 0): c for e1, c in enumerate(content) if c}, j.order),
-            from_biv(j.ctx, _biv_divide_by_uni(b, content), j.order))
+    return (Jet.polynomial(j.ctx, {(e1, 0): c for e1, c in enumerate(content) if c}, j.order),
+            Jet.polynomial(j.ctx, _biv_divide_by_uni(b, content), j.order))
 
 
 def _biv_prem(a: Biv, b: Biv) -> Biv:
@@ -265,7 +260,7 @@ def jet_gcd(a: Jet, b: Jet) -> Jet:
     if a.ctx != b.ctx:
         raise PreconditionError("gcd operands in different contexts")
     g = _biv_normalize(_biv_gcd(to_biv(a), to_biv(b)))
-    return from_biv(a.ctx, g, min(a.order, b.order))
+    return Jet.polynomial(a.ctx, g, min(a.order, b.order))
 
 
 def jet_gcd_many(jets: Sequence[Jet]) -> Jet:
@@ -295,9 +290,9 @@ def exact_divide(a: Jet, b: Jet) -> Optional[Jet]:
         return None
     if a.is_zero():
         return Jet.zero(a.ctx, a.order)
-    rem = dict(a.terms)
-    lead_key = max(b.terms, key=term_sort_key)
-    lead = b.terms[lead_key]
+    rem = dict(a.graded_items())
+    b_items = b.graded_items()
+    lead_key, lead = b_items[-1]
     inv = scalar_inverse(lead)
     quot: Dict[Tuple[int, ...], Scalar] = {}
     while rem:
@@ -307,7 +302,7 @@ def exact_divide(a: Jet, b: Jet) -> Optional[Jet]:
             return None
         c = rem[rk] * inv
         quot[diff] = c
-        for bk, bv in b.terms.items():
+        for bk, bv in b_items:
             key = tuple(x + y for x, y in zip(diff, bk))
             cur = rem.get(key)
             val = (cur if cur is not None else Fraction(0)) - c * bv
@@ -315,8 +310,7 @@ def exact_divide(a: Jet, b: Jet) -> Optional[Jet]:
                 rem[key] = val
             else:
                 rem.pop(key, None)
-    deg = max((sum(k) for k in quot), default=0)
-    return Jet(a.ctx, max(a.order, deg + 1), quot, True)
+    return Jet.polynomial(a.ctx, quot, a.order)
 
 
 def exact_power_dividing(a: Jet, h: Jet) -> Tuple[int, Jet]:
@@ -360,7 +354,7 @@ def squarefree_decomposition(d: Jet) -> List[Tuple[Jet, int]]:
         if not is_constant(upper):
             piece = _divide(piece, upper)
         if not is_constant(piece):
-            parts.append((from_biv(d.ctx, _biv_normalize(to_biv(piece)), d.order), m + 1))
+            parts.append((Jet.polynomial(d.ctx, _biv_normalize(to_biv(piece)), d.order), m + 1))
     return parts
 
 
@@ -373,4 +367,4 @@ def _divide(a: Jet, b: Jet) -> Jet:
 
 def _strip_constant(j: Jet) -> Jet:
     b = _biv_normalize(to_biv(j))
-    return from_biv(j.ctx, b, j.order)
+    return Jet.polynomial(j.ctx, b, j.order)

@@ -23,7 +23,6 @@ the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -56,11 +55,11 @@ class PseudoPolynomial:
             order = min(c.order for c in coeffs)
         if ctx is None or order is None:
             raise PreconditionError("degree-0 pseudopolynomial needs an explicit context and order")
-        idx = ctx.index(var)
+        ctx.index(var)  # rejects an unknown variable
         for c in coeffs:
             if c.ctx != ctx:
                 raise ContextMismatchError("pseudopolynomial coefficients in mixed contexts")
-            if any(key[idx] for key in c.terms):
+            if c.degree_in(var):
                 raise PreconditionError(
                     f"coefficient involves the distinguished variable {var!r}")
         if len(coeffs) > MAX_DEGREE:
@@ -95,11 +94,11 @@ class PseudoPolynomial:
             raise PreconditionError("zero jet is not a monic polynomial")
         p = max(by_power)
         lead = by_power[p]
-        if lead.terms != {(0,) * len(f.ctx.names): 1} and p > 0:
-            raise PreconditionError(f"not monic in {var!r}: leading coefficient {lead}")
+        if lead.constant_term() != 1 or lead.total_degree() != 0:
+            if p > 0:
+                raise PreconditionError(f"not monic in {var!r}: leading coefficient {lead}")
+            raise PreconditionError("a degree-0 pseudopolynomial must be the constant 1")
         if p == 0:
-            if lead.constant_term() != 1 or lead.total_degree() not in (None, 0):
-                raise PreconditionError("a degree-0 pseudopolynomial must be the constant 1")
             return cls(var, (), ctx=f.ctx, order=f.order)
         coeffs = []
         for j in range(1, p + 1):
@@ -124,19 +123,11 @@ class PseudoPolynomial:
 
         The term ``a_j v^(p-j)`` is known modulo ``order(a_j) + p - j``, so
         the jet is stated modulo the least of these (the polynomial's own
-        order at degree 0).
+        order at degree 0); ``v^p`` at ``order + p`` never lowers it.
         """
-        idx = self.ctx.index(self.var)
         p = self.degree
-        lead = [0] * len(self.ctx.names)
-        lead[idx] = p
-        terms = {tuple(lead): Fraction(1)}
-        for j, a in enumerate(self.coeffs, start=1):
-            for key, coeff in a.terms.items():
-                terms[key[:idx] + (p - j,) + key[idx + 1:]] = coeff
-        order = min((a.order + p - j for j, a in enumerate(self.coeffs, start=1)),
-                    default=self.order)
-        return Jet(self.ctx, order, terms, self.exact)
+        lead = Jet.constant(self.ctx, 1, self.order).shift(self.var, p)
+        return sum((a.shift(self.var, p - j) for j, a in enumerate(self.coeffs, start=1)), lead)
 
     def map_coeffs(self, fn) -> "PseudoPolynomial":
         if not self.coeffs:
@@ -206,11 +197,7 @@ def _exact_lift(P: PseudoPolynomial, bound: int) -> PseudoPolynomial:
 def _settle(entry: Jet, base_order: int) -> Jet:
     """Bring a lift-computed value back to the smallest order that keeps it
     exact and covers the caller's certification order."""
-    if entry.exact:
-        deg = entry.total_degree()
-        target = max(base_order, (0 if deg is None else deg) + 1)
-        return entry.truncate(target) if target <= entry.order else entry.with_order(target)
-    return entry
+    return Jet.polynomial(entry.ctx, entry.graded_items(), base_order) if entry.exact else entry
 
 
 def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
@@ -339,8 +326,7 @@ def resultant_jets(A: Jet, B: Jet, var: str) -> Jet:
     if A.exact and B.exact:
         da0 = A.total_degree() or 0
         db0 = B.total_degree() or 0
-        bound = (da0 + db0) * (max((k[ctx.index(var)] for k in A.terms), default=0)
-                               + max((k[ctx.index(var)] for k in B.terms), default=0)) + 2
+        bound = (da0 + db0) * ((A.degree_in(var) or 0) + (B.degree_in(var) or 0)) + 2
         if bound > base_order:
             A = A.with_order(bound)
             B = B.with_order(bound)

@@ -27,17 +27,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     ConsistencyError,
+    DegreeCapError,
     NoRegularDirectionError,
     NotRegularError,
     PreconditionError,
 )
 from .jets import INFINITE_ORDER, Jet
 from .polygcd import exact_divide
-from .pseudopoly import PseudoPolynomial
+from .pseudopoly import MAX_DEGREE, PseudoPolynomial
 
 #: How many integer directions the regularizing search will try.
 CHANGE_BUDGET = 200
@@ -118,29 +119,7 @@ def regularity_order(f: Jet, var: str):
     INFINITE_ORDER means the restriction vanishes to the certification
     order (identically, when the jet is exact).
     """
-    return _directional_order(f, [f.ctx.index(var)], [1])
-
-
-def _directional_order(f: Jet, block_idx: Sequence[int], direction: Sequence[int]):
-    """Valuation of ``f`` on the line through ``direction``, which is indexed
-    like ``block_idx``: the regularity order in the variable where the
-    direction is 1 after the shear by the other entries.  Only terms
-    supported inside the block contribute; INFINITE_ORDER when none is left.
-    """
-    outside = [i for i in range(len(f.ctx.names)) if i not in block_idx]
-    sums: Dict[int, object] = {}
-    for key, coeff in f.terms.items():
-        if any(key[i] for i in outside):
-            continue
-        val = coeff
-        for i, c in zip(block_idx, direction):
-            if key[i]:
-                val = val * Fraction(c) ** key[i]
-        if val:
-            d = sum(key)
-            cur = sums.get(d)
-            sums[d] = val if cur is None else cur + val
-    return min((d for d, v in sums.items() if v), default=INFINITE_ORDER)
+    return f.valuation_along({var: 1})
 
 
 def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -> LinearChange:
@@ -158,11 +137,9 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
     block = tuple(block)
     if var not in block:
         raise PreconditionError(f"target variable {var!r} not in block {block}")
-    block_idx = [f.ctx.index(b) for b in block]
     v_pos = block.index(var)
-    outside = [i for i in range(len(f.ctx.names)) if i not in block_idx]
-    floor = min((sum(key) for key in f.terms if not any(key[i] for i in outside)), default=None)
-    if floor is None:
+    floor = f.restrict({name: 0 for name in f.ctx.names if name not in block}).order_of()
+    if floor == INFINITE_ORDER:
         raise NoRegularDirectionError(
             f"no term of f is supported in the block {block}; "
             f"tried 0 of {CHANGE_BUDGET} candidates")
@@ -182,7 +159,7 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
 
     best_order, best = INFINITE_ORDER, None
     for cand in itertools.islice(candidates(), CHANGE_BUDGET):
-        order = _directional_order(f, block_idx, cand[:v_pos] + (1,) + cand[v_pos:])
+        order = f.valuation_along(dict(zip(block, cand[:v_pos] + (1,) + cand[v_pos:])))
         if order < best_order:
             best_order, best = order, cand
             if order == floor:
@@ -191,21 +168,6 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
         raise NoRegularDirectionError(
             f"no regular direction found within the budget of {CHANGE_BUDGET} candidates")
     return LinearChange(block, var, best)
-
-
-def _split(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
-    """Return (low, high) with ``f = low + var^p * high`` and deg_var(low) < p."""
-    idx = f.ctx.index(var)
-    low: Dict[Tuple[int, ...], object] = {}
-    high: Dict[Tuple[int, ...], object] = {}
-    for key, coeff in f.terms.items():
-        if key[idx] < p:
-            low[key] = coeff
-        else:
-            nk = list(key)
-            nk[idx] = key[idx] - p
-            high[tuple(nk)] = coeff
-    return Jet(f.ctx, f.order, low, f.exact), Jet(f.ctx, f.order, high, f.exact)
 
 
 def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
@@ -219,18 +181,18 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     f = f.truncate(order)
     if p == 0:
         return g * f.invert_unit(), Jet.zero(f.ctx, order)
-    f_low, w = _split(f, var, p)
+    f_low, w = f.split(var, p)
     winv = w.invert_unit()
     q = Jet.zero(f.ctx, order)
     for _ in range(order + 1):
-        _, high = _split(g - q * f_low, var, p)
+        _, high = (g - q * f_low).split(var, p)
         q_next = winv * high
-        if q_next.terms == q.terms:
+        if (q_next - q).is_zero():
             q = q_next
             break
         q = q_next
     r = g - q * f
-    if max((key[r.ctx.index(var)] for key in r.terms), default=0) >= p:
+    if (r.degree_in(var) or 0) >= p:
         raise ConsistencyError("division iteration failed to reduce the remainder")
     return q, r
 
@@ -251,6 +213,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     if p >= order:
         raise PreconditionError(
             f"regularity order {p} reaches the certification order {order}")
+    if p > MAX_DEGREE:
+        raise DegreeCapError(f"degree {p} exceeds the cap {MAX_DEGREE}")
     if p == 0:
         unit = f
         poly = PseudoPolynomial(var, (), ctx=f.ctx, order=order)
@@ -264,7 +228,7 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     if any(c.constant_term() for c in candidate.coeffs):
         raise ConsistencyError("prepared polynomial is not distinguished")
     # the coefficients hold only terms below the order, so nothing is dropped
-    lifted = candidate.map_coeffs(lambda c: Jet(c.ctx, order, c.terms, True))
+    lifted = candidate.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
     if len(f.ctx.names) == 1:
         # a one-variable series is a unit times var^p
         candidate = lifted

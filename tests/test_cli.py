@@ -68,6 +68,22 @@ def test_precondition_error_is_exit_2():
     assert code == 2
 
 
+def test_degree_cap_fails_before_any_division(monkeypatch, capsys):
+    import equijet.weierstrass as weierstrass
+    divisions = []
+    divide = weierstrass.weierstrass_divide
+
+    def counted(*args):
+        divisions.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(weierstrass, "weierstrass_divide", counted)
+    code, _ = run(["prepare", "x2^13 + x1", "--var", "x2", "--vars", "x1,x2"])
+    assert code == 2
+    assert "degree 13 exceeds the cap 12" in capsys.readouterr().err
+    assert not divisions
+
+
 def test_inconclusive_is_exit_3_and_says_so():
     import sys
     from io import StringIO

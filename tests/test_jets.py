@@ -1,12 +1,16 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from equijet import jets as jets_module
 from equijet.errors import (
     ContextMismatchError,
     InconclusiveError,
     NotAUnitError,
+    PreconditionError,
     SubstitutionDivergenceError,
     UnknownVariableError,
 )
@@ -248,3 +252,133 @@ def test_text_roundtrip_style():
     a = jet({(0, 0): Fraction(-1, 2), (3, 0): 4, (1, 1): 1})
     assert str(a) == "-1/2 + x1*x2 + 4*x1^3"
     assert str(Jet.zero(X2)) == "0"
+
+
+def test_shift_by_a_negative_power_needs_divisibility():
+    f = jet({(1, 2): 3, (0, 3): 1}, order=6)
+    assert f.shift("x2", -2) == jet({(1, 0): 3, (0, 1): 1}, order=4)
+    with pytest.raises(PreconditionError):
+        f.shift("x1", -1)
+
+
+def test_settled_order_of_the_zero_polynomial_is_at_least_one():
+    assert Jet.polynomial(X2, {}, 0).order == 1
+    assert Jet.polynomial(X2, {}, 7).order == 7
+
+
+# -- properties of the term-format queries ------------------------------------
+
+
+def ref_mul(a, b):
+    """Reference product of two dict polynomials keyed by exponent tuples."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def term_dicts(st, width=2, max_exp=4):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * width),
+                           st.integers(-4, 4).filter(bool).map(Fraction), max_size=6)
+
+
+def jets(st, ctx=X2):
+    """Jets in ``ctx`` of order 1..8, exact or not; terms at or above the
+    order are dropped, which clears the flag."""
+    return st.builds(lambda terms, order, exact: Jet(ctx, order, terms, exact),
+                     term_dicts(st, len(ctx.names)), st.integers(1, 8), st.booleans())
+
+
+def check_property(strategies, body, max_examples=80):
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(derandomize=True, max_examples=max_examples,
+                                   deadline=None, database=None)
+    settings(hypothesis.given(*strategies)(body))()
+
+
+def test_split_property():
+    st = pytest.importorskip("hypothesis").strategies
+
+    def body(f, var, p):
+        low, high = f.split(var, p)
+        assert low + high.shift(var, p) == f
+        assert low.is_zero() or low.degree_in(var) < p
+
+    check_property([jets(st), st.sampled_from(X2.names), st.integers(0, 4)], body)
+
+
+def test_shift_roundtrip_property():
+    st = pytest.importorskip("hypothesis").strategies
+
+    def body(f, var, k):
+        shifted = f.shift(var, k)
+        assert shifted.order == f.order + k
+        assert shifted.shift(var, -k) == f
+
+    check_property([jets(st), st.sampled_from(X2.names), st.integers(0, 4)], body)
+
+
+def test_valuation_along_is_the_valuation_on_the_line_property():
+    st = pytest.importorskip("hypothesis").strategies
+    line = VarContext.make(["t"])
+
+    def body(f, direction):
+        t = Jet.variable(line, "t", f.order)
+        on_line = f.compose({name: t.scale(direction.get(name, 0)) for name in TX.names})
+        assert f.valuation_along(direction) == on_line.order_of()
+
+    directions = st.dictionaries(st.sampled_from(TX.names), st.integers(-3, 3), min_size=1)
+    check_property([jets(st, TX), directions], body)
+
+
+def test_polynomial_settled_order_property():
+    st = pytest.importorskip("hypothesis").strategies
+
+    def body(terms, order):
+        p = Jet.polynomial(X2, terms, order)
+        assert p.exact
+        assert p.order == max([order, 1] + [sum(k) + 1 for k in terms])
+        assert p.graded_items() == sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        assert all(p.coefficient(k) == v for k, v in terms.items())
+
+    check_property([term_dicts(st), st.integers(0, 8)], body)
+
+
+def test_mul_matches_the_reference_product_property():
+    st = pytest.importorskip("hypothesis").strategies
+
+    def body(a, b):
+        prod = a * b
+        ref = ref_mul(dict(a.graded_items()), dict(b.graded_items()))
+        assert prod.order == min(a.order, b.order)
+        assert dict(prod.graded_items()) == {k: v for k, v in ref.items()
+                                             if sum(k) < prod.order}
+        if a.exact and b.exact:
+            # lifted so that nothing is dropped, the product is the whole one
+            room = (a.total_degree() or 0) + (b.total_degree() or 0) + 1
+            full = a.with_order(room) * b.with_order(room)
+            assert full.exact and dict(full.graded_items()) == ref
+        else:
+            assert not prod.exact
+
+    check_property([jets(st), jets(st)], body)
+
+
+def test_no_module_but_jets_reads_the_term_dict():
+    """The term dict is ``jets.py``'s own format: every other module goes
+    through the Jet queries and constructors, never ``.terms`` or the raw
+    ``Jet(ctx, order, terms, exact)``."""
+    package = pathlib.Path(jets_module.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                offenders.append(f"{path.name}:{node.lineno} reads .terms")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Jet"):
+                offenders.append(f"{path.name}:{node.lineno} calls Jet(...)")
+    assert not offenders

@@ -7,6 +7,12 @@ from fractions import Fraction
 import pytest
 
 from equijet.jets import Jet, VarContext
+from equijet.polygcd import (
+    jet_gcd,
+    rational_roots,
+    squarefree_decomposition,
+    sturm_real_root_count,
+)
 from equijet.pseudopoly import PseudoPolynomial, generalized_discriminants, resultant_jets
 
 sympy = pytest.importorskip("sympy")
@@ -19,7 +25,14 @@ def to_jet(expr) -> Jet:
     """An exact jet of a polynomial in ``x1, y`` with rational coefficients."""
     poly = sympy.Poly(expr, X1, Y)
     terms = {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()}
-    return Jet(YX, max([16] + [sum(k) + 1 for k in terms]), terms, True)
+    return Jet.polynomial(YX, terms, 16)
+
+
+def to_sympy(j: Jet):
+    """The polynomial of an exact jet in ``x1, y``, up to a nonzero scalar."""
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * X1 ** e1 * Y ** e2
+               for (e1, e2), c in j.graded_items())
+    return sympy.Poly(expr, X1, Y).monic()
 
 
 def monic_with_repeated_factors(rng):
@@ -67,3 +80,67 @@ def test_resultant_against_sympy(pair):
     got = resultant_jets(to_jet(f), to_jet(g), "y")
     assert got.exact
     assert got == to_jet(sympy.resultant(f, g, Y)).with_order(got.order)
+
+
+def random_factor(rng):
+    """A small bivariate factor: linear in ``y`` or ``x1``, or ``y^2 - c*x1^k``."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Y - rng.randrange(-2, 3) * X1 - rng.randrange(-2, 3) * X1 ** 2
+    if kind == 1:
+        return X1 + rng.randrange(-2, 3) * Y
+    return Y ** 2 - rng.choice([1, 2, -3]) * X1 ** rng.randrange(1, 4)
+
+
+def random_product(rng, count, max_power=2):
+    return sympy.expand(sympy.Mul(*[random_factor(rng) ** rng.randrange(1, max_power + 1)
+                                    for _ in range(count)]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_jet_gcd_against_sympy(seed):
+    rng = random.Random(71 + seed)
+    common = random_product(rng, rng.randrange(0, 3))
+    f = sympy.expand(common * random_product(rng, 2))
+    g = sympy.expand(common * random_product(rng, 2))
+    got = jet_gcd(to_jet(f), to_jet(g))
+    assert got.exact
+    assert to_sympy(got) == sympy.Poly(sympy.gcd(f, g), X1, Y).monic()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_squarefree_decomposition_against_sympy(seed):
+    f = random_product(random.Random(97 + seed), 3, max_power=3)
+    got = {m: to_sympy(part) for part, m in squarefree_decomposition(to_jet(f))}
+    _, parts = sympy.sqf_list(f, X1, Y)
+    assert got == {m: sympy.Poly(part, X1, Y).monic() for part, m in parts}
+
+
+def random_univariate(rng):
+    """A rational polynomial with a few rational roots (one maybe repeated)
+    times a few quadratics ``x^2 - c``, rational, irrational or complex roots."""
+    roots = [sympy.Rational(rng.randrange(-6, 7), rng.randrange(1, 4))
+             for _ in range(rng.randrange(0, 4))]
+    quads = [X1 ** 2 - rng.choice([-2, -1, 2, 3, 5]) for _ in range(rng.randrange(0, 3))]
+    expr = sympy.expand(rng.randrange(1, 4) * sympy.Mul(*[X1 - r for r in roots])
+                        * sympy.Mul(*quads))
+    return expr if expr.has(X1) else X1 * expr
+
+
+def to_uni(expr):
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, X1).all_coeffs())]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_roots_against_sympy(seed):
+    expr = random_univariate(random.Random(113 + seed))
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(sympy.Poly(expr, X1))
+                  if r.is_rational)
+    assert rational_roots(to_uni(expr)) == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sturm_real_root_count_against_sympy(seed):
+    squarefree = sympy.sqf_part(random_univariate(random.Random(131 + seed)))
+    want = sympy.Poly(squarefree, X1).count_roots()
+    assert sturm_real_root_count(to_uni(squarefree)) == want
