@@ -17,10 +17,18 @@ Conventions:
   the two orders;
 * the term dict is this module's own format: other modules read jets
   through the queries and build them with the named constructors.
+
+Products of rational jets with at least ``_KRONECKER_MIN_PAIRS`` term pairs
+are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
+exact times exact in a box of the exponents, anything truncated in a box
+graded by total degree that reads only the degrees below the order.
+Coefficients in an algebraic extension, smaller products and operands too
+sparse to pack (``x1^3000 + x2``) take the schoolbook loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +108,153 @@ def term_sort_key(exps: Exponents):
     return (sum(exps), exps)
 
 
+# -- the product kernel --------------------------------------------------------
+
+#: Fewer term pairs than this are multiplied by the schoolbook loop, which
+#: beats packing on small operands.
+_KRONECKER_MIN_PAIRS = 32
+#: The big-integer multiply meets every slot of one packed operand with
+#: every slot of the other, so it pays only when the operands fill their
+#: slots: at most this many slot pairs per term pair.  Sparser operands
+#: (``x1^3000 + x2`` spans 3001 slots with 2 terms) keep the schoolbook loop.
+_KRONECKER_SLOTS_PER_PAIR = 256
+#: ``bytes.translate`` table: every nonzero byte becomes 1.
+_NONZERO_TO_ONE = bytes([0] + [1] * 255)
+
+
+def _schoolbook(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
+                limit: Optional[int]) -> Dict[Exponents, Scalar]:
+    """The product of two term dicts pair by pair; with a ``limit``, only the
+    pairs of total degree below it."""
+    prod: Dict[Exponents, Scalar] = {}
+    for ka, va in ta.items():
+        da = sum(ka)
+        for kb, vb in tb.items():
+            if limit is not None and da + sum(kb) >= limit:
+                continue
+            key = tuple(x + y for x, y in zip(ka, kb))
+            val = va * vb
+            cur = prod.get(key)
+            prod[key] = val if cur is None else cur + val
+    return prod
+
+
+def _pack(slots: List[int], values: List[int], extent: int, width: int) -> int:
+    """One integer with ``values[t]`` as its signed base-``2^(8*width)``
+    digit number ``slots[t]``."""
+    pos, neg = bytearray(extent * width), bytearray(extent * width)
+    for slot, v in zip(slots, values):
+        at = slot * width
+        if v > 0:
+            pos[at:at + width] = v.to_bytes(width, "little")
+        else:
+            neg[at:at + width] = (-v).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar], n: int,
+               limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
+    """The product of two term dicts in ``n`` variables as one big-integer
+    multiply (Kronecker substitution), or None when the schoolbook loop
+    should run: a coefficient is not a ``Fraction``, there are fewer than
+    ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed operands are too
+    sparse (``_KRONECKER_SLOTS_PER_PAIR``).
+
+    Every monomial is a slot of a mixed-radix box.  With ``limit`` None the
+    digits are the exponents of the variables that occur and the whole
+    product is read.  With a ``limit`` the box is graded: the total degree
+    is the outermost digit, then every occurring variable but the last;
+    operand terms of degree ``>= limit`` are dropped, and only the slots of
+    degree below ``limit`` are read.  Digits count from each operand's
+    lowest value and have room for the sum of the two spans, so a pair's
+    slot is the sum of its operands' slots; a graded pair of degree
+    ``>= limit`` has an outermost digit past the box and lands in a slot
+    that is never read.  Each operand is scaled to integers by the lcm of
+    its denominators and packed as signed digits wide enough for
+    ``min(len a, len b) * max|a| * max|b|``; the product is read back by
+    adding half the digit range to every digit.
+    """
+    if len(ta) * len(tb) < _KRONECKER_MIN_PAIRS:
+        return None
+    if limit is not None:
+        ta = {k: v for k, v in ta.items() if sum(k) < limit}
+        tb = {k: v for k, v in tb.items() if sum(k) < limit}
+    pairs = len(ta) * len(tb)
+    if pairs < _KRONECKER_MIN_PAIRS:
+        return None
+    if not all(isinstance(v, Fraction) for t in (ta, tb) for v in t.values()):
+        return None
+    active = [i for i in range(n) if any(k[i] for t in (ta, tb) for k in t)]
+    inner = active if limit is None else active[:-1]
+
+    # lists, not tuples, here and below: tuples of many lengths would fill
+    # the interpreter's per-length tuple free lists, which it keeps
+    def coords(k):
+        return ([] if limit is None else [sum(k)]) + [k[i] for i in inner]
+
+    ca, cb = [coords(k) for k in ta], [coords(k) for k in tb]
+    digits = range(len(ca[0]))
+    lo_a = [min(c[j] for c in ca) for j in digits]
+    lo_b = [min(c[j] for c in cb) for j in digits]
+    bases = [max(c[j] for c in ca) - lo_a[j] + max(c[j] for c in cb) - lo_b[j] + 1
+             for j in digits]
+    if limit is not None:
+        # a pair below the limit has every digit below these caps
+        bases[0] = min(bases[0], limit - lo_a[0] - lo_b[0])
+        for j in range(1, len(bases)):
+            bases[j] = min(bases[j], limit - min(lo_a[j], lo_b[j]))
+        if bases[0] <= 0:
+            return {}
+    strides = [1] * len(bases)
+    for j in range(len(bases) - 2, -1, -1):
+        strides[j] = strides[j + 1] * bases[j + 1]
+    slots_a = [sum((c - low) * s for c, low, s in zip(cs, lo_a, strides)) for cs in ca]
+    slots_b = [sum((c - low) * s for c, low, s in zip(cs, lo_b, strides)) for cs in cb]
+    extent_a, extent_b = max(slots_a) + 1, max(slots_b) + 1
+    if extent_a * extent_b > _KRONECKER_SLOTS_PER_PAIR * pairs:
+        return None
+    window = min(strides[0] * bases[0], extent_a + extent_b - 1)
+
+    den_a = functools.reduce(math.lcm, (v.denominator for v in ta.values()))
+    den_b = functools.reduce(math.lcm, (v.denominator for v in tb.values()))
+    na = [v.numerator * (den_a // v.denominator) for v in ta.values()]
+    nb = [v.numerator * (den_b // v.denominator) for v in tb.values()]
+    bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    size = window * width
+    # the offset makes every digit of the window nonnegative; xor-ing it off
+    # again leaves each digit in two's complement, and zero digits as zero bytes
+    offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * window, "little")
+    packed = _pack(slots_a, na, extent_a, width) * _pack(slots_b, nb, extent_b, width)
+    data = (((packed + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
+    # one byte per slot, 1 where the slot's digit is nonzero
+    nonzero = 0
+    for j in range(width):
+        nonzero |= int.from_bytes(data[j::width], "little")
+    flags = nonzero.to_bytes(window, "little").translate(_NONZERO_TO_ONE)
+
+    den = den_a * den_b
+    lo = [a + b for a, b in zip(lo_a, lo_b)]
+    prod: Dict[Exponents, Scalar] = {}
+    slot = flags.find(1)
+    while slot >= 0:
+        at = slot * width
+        d = int.from_bytes(data[at:at + width], "little", signed=True)
+        exps, rest = [], slot
+        for s, low in zip(strides, lo):
+            digit, rest = divmod(rest, s)
+            exps.append(digit + low)
+        key = [0] * n
+        if limit is not None:
+            key[active[-1]] = exps[0] - sum(exps[1:])
+            exps = exps[1:]
+        for i, e in zip(inner, exps):
+            key[i] = e
+        prod[tuple(key)] = Fraction(d) if den == 1 else Fraction(d, den)
+        slot = flags.find(1, slot + 1)
+    return prod
+
+
 class Jet:
     """A series known modulo total degree ``order``; see module docstring."""
 
@@ -114,7 +269,8 @@ class Jet:
         for key, val in terms.items():
             if len(key) != width:
                 raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
-            val = as_scalar(val)
+            if type(val) is not Fraction:
+                val = as_scalar(val)
             if not val:
                 continue
             if sum(key) >= order:
@@ -238,21 +394,26 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, known modulo the lower of the two orders.
+
+        Two exact operands give the whole product (truncated afterwards,
+        which clears the flag when a term is dropped); otherwise only the
+        pairs below the order are formed.  Rational operands with at least
+        ``_KRONECKER_MIN_PAIRS`` term pairs are multiplied by Kronecker
+        substitution (:func:`_kronecker`); ``FieldElement`` coefficients,
+        smaller operands and operands too sparse for a packed box take the
+        schoolbook loop.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        prod: Dict[Exponents, Scalar] = {}
         full = self.exact and other.exact
-        for ka, va in self.terms.items():
-            da = sum(ka)
-            for kb, vb in other.terms.items():
-                if not full and da + sum(kb) >= order:
-                    continue
-                key = tuple(x + y for x, y in zip(ka, kb))
-                val = va * vb
-                cur = prod.get(key)
-                prod[key] = val if cur is None else cur + val
+        limit = None if full else order
+        width = len(self.ctx.names)
+        prod = _kronecker(self.terms, other.terms, width, limit)
+        if prod is None:
+            prod = _schoolbook(self.terms, other.terms, limit)
         return Jet(self.ctx, order, prod, full)
 
     __rmul__ = __mul__
@@ -276,7 +437,14 @@ class Jet:
         return result
 
     def invert_unit(self) -> "Jet":
-        """Multiplicative inverse modulo the order, by geometric series.
+        """Multiplicative inverse modulo the order, by Newton iteration.
+
+        With ``self = c0 * (1 - u)`` and ``u`` of valuation ``v``,
+        ``(1 + u) / c0`` is the inverse modulo degree ``2v``; each step
+        ``g <- g - g*(self*g - 1)`` then doubles the degree to which ``g`` is
+        right (Brent & Kung 1978), at two products a step.  The inverse
+        modulo the order is unique, so this is the geometric series
+        ``sum u^k / c0`` with about a logarithmic number of products.
 
         The result is flagged exact only for constants: inverses of
         non-constant units are genuinely infinite series.
@@ -285,16 +453,18 @@ class Jet:
         if not c0:
             raise NotAUnitError("constant term vanishes; not a unit")
         inv0 = scalar_inverse(c0)
-        # self = c0 * (1 - u) with u of positive valuation
-        u = Jet.constant(self.ctx, 1, self.order, exact=True) - self.scale(inv0)
-        acc = Jet.constant(self.ctx, 1, self.order, exact=True)
-        power = u
-        while not power.is_zero():
-            acc = acc + power
-            power = power * u
-        result = acc.scale(inv0)
+        one = Jet.constant(self.ctx, 1, self.order, exact=True)
+        u = one - self.scale(inv0)
+        g = (one + u).scale(inv0)
+        # the precisions of the steps, each at most twice the one before
+        steps = [self.order]
+        while not u.is_zero() and steps[-1] > 2 * u.order_of():
+            steps.append((steps[-1] + 1) // 2)
+        for prec in reversed(steps[:-1]):
+            g = Jet(self.ctx, prec, g.terms, False)
+            g = g - g * (self.truncate(prec) * g - 1)
         exact = self.exact and self.total_degree() in (None, 0)
-        return Jet(self.ctx, self.order, result.terms, exact)
+        return Jet(self.ctx, self.order, g.terms, exact)
 
     def derivative(self, name: str) -> "Jet":
         idx = self.ctx.index(name)
@@ -347,28 +517,24 @@ class Jet:
         orders = [self.order] + [values[i].order for i in values if i in occurring]
         order = min(orders)
 
-        cache: Dict[Tuple[int, int], Jet] = {}
-
-        def power_of(i: int, e: int) -> Jet:
-            got = cache.get((i, e))
-            if got is not None:
-                return got
-            if e == 0:
-                result = Jet.constant(target, 1, order, exact=True)
-            else:
-                base = values.get(i)
-                if base is None:
-                    base = Jet.variable(target, self.ctx.names[i], order)
-                result = power_of(i, e - 1) * base
-            cache[(i, e)] = result
-            return result
+        # powers[i][e] is the e-th power of what variable i becomes, built
+        # one product at a time up to the highest exponent that occurs
+        powers: Dict[int, List[Jet]] = {}
+        for i in occurring:
+            base = values.get(i)
+            if base is None:
+                base = Jet.variable(target, self.ctx.names[i], order)
+            row = [Jet.constant(target, 1, order, exact=True)]
+            for _ in range(max(key[i] for key in self.terms)):
+                row.append(row[-1] * base)
+            powers[i] = row
 
         acc = Jet.zero(target, order, exact=True)
         for key, coeff in self.graded_items():
             term = Jet.constant(target, coeff, order, exact=True)
             for i, e in enumerate(key):
                 if e:
-                    term = term * power_of(i, e)
+                    term = term * powers[i][e]
             acc = acc + term
         return Jet(target, order, acc.terms, acc.exact and self.exact)
 

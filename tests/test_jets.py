@@ -366,6 +366,173 @@ def test_mul_matches_the_reference_product_property():
     check_property([jets(st), jets(st)], body)
 
 
+
+# -- the Kronecker product kernel and its fallbacks -----------------------------
+
+
+def ref_product(a, b):
+    """``a * b`` as a whole jet from ``ref_mul``: the terms below the lower
+    order, flagged exact when both operands are and nothing was dropped."""
+    order = min(a.order, b.order)
+    ref = ref_mul(dict(a.graded_items()), dict(b.graded_items()))
+    exact = a.exact and b.exact and all(sum(k) < order for k in ref)
+    return Jet(a.ctx, order, {k: v for k, v in ref.items() if sum(k) < order}, exact)
+
+
+def count_kronecker(monkeypatch):
+    """Count the products that the Kronecker kernel takes, not declines."""
+    taken = []
+    kernel = jets_module._kronecker
+
+    def spy(*args):
+        out = kernel(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(jets_module, "_kronecker", spy)
+    return taken
+
+
+def wide_jets(st):
+    """Pairs of jets in 1-4 variables with enough terms for the Kronecker
+    path: some variables absent from both, unequal denominators, numerators
+    past 2^64, unequal orders, and terms at or above the other's order."""
+    coeffs = st.builds(Fraction,
+                       st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70)).filter(bool),
+                       st.sampled_from([1, 2, 3, 7, 12, 2 ** 65 + 1]))
+
+    def pair(width):
+        ctx = VarContext.make([f"x{i}" for i in range(1, width + 1)])
+        used = st.sets(st.integers(0, width - 1), min_size=1)
+
+        def one(used_vars):
+            top = 10 // len(used_vars)
+            keys = st.tuples(*[st.integers(0, top) if i in used_vars else st.just(0)
+                               for i in range(width)])
+            terms = st.dictionaries(keys, coeffs, min_size=10, max_size=30)
+            return st.builds(lambda t, order, exact: Jet(ctx, order, t, exact),
+                             terms, st.integers(6, 16), st.booleans())
+
+        return used.flatmap(lambda u: st.tuples(one(u), one(u)))
+
+    return st.integers(1, 4).flatmap(pair)
+
+
+def test_kronecker_product_matches_the_reference_property(monkeypatch):
+    st = pytest.importorskip("hypothesis").strategies
+    taken = count_kronecker(monkeypatch)
+
+    def body(operands):
+        a, b = operands
+        assert a * b == ref_product(a, b)
+
+    check_property([wide_jets(st)], body, max_examples=60)
+    assert sum(taken) > len(taken) // 2
+
+
+def test_kronecker_seeded_differential(monkeypatch):
+    """3,000 seeded products, exact, truncated and mixed, in 1-4 variables,
+    equal the reference product as whole jets: terms, order and flag."""
+    taken = count_kronecker(monkeypatch)
+    rng = random.Random(2024)
+
+    def draw(ctx, used):
+        order = rng.randint(4, 20)
+        top = max(2, order // len(used) + 1)
+        return Jet(ctx, order, {
+            tuple(rng.randint(0, top) if i in used else 0 for i in range(len(ctx.names))):
+                Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 5]))
+            for _ in range(rng.randint(6, 24))}, rng.random() < 0.5)
+
+    for _ in range(3000):
+        width = rng.randint(1, 4)
+        ctx = VarContext.make([f"x{i}" for i in range(1, width + 1)])
+        used = rng.sample(range(width), rng.randint(1, width))
+        a, b = draw(ctx, used), draw(ctx, used)
+        assert a * b == ref_product(a, b)
+    assert sum(taken) >= 1000
+
+
+def test_field_element_coefficients_take_the_schoolbook_loop(monkeypatch):
+    from equijet.scalars import NumberField
+
+    taken = count_kronecker(monkeypatch)
+    alpha = NumberField([-2, 0, 1]).generator()
+    ctx = VarContext.make(["x1", "x2"])
+    a = Jet(ctx, 12, {(i, j): alpha + i - j for i in range(4) for j in range(3)}, True)
+    b = Jet(ctx, 12, {(i, j): alpha * (i + 1) + j for i in range(3) for j in range(4)}, False)
+    for x, y in ((a, a), (a, b)):
+        assert x * y == ref_product(x, y)
+    assert taken == [False, False]
+
+
+def test_sparse_operands_take_the_schoolbook_loop(monkeypatch):
+    import time
+    import tracemalloc
+
+    taken = count_kronecker(monkeypatch)
+    ctx = VarContext.make(["x1", "x2"])
+    x1, x2 = (Jet.variable(ctx, v, 6002) for v in ("x1", "x2"))
+    # 2 x 2 terms, and 8 x 8 terms spread over exponents up to 2,800
+    a = (x1 ** 3000 + x2, sum((x1 ** (400 * i) * x2 ** i for i in range(8)), Jet.zero(ctx, 6002)))
+    b = (x2 ** 3000 + x1, sum((x2 ** (400 * i) * x1 ** i for i in range(8)), Jet.zero(ctx, 6002)))
+    taken.clear()
+    for x, y in zip(a, b):
+        tracemalloc.start()
+        start = time.perf_counter()
+        prod = x * y
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 1 << 20
+        assert prod == ref_product(x, y)
+    assert taken == [False, False]
+
+
+def test_compose_builds_high_powers_without_recursion():
+    x1 = Jet.variable(X2, "x1", 1200)
+    out = Jet.monomial(X2, (1100, 0), 1, order=1200).compose({"x1": 2 * x1})
+    assert out == Jet.monomial(X2, (1100, 0), 2 ** 1100, order=1200)
+
+
+def geometric_inverse(f):
+    """The inverse modulo the order as the geometric series ``sum u^k / c0``
+    with ``f = c0 * (1 - u)``, one product per power."""
+    inv0 = 1 / f.constant_term()
+    u = Jet.constant(f.ctx, 1, f.order) - f.scale(inv0)
+    acc, power = Jet.constant(f.ctx, 1, f.order), u
+    while not power.is_zero():
+        acc, power = acc + power, power * u
+    exact = f.exact and f.total_degree() in (None, 0)
+    return Jet(f.ctx, f.order, dict(acc.scale(inv0).graded_items()), exact)
+
+
+@pytest.mark.parametrize("order", range(1, 21))
+def test_newton_inverse_equals_the_geometric_series(order):
+    rng = random.Random(order)
+    for _ in range(6):
+        f = random_jet(rng, order=order, max_deg=5) + Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))
+        if not f.is_unit():
+            continue
+        f = Jet(X2, order, dict(f.graded_items()), rng.random() < 0.5)
+        assert f.invert_unit() == geometric_inverse(f)
+    constant = Jet.constant(X2, 3, order)
+    assert constant.invert_unit() == geometric_inverse(constant)
+    assert constant.invert_unit().exact
+
+
+def test_newton_inverse_with_field_element_coefficients():
+    from equijet.scalars import NumberField
+
+    alpha = NumberField([-2, 0, 1]).generator()
+    for order in (1, 2, 3, 7, 12):
+        f = Jet(X2, order, {(0, 0): alpha + 1, (1, 0): alpha, (0, 2): Fraction(3, 2),
+                            (2, 1): alpha * 3}, False)
+        inv = f.invert_unit()
+        assert inv == geometric_inverse(Jet(X2, order, dict(f.graded_items()), False))
+        assert (f * inv).graded_items() == [((0, 0), Fraction(1))]
+
 def test_no_module_but_jets_reads_the_term_dict():
     """The term dict is ``jets.py``'s own format: every other module goes
     through the Jet queries and constructors, never ``.terms`` or the raw
