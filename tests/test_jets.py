@@ -1,6 +1,8 @@
 import ast
 import pathlib
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from equijet.errors import (
     UnknownVariableError,
 )
 from equijet.jets import DEFAULT_ORDER, INFINITE_ORDER, Jet, VarContext
+from equijet.scalars import NumberField
 
 
 X2 = VarContext.make(["x1", "x2"])
@@ -453,9 +456,28 @@ def test_kronecker_seeded_differential(monkeypatch):
     assert sum(taken) >= 1000
 
 
-def test_field_element_coefficients_take_the_schoolbook_loop(monkeypatch):
-    from equijet.scalars import NumberField
+def test_kronecker_digits_at_their_bound(monkeypatch):
+    """Every slot of ``(45 + 45*x1 + ... + 45*x1^31)`` times itself, or times
+    its negative, reaches ``32 * 45^2 = 64,800``: a 16-bit bound, so the
+    digits need a third byte for the sign."""
+    taken = count_kronecker(monkeypatch)
+    ctx = VarContext.make(["x1"])
+    a = Jet(ctx, 64, {(i,): 45 for i in range(32)}, True)
+    for b in (a, -a):
+        assert a * b == ref_product(a, b)
+    assert taken == [True, True]
 
+
+def test_kronecker_graded_box_with_an_operand_divisible_by_a_variable(monkeypatch):
+    """Every term of ``b`` has ``x1``, so the lowest ``x1`` digit of ``b`` is 1
+    while a term of ``a`` reaches ``x1^7`` below the order 8."""
+    taken = count_kronecker(monkeypatch)
+    a = Jet(X2, 8, {(i, j): i - 2 * j + 1 for i in range(8) for j in range(8 - i)}, False)
+    b = Jet(X2, 8, {(i + 1, j): 3 - i * j for i in range(4) for j in range(4 - i)}, False)
+    assert a * b == ref_product(a, b)
+    assert taken == [True]
+
+def test_field_element_coefficients_take_the_schoolbook_loop(monkeypatch):
     taken = count_kronecker(monkeypatch)
     alpha = NumberField([-2, 0, 1]).generator()
     ctx = VarContext.make(["x1", "x2"])
@@ -467,9 +489,6 @@ def test_field_element_coefficients_take_the_schoolbook_loop(monkeypatch):
 
 
 def test_sparse_operands_take_the_schoolbook_loop(monkeypatch):
-    import time
-    import tracemalloc
-
     taken = count_kronecker(monkeypatch)
     ctx = VarContext.make(["x1", "x2"])
     x1, x2 = (Jet.variable(ctx, v, 6002) for v in ("x1", "x2"))
@@ -523,8 +542,6 @@ def test_newton_inverse_equals_the_geometric_series(order):
 
 
 def test_newton_inverse_with_field_element_coefficients():
-    from equijet.scalars import NumberField
-
     alpha = NumberField([-2, 0, 1]).generator()
     for order in (1, 2, 3, 7, 12):
         f = Jet(X2, order, {(0, 0): alpha + 1, (1, 0): alpha, (0, 2): Fraction(3, 2),
