@@ -379,6 +379,7 @@ def _cmd_mero_deform(args) -> Tuple[dict, List[str], int]:
         fam = tuple(parse_jet(e, fam_ctx, args.order) for e in args.fam or ())
         witness = tuple(parse_jet(e, ctx, args.order) for e in args.witness or ())
     else:
+        # the reference solution stated at --order, like a family parsed with --zvars
         fam = tuple(s.in_context(ctx).with_order(args.order) if s.exact else s.in_context(ctx)
                     for s in sysS.solution)
         witness = ()

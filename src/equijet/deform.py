@@ -27,7 +27,7 @@ from .errors import (
     NotASolutionError,
     PreconditionError,
 )
-from .jets import Jet, VarContext
+from .jets import INFINITE_ORDER, Jet, VarContext
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
 from .scalars import scalar_inverse, scalar_nth_root
 from .tower import Tower
@@ -212,8 +212,7 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     # certify exactness when the power genuinely reproduces the input
     if a.exact:
         lifted = Jet.polynomial(a.ctx, root.graded_items(), a.order)
-        if (lifted.with_order(a.order + n * (lifted.total_degree() or 0)) ** n
-                - a.with_order(a.order + n * (lifted.total_degree() or 0))).is_zero():
+        if (lifted.with_order(INFINITE_ORDER) ** n - a.with_order(INFINITE_ORDER)).is_zero():
             return lifted
     if ((root ** n) - a.truncate(root.order)).is_zero():
         return root
@@ -242,6 +241,7 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     e = d // 3 - 1
     witness = jet_nth_root(y1_hat.shift(x_name, -3 * e), 3)
     order = min(y1_hat.order, y2_hat.order)
+    # the report prints the witness at the targets' order
     witness = witness.with_order(order) if witness.exact else witness.truncate(order)
 
     x_names = (x_name,)

@@ -15,6 +15,9 @@ Conventions:
   (total degree first, then the exponent tuple);
 * binary operations require equal contexts and truncate at the minimum of
   the two orders;
+* only an exact jet may have ``order`` ``INFINITE_ORDER`` (known to every
+  order): exact intermediates are lifted there so that no product truncates
+  them, and settled with :meth:`Jet.polynomial` before they are returned;
 * the term dict is this module's own format: other modules read jets
   through the queries and build them with the named constructors.
 
@@ -46,7 +49,8 @@ from .scalars import Scalar, as_scalar, scalar_inverse, scalar_to_text
 
 DEFAULT_ORDER = 16
 
-#: Returned by valuation queries on jets with no stored term.
+#: Returned by valuation queries on jets with no stored term, and the order
+#: of an exact jet known to every order.
 INFINITE_ORDER = math.inf
 
 Exponents = Tuple[int, ...]
@@ -127,11 +131,14 @@ def _schoolbook(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
     """The product of two term dicts pair by pair; with a ``limit``, only the
     pairs of total degree below it."""
     prod: Dict[Exponents, Scalar] = {}
+    items_b = list(tb.items())
+    degs_b = None if limit is None else [sum(kb) for kb in tb]
     for ka, va in ta.items():
-        da = sum(ka)
-        for kb, vb in tb.items():
-            if limit is not None and da + sum(kb) >= limit:
-                continue
+        row = items_b
+        if limit is not None:
+            room = limit - sum(ka)
+            row = [kv for kv, d in zip(items_b, degs_b) if d < room]
+        for kb, vb in row:
             key = tuple(x + y for x, y in zip(ka, kb))
             val = va * vb
             cur = prod.get(key)
@@ -263,6 +270,8 @@ class Jet:
     def __init__(self, ctx: VarContext, order: int, terms: Mapping[Exponents, Scalar], exact: bool):
         if order < 0:
             raise ValueError("order must be >= 0")
+        if not exact and order == INFINITE_ORDER:
+            raise ValueError("only an exact jet is known to every order")
         clean: Dict[Exponents, Scalar] = {}
         dropped = False
         width = len(ctx.names)
@@ -679,7 +688,8 @@ class Jet:
         return Jet(self.ctx, new_order, self.terms, self.exact)
 
     def with_order(self, new_order: int) -> "Jet":
-        """Raise the stated order; sound only for exact jets."""
+        """Raise the stated order; sound only for exact jets.  At
+        ``INFINITE_ORDER`` no product of exact jets truncates."""
         if new_order <= self.order:
             return self.truncate(new_order)
         if not self.exact:

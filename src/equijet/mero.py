@@ -32,7 +32,7 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .jets import Jet, VarContext
+from .jets import INFINITE_ORDER, Jet, VarContext
 from .polygcd import (
     content_split,
     exact_divide,
@@ -88,8 +88,7 @@ class FactoredGerm:
                 raise PreconditionError("factors must be nonconstant")
             if base.constant_term():
                 raise PreconditionError("factors must vanish at the origin")
-            sq = jet_gcd_many([base, base.derivative(x1).with_order(base.order),
-                               base.derivative(x2).with_order(base.order)])
+            sq = jet_gcd_many([base, base.derivative(x1), base.derivative(x2)])
             if not is_constant(sq):
                 raise PreconditionError(f"declared factor is not squarefree: {base}")
         for i in range(len(factors)):
@@ -104,7 +103,8 @@ class FactoredGerm:
         return self.product.ctx
 
     def reduced(self, order: int) -> Jet:
-        """The product of the bases, each taken once."""
+        """The product of the bases, each taken once, at ``order``: theta
+        prints the order of what it is computed from."""
         out = Jet.constant(self.ctx, 1, order)
         for base, _ in self.factors:
             out = out * base.with_order(order)
@@ -159,6 +159,8 @@ class MeroAnalysis:
 
 
 def _lift_pair(f: FactoredGerm, g: FactoredGerm) -> Tuple[Jet, Jet, int]:
+    """Both products at one order above their degrees: theta, omega and rho
+    are computed from them and print this order, so it stays finite."""
     df = f.product.total_degree() or 0
     dg = g.product.total_degree() or 0
     bound = 2 * (df + dg) + sum((b.total_degree() or 0) for b, _ in f.factors + g.factors) + 4
@@ -181,6 +183,7 @@ def theta(f: FactoredGerm, g: FactoredGerm) -> OneForm:
     fg = fp * gp
     coeffs = []
     for var in (x1, x2):
+        # the derivatives keep the order of the products: theta prints it
         num = red * (gp * fp.derivative(var).with_order(bound)
                      - fp * gp.derivative(var).with_order(bound))
         q = exact_divide(num, fg)
@@ -202,13 +205,10 @@ def _constants_for(h: Jet, fp: Jet, gp: Jet) -> List[Scalar]:
     elim = ctx.names[1] if (h.degree_in(ctx.names[1]) or 0) >= 1 else ctx.names[0]
     keep = ctx.names[0] if elim == ctx.names[1] else ctx.names[1]
     ctx3 = VarContext.make((ctx.names[0], ctx.names[1], _C_NAME))
-    h3 = h.in_context(ctx3)
-    bound = ((fp.total_degree() or 0) + (gp.total_degree() or 0) + (h.total_degree() or 0) + 2) * \
-        (1 + (h.degree_in(elim) or 0) + max(fp.degree_in(elim) or 0, gp.degree_in(elim) or 0))
-    f3 = fp.in_context(ctx3).with_order(bound)
-    g3 = gp.in_context(ctx3).with_order(bound)
-    cvar = Jet.variable(ctx3, _C_NAME, bound)
-    res = resultant_jets(h3.with_order(bound), f3 - cvar * g3, elim)
+    f3 = fp.in_context(ctx3).with_order(INFINITE_ORDER)
+    g3 = gp.in_context(ctx3).with_order(INFINITE_ORDER)
+    cvar = Jet.variable(ctx3, _C_NAME, INFINITE_ORDER)
+    res = resultant_jets(h.in_context(ctx3), f3 - cvar * g3, elim)
     if res.is_zero():
         raise LemmaViolationError(
             "elimination degenerated: the resultant vanishes identically")
@@ -259,16 +259,15 @@ def divisor_constant(h: Jet, f: FactoredGerm, g: FactoredGerm) -> Optional[Divis
         raise PreconditionError("candidate divisor must be an exact polynomial")
     if h.is_zero() or is_constant(h):
         raise PreconditionError("candidate divisor must be nonconstant")
-    fp, gp, bound = _lift_pair(f, g)
-    hb = h.with_order(bound)
-    if not is_constant(jet_gcd(hb, fp)):
+    fp, gp, _ = _lift_pair(f, g)
+    if not is_constant(jet_gcd(h, fp)):
         raise PreconditionError("candidate divisor divides f")
-    if not is_constant(jet_gcd(hb, gp)):
+    if not is_constant(jet_gcd(h, gp)):
         raise PreconditionError("candidate divisor divides g")
     hits: List[DivisorConstant] = []
-    for c in _constants_for(hb, fp, gp):
+    for c in _constants_for(h, fp, gp):
         target = fp - gp.scale(c)
-        m, rho = exact_power_dividing(target, hb)
+        m, rho = exact_power_dividing(target, h)
         if m >= 1:
             hits.append(DivisorConstant(c=c, mu=m - 1, rho=rho))
     if not hits:
@@ -417,6 +416,7 @@ def emit_system(analysis: MeroAnalysis, f: FactoredGerm, g: FactoredGerm) -> Sys
     kk = tuple(exp for _, exp in g.factors)
     mus = tuple(rec.mu for rec in analysis.records)
     weight = max(sum(ell), sum(kk), max((m + 2 for m in mus), default=1))
+    # the equations print this order
     order = deg_cap * weight + 2
 
     def mono_product(names, exps):
@@ -524,13 +524,11 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
 
         reproduces = None
         if t0 == 0:
-            fprod = _product(f_slices, sysS.f_exponents)
-            gprod = _product(g_slices, sysS.g_exponents)
-            bound = max(fprod.order, gprod.order) + (f.product.total_degree() or 0) \
-                + (g.product.total_degree() or 0)
-            lhs = fprod.with_order(bound) * g.product.in_context(x_ctx).with_order(bound)
-            rhs = f.product.in_context(x_ctx).with_order(bound) * gprod.with_order(bound)
-            reproduces = (lhs - rhs).is_zero()
+            fprod = _product(f_slices, sysS.f_exponents).with_order(INFINITE_ORDER)
+            gprod = _product(g_slices, sysS.g_exponents).with_order(INFINITE_ORDER)
+            fp = f.product.in_context(x_ctx).with_order(INFINITE_ORDER)
+            gp = g.product.in_context(x_ctx).with_order(INFINITE_ORDER)
+            reproduces = (fprod * gp - fp * gprod).is_zero()
         slices.append(SliceReport(
             t_value=t0, division_exact=division_exact,
             isolated_singularity=isolated, reproduces_quotient=reproduces,
@@ -539,8 +537,8 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
 
 
 def _product(jets: Sequence[Jet], exps: Sequence[int]) -> Jet:
-    bound = sum(((j.total_degree() or 0) * e for j, e in zip(jets, exps))) + 2
-    acc = Jet.constant(jets[0].ctx, 1, bound)
+    """The exact product of exact polynomials, at their least order."""
+    acc = Jet.constant(jets[0].ctx, 1, INFINITE_ORDER)
     for j, e in zip(jets, exps):
-        acc = acc * j.with_order(bound) ** e
-    return acc
+        acc = acc * j.with_order(INFINITE_ORDER) ** e
+    return Jet.polynomial(acc.ctx, acc.graded_items(), min(j.order for j in jets))

@@ -342,8 +342,7 @@ def squarefree_decomposition(d: Jet) -> List[Tuple[Jet, int]]:
     # with d = prod p_k^k, chain[m] is prod p_k^(k - m) over k > m
     chain = [d]
     while not is_constant(chain[-1]):
-        nxt = jet_gcd_many([chain[-1], chain[-1].derivative(x1).with_order(d.order),
-                            chain[-1].derivative(x2).with_order(d.order)])
+        nxt = jet_gcd_many([chain[-1], chain[-1].derivative(x1), chain[-1].derivative(x2)])
         chain.append(_strip_constant(nxt))
     # sq[m] has the factors of multiplicity > m, each once
     sq = [_strip_constant(_divide(c, nxt)) for c, nxt in zip(chain, chain[1:])]

@@ -31,7 +31,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .jets import Jet, VarContext
+from .jets import INFINITE_ORDER, Jet, VarContext
 
 #: Determinant expansion cost grows quickly; keep the artifact at desk scale.
 MAX_DEGREE = 12
@@ -181,17 +181,12 @@ class GenDiscSequence:
         return self.entries[:l - 1] + (self.entries[l - 1] - rhs,)
 
 
-def _coeff_degree(P: PseudoPolynomial) -> int:
-    degs = [c.total_degree() for c in P.coeffs]
-    return max((d for d in degs if d is not None), default=0)
-
-
-def _exact_lift(P: PseudoPolynomial, bound: int) -> PseudoPolynomial:
-    """Raise the working order of an exact polynomial so that the following
-    determinant arithmetic cannot truncate; a no-op on inexact input."""
-    if not P.coeffs or not P.exact or bound <= P.order:
+def _exact_lift(P: PseudoPolynomial) -> PseudoPolynomial:
+    """An exact polynomial known to every order, so that the determinant
+    arithmetic that follows cannot truncate; a no-op on inexact input."""
+    if not P.coeffs or not P.exact:
         return P
-    return P.map_coeffs(lambda c: c.with_order(bound))
+    return P.map_coeffs(lambda c: c.with_order(INFINITE_ORDER))
 
 
 def _settle(entry: Jet, base_order: int) -> Jet:
@@ -205,13 +200,13 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     coefficients.
 
     Newton's identities in this direction need no division at all, so the
-    computation stays inside the jet ring.  Exact input is processed at a
-    raised order so the sums come out exact whatever their degree.
+    computation stays inside the jet ring.  Exact input is processed at
+    every order so the sums come out exact whatever their degree.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
     base_order = P.order
-    P = _exact_lift(P, _coeff_degree(P) * count + 2)
+    P = _exact_lift(P)
     p = P.degree
     # elementary symmetric functions: e_i = (-1)^i a_i
     elem = [None]
@@ -268,13 +263,13 @@ def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     of power sums, from one :func:`power_sums` call and one Berkowitz pass.
 
     ``d_j`` is the sum over all j-element root subsets of the squared
-    Vandermonde of the subset.  Exact coefficients are lifted to a
-    truncation-free order, so certified answers stay exact whatever their degree.
+    Vandermonde of the subset.  Exact coefficients are lifted to every
+    order, so certified answers stay exact whatever their degree.
     """
     if not (1 <= k <= P.degree):
         raise PreconditionError(f"k={k} out of range 1..{P.degree}")
     base_order = P.order
-    P = _exact_lift(P, _coeff_degree(P) * (2 * k - 1) * k + 2)
+    P = _exact_lift(P)
     sums = power_sums(P, 2 * k - 1)
     rows = [[sums[i + j] for j in range(k)] for i in range(k)]
     return [_settle(d, base_order) for d in berkowitz_minors(rows)]
@@ -324,12 +319,7 @@ def resultant_jets(A: Jet, B: Jet, var: str) -> Jet:
     ctx = A.ctx
     base_order = min(A.order, B.order)
     if A.exact and B.exact:
-        da0 = A.total_degree() or 0
-        db0 = B.total_degree() or 0
-        bound = (da0 + db0) * ((A.degree_in(var) or 0) + (B.degree_in(var) or 0)) + 2
-        if bound > base_order:
-            A = A.with_order(bound)
-            B = B.with_order(bound)
+        A, B = A.with_order(INFINITE_ORDER), B.with_order(INFINITE_ORDER)
     order = min(A.order, B.order)
     ca = A.coefficients_in(var)
     cb = B.coefficients_in(var)

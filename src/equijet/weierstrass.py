@@ -223,7 +223,6 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     q, r = weierstrass_divide(vp, f, var)
     if not q.is_unit():
         raise ConsistencyError("division quotient is not a unit; input was not regular")
-    unit = q.invert_unit()
     candidate = PseudoPolynomial.from_jet(vp - r, var)
     if any(c.constant_term() for c in candidate.coeffs):
         raise ConsistencyError("prepared polynomial is not distinguished")
@@ -235,8 +234,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     if f.exact:
         exact_q = exact_divide(f, lifted.as_jet())
         if exact_q is not None:
-            unit, candidate = exact_q.truncate(order), lifted
-    return PreparedForm(unit=unit, poly=candidate, order=order)
+            return PreparedForm(unit=exact_q.truncate(order), poly=lifted, order=order)
+    return PreparedForm(unit=q.invert_unit(), poly=candidate, order=order)
 
 
 def regularizing_change(f: Jet, var: str, block: Sequence[str],

@@ -51,6 +51,16 @@ def test_mero_analyze_report():
     assert rep["result"]["records"][0]["c"] == "1/4"
 
 
+def test_binomial_target_with_a_tail_beyond_the_order():
+    # y1^2 = y2^3 holds here only modulo the order: the exact product of the
+    # targets must still be truncated at it
+    code, out = machine_run([
+        "binomial", "x^3 + (-3)*x^5 + (9/2)*x^7 + (-4)*x^9 + (9/4)*x^11",
+        "x^2 + (-2)*x^4 + (2)*x^6 + (-1)*x^8 + (1/4)*x^10", "--vars", "x", "--order", "12"])
+    assert code == 0
+    assert json.loads(out)["result"]["verified"] is True
+
+
 def test_usage_error_is_exit_1():
     code, _ = run(["tower"])
     assert code == 1

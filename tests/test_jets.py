@@ -251,6 +251,28 @@ def test_with_order_raising_needs_exact():
         b.with_order(8)
 
 
+def test_infinite_order_only_on_exact_jets():
+    # "known to every order" is a statement about the whole series
+    lifted = jet({(1, 0): 1, (0, 2): 3}).with_order(INFINITE_ORDER)
+    assert lifted.exact and lifted.order == INFINITE_ORDER
+    assert (lifted * lifted).exact and (lifted * lifted).order == INFINITE_ORDER
+    with pytest.raises(ValueError):
+        Jet(X2, INFINITE_ORDER, {(1, 0): 1}, False)
+    # a product with a truncated operand is known to its order only
+    assert (lifted * x(order=5)).order == 5
+
+
+def test_invert_unit_of_a_lifted_unit():
+    # the inverse of a non-constant unit is a genuine series: it has no
+    # exact value known to every order, so the inversion raises
+    unit = (1 + x(order=6)).with_order(INFINITE_ORDER)
+    with pytest.raises(ValueError):
+        unit.invert_unit()
+    two = Jet.constant(X2, 2, order=3).with_order(INFINITE_ORDER)
+    inv = two.invert_unit()
+    assert inv.exact and inv.constant_term() == Fraction(1, 2)
+
+
 def test_text_roundtrip_style():
     a = jet({(0, 0): Fraction(-1, 2), (3, 0): 4, (1, 1): 1})
     assert str(a) == "-1/2 + x1*x2 + 4*x1^3"

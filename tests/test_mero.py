@@ -9,7 +9,7 @@ from equijet.errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from equijet.jets import Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.mero import (
     FactoredGerm,
     analyze,
@@ -137,6 +137,12 @@ def test_theta_square_over_line():
     th = theta(f, g)
     assert th.a == -x2().with_order(th.a.order)
     assert th.b == (2 * x1()).with_order(th.b.order)
+
+
+def test_factored_product_is_exact_at_a_finite_order():
+    f = FactoredGerm.build([(x2() - x1() ** 2, 2), (x1(), 1)])
+    assert f.product.exact and f.product.order < INFINITE_ORDER
+    assert f.product == (x2() - x1() ** 2) ** 2 * x1()
 
 
 def test_theta_product_against_double_line():

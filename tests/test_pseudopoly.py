@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
-from equijet.jets import Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.pseudopoly import (
     PseudoPolynomial,
     berkowitz_det,
@@ -181,6 +181,51 @@ def test_gendisc_entries_are_the_hankel_minors():
         gd = generalized_discriminants(P)
         for l in range(1, p + 1):
             assert gd.entries[l - 1] == hankel_minor(P, p - l + 1)
+
+
+def test_exact_results_do_not_depend_on_the_stated_order():
+    # exact monic inputs at the least order that holds them, whose power sums
+    # reach far above that order: every entry and resultant must come out
+    # exact, at a finite order, and equal to the value computed from the same
+    # input stated at a much higher order, once that value is settled
+    rng = random.Random(83)
+    ctx = VarContext.make(["x1", "x2", "y"])
+    y = Jet.variable(ctx, "y", 200)
+
+    def root():
+        c = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3)]
+        return Jet.polynomial(ctx, {(1, 0, 0): c[0], (0, 1, 0): c[1], (1, 1, 0): c[2]}, 200)
+
+    def at_least_order(f):
+        return Jet.polynomial(ctx, f.graded_items(), 1)
+
+    def settled(j, order):
+        return Jet.polynomial(j.ctx, j.graded_items(), order)
+
+    for case in range(8):
+        roots = [root() for _ in range(3)]
+        if case % 2:
+            roots[-1] = roots[0]
+        f = Jet.constant(ctx, 1, 200)
+        for r in roots:
+            f = f * (y - r)
+        low = PseudoPolynomial.from_jet(at_least_order(f), "y")
+        high = PseudoPolynomial.from_jet(f, "y")
+        assert low.exact and high.exact
+        assert max(s.total_degree() or 0 for s in power_sums(high, 2 * low.degree - 1)) \
+            >= low.order
+        got, want = generalized_discriminants(low), generalized_discriminants(high)
+        assert got.first_nonzero == want.first_nonzero and got.certified
+        for g, w in zip(got.entries, want.entries):
+            assert g.exact and g.order < INFINITE_ORDER
+            assert g == settled(w, low.order)
+        other = Jet.constant(ctx, 1, 200)
+        for r in (root(), root()):
+            other = other * (y - r)
+        a, b = at_least_order(f), at_least_order(other)
+        res = resultant_jets(a, b, "y")
+        assert res.exact and res.order < INFINITE_ORDER
+        assert res == settled(resultant_jets(f, other, "y"), min(a.order, b.order))
 
 
 def test_resultant_linear():
