@@ -275,6 +275,8 @@ class Jet:
         clean: Dict[Exponents, Scalar] = {}
         dropped = False
         width = len(ctx.names)
+        # nothing is dropped at INFINITE_ORDER: skip the degree comparison
+        finite = order != INFINITE_ORDER
         for key, val in terms.items():
             if len(key) != width:
                 raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
@@ -282,7 +284,7 @@ class Jet:
                 val = as_scalar(val)
             if not val:
                 continue
-            if sum(key) >= order:
+            if finite and sum(key) >= order:
                 dropped = True
                 continue
             clean[key] = val

@@ -208,34 +208,47 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     base_order = P.order
     P = _exact_lift(P)
     p = P.degree
-    # elementary symmetric functions: e_i = (-1)^i a_i
-    elem = [None]
-    for i, a in enumerate(P.coeffs, start=1):
-        elem.append(a if i % 2 == 0 else -a)
-    zero = Jet.zero(P.ctx, P.order, exact=P.exact if P.coeffs else True)
     sums: List[Jet] = [Jet.constant(P.ctx, p, P.order)]
     for k in range(1, count):
-        acc = Jet.zero(P.ctx, P.order)
-        for i in range(1, min(k, p) + 1):
-            term = elem[i] if k == i else elem[i] * sums[k - i]
-            if k == i:
-                term = term.scale(k)
-            acc = acc + term if i % 2 == 1 else acc - term
-        sums.append(acc if p else zero)
+        # s_k = -(a_1 s_{k-1} + ... + a_m s_{k-m}) - k a_k, the last only for k <= p
+        m = min(k - 1, p)
+        acc = _dot(P.coeffs[:m], sums[k - m:k][::-1], Jet.zero(P.ctx, P.order))
+        if k <= p:
+            acc = acc + P.coeffs[k - 1].scale(k)
+        sums.append(-acc)
     return [_settle(s, base_order) for s in sums]
+
+
+def _dot(xs: Sequence[Jet], ys: Sequence[Jet], acc: Jet) -> Jet:
+    """``acc + sum x*y`` over the pairs.  A pair of exact operands, one of
+    them zero, is skipped: its product is an exact zero of order no lower
+    than ``acc``'s (each caller starts ``acc`` at the least order in play),
+    so it would change no term, order or flag."""
+    for x, y in zip(xs, ys):
+        if x.exact and y.exact and (x.is_zero() or y.is_zero()):
+            continue
+        acc = acc + x * y
+    return acc
 
 
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     """Division-free determinants of the leading principal submatrices of a
     square matrix of jets, top-left 1-by-1 block first, each modulo the least
     order in the matrix, from one Berkowitz pass (it extends each block's
-    characteristic polynomial to the next)."""
+    characteristic polynomial to the next).
+
+    A product of two exact operands, one of them zero, is not formed
+    (:func:`_dot`); a zero known only modulo its order is still multiplied,
+    because it clears the exact flag.  Every power sum of an exact ``x^p``
+    but ``s_0`` is an exact zero, so its pass forms a few dozen of its
+    ~p^4/4 products."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
     ctx = rows[0][0].ctx
     order = min(e.order for r in rows for e in r)
     one = Jet.constant(ctx, 1, order)
+    zero = Jet.zero(ctx, order)
     # charpoly coefficient vector of the 1x1 leading principal submatrix
     vec: List[Jet] = [one, -rows[0][0].truncate(order)]
     minors = [-vec[-1]]
@@ -244,11 +257,9 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
         col0: List[Jet] = [one, -rows[r][r].truncate(order)]
         w = [rows[i][r] for i in range(r)]
         for _ in range(r):
-            col0.append(-sum((x * y for x, y in zip(rows[r][:r], w)), Jet.zero(ctx, order)))
-            w = [sum((rows[i][j] * w[j] for j in range(r)), Jet.zero(ctx, order))
-                 for i in range(r)]
-        vec = [sum((col0[i - j] * vec[j] for j in range(min(i, r) + 1)), Jet.zero(ctx, order))
-               for i in range(r + 2)]
+            col0.append(-_dot(rows[r][:r], w, zero))
+            w = [_dot(rows[i][:r], w, zero) for i in range(r)]
+        vec = [_dot(col0[i::-1], vec[:min(i, r) + 1], zero) for i in range(r + 2)]
         minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
     return minors
 

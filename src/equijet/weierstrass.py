@@ -16,7 +16,10 @@ general, only known modulo the order.  When the input is an exact polynomial
 the candidate distinguished factor, lifted to an exact polynomial, is
 checked by :func:`polygcd.exact_divide`; on success the factorization is
 certified exact, which is what later lets vanishing claims about
-discriminants stay sound.  In a one-variable context the distinguished
+discriminants stay sound.  Candidates of low orders are checked first:
+the Weierstrass polynomial is unique, so one certified at any order is the
+answer, and the costly division at the full order runs only when no
+cheaper candidate passes.  In a one-variable context the distinguished
 polynomial is exactly ``var^p`` whatever the input, because a series in one
 variable is a unit times a power of it.
 """
@@ -205,6 +208,17 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     input the candidate ``W`` is certified by :func:`polygcd.exact_divide`;
     on success ``W`` is exact, and so is the unit unless the quotient
     reaches the certification order.
+
+    Exact input is divided at the probe orders ``p+2, 2(p+2), 4(p+2), ...``
+    below the order, then at the order itself, and the first candidate that
+    certifies is returned.  An exact quotient ``f = q * W`` with ``W`` monic
+    and distinguished makes ``q`` a unit and ``W`` the unique Weierstrass
+    polynomial of ``f``, so the answer is the same whichever order found
+    it, and it is stated at the order of ``f``.  A probe whose quotient is
+    not a unit, or whose candidate is not distinguished or does not divide
+    ``f``, moves on to the next order; only the division at the order
+    itself can raise, or give the uncertified result.  Inexact input is
+    divided once, at its order.
     """
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
@@ -219,22 +233,33 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         unit = f
         poly = PseudoPolynomial(var, (), ctx=f.ctx, order=order)
         return PreparedForm(unit=unit, poly=poly, order=order)
-    vp = Jet.variable(f.ctx, var, order) ** p
-    q, r = weierstrass_divide(vp, f, var)
-    if not q.is_unit():
-        raise ConsistencyError("division quotient is not a unit; input was not regular")
-    candidate = PseudoPolynomial.from_jet(vp - r, var)
-    if any(c.constant_term() for c in candidate.coeffs):
-        raise ConsistencyError("prepared polynomial is not distinguished")
-    # the coefficients hold only terms below the order, so nothing is dropped
-    lifted = candidate.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
+    probes = []
+    if f.exact:
+        probe = p + 2
+        while probe < order:
+            probes.append(probe)
+            probe *= 2
+    probes.append(order)
+    for probe in probes:
+        # dividing at the probe order truncates f there
+        vp = Jet.variable(f.ctx, var, probe) ** p
+        q, r = weierstrass_divide(vp, f, var)
+        candidate = PseudoPolynomial.from_jet(vp - r, var)
+        if not q.is_unit() or not candidate.is_distinguished:
+            if probe < order:
+                continue
+            raise ConsistencyError("division quotient is not a unit; input was not regular"
+                                   if not q.is_unit() else
+                                   "prepared polynomial is not distinguished")
+        # the coefficients hold only terms below the order, so nothing is dropped
+        lifted = candidate.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
+        if f.exact:
+            exact_q = exact_divide(f, lifted.as_jet())
+            if exact_q is not None:
+                return PreparedForm(unit=exact_q.truncate(order), poly=lifted, order=order)
     if len(f.ctx.names) == 1:
         # a one-variable series is a unit times var^p
         candidate = lifted
-    if f.exact:
-        exact_q = exact_divide(f, lifted.as_jet())
-        if exact_q is not None:
-            return PreparedForm(unit=exact_q.truncate(order), poly=lifted, order=order)
     return PreparedForm(unit=q.invert_unit(), poly=candidate, order=order)
 
 

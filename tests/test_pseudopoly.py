@@ -12,6 +12,7 @@ from equijet.pseudopoly import (
     berkowitz_minors,
     generalized_discriminants,
     hankel_minor,
+    hankel_minors,
     power_sums,
     resultant,
     resultant_jets,
@@ -288,3 +289,72 @@ def test_variable_mismatch():
     Q = PseudoPolynomial.from_roots(YX, "x1", [1])
     with pytest.raises(ContextMismatchError):
         resultant(P, Q)
+
+
+def test_gendisc_of_an_exact_power_forms_only_its_nonzero_products(monkeypatch):
+    # every power sum of x1^12 but s_0 is an exact zero, so the Berkowitz
+    # pass and the power sums skip nearly all of their ~p^4/4 products
+    ctx = VarContext.make(["x1", "x2"])
+    P = PseudoPolynomial.from_jet(Jet.variable(ctx, "x1", 16) ** 12, "x1")
+    products = []
+    mul = Jet.__mul__
+
+    def counting(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    gd = generalized_discriminants(P)
+    assert len(products) <= 30
+    assert all(e.is_zero() and e.exact for e in gd.entries[:-1])
+    assert gd.entries[-1] == Jet.constant(ctx, 12, 16)
+    assert gd.first_nonzero == 12 and gd.certified
+
+
+def dense_berkowitz_minors(rows):
+    """Reference: the Berkowitz pass forming every product, zeros included."""
+    n = len(rows)
+    ctx = rows[0][0].ctx
+    order = min(e.order for r in rows for e in r)
+    one = Jet.constant(ctx, 1, order)
+    vec = [one, -rows[0][0].truncate(order)]
+    minors = [-vec[-1]]
+    for r in range(1, n):
+        col0 = [one, -rows[r][r].truncate(order)]
+        w = [rows[i][r] for i in range(r)]
+        for _ in range(r):
+            col0.append(-sum((x * y for x, y in zip(rows[r][:r], w)), Jet.zero(ctx, order)))
+            w = [sum((rows[i][j] * w[j] for j in range(r)), Jet.zero(ctx, order))
+                 for i in range(r)]
+        vec = [sum((col0[i - j] * vec[j] for j in range(min(i, r) + 1)), Jet.zero(ctx, order))
+               for i in range(r + 2)]
+        minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
+    return minors
+
+
+def test_berkowitz_minors_match_the_dense_pass_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ctx = VarContext.make(["x1", "x2"])
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            st.integers(-3, 3).map(Fraction), max_size=3)
+    # exact zeros, zeros known only modulo their order, truncated entries
+    # and exact entries, some of them known to every order
+    entry = st.one_of(
+        st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from((3, 6, INFINITE_ORDER))),
+        st.builds(lambda o: Jet.zero(ctx, o, exact=False), st.integers(3, 8)),
+        st.builds(lambda t, o: Jet(ctx, o, t, False), terms, st.integers(3, 8)),
+        st.builds(lambda t: Jet(ctx, INFINITE_ORDER, t, True), terms),
+    )
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 5))
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(rows):
+        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+
+    check()

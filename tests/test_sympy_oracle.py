@@ -13,7 +13,12 @@ from equijet.polygcd import (
     squarefree_decomposition,
     sturm_real_root_count,
 )
-from equijet.pseudopoly import PseudoPolynomial, generalized_discriminants, resultant_jets
+from equijet.pseudopoly import (
+    PseudoPolynomial,
+    generalized_discriminants,
+    hankel_minors,
+    resultant_jets,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -68,6 +73,50 @@ def test_gendisc_against_sympy(case):
     distinct = sympy.degree(sympy.sqf_part(f), Y)
     assert gd.first_nonzero == p - distinct + 1
     assert gd.certified
+
+
+def companion_hankel_minors(f, p):
+    """``d_1..d_p`` by sympy alone: the power sums are the traces of the
+    powers of the companion matrix of ``f``, and each ``d_k`` the
+    determinant of the k-by-k Hankel matrix of them."""
+    a = sympy.Poly(f, Y).all_coeffs()
+    C = sympy.zeros(p, p)
+    for i in range(p):
+        C[i, p - 1] = -a[p - i]
+        if i:
+            C[i, i - 1] = 1
+    s, power = [], sympy.eye(p)
+    for _ in range(2 * p - 1):
+        s.append(sympy.expand(power.trace()))
+        power = (power * C).applyfunc(sympy.expand)
+    return [sympy.expand(sympy.Matrix(k, k, lambda i, j: s[i + j]).det())
+            for k in range(1, p + 1)]
+
+
+def test_hankel_minors_of_sparse_inputs_against_sympy():
+    # y^a * (y^b + c*x1^k)^m: exact zeros among the coefficients and the
+    # power sums, and repeated roots when a > 1 or m > 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def sparse(draw):
+        b, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        a = draw(st.integers(0, 5 - b * m)) if b * m < 5 else 0
+        c, k = draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 4))
+        return a + b * m, sympy.expand(Y ** a * (Y ** b + c * X1 ** k) ** m)
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @hypothesis.given(sparse())
+    def check(case):
+        p, f = case
+        P = PseudoPolynomial.from_jet(to_jet(f), "y")
+        assert P.exact and P.degree == p
+        got = hankel_minors(P, p)
+        assert all(d.exact for d in got)
+        assert got == [to_jet(d) for d in companion_hankel_minors(f, p)]
+
+    check()
 
 
 # pairs of the cases above of total degree at most 6 in y

@@ -7,7 +7,9 @@ from equijet.errors import (
     NotRegularError,
     PreconditionError,
 )
+from equijet import weierstrass
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
+from equijet.pseudopoly import PseudoPolynomial
 from equijet.weierstrass import (
     LinearChange,
     find_regular_change,
@@ -309,3 +311,134 @@ def test_prepare_exact_flag_property():
             assert holds_modulo_order(pf, f)
 
     check()
+
+
+def test_prepare_certifies_a_polynomial_w_below_the_order(monkeypatch):
+    orders = []
+    divide = weierstrass.weierstrass_divide
+
+    def recording(g, f, var):
+        orders.append(min(g.order, f.order))
+        return divide(g, f, var)
+
+    monkeypatch.setattr(weierstrass, "weierstrass_divide", recording)
+    order = 24
+    f = (x2(order) - x1(order) ** 2) * (1 + x1(order) + x2(order))
+    pf = weierstrass_prepare(f, "x2")
+    assert pf.exact and pf.order == order
+    assert pf.poly.coeffs == (Jet.polynomial(X2, {(2, 0): -1}, order),)
+    assert pf.unit == 1 + x1(order) + x2(order)
+    assert orders and max(orders) < order
+
+
+def test_prepare_of_a_genuine_series_keeps_the_documented_report():
+    # README, "Truncation contract": -x1 modulo 10, uncertified
+    f = x2(10) ** 2 - x1(10) + x2(10) ** 9
+    pf = weierstrass_prepare(f, "x2")
+    assert not pf.exact and not pf.poly.exact
+    assert pf.poly.coeffs[1] == Jet(X2, 10, {(1, 0): -1}, False)
+
+
+def to_sympy(j, gens):
+    sympy = pytest.importorskip("sympy")
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(g ** e for g, e in zip(gens, k)))
+                for k, c in j.graded_items()), sympy.Integer(0))
+
+
+def test_prepare_returns_the_factors_of_an_exact_product_property():
+    # f = u*W with W distinguished and u a polynomial unit: the preparation is
+    # exactly (u, W), whatever probe order certified it
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    @st.composite
+    def products(draw):
+        n = draw(st.integers(2, 3))
+        ctx = VarContext.make([f"x{i}" for i in range(1, n + 1)])
+        p = draw(st.integers(1, 4))
+        w = {(0,) * (n - 1) + (p,): Fraction(1)}
+        for j in range(1, p + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                # a_j of order at least j: the division then loses no term of
+                # W at any order (README, "Truncation contract")
+                base = [draw(st.integers(0, 2)) for _ in range(n - 1)]
+                for _ in range(j):
+                    base[draw(st.integers(0, n - 2))] += 1
+                w[tuple(base) + (p - j,)] = Fraction(draw(st.integers(-3, 3)))
+        u = {(0,) * n: Fraction(draw(st.sampled_from((-2, -1, 1, 3))))}
+        for _ in range(draw(st.integers(0, 3))):
+            key = tuple(draw(st.integers(0, 2)) for _ in range(n))
+            if any(key):
+                u[key] = Fraction(draw(st.integers(-3, 3)))
+        order = draw(st.integers(p + 1, 24))
+        return ctx, w, u, order
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(products())
+    def check(case):
+        ctx, w, u, order = case
+        var = ctx.names[-1]
+        W = Jet.polynomial(ctx, w, INFINITE_ORDER)
+        U = Jet.polynomial(ctx, u, INFINITE_ORDER)
+        f = Jet.polynomial(ctx, (U * W).graded_items(), order)
+        pf = weierstrass_prepare(f, var)
+        assert pf.exact and pf.order == f.order
+        assert pf.poly == PseudoPolynomial.from_jet(W, var).map_coeffs(
+            lambda c: Jet.polynomial(ctx, c.graded_items(), f.order))
+        assert pf.unit == Jet.polynomial(ctx, u, f.order)
+        gens = sympy.symbols(ctx.names)
+        quotient, remainder = sympy.div(to_sympy(f, gens), to_sympy(pf.poly.as_jet(), gens),
+                                        *gens)
+        assert remainder == 0
+        assert sympy.expand(quotient - to_sympy(pf.unit, gens)) == 0
+
+    check()
+
+
+def full_order_preparation(f, var, p):
+    """Reference: the uncertified preparation at the order of ``f``."""
+    vp = Jet.variable(f.ctx, var, f.order) ** p
+    q, r = weierstrass_divide(vp, f, var)
+    return q.invert_unit(), PseudoPolynomial.from_jet(vp - r, var)
+
+
+def test_prepare_of_a_genuine_series_is_the_full_order_division_property():
+    # W is a genuine series when a high power of var sits in the tail: every
+    # probe fails, and the answer is the one division at the order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    genuine = []
+
+    @st.composite
+    def germs(draw):
+        n = draw(st.integers(2, 3))
+        ctx = VarContext.make([f"x{i}" for i in range(1, n + 1)])
+        order = draw(st.integers(8, 14))
+        p = draw(st.integers(1, 3))
+        f = {(0,) * (n - 1) + (p,): Fraction(1),
+             (0,) * (n - 1) + (draw(st.integers(p + 1, order - 1)),): Fraction(
+                 draw(st.sampled_from((-2, -1, 1, 2))))}
+        for _ in range(draw(st.integers(1, 3))):
+            base = [draw(st.integers(0, 2)) for _ in range(n - 1)]
+            base[draw(st.integers(0, n - 2))] += 1
+            f[tuple(base) + (draw(st.integers(0, p)),)] = Fraction(draw(st.integers(-3, 3)))
+        return p, Jet.polynomial(ctx, f, order)
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(germs())
+    def check(case):
+        p, f = case
+        var = f.ctx.names[-1]
+        pf = weierstrass_prepare(f, var)
+        if pf.exact:
+            assert holds_identically(pf, f)
+            return
+        genuine.append(f)
+        unit, poly = full_order_preparation(f, var, p)
+        assert pf.unit == unit
+        assert pf.poly == poly and pf.order == f.order
+
+    check()
+    assert len(genuine) >= 20
