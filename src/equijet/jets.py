@@ -24,18 +24,22 @@ Conventions:
 Products of rational jets with at least ``_KRONECKER_MIN_PAIRS`` term pairs
 are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
 exact times exact in a box of the exponents, anything truncated in a box
-graded by total degree that reads only the degrees below the order.
-Coefficients in an algebraic extension, smaller products and operands too
-sparse to pack (``x1^3000 + x2``) take the schoolbook loop.
+graded by total degree that reads only the degrees below the order.  The
+same kernel sums a dot product ``acc + x_1*y_1 + ...`` (:meth:`Jet.dot`,
+the inner step of the Berkowitz pass and of Newton's identities) in one
+pass: one box and one digit width for all pairs, the packed products added
+as integers and unpacked once.  Coefficients in an algebraic extension,
+fewer term pairs and operands too sparse to pack (``x1^3000 + x2``) take
+the schoolbook loop, one product at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -159,52 +163,66 @@ def _pack(slots: List[int], values: List[int], extent: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar], n: int,
-               limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
-    """The product of two term dicts in ``n`` variables as one big-integer
-    multiply (Kronecker substitution), or None when the schoolbook loop
-    should run: a coefficient is not a ``Fraction``, there are fewer than
-    ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed operands are too
-    sparse (``_KRONECKER_SLOTS_PER_PAIR``).
+def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponents, Scalar]]],
+               n: int, limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
+    """``sum a*b`` over the pairs of term dicts in ``n`` variables as one
+    big-integer multiply-accumulate (Kronecker substitution), or None when
+    the schoolbook loop should run: a coefficient is not a ``Fraction``,
+    there are fewer than ``_KRONECKER_MIN_PAIRS`` term pairs in all, or the
+    packed operands are too sparse (``_KRONECKER_SLOTS_PER_PAIR``, summed
+    over the pairs).  A product is the sum of one pair.
 
-    Every monomial is a slot of a mixed-radix box.  With ``limit`` None the
-    digits are the exponents of the variables that occur and the whole
-    product is read.  With a ``limit`` the box is graded: the total degree
-    is the outermost digit, then every occurring variable but the last;
-    operand terms of degree ``>= limit`` are dropped, and only the slots of
-    degree below ``limit`` are read.  Digits count from each operand's
-    lowest value and have room for the sum of the two spans, so a pair's
-    slot is the sum of its operands' slots; a graded pair of degree
-    ``>= limit`` has an outermost digit past the box and lands in a slot
-    that is never read.  Each operand is scaled to integers by the lcm of
-    its denominators and packed as signed digits wide enough for
-    ``min(len a, len b) * max|a| * max|b|``; the product is read back by
-    adding half the digit range to every digit.
+    Every monomial is a slot of one mixed-radix box shared by all pairs.
+    With ``limit`` None the digits are the exponents of the variables that
+    occur and the whole sum is read.  With a ``limit`` the box is graded:
+    the total degree is the outermost digit, then every occurring variable
+    but the last; operand terms of degree ``>= limit`` are dropped, and only
+    the slots of degree below ``limit`` are read.  Digits count from the
+    lowest value over all left operands and over all right operands and have
+    room for the greatest digit of any one pair's product (for one pair, the
+    sum of the two spans), so a pair's slot is the sum of its operands'
+    slots; a graded pair of degree ``>= limit`` has an outermost digit past
+    the box and lands in a slot that is never read.  Each operand
+    is scaled to integers by the lcm of its denominators; each pair's
+    left operand is further scaled by ``L / (den_a*den_b)``, ``L`` the lcm of
+    the pairs' denominators, so that the packed products share the
+    denominator ``L``.  The digits are signed and wide enough for the sum
+    over the pairs of ``min(len a, len b) * max|a| * max|b|``; the packed
+    products are summed as they are formed and read back once by adding half
+    the digit range to every digit.
     """
-    if len(ta) * len(tb) < _KRONECKER_MIN_PAIRS:
+    if sum(len(ta) * len(tb) for ta, tb in pairs) < _KRONECKER_MIN_PAIRS:
         return None
     if limit is not None:
-        ta = {k: v for k, v in ta.items() if sum(k) < limit}
-        tb = {k: v for k, v in tb.items() if sum(k) < limit}
-    pairs = len(ta) * len(tb)
-    if pairs < _KRONECKER_MIN_PAIRS:
+        pairs = [({k: v for k, v in ta.items() if sum(k) < limit},
+                  {k: v for k, v in tb.items() if sum(k) < limit}) for ta, tb in pairs]
+    pairs = [(ta, tb) for ta, tb in pairs if ta and tb]
+    count = sum(len(ta) * len(tb) for ta, tb in pairs)
+    if count < _KRONECKER_MIN_PAIRS:
         return None
-    if not all(isinstance(v, Fraction) for t in (ta, tb) for v in t.values()):
+    if not all(isinstance(v, Fraction) for pair in pairs for t in pair for v in t.values()):
         return None
-    active = [i for i in range(n) if any(k[i] for t in (ta, tb) for k in t)]
+    cols_a = [list(zip(*ta)) for ta, _ in pairs]
+    cols_b = [list(zip(*tb)) for _, tb in pairs]
+    active = [i for i in range(n) if any(any(cols[i]) for cols in cols_a + cols_b)]
     inner = active if limit is None else active[:-1]
 
-    # lists, not tuples, here and below: tuples of many lengths would fill
-    # the interpreter's per-length tuple free lists, which it keeps
-    def coords(k):
-        return ([] if limit is None else [sum(k)]) + [k[i] for i in inner]
+    def ranges(t, cols):
+        """The least and the greatest value of each digit over the terms:
+        the total degree when graded, then the inner variables."""
+        digit_cols = [cols[i] for i in inner]
+        if limit is not None:
+            digit_cols.insert(0, list(map(sum, t)))
+        return list(map(min, digit_cols)), list(map(max, digit_cols))
 
-    ca, cb = [coords(k) for k in ta], [coords(k) for k in tb]
-    digits = range(len(ca[0]))
-    lo_a = [min(c[j] for c in ca) for j in digits]
-    lo_b = [min(c[j] for c in cb) for j in digits]
-    bases = [max(c[j] for c in ca) - lo_a[j] + max(c[j] for c in cb) - lo_b[j] + 1
-             for j in digits]
+    ranges_a = [ranges(ta, cols) for (ta, _), cols in zip(pairs, cols_a)]
+    ranges_b = [ranges(tb, cols) for (_, tb), cols in zip(pairs, cols_b)]
+    lo_a = [min(lows) for lows in zip(*(lo for lo, _ in ranges_a))]
+    lo_b = [min(lows) for lows in zip(*(lo for lo, _ in ranges_b))]
+    # room for the greatest digit of any one pair's product
+    tops = [max(highs) for highs in zip(*([x + y for x, y in zip(hi_a, hi_b)]
+                                          for (_, hi_a), (_, hi_b) in zip(ranges_a, ranges_b)))]
+    bases = [top - low_a - low_b + 1 for top, low_a, low_b in zip(tops, lo_a, lo_b)]
     if limit is not None:
         # a pair below the limit has every digit below these caps
         bases[0] = min(bases[0], limit - lo_a[0] - lo_b[0])
@@ -215,24 +233,52 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar], n
     strides = [1] * len(bases)
     for j in range(len(bases) - 2, -1, -1):
         strides[j] = strides[j + 1] * bases[j + 1]
-    slots_a = [sum((c - low) * s for c, low, s in zip(cs, lo_a, strides)) for cs in ca]
-    slots_b = [sum((c - low) * s for c, low, s in zip(cs, lo_b, strides)) for cs in cb]
-    extent_a, extent_b = max(slots_a) + 1, max(slots_b) + 1
-    if extent_a * extent_b > _KRONECKER_SLOTS_PER_PAIR * pairs:
-        return None
-    window = min(strides[0] * bases[0], extent_a + extent_b - 1)
+    # a slot is linear in the exponents: each variable weighs the stride of
+    # its own digit plus, when graded, that of the total degree
+    weights = [0] * n
+    for i, s in zip(inner, strides[len(strides) - len(inner):]):
+        weights[i] = s
+    if limit is not None:
+        for i in active:
+            weights[i] += strides[0]
 
-    den_a = functools.reduce(math.lcm, (v.denominator for v in ta.values()))
-    den_b = functools.reduce(math.lcm, (v.denominator for v in tb.values()))
-    na = [v.numerator * (den_a // v.denominator) for v in ta.values()]
-    nb = [v.numerator * (den_b // v.denominator) for v in tb.values()]
-    bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
+    def slots(t, lo):
+        base = sum(map(operator.mul, lo, strides))
+        return [sum(map(operator.mul, k, weights)) - base for k in t]
+
+    slots_a = [slots(ta, lo_a) for ta, _ in pairs]
+    slots_b = [slots(tb, lo_b) for _, tb in pairs]
+    extents = [(max(sa) + 1, max(sb) + 1) for sa, sb in zip(slots_a, slots_b)]
+    if sum(ea * eb for ea, eb in extents) > _KRONECKER_SLOTS_PER_PAIR * count:
+        return None
+    window = min(math.prod(bases), max(ea + eb - 1 for ea, eb in extents))
+
+    def integers(t):
+        """The lcm of the denominators and the values scaled by it."""
+        nums = [v.numerator for v in t.values()]
+        dens = [v.denominator for v in t.values()]
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = [a * (den // d) for a, d in zip(nums, dens)]
+        return den, nums
+
+    scaled = [integers(ta) + integers(tb) for ta, tb in pairs]
+    den = math.lcm(*(da * db for da, _, db, _ in scaled))
+    numerators, bound = [], 0
+    for da, na, db, nb in scaled:
+        m = den // (da * db)
+        if m != 1:
+            na = [a * m for a in na]
+        bound += min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
+        numerators.append((na, nb))
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
     size = window * width
+    packed = 0
+    for (na, nb), sa, sb, (ea, eb) in zip(numerators, slots_a, slots_b, extents):
+        packed += _pack(sa, na, ea, width) * _pack(sb, nb, eb, width)
     # the offset makes every digit of the window nonnegative; xor-ing it off
     # again leaves each digit in two's complement, and zero digits as zero bytes
     offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * window, "little")
-    packed = _pack(slots_a, na, extent_a, width) * _pack(slots_b, nb, extent_b, width)
     data = (((packed + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
     # one byte per slot, 1 where the slot's digit is nonzero
     nonzero = 0
@@ -240,7 +286,6 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar], n
         nonzero |= int.from_bytes(data[j::width], "little")
     flags = nonzero.to_bytes(window, "little").translate(_NONZERO_TO_ONE)
 
-    den = den_a * den_b
     lo = [a + b for a, b in zip(lo_a, lo_b)]
     prod: Dict[Exponents, Scalar] = {}
     slot = flags.find(1)
@@ -253,7 +298,8 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar], n
             exps.append(digit + low)
         key = [0] * n
         if limit is not None:
-            key[active[-1]] = exps[0] - sum(exps[1:])
+            if active:
+                key[active[-1]] = exps[0] - sum(exps[1:])
             exps = exps[1:]
         for i, e in zip(inner, exps):
             key[i] = e
@@ -422,12 +468,53 @@ class Jet:
         full = self.exact and other.exact
         limit = None if full else order
         width = len(self.ctx.names)
-        prod = _kronecker(self.terms, other.terms, width, limit)
+        prod = _kronecker([(self.terms, other.terms)], width, limit)
         if prod is None:
             prod = _schoolbook(self.terms, other.terms, limit)
         return Jet(self.ctx, order, prod, full)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs: Sequence["Jet"], ys: Sequence["Jet"], acc: "Jet") -> "Jet":
+        """``acc + x_1*y_1 + x_2*y_2 + ...``: the jet that the loop
+        ``acc = acc + x*y`` over the pairs gives, terms, order and flag.
+
+        A pair of exact operands, one of them zero, is skipped: its product
+        is an exact zero, which changes no term or flag, and the caller
+        starts ``acc`` at an order no higher than the skipped operands', so
+        it changes no order either.  When every formed operand and ``acc``
+        are exact at ``INFINITE_ORDER`` the sum is exact there; when one of
+        them is not exact the sum is not, and is known modulo the least
+        order, below which each product is read (truncation commutes with
+        the sum).  Both sums are one Kronecker multiply-accumulate
+        (:func:`_kronecker`).  Exact operands at a finite order, where each
+        product's own truncation decides the flag, and the operands that
+        :func:`_kronecker` declines keep the loop.
+        """
+        formed, count = [], 0
+        for x, y in zip(xs, ys):
+            if x.exact and y.exact and (not x.terms or not y.terms):
+                continue
+            formed.append((x, y))
+            count += len(x.terms) * len(y.terms)
+        if count >= _KRONECKER_MIN_PAIRS:
+            operands = [acc] + [j for pair in formed for j in pair]
+            if any(j.ctx != acc.ctx for j in operands):
+                raise ContextMismatchError("dot product operands in different contexts")
+            order = min(j.order for j in operands)
+            exact = all(j.exact for j in operands)
+            if order == INFINITE_ORDER or not exact:
+                terms = _kronecker([(x.terms, y.terms) for x, y in formed], len(acc.ctx.names),
+                                   None if exact else order)
+                if terms is not None:
+                    for key, val in acc.terms.items():
+                        cur = terms.get(key)
+                        terms[key] = val if cur is None else cur + val
+                    return Jet(acc.ctx, order, terms, exact)
+        for x, y in formed:
+            acc = acc + x * y
+        return acc
 
     def scale(self, s) -> "Jet":
         s = as_scalar(s)

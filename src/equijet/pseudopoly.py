@@ -200,8 +200,11 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     coefficients.
 
     Newton's identities in this direction need no division at all, so the
-    computation stays inside the jet ring.  Exact input is processed at
-    every order so the sums come out exact whatever their degree.
+    computation stays inside the jet ring.  Each ``s_k`` is one dot product
+    of coefficients and earlier sums (:meth:`Jet.dot`, one Kronecker pass
+    when the operands are rational and large enough).  Exact input is
+    processed at every order so the sums come out exact whatever their
+    degree.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
@@ -212,23 +215,11 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     for k in range(1, count):
         # s_k = -(a_1 s_{k-1} + ... + a_m s_{k-m}) - k a_k, the last only for k <= p
         m = min(k - 1, p)
-        acc = _dot(P.coeffs[:m], sums[k - m:k][::-1], Jet.zero(P.ctx, P.order))
+        acc = Jet.dot(P.coeffs[:m], sums[k - m:k][::-1], Jet.zero(P.ctx, P.order))
         if k <= p:
             acc = acc + P.coeffs[k - 1].scale(k)
         sums.append(-acc)
     return [_settle(s, base_order) for s in sums]
-
-
-def _dot(xs: Sequence[Jet], ys: Sequence[Jet], acc: Jet) -> Jet:
-    """``acc + sum x*y`` over the pairs.  A pair of exact operands, one of
-    them zero, is skipped: its product is an exact zero of order no lower
-    than ``acc``'s (each caller starts ``acc`` at the least order in play),
-    so it would change no term, order or flag."""
-    for x, y in zip(xs, ys):
-        if x.exact and y.exact and (x.is_zero() or y.is_zero()):
-            continue
-        acc = acc + x * y
-    return acc
 
 
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
@@ -237,11 +228,13 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     order in the matrix, from one Berkowitz pass (it extends each block's
     characteristic polynomial to the next).
 
-    A product of two exact operands, one of them zero, is not formed
-    (:func:`_dot`); a zero known only modulo its order is still multiplied,
-    because it clears the exact flag.  Every power sum of an exact ``x^p``
-    but ``s_0`` is an exact zero, so its pass forms a few dozen of its
-    ~p^4/4 products."""
+    Every step is a dot product ``sum x*y`` (:meth:`Jet.dot`): on rational
+    operands known to every order, or with a truncated one, the whole sum
+    is one Kronecker multiply-accumulate.  A product of two exact operands,
+    one of them zero, is not formed; a zero known only modulo its order is
+    still multiplied, because it clears the exact flag.  Every power sum of
+    an exact ``x^p`` but ``s_0`` is an exact zero, so its pass forms a few
+    dozen of its ~p^4/4 products."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
@@ -257,9 +250,9 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
         col0: List[Jet] = [one, -rows[r][r].truncate(order)]
         w = [rows[i][r] for i in range(r)]
         for _ in range(r):
-            col0.append(-_dot(rows[r][:r], w, zero))
-            w = [_dot(rows[i][:r], w, zero) for i in range(r)]
-        vec = [_dot(col0[i::-1], vec[:min(i, r) + 1], zero) for i in range(r + 2)]
+            col0.append(-Jet.dot(rows[r][:r], w, zero))
+            w = [Jet.dot(rows[i][:r], w, zero) for i in range(r)]
+        vec = [Jet.dot(col0[i::-1], vec[:min(i, r) + 1], zero) for i in range(r + 2)]
         minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
     return minors
 

@@ -405,12 +405,13 @@ def ref_product(a, b):
 
 
 def count_kronecker(monkeypatch):
-    """Count the products that the Kronecker kernel takes, not declines."""
+    """Count the calls that the Kronecker kernel takes, not declines: one
+    per product, and one per dot product that it sums in one pass."""
     taken = []
     kernel = jets_module._kronecker
 
-    def spy(*args):
-        out = kernel(*args)
+    def spy(pairs, n, limit):
+        out = kernel(pairs, n, limit)
         taken.append(out is not None)
         return out
 
@@ -529,6 +530,229 @@ def test_sparse_operands_take_the_schoolbook_loop(monkeypatch):
         assert peak < 1 << 20
         assert prod == ref_product(x, y)
     assert taken == [False, False]
+
+
+def test_kronecker_summed_digits_at_their_bound(monkeypatch):
+    """130 pairs whose middle slots all reach ``32 * 45^2 = 64,800`` with one
+    sign sum to 8,424,000, past the 2^23 that the 3-byte digits of a single
+    pair hold: only a width for the whole sum reads them back."""
+    taken = count_kronecker(monkeypatch)
+    ctx = VarContext.make(["x1"])
+    a = Jet(ctx, INFINITE_ORDER, {(i,): 45 for i in range(32)}, True)
+    acc = Jet.zero(ctx, INFINITE_ORDER)
+    for sign in (1, -1):
+        b = a.scale(sign)
+        out, calls = dot_and_calls(taken, [a] * 130, [b] * 130, acc)
+        assert out == loop_dot([a] * 130, [b] * 130, acc)
+        assert out.coefficient((31,)) == sign * 130 * 32 * 45 ** 2
+        assert calls == [True]
+
+
+def test_kronecker_summed_digits_over_unequal_denominators(monkeypatch):
+    """Left operands over 2, 3 and 7: the packed products share the
+    denominator 42 through the multipliers 21, 14 and 6, and four rounds of
+    them sum to ``64,800 * 41 * 4`` at the middle slot, past 2^23."""
+    taken = count_kronecker(monkeypatch)
+    ctx = VarContext.make(["x1"])
+    a = Jet(ctx, INFINITE_ORDER, {(i,): 45 for i in range(32)}, True)
+    xs = [a.scale(Fraction(1, d)) for d in (2, 3, 7)] * 4
+    acc = Jet.zero(ctx, INFINITE_ORDER)
+    for sign in (1, -1):
+        b = a.scale(sign)
+        out, calls = dot_and_calls(taken, xs, [b] * 12, acc)
+        assert out == loop_dot(xs, [b] * 12, acc)
+        assert out.coefficient((31,)) == sign * 32 * 45 ** 2 * Fraction(41 * 4, 42)
+        assert calls == [True]
+
+
+def test_kronecker_sum_box_fits_the_largest_pair_product(monkeypatch):
+    """Pairs whose spans run opposite ways, as in the Toeplitz steps of the
+    Berkowitz pass, and one balanced pair: the box has room for the largest
+    single product, 13 in each digit, not for the 21 that the largest left
+    and right spans would ask (11 + 9 + 1), and operand digits reach 11."""
+    taken = count_kronecker(monkeypatch)
+    spans = [(11, 0), (8, 3), (2, 9), (6, 6)]
+    for limit in (INFINITE_ORDER, 20):
+        exact = limit == INFINITE_ORDER
+        xs = [Jet(X2, limit, {(i, j): i + 2 * j - 5 for i in range(p + 1) for j in range(q + 1)},
+                  exact) for p, q in spans]
+        ys = [Jet(X2, limit, {(i, j): 3 * i - j + 1 for i in range(q + 1) for j in range(p + 1)},
+                  exact) for p, q in spans]
+        acc = Jet.zero(X2, limit)
+        out, calls = dot_and_calls(taken, xs, ys, acc)
+        assert out == loop_dot(xs, ys, acc)
+        assert calls == [True]
+
+
+# -- the dot product entry -------------------------------------------------------
+
+
+def loop_dot(xs, ys, acc):
+    """Reference: ``acc + x*y`` one pair at a time, every pair formed."""
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def dot_and_calls(taken, xs, ys, acc):
+    """``Jet.dot(xs, ys, acc)`` and the kernel calls that it made, each
+    taken (True) or declined (False), as ``count_kronecker`` records them."""
+    taken.clear()
+    out = Jet.dot(xs, ys, acc)
+    return out, list(taken)
+
+
+def test_dot_of_exact_operands_known_to_every_order_is_one_exact_pass(monkeypatch):
+    taken = count_kronecker(monkeypatch)
+    ctx = VarContext.make(["x1", "x2", "y"])
+    xs = [Jet(ctx, INFINITE_ORDER, {(i, j, 0): i - 2 * j + 1 for i in range(4) for j in range(3)},
+              True),
+          Jet(ctx, INFINITE_ORDER, {(i, 0, k): Fraction(i + 1, k + 2) for i in range(3)
+                                    for k in range(3)}, True)]
+    ys = [Jet(ctx, INFINITE_ORDER, {(0, j, k): 2 ** 70 - j for j in range(3) for k in range(2)},
+              True),
+          Jet(ctx, INFINITE_ORDER, {(i, j, 1): Fraction(-3, 5) for i in range(2) for j in range(3)},
+              True)]
+    acc = Jet(ctx, INFINITE_ORDER, {(0, 0, 0): 7, (1, 1, 1): Fraction(1, 3)}, True)
+    out, calls = dot_and_calls(taken, xs, ys, acc)
+    assert out.exact and out.order == INFINITE_ORDER
+    assert out == loop_dot(xs, ys, acc)
+    assert calls == [True]
+
+
+def test_dot_of_exact_and_truncated_operands_is_not_exact(monkeypatch):
+    """One truncated operand makes the sum truncated, at the least order of
+    ``acc`` and the formed operands; an exact zero beside an exact operand
+    is skipped even at a lower order, as its caller guarantees."""
+    taken = count_kronecker(monkeypatch)
+    exact = Jet(X2, INFINITE_ORDER, {(i, j): i * j - 3 for i in range(7) for j in range(7)}, True)
+    finite = Jet.polynomial(X2, {(i, 1): i + 1 for i in range(5)}, 9)
+    truncated = Jet(X2, 8, {(i, j): Fraction(i + 1, j + 1) for i in range(8) for j in range(8 - i)},
+                    False)
+    xs, ys = [exact, finite, exact], [truncated, exact, finite]
+    acc = Jet.zero(X2, 10)
+    out, calls = dot_and_calls(taken, xs + [Jet.zero(X2, 3)], ys + [exact], acc)
+    assert not out.exact and out.order == 8
+    assert out == loop_dot(xs, ys, acc)
+    assert calls == [True]
+
+
+def test_dot_of_exact_operands_at_a_finite_order_keeps_the_loop(monkeypatch):
+    """Each product truncates at its own order and decides the flag: the
+    first pair drops a term, the second does not."""
+    taken = count_kronecker(monkeypatch)
+    a = Jet.polynomial(X2, {(i, j): i + j + 1 for i in range(4) for j in range(4)}, 7)
+    b = Jet.polynomial(X2, {(i, j): 2 - i for i in range(3) for j in range(3)}, 12)
+    acc = Jet.zero(X2, 7)
+    out, calls = dot_and_calls(taken, [a, b], [a, b], acc)
+    assert out == loop_dot([a, b], [a, b], acc) and not out.exact
+    assert (a * a).exact != (b * b).exact
+    # the products of the loop, one kernel call each
+    assert calls == [True, True]
+
+
+def test_dot_with_field_element_coefficients_keeps_the_loop(monkeypatch):
+    taken = count_kronecker(monkeypatch)
+    alpha = NumberField([-2, 0, 1]).generator()
+    a = Jet(X2, 12, {(i, j): alpha + i - j for i in range(4) for j in range(3)}, False)
+    b = Jet(X2, INFINITE_ORDER, {(i, j): Fraction(i + 1, j + 1) for i in range(3) for j in range(4)},
+            True)
+    acc = Jet.zero(X2, 12)
+    out, calls = dot_and_calls(taken, [a, b], [b, b], acc)
+    assert out == loop_dot([a, b], [b, b], acc)
+    # declined as one sum, then a*b declined and b*b taken in the loop
+    assert calls == [False, False, True]
+
+
+def test_dot_of_sparse_operands_keeps_the_loop(monkeypatch):
+    taken = count_kronecker(monkeypatch)
+    x1, x2 = (Jet.variable(X2, v, INFINITE_ORDER) for v in ("x1", "x2"))
+    a = x1 ** 3000 + x2
+    b = x2 ** 3000 + x1
+    dense = sum((x1 ** i * x2 ** j for i in range(6) for j in range(6)), Jet.zero(X2, INFINITE_ORDER))
+    acc = Jet.zero(X2, INFINITE_ORDER)
+    start = time.perf_counter()
+    out, calls = dot_and_calls(taken, [a, dense], [b, dense], acc)
+    assert time.perf_counter() - start < 0.5
+    assert out == loop_dot([a, dense], [b, dense], acc)
+    assert calls == [False, False, True]
+
+
+def test_dot_of_few_term_pairs_keeps_the_loop(monkeypatch):
+    taken = count_kronecker(monkeypatch)
+    a = Jet(X2, INFINITE_ORDER, {(0, 0): 1, (1, 0): 2, (0, 1): 3}, True)
+    b = Jet(X2, 6, {(2, 0): 1, (1, 1): Fraction(-1, 2), (0, 3): 5}, False)
+    acc = Jet(X2, 5, {(4, 0): 1}, True)
+    out, calls = dot_and_calls(taken, [a, b, a], [b, a, a], acc)
+    assert out == loop_dot([a, b, a], [b, a, a], acc)
+    assert not out.exact and out.order == 5
+    # 27 term pairs: no sum is tried, and each product of the loop declines
+    assert calls == [False] * 3
+
+
+def test_dot_of_constants_in_one_slot(monkeypatch):
+    """40 pairs of constants: no variable occurs, so the box is one slot."""
+    taken = count_kronecker(monkeypatch)
+    ones = [Jet.constant(X2, Fraction(i, 3), INFINITE_ORDER) for i in range(1, 41)]
+    for acc in (Jet.zero(X2, INFINITE_ORDER), Jet.zero(X2, 4, exact=False)):
+        out, calls = dot_and_calls(taken, ones, ones, acc)
+        assert out == loop_dot(ones, ones, acc)
+        assert out.constant_term() == Fraction(sum(i * i for i in range(1, 41)), 9)
+        assert calls == [True]
+
+
+def test_dot_skips_exact_zeros_only():
+    """An exact zero beside an exact operand adds nothing; a zero known only
+    modulo its order clears the flag, as the loop does."""
+    x = Jet(X2, INFINITE_ORDER, {(1, 0): 1}, True)
+    acc = Jet.zero(X2, INFINITE_ORDER)
+    assert Jet.dot([Jet.zero(X2, 5)], [x], acc) is acc
+    unknown = Jet.zero(X2, 5, exact=False)
+    assert Jet.dot([unknown], [x], acc) == loop_dot([unknown], [x], acc)
+    assert not Jet.dot([unknown], [x], acc).exact
+
+
+def test_dot_rejects_operands_in_another_context():
+    a = Jet(X2, INFINITE_ORDER, {(i, j): 1 for i in range(6) for j in range(6)}, True)
+    other = Jet(TX, INFINITE_ORDER, {(0, i, j): 1 for i in range(6) for j in range(6)}, True)
+    with pytest.raises(ContextMismatchError):
+        Jet.dot([a], [other], Jet.zero(X2, INFINITE_ORDER))
+
+
+def test_dot_seeded_differential(monkeypatch):
+    """600 seeded dots of 1-5 pairs, operands exact at every order, exact at
+    a finite order, truncated or zero, equal the loop as whole jets."""
+    taken = count_kronecker(monkeypatch)
+    rng = random.Random(10)
+
+    def draw(ctx):
+        kind = rng.randrange(4)
+        if kind == 3:
+            if rng.random() < 0.5:
+                return Jet.zero(ctx, 20, exact=False)
+            return Jet.zero(ctx, rng.choice([20, INFINITE_ORDER]))
+        terms = {tuple(rng.randint(0, 4) for _ in ctx.names):
+                 Fraction(rng.choice([rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)]),
+                          rng.choice([1, 1, 2, 3, 7]))
+                 for _ in range(rng.randint(3, 14))}
+        if kind == 0:
+            return Jet(ctx, INFINITE_ORDER, terms, True)
+        if kind == 1:
+            return Jet.polynomial(ctx, terms, rng.randint(4, 12))
+        return Jet(ctx, rng.randint(4, 12), terms, False)
+
+    fused = 0
+    for _ in range(600):
+        ctx = VarContext.make([f"x{i}" for i in range(1, rng.randint(1, 3) + 1)])
+        k = rng.randint(1, 5)
+        xs, ys = [draw(ctx) for _ in range(k)], [draw(ctx) for _ in range(k)]
+        low = min([j.order for j in xs + ys] + [rng.choice([4, 12, INFINITE_ORDER])])
+        acc = Jet.zero(ctx, low) if rng.random() < 0.7 else Jet(ctx, low, {(0,) * len(ctx.names): 1},
+                                                               low == INFINITE_ORDER)
+        out, calls = dot_and_calls(taken, xs, ys, acc)
+        assert out == loop_dot(xs, ys, acc)
+        fused += calls[:1] == [True]
+    assert fused >= 120
 
 
 def test_compose_builds_high_powers_without_recursion():

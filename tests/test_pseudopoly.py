@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from equijet import jets as jets_module
 from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.pseudopoly import (
@@ -291,21 +292,38 @@ def test_variable_mismatch():
         resultant(P, Q)
 
 
+def count_products(monkeypatch):
+    """Record the products of term dicts formed, fused or one by one: each
+    call that the Kronecker kernel takes adds the number of pairs it sums
+    (a product is one pair, a fused dot product one per formed pair), and
+    each schoolbook product adds 1.  A dot product that the kernel declines
+    forms its pairs one by one, so nothing is counted twice."""
+    formed = []
+    kernel, schoolbook = jets_module._kronecker, jets_module._schoolbook
+
+    def kernel_spy(pairs, n, limit):
+        out = kernel(pairs, n, limit)
+        if out is not None:
+            formed.append(len(pairs))
+        return out
+
+    def schoolbook_spy(ta, tb, limit):
+        formed.append(1)
+        return schoolbook(ta, tb, limit)
+
+    monkeypatch.setattr(jets_module, "_kronecker", kernel_spy)
+    monkeypatch.setattr(jets_module, "_schoolbook", schoolbook_spy)
+    return formed
+
+
 def test_gendisc_of_an_exact_power_forms_only_its_nonzero_products(monkeypatch):
     # every power sum of x1^12 but s_0 is an exact zero, so the Berkowitz
     # pass and the power sums skip nearly all of their ~p^4/4 products
     ctx = VarContext.make(["x1", "x2"])
     P = PseudoPolynomial.from_jet(Jet.variable(ctx, "x1", 16) ** 12, "x1")
-    products = []
-    mul = Jet.__mul__
-
-    def counting(a, b):
-        products.append(None)
-        return mul(a, b)
-
-    monkeypatch.setattr(Jet, "__mul__", counting)
+    formed = count_products(monkeypatch)
     gd = generalized_discriminants(P)
-    assert len(products) <= 30
+    assert sum(formed) <= 30
     assert all(e.is_zero() and e.exact for e in gd.entries[:-1])
     assert gd.entries[-1] == Jet.constant(ctx, 12, 16)
     assert gd.first_nonzero == 12 and gd.certified
@@ -332,29 +350,43 @@ def dense_berkowitz_minors(rows):
     return minors
 
 
-def test_berkowitz_minors_match_the_dense_pass_property():
+def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ctx = VarContext.make(["x1", "x2"])
-    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                            st.integers(-3, 3).map(Fraction), max_size=3)
-    # exact zeros, zeros known only modulo their order, truncated entries
-    # and exact entries, some of them known to every order
+    coeffs = st.builds(Fraction,
+                       st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+                       st.sampled_from((1, 2, 3, 7)))
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs,
+                            min_size=4, max_size=12)
+    # exact zeros, zeros known only modulo their order, truncated entries,
+    # exact entries at a finite order and exact entries known to every order
     entry = st.one_of(
-        st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from((3, 6, INFINITE_ORDER))),
-        st.builds(lambda o: Jet.zero(ctx, o, exact=False), st.integers(3, 8)),
-        st.builds(lambda t, o: Jet(ctx, o, t, False), terms, st.integers(3, 8)),
+        st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from((5, 8, INFINITE_ORDER))),
+        st.builds(lambda o: Jet.zero(ctx, o, exact=False), st.integers(5, 10)),
+        st.builds(lambda t, o: Jet(ctx, o, t, False), terms, st.integers(5, 10)),
+        st.builds(lambda t, o: Jet.polynomial(ctx, t, o), terms, st.integers(5, 10)),
         st.builds(lambda t: Jet(ctx, INFINITE_ORDER, t, True), terms),
     )
 
     @st.composite
     def matrices(draw):
-        n = draw(st.integers(1, 5))
+        n = draw(st.integers(2, 5))
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
+    # the Kronecker calls of the pass under test that sum more than one
+    # pair: dot products on the fused path
+    formed = count_products(monkeypatch)
+    fused = []
+
     @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @hypothesis.given(matrices())
-    def check(rows):
-        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+    @hypothesis.given(matrices(), entry)
+    def check(rows, single):
+        formed.clear()
+        minors = berkowitz_minors(rows)
+        fused.append(any(k > 1 for k in formed))
+        assert minors == dense_berkowitz_minors(rows)
+        assert berkowitz_minors([[single]]) == dense_berkowitz_minors([[single]])
 
     check()
+    assert sum(fused) >= len(fused) // 4
