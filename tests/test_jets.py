@@ -622,8 +622,8 @@ def test_dot_of_exact_operands_known_to_every_order_is_one_exact_pass(monkeypatc
 
 def test_dot_of_exact_and_truncated_operands_is_not_exact(monkeypatch):
     """One truncated operand makes the sum truncated, at the least order of
-    ``acc`` and the formed operands; an exact zero beside an exact operand
-    is skipped even at a lower order, as its caller guarantees."""
+    ``acc`` and the formed operands.  A pair of an exact zero and an exact
+    operand is not formed, so its order (3 here) does not count."""
     taken = count_kronecker(monkeypatch)
     exact = Jet(X2, INFINITE_ORDER, {(i, j): i * j - 3 for i in range(7) for j in range(7)}, True)
     finite = Jet.polynomial(X2, {(i, 1): i + 1 for i in range(5)}, 9)
