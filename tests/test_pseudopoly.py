@@ -354,24 +354,33 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ctx = VarContext.make(["x1", "x2"])
+    # exact zeros, zeros known only modulo their order, truncated entries,
+    # exact entries at a finite order and exact entries known to every order
+    def entries(terms, orders, exact_zero_orders):
+        return st.one_of(
+            st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from(exact_zero_orders)),
+            st.builds(lambda o: Jet.zero(ctx, o, exact=False), orders),
+            st.builds(lambda t, o: Jet(ctx, o, t, False), terms, orders),
+            st.builds(lambda t, o: Jet.polynomial(ctx, t, o), terms, orders),
+            st.builds(lambda t: Jet(ctx, INFINITE_ORDER, t, True), terms),
+        )
+
+    monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    # entries of at most 3 small integer terms, whose dot products stay
+    # below the 32 term pairs of the summed path
+    small = entries(st.dictionaries(monomials, st.integers(-3, 3).map(Fraction), max_size=3),
+                    st.integers(3, 8), (3, 6, INFINITE_ORDER))
+    # entries of 4-12 terms with numerators up to 2^70 over 1, 2, 3 or 7, at
+    # orders high enough that their products survive the matrix's least order
     coeffs = st.builds(Fraction,
                        st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
                        st.sampled_from((1, 2, 3, 7)))
-    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs,
-                            min_size=4, max_size=12)
-    # exact zeros, zeros known only modulo their order, truncated entries,
-    # exact entries at a finite order and exact entries known to every order
-    entry = st.one_of(
-        st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from((5, 8, INFINITE_ORDER))),
-        st.builds(lambda o: Jet.zero(ctx, o, exact=False), st.integers(5, 10)),
-        st.builds(lambda t, o: Jet(ctx, o, t, False), terms, st.integers(5, 10)),
-        st.builds(lambda t, o: Jet.polynomial(ctx, t, o), terms, st.integers(5, 10)),
-        st.builds(lambda t: Jet(ctx, INFINITE_ORDER, t, True), terms),
-    )
+    large = entries(st.dictionaries(monomials, coeffs, min_size=4, max_size=12),
+                    st.integers(5, 10), (5, 8, INFINITE_ORDER))
 
     @st.composite
-    def matrices(draw):
-        n = draw(st.integers(2, 5))
+    def matrices(draw, entry):
+        n = draw(st.integers(1, 5))
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
     # the Kronecker calls of the pass under test that sum more than one
@@ -379,14 +388,15 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
     formed = count_products(monkeypatch)
     fused = []
 
-    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @hypothesis.given(matrices(), entry)
-    def check(rows, single):
+    def check(rows):
         formed.clear()
         minors = berkowitz_minors(rows)
         fused.append(any(k > 1 for k in formed))
         assert minors == dense_berkowitz_minors(rows)
-        assert berkowitz_minors([[single]]) == dense_berkowitz_minors([[single]])
 
-    check()
+    settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(matrices(small))(check))()
+    fused.clear()
+    settings(hypothesis.given(matrices(large))(check))()
     assert sum(fused) >= len(fused) // 4
