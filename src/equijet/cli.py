@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or syntax, 2 precondition, 3 inconclusive,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -95,10 +96,8 @@ def _add_common(p: _Parser, vars_required: bool = True):
                    help="comma-separated coordinate names, innermost first")
     p.add_argument("--params", default="",
                    help="comma-separated deformation parameter names")
-    # a string default goes through ``type`` too, so a bad environment
-    # value is a usage error like a bad flag
+    # the default comes from the environment on every call of ``main``
     p.add_argument("--order", type=_non_negative_int,
-                   default=os.environ.get(ENV_ORDER, str(DEFAULT_ORDER)),
                    help=f"certification order (default {DEFAULT_ORDER}, env {ENV_ORDER})")
     p.add_argument("--seed", type=int, default=0, help="seed for coordinate searches")
     p.add_argument("--machine", action="store_true",
@@ -409,7 +408,10 @@ def _cmd_mero_deform(args) -> Tuple[dict, List[str], int]:
 
 # -- driver -------------------------------------------------------------------
 
-def _build_argparser() -> _Parser:
+@functools.lru_cache(maxsize=None)
+def _build_argparser() -> Tuple[_Parser, List[_Parser]]:
+    """The parser and its command parsers, built on the first call and
+    shared by the later ones."""
     top = _Parser(prog="equijet", description="exact equisingularity toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -472,7 +474,7 @@ def _build_argparser() -> _Parser:
     p.add_argument("--witness", action="append", help="witness series (repeatable)")
     _add_common(p, vars_required=False)
 
-    return top
+    return top, list(sub.choices.values())
 
 
 _DISPATCH = {
@@ -493,7 +495,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
-        args = _build_argparser().parse_args(argv)
+        parser, commands = _build_argparser()
+        # a string default goes through ``type`` too, so a bad environment
+        # value is a usage error like a bad flag
+        order = os.environ.get(ENV_ORDER, str(DEFAULT_ORDER))
+        for command in commands:
+            command.set_defaults(order=order)
+        args = parser.parse_args(argv)
         result, human, code = _DISPATCH[args.command](args)
         inputs = {k: v for k, v in sorted(vars(args).items())
                   if k != "machine" and v is not None and not callable(v)}

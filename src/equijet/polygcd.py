@@ -1,10 +1,15 @@
 """Exact gcd machinery for the two-variable analysis.
 
 Univariate polynomials over the scalar field are ascending coefficient
-lists; bivariate polynomials are handled as polynomials in the second
-variable whose coefficients are univariate in the first, with gcds computed
-by the primitive pseudo-remainder sequence.  Everything is exact; no scalar
-division is performed outside the field operations.
+lists.  A bivariate polynomial is a list of *columns* indexed by its degree
+in the second variable, each column the univariate coefficient list of that
+degree in the first.  Gcds are computed by the primitive pseudo-remainder
+sequence on columns, with every column operation done by the ``uni_*``
+helpers of :mod:`.scalars`.  :func:`jet_gcd`, :func:`x2_content` and
+:func:`content_split` convert each jet to columns once (from
+``graded_items``) and their result back once (``Jet.polynomial``), and
+compute each content once.  Everything is exact; no scalar division is
+performed outside the field operations.
 
 The jet-facing entry points (:func:`jet_gcd`, :func:`exact_divide`,
 :func:`squarefree_decomposition`) require exact polynomial jets.
@@ -27,11 +32,11 @@ from .scalars import (
     uni_divmod,
     uni_eval,
     uni_gcd,
+    uni_mul,
     uni_neg,
+    uni_sub,
     uni_trim,
 )
-
-Biv = Dict[Tuple[int, int], Scalar]  # (e1, e2) -> coefficient
 
 #: How many times :func:`exact_power_dividing` divides before giving up.
 POWER_CAP = 64
@@ -99,156 +104,106 @@ def sturm_real_root_count(a: Uni) -> int:
     return sign_changes(-1) - sign_changes(1)
 
 
-# -- jets <-> structures ------------------------------------------------
+# -- jets <-> columns ---------------------------------------------------
 
 def _require_exact(j: Jet, what: str) -> None:
     if not j.exact:
         raise PreconditionError(f"{what} needs an exact polynomial jet")
 
 
-def to_biv(j: Jet) -> Biv:
+def _columns(j: Jet) -> List[Uni]:
+    """``j`` as a list indexed by the degree in the second variable, each
+    entry the ascending coefficient list of that column in the first."""
     if len(j.ctx.names) != 2:
         raise PreconditionError("bivariate machinery needs a two-variable context")
-    return dict(j.graded_items())
-
-
-def _biv_coeffs_in_x2(b: Biv) -> Dict[int, Uni]:
-    out: Dict[int, Uni] = {}
-    for (e1, e2), c in b.items():
-        col = out.setdefault(e2, [])
-        while len(col) <= e1:
-            col.append(Fraction(0))
+    cols: List[Uni] = []
+    for (e1, e2), c in j.graded_items():
+        cols.extend([] for _ in range(e2 + 1 - len(cols)))
+        col = cols[e2]
+        col.extend(Fraction(0) for _ in range(e1 + 1 - len(col)))
         col[e1] = c
-    return {e2: uni_trim(col) for e2, col in out.items() if uni_trim(list(col))}
+    return cols
 
 
-def _biv_from_x2(cols: Dict[int, Uni]) -> Biv:
-    out: Biv = {}
-    for e2, col in cols.items():
-        for e1, c in enumerate(col):
-            if c:
-                out[(e1, e2)] = c
-    return out
+def _terms(cols: List[Uni]) -> Dict[Tuple[int, int], Scalar]:
+    return {(e1, e2): c for e2, col in enumerate(cols) for e1, c in enumerate(col) if c}
 
 
-def biv_deg_x2(b: Biv) -> int:
-    return max((e2 for (_, e2) in b), default=-1)
+def _monic(terms: Dict[Tuple[int, ...], Scalar]) -> Dict[Tuple[int, ...], Scalar]:
+    """``terms`` scaled so that the graded-lex leading coefficient is 1."""
+    if not terms:
+        return terms
+    lead = terms[max(terms, key=term_sort_key)]
+    if lead == 1:
+        return terms
+    inv = scalar_inverse(lead)
+    return {k: v * inv for k, v in terms.items()}
 
 
-def _biv_mul(a: Biv, b: Biv) -> Biv:
-    out: Biv = {}
-    for (i1, j1), x in a.items():
-        for (i2, j2), y in b.items():
-            key = (i1 + i2, j1 + j2)
-            cur = out.get(key)
-            val = x * y
-            out[key] = val if cur is None else cur + val
-    return {k: v for k, v in out.items() if v}
-
-
-def _biv_sub(a: Biv, b: Biv) -> Biv:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        out[k] = -v if cur is None else cur - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _content_x2(b: Biv) -> Uni:
-    cols = _biv_coeffs_in_x2(b)
+def _content(cols: List[Uni]) -> Uni:
+    """The monic gcd of the nonzero columns."""
     content: Uni = []
-    for col in cols.values():
-        content = uni_gcd(content, col) if content else uni_gcd(col, [])
+    for col in cols:
+        if col:
+            content = uni_gcd(content, col)
+            if len(content) == 1:
+                break
     return content
 
 
-def _biv_divide_by_uni(b: Biv, c: Uni) -> Biv:
-    cols = _biv_coeffs_in_x2(b)
-    out: Dict[int, Uni] = {}
-    for e2, col in cols.items():
-        q, r = uni_divmod(col, c)
-        if r:
-            raise PreconditionError("content division left a remainder")
-        out[e2] = q
-    return _biv_from_x2(out)
+def _divide_columns(cols: List[Uni], content: Uni) -> List[Uni]:
+    """Each column divided by ``content``, which divides all of them."""
+    if len(content) == 1:
+        return cols
+    return [uni_divmod(col, content)[0] for col in cols]
 
 
 def x2_content(j: Jet) -> Uni:
     """The content of a bivariate polynomial viewed as a polynomial in the
     second variable: the monic gcd of its coefficients, a polynomial in the
     first variable alone."""
-    return _content_x2(to_biv(j))
+    return _content(_columns(j))
 
 
 def content_split(j: Jet) -> Tuple[Jet, Jet]:
     """``(content, primitive)`` of an exact bivariate polynomial, with the
     content :func:`x2_content`."""
-    b = to_biv(j)
-    content = x2_content(j)
-    return (Jet.polynomial(j.ctx, {(e1, 0): c for e1, c in enumerate(content) if c}, j.order),
-            Jet.polynomial(j.ctx, _biv_divide_by_uni(b, content), j.order))
+    cols = _columns(j)
+    content = _content(cols)
+    return (Jet.polynomial(j.ctx, _terms([content]), j.order),
+            Jet.polynomial(j.ctx, _terms(_divide_columns(cols, content)), j.order))
 
 
-def _biv_prem(a: Biv, b: Biv) -> Biv:
-    """Pseudo-remainder of a by b in the second variable."""
-    db = biv_deg_x2(b)
-    cols_b = _biv_coeffs_in_x2(b)
-    lead_b = cols_b.get(db, [])
-    r = dict(a)
-    while True:
-        dr = biv_deg_x2(r)
-        if dr < db or dr < 0:
-            return r
-        cols_r = _biv_coeffs_in_x2(r)
-        lead_r = cols_r.get(dr, [])
-        # r <- lead_b * r - lead_r * x2^(dr-db) * b
-        scaled_r = _biv_mul(r, {(e1, 0): c for e1, c in enumerate(lead_b) if c})
-        shift = {(e1, dr - db): c for e1, c in enumerate(lead_r) if c}
-        r = _biv_sub(scaled_r, _biv_mul(shift, b))
+def _prem(a: List[Uni], b: List[Uni]) -> List[Uni]:
+    """Pseudo-remainder of ``a`` by ``b`` in the second variable."""
+    db = len(b) - 1
+    r = a
+    while len(r) > db:
+        # r <- lead_b * r - lead_r * x2^shift * b
+        lead_r, shift = r[-1], len(r) - 1 - db
+        r = [uni_mul(b[-1], col) for col in r]
+        for i, col in enumerate(b):
+            r[shift + i] = uni_sub(r[shift + i], uni_mul(lead_r, col))
+        uni_trim(r)
+    return r
 
 
-def _biv_primitive(b: Biv) -> Biv:
-    if not b:
-        return b
-    content = _content_x2(b)
-    if uni_deg(content) < 1 and content and content[0] == 1:
-        return b
-    return _biv_divide_by_uni(b, content)
-
-
-def _biv_gcd(a: Biv, b: Biv) -> Biv:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    da, db = biv_deg_x2(a), biv_deg_x2(b)
-    if da == 0 or db == 0:
-        flat, other = (a, b) if da == 0 else (b, a)
-        g = uni_gcd(_content_x2(flat), _content_x2(other))
-        return {(e1, 0): c for e1, c in enumerate(g) if c}
-    cont = uni_gcd(_content_x2(a), _content_x2(b))
-    f1, f2 = _biv_primitive(a), _biv_primitive(b)
-    if biv_deg_x2(f1) < biv_deg_x2(f2):
+def _gcd(a: List[Uni], b: List[Uni]) -> List[Uni]:
+    """A gcd by the primitive pseudo-remainder sequence: the gcd of the
+    contents times the last nonzero primitive remainder."""
+    if not a or not b:
+        return a or b
+    content_a, content_b = _content(a), _content(b)
+    cont = uni_gcd(content_a, content_b)
+    if len(a) == 1 or len(b) == 1:
+        return [cont]
+    f1, f2 = _divide_columns(a, content_a), _divide_columns(b, content_b)
+    if len(f1) < len(f2):
         f1, f2 = f2, f1
     while f2:
-        r = _biv_prem(f1, f2)
-        f1, f2 = f2, _biv_primitive(r) if r else {}
-    g = _biv_primitive(f1)
-    if uni_deg(cont) >= 1 or (cont and cont[0] != 1):
-        g = _biv_mul(g, {(e1, 0): c for e1, c in enumerate(cont) if c})
-    return g
-
-
-def _biv_normalize(b: Biv) -> Biv:
-    """Scale so the graded-lex leading coefficient is 1."""
-    if not b:
-        return b
-    lead_key = max(b, key=term_sort_key)
-    lead = b[lead_key]
-    if lead == 1:
-        return b
-    inv = scalar_inverse(lead)
-    return {k: v * inv for k, v in b.items()}
+        r = _prem(f1, f2)
+        f1, f2 = f2, _divide_columns(r, _content(r))
+    return f1 if len(cont) == 1 else [uni_mul(cont, col) for col in f1]
 
 
 # -- jet-level API -------------------------------------------------------
@@ -259,8 +214,8 @@ def jet_gcd(a: Jet, b: Jet) -> Jet:
     _require_exact(b, "gcd")
     if a.ctx != b.ctx:
         raise PreconditionError("gcd operands in different contexts")
-    g = _biv_normalize(_biv_gcd(to_biv(a), to_biv(b)))
-    return Jet.polynomial(a.ctx, g, min(a.order, b.order))
+    g = _gcd(_columns(a), _columns(b))
+    return Jet.polynomial(a.ctx, _monic(_terms(g)), min(a.order, b.order))
 
 
 def jet_gcd_many(jets: Sequence[Jet]) -> Jet:
@@ -353,7 +308,7 @@ def squarefree_decomposition(d: Jet) -> List[Tuple[Jet, int]]:
         if not is_constant(upper):
             piece = _divide(piece, upper)
         if not is_constant(piece):
-            parts.append((Jet.polynomial(d.ctx, _biv_normalize(to_biv(piece)), d.order), m + 1))
+            parts.append((Jet.polynomial(d.ctx, _monic(dict(piece.graded_items())), d.order), m + 1))
     return parts
 
 
@@ -365,5 +320,4 @@ def _divide(a: Jet, b: Jet) -> Jet:
 
 
 def _strip_constant(j: Jet) -> Jet:
-    b = _biv_normalize(to_biv(j))
-    return Jet.polynomial(j.ctx, b, j.order)
+    return Jet.polynomial(j.ctx, _monic(dict(j.graded_items())), j.order)

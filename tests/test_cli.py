@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import pathlib
@@ -135,6 +136,34 @@ def test_order_env_default(monkeypatch):
     code, out = machine_run(["tower", "x2^2 - x1^3", "--vars", "x1,x2"])
     assert code == 0
     assert json.loads(out)["order"] == 9
+
+
+def test_parser_is_built_once_and_reads_the_env_order_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    argv = ["tower", "x2^2 - x1^3", "--vars", "x1,x2"]
+    monkeypatch.delenv("EQUIJET_ORDER", raising=False)
+    code, out = machine_run(argv)
+    assert code == 0 and json.loads(out)["order"] == 16
+    after_first = len(built)
+    monkeypatch.setenv("EQUIJET_ORDER", "9")
+    code, out = machine_run(argv)
+    assert code == 0 and json.loads(out)["order"] == 9
+    monkeypatch.setenv("EQUIJET_ORDER", "abc")
+    capsys.readouterr()
+    code, _ = machine_run(argv)
+    assert code == 1
+    assert capsys.readouterr().err == "error: argument --order: not an integer: 'abc'\n"
+    # only the first call may build the parser (none does if an earlier
+    # test of this process built it)
+    assert len(built) == after_first
+    assert built.count("equijet") <= 1
 
 
 @pytest.mark.parametrize("fixture", sorted(CORPUS.glob("*.args")),

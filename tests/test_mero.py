@@ -19,6 +19,7 @@ from equijet.mero import (
     theta,
 )
 from equijet.polygcd import (
+    content_split,
     exact_divide,
     exact_power_dividing,
     is_constant,
@@ -105,6 +106,20 @@ def test_x2_content_is_the_monic_gcd_of_the_x2_coefficients():
     f = (x1() ** 2 + x1()) * (x2() ** 2 - x1() * x2()).scale(3)
     assert x2_content(f) == [0, 1, 1]
     assert x2_content(x2() ** 2 + x1()) == [1]
+
+
+def test_content_split_of_a_quadratic_content_keeps_the_scalar_on_the_primitive_part():
+    # content (x1 + 2)*(3*x1 - 1)/3, monic in x1; the primitive part keeps
+    # the rest, scalars included
+    primitive = (x2() ** 2 - x1() * x2() + x1() ** 3).scale(Fraction(-5, 2))
+    f = (x1() + 2) * (x1().scale(3) - 1) * primitive
+    content, rest = content_split(f)
+    assert content.graded_items() == [((0, 0), Fraction(-2, 3)), ((1, 0), Fraction(5, 3)),
+                                      ((2, 0), Fraction(1))]
+    assert content.exact and rest.exact
+    assert rest.graded_items() == primitive.scale(3).graded_items()
+    assert (content * rest).graded_items() == f.graded_items()
+    assert x2_content(rest) == [1]
 
 
 def test_exact_power_dividing():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from equijet.jets import Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.polygcd import (
+    exact_divide,
     jet_gcd,
     rational_roots,
     squarefree_decomposition,
@@ -19,6 +20,7 @@ from equijet.pseudopoly import (
     hankel_minors,
     resultant_jets,
 )
+from equijet.scalars import NumberField
 
 sympy = pytest.importorskip("sympy")
 
@@ -155,6 +157,108 @@ def test_jet_gcd_against_sympy(seed):
     got = jet_gcd(to_jet(f), to_jet(g))
     assert got.exact
     assert to_sympy(got) == sympy.Poly(sympy.gcd(f, g), X1, Y).monic()
+
+
+# S stands for sqrt(2) until the comparison with sympy
+S = sympy.Symbol("s")
+SQRT2 = NumberField([-2, 0, 1])
+# the domain of sympy.gcd(..., extension=sqrt(2)), built once
+QQ_SQRT2 = sympy.QQ.algebraic_field(sympy.sqrt(2))
+X1_FACTORS = (X1 + 2, X1 ** 2 + 1, 3 * X1 - 1)
+Y_FACTORS = (Y - X1 / 3 + sympy.Rational(1, 2), Y - X1 - X1 ** 2, X1 + 2 * Y, Y ** 2 - 2 * X1 ** 3)
+SQRT2_FACTORS = (Y - S * X1, X1 - S)
+
+
+def field_jet(expr) -> Jet:
+    """An exact jet in ``x1, y`` over Q(sqrt 2) of a polynomial in ``x1, y, s``."""
+    vecs = {}
+    for (e1, e2, es), c in sympy.Poly(sympy.expand(expr), X1, Y, S).terms():
+        vec = vecs.setdefault((e1, e2), [Fraction(0), Fraction(0)])
+        vec[es % 2] += Fraction(int(c.p), int(c.q)) * 2 ** (es // 2)
+    return Jet.polynomial(YX, {k: SQRT2.element(v) for k, v in vecs.items()}, 16)
+
+
+def sqrt2_poly(j: Jet):
+    """The polynomial of an exact jet over Q(sqrt 2), up to a nonzero scalar."""
+    def value(c):
+        a, b = (c, 0) if isinstance(c, Fraction) else c.coeffs
+        return sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(2)
+    expr = sum(value(c) * X1 ** e1 * Y ** e2 for (e1, e2), c in j.graded_items())
+    return sympy.Poly(expr, X1, Y, domain=QQ_SQRT2).monic()
+
+
+def gcd_case(n):
+    """Operands whose contents in ``x1`` are not powers of ``x1``, some with
+    non-integer coefficients, under rational scalings.  In one case of every
+    three both have factors over Q(sqrt 2); the gcd of every other even case
+    has a content over Q; in one case of every four ``g`` has degree 0 in
+    ``y``."""
+    rng = random.Random(181 + n)
+    flat, sqrt2 = n % 4 == 1, n % 3 == 0
+    # sympy's gcds over Q(sqrt 2) are slow: fewer factors over Q there
+    most = 2 if sqrt2 else 3
+
+    def product(pool, count):
+        return sympy.Mul(*[rng.choice(pool) for _ in range(count)])
+
+    def scaling():
+        return sympy.Rational(rng.choice([1, -2, 3, 5]), rng.choice([1, 2, 7]))
+
+    common = product(X1_FACTORS if flat else X1_FACTORS + Y_FACTORS, rng.randrange(0, most))
+    if n % 2 == 0 and not sqrt2:
+        common *= rng.choice(X1_FACTORS)
+    f = common * product(X1_FACTORS + Y_FACTORS, rng.randrange(1, most))
+    g = common * product(X1_FACTORS if flat else X1_FACTORS + Y_FACTORS, rng.randrange(0, most))
+    if sqrt2:
+        common = rng.choice(SQRT2_FACTORS)
+        f, g = f * common * rng.choice(SQRT2_FACTORS), g * common
+    return f * scaling(), g * scaling()
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_jet_gcd_with_contents_and_sqrt2_against_sympy(n):
+    f, g = gcd_case(n)
+    got = jet_gcd(field_jet(f), field_jet(g))
+    assert got.exact
+    assert got.graded_items()[-1][1] == 1
+    f, g = (sympy.Poly(sympy.expand(h.subs(S, sympy.sqrt(2))), X1, Y, domain=QQ_SQRT2)
+            for h in (f, g))
+    assert sqrt2_poly(got) == f.gcd(g).monic()
+
+
+def test_exact_divide_of_a_product_property():
+    """``exact_divide(a*b, b)`` is ``a``; ``a*b + c`` for a nonzero constant
+    ``c`` is not divisible by a nonconstant ``b``, as ``sympy.div`` confirms."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+    @st.composite
+    def case(draw):
+        width = draw(st.integers(2, 3))
+        exps = st.tuples(*[st.integers(0, 3)] * width)
+        a = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+        b = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4).filter(
+            lambda t: any(any(k) for k in t)))
+        return width, a, b, draw(coeffs)
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(drawn):
+        width, a_terms, b_terms, c = drawn
+        ctx = VarContext.make([f"x{i}" for i in range(1, width + 1)])
+        a, b = (Jet.polynomial(ctx, t, INFINITE_ORDER) for t in (a_terms, b_terms))
+        assert exact_divide(a * b, b) == a
+        shifted = a * b + Jet.constant(ctx, c, INFINITE_ORDER)
+        assert exact_divide(shifted, b) is None
+        gens = sympy.symbols(ctx.names)
+
+        def expr(j):
+            return sum(sympy.Rational(v.numerator, v.denominator) * sympy.Mul(
+                *[x ** e for x, e in zip(gens, k)]) for k, v in j.graded_items())
+        assert not sympy.div(expr(shifted), expr(b), *gens)[1].is_zero
+
+    check()
 
 
 @pytest.mark.parametrize("seed", range(10))
