@@ -13,7 +13,8 @@ Submodules:
   construction of the one-parameter deformation;
 * :mod:`equijet.mero` -- two-variable meromorphic germ analysis: the 1-forms,
   divisor constants, the emitted polynomial system, deformation slices;
-* :mod:`equijet.cli` -- expression parser and command line driver.
+* :mod:`equijet.parser` -- the expression language, parsed straight into jets;
+* :mod:`equijet.cli` -- the command line driver.
 """
 
 from .jets import DEFAULT_ORDER, INFINITE_ORDER, Jet, VarContext

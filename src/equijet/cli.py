@@ -28,7 +28,7 @@ from .deform import SolutionFamily, binomial_family, verify_family
 from .errors import EquijetError, UsageError
 from .jets import DEFAULT_ORDER, Jet, VarContext, jet_to_text
 from .mero import FactoredGerm, analyze, build_mero_deformation, emit_system
-from .parser import parse_factored, parse_jet, to_jet
+from .parser import parse_factored, parse_jet
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
 from .scalars import Scalar, scalar_to_text
 from .tower import build_tower, build_tower_system, check_family
@@ -292,20 +292,13 @@ def _cmd_binomial(args) -> Tuple[dict, List[str], int]:
     return result, human, 0
 
 
-def _parse_germ(text: str, ctx: VarContext, order: int) -> FactoredGerm:
-    factors = []
-    for expr, exp in parse_factored(text, ctx.names):
-        factors.append((to_jet(expr, ctx, order), exp))
-    return FactoredGerm.build(factors)
-
-
 def _germ_args(args) -> Tuple[FactoredGerm, FactoredGerm, VarContext]:
     names = _names(args.vars) if args.vars else ("x1", "x2")
     if len(names) != 2:
         raise UsageError("meromorphic analysis needs exactly two variables")
     ctx = VarContext.make(names)
-    f = _parse_germ(args.f, ctx, args.order)
-    g = _parse_germ(args.g, ctx, args.order)
+    f = FactoredGerm.build(parse_factored(args.f, ctx, args.order))
+    g = FactoredGerm.build(parse_factored(args.g, ctx, args.order))
     return f, g, ctx
 
 

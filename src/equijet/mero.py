@@ -241,19 +241,12 @@ def _constants_for(h: Jet, fp: Jet, gp: Jet) -> List[Scalar]:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorConstant:
-    c: Scalar
-    mu: int
-    rho: Jet
-
-
-def divisor_constant(h: Jet, f: FactoredGerm, g: FactoredGerm) -> Optional[DivisorConstant]:
+def divisor_constant(h: Jet, f: FactoredGerm, g: FactoredGerm) -> Optional[DivisorRecord]:
     """The constant attached to an irreducible candidate divisor.
 
-    Returns ``(c, mu, rho)`` with ``f - c g = h^(mu+1) rho`` and rho coprime
-    to h, or None when no constant exists.  mu = 0 records a constant whose
-    divisor power in the 1-form is zero.
+    Returns the record ``(h, c, mu, rho)`` with ``f - c g = h^(mu+1) rho``
+    and rho coprime to h, or None when no constant exists.  mu = 0 records a
+    constant whose divisor power in the 1-form is zero.
     """
     if not h.exact:
         raise PreconditionError("candidate divisor must be an exact polynomial")
@@ -264,12 +257,12 @@ def divisor_constant(h: Jet, f: FactoredGerm, g: FactoredGerm) -> Optional[Divis
         raise PreconditionError("candidate divisor divides f")
     if not is_constant(jet_gcd(h, gp)):
         raise PreconditionError("candidate divisor divides g")
-    hits: List[DivisorConstant] = []
+    hits: List[DivisorRecord] = []
     for c in _constants_for(h, fp, gp):
         target = fp - gp.scale(c)
         m, rho = exact_power_dividing(target, h)
         if m >= 1:
-            hits.append(DivisorConstant(c=c, mu=m - 1, rho=rho))
+            hits.append(DivisorRecord(h=h, c=c, mu=m - 1, rho=rho))
     if not hits:
         return None
     if len(hits) > 1:
@@ -365,9 +358,9 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
         if any(exact_divide(rec.h, cand) is not None and exact_divide(cand, rec.h) is not None
                for rec in records):
             continue
-        dc = divisor_constant(cand, f, g)
-        if dc is not None:
-            informational.append(DivisorRecord(h=cand, c=dc.c, mu=dc.mu, rho=dc.rho))
+        found = divisor_constant(cand, f, g)
+        if found is not None:
+            informational.append(found)
     return MeroAnalysis(theta=th, records=tuple(records), omega=omega,
                         informational=tuple(informational),
                         reality=_reality_flag(records))

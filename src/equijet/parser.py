@@ -1,4 +1,4 @@
-"""Expression language: parser and printer.
+"""Expression language: a recursive-descent parser that evaluates into jets.
 
 Grammar (standard precedence, left associativity):
 
@@ -10,61 +10,36 @@ Grammar (standard precedence, left associativity):
     RATIONAL := INT ('/' INT)?
 
 There is no division operator; '/' only joins two integer literals into a
-rational literal.  Powers take nonnegative integer literals.  The printer
-emits minimally parenthesized text whose re-parse is structurally identical
-to the original tree.
+rational literal.  Powers take nonnegative integer literals.
+
+No expression tree is built.  Each grammar rule returns its value together
+with its factor list ``[(base, exponent), ...]``: the factors of a product
+(parentheses included), the base and last exponent of a power, or else the
+value itself with exponent 1.  Literals, variables, sums and negations are
+evaluated as soon as they are parsed; a product or a power is a thunk,
+formed when an enclosing rule or :func:`parse_jet` uses it, so
+:func:`parse_factored` forms its factors and nothing more.  Products keep
+the grammar's grouping, on which the exactness flag of a truncated product
+can depend.  The text is tokenized before anything is evaluated, but a
+grammar error is found where it stands, after the subexpressions before it
+have been evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple
 
 from .errors import ParseError, UnknownVariableError
 from .jets import Jet, VarContext
 
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+#: what each grammar rule returns: its value, evaluated on call, and its factors
+_Value = Tuple[Callable[[], Jet], List[Tuple[Jet, int]]]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: int
-
-
-Expression = Union[Num, Var, Neg, Add, Sub, Mul, Pow]
+def _evaluated(jet: Jet) -> _Value:
+    return (lambda: jet), [(jet, 1)]
 
 
 @dataclass(frozen=True)
@@ -117,10 +92,11 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], names: Optional[Iterable[str]]):
-        self.tokens = tokens
+    def __init__(self, text: str, ctx: VarContext, order: int):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.names = set(names) if names is not None else None
+        self.ctx = ctx
+        self.order = order
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -130,6 +106,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept_op(self, ops: str) -> str:
+        """The operator at the cursor, consumed, if it is one of ``ops``."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return ""
+
     def expect_op(self, text: str) -> _Token:
         tok = self.peek()
         if tok.kind != "op" or tok.text != text:
@@ -137,175 +121,86 @@ class _Parser:
                              tok.line, tok.column)
         return self.advance()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                node = Mul(node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Expression:
+    def parse_all(self) -> _Value:
+        value = self.parse_expr()
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
+        if tok.kind != "end":
+            raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.column)
+        return value
+
+    def parse_expr(self) -> _Value:
+        value, factors = self.parse_term()
+        while op := self.accept_op("+-"):
+            rhs, _ = self.parse_term()
+            value, factors = _evaluated(value() + rhs() if op == "+" else value() - rhs())
+        return value, factors
+
+    def parse_term(self) -> _Value:
+        value, factors = self.parse_unary()
+        while self.accept_op("*"):
+            rhs, rhs_factors = self.parse_unary()
+            value = lambda lhs=value, rhs=rhs: lhs() * rhs()
+            factors = factors + rhs_factors
+        return value, factors
+
+    def parse_unary(self) -> _Value:
+        if self.accept_op("-"):
+            value, _ = self.parse_unary()
+            return _evaluated(-value())
         return self.parse_power()
 
-    def parse_power(self) -> Expression:
-        node = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "^":
-                self.advance()
-                exp_tok = self.peek()
-                if exp_tok.kind != "int":
-                    raise ParseError("exponent must be a nonnegative integer literal",
-                                     exp_tok.line, exp_tok.column)
-                self.advance()
-                node = Pow(node, int(exp_tok.text))
-            else:
-                return node
+    def parse_power(self) -> _Value:
+        value, factors = self.parse_atom()
+        while self.accept_op("^"):
+            exp_tok = self.peek()
+            if exp_tok.kind != "int":
+                raise ParseError("exponent must be a nonnegative integer literal",
+                                 exp_tok.line, exp_tok.column)
+            self.advance()
+            base, exp = value(), int(exp_tok.text)
+            value, factors = (lambda base=base, exp=exp: base ** exp), [(base, exp)]
+        return value, factors
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> _Value:
         tok = self.advance()
         if tok.kind == "int":
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                den = self.peek()
-                if den.kind != "int":
-                    raise ParseError("expected an integer denominator", den.line, den.column)
-                self.advance()
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.column)
-                return Num(Fraction(int(tok.text), int(den.text)))
-            return Num(Fraction(int(tok.text)))
+            den = 1
+            if self.accept_op("/"):
+                den_tok = self.advance()
+                if den_tok.kind != "int":
+                    raise ParseError("expected an integer denominator",
+                                     den_tok.line, den_tok.column)
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.line, den_tok.column)
+            return _evaluated(Jet.constant(self.ctx, Fraction(int(tok.text), den), self.order))
         if tok.kind == "name":
-            if self.names is not None and tok.text not in self.names:
+            if tok.text not in self.ctx.names:
                 raise UnknownVariableError(
                     f"unknown variable {tok.text!r} at line {tok.line}, column {tok.column} "
-                    f"(declared: {sorted(self.names)})")
-            return Var(tok.text)
+                    f"(declared: {sorted(self.ctx.names)})")
+            return _evaluated(Jet.variable(self.ctx, tok.text, self.order))
         if tok.kind == "op" and tok.text == "(":
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect_op(")")
-            return node
+            return value
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column)
 
 
-def parse(text: str, names: Optional[Iterable[str]] = None) -> Expression:
-    """Parse an expression; with ``names`` given, undeclared variables are
-    rejected with their source position."""
-    parser = _Parser(_tokenize(text), names)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.column)
-    return node
-
-
-def parse_factored(text: str, names: Optional[Iterable[str]] = None) -> List[Tuple[Expression, int]]:
-    """Parse a factored form: a top-level product of powered groups.
-
-    ``(x1)*(x2)^2`` yields ``[(x1, 1), (x2, 2)]``.  A single powered atom or
-    group also counts as a one-factor product.
-    """
-    tree = parse(text, names)
-    factors: List[Tuple[Expression, int]] = []
-
-    def walk(node: Expression):
-        if isinstance(node, Mul):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Pow):
-            factors.append((node.base, node.exponent))
-        else:
-            factors.append((node, 1))
-
-    walk(tree)
-    return factors
-
-
-_PREC = {Add: 1, Sub: 1, Neg: 2, Mul: 3, Pow: 4, Num: 5, Var: 5}
-
-
-def _prec(node: Expression) -> int:
-    return _PREC[type(node)]
-
-
-def to_text(node: Expression) -> str:
-    """Minimally parenthesized text; ``parse(to_text(e))`` returns ``e``."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        # '*' binds outside unary minus, so a Mul operand needs parentheses
-        if _prec(node.operand) < 4:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = to_text(node.left)
-        if _prec(node.left) < 1:
-            left = f"({left})"
-        right = to_text(node.right)
-        # the right operand binds tighter than the surrounding sum
-        if _prec(node.right) <= 1 or isinstance(node.right, Neg):
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(node, Mul):
-        left = to_text(node.left)
-        if _prec(node.left) < 3:
-            left = f"({left})"
-        right = to_text(node.right)
-        if _prec(node.right) <= 3 and not isinstance(node.right, (Num, Var, Pow)):
-            right = f"({right})"
-        elif isinstance(node.right, Mul):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, Pow):
-        base = to_text(node.base)
-        if not isinstance(node.base, Var) or "/" in base:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_jet(node: Expression, ctx: VarContext, order: int) -> Jet:
-    """Evaluate an expression tree into an exact jet (terms at or above the
-    order are dropped and flagged)."""
-    if isinstance(node, Num):
-        return Jet.constant(ctx, node.value, order)
-    if isinstance(node, Var):
-        return Jet.variable(ctx, node.name, order)
-    if isinstance(node, Neg):
-        return -to_jet(node.operand, ctx, order)
-    if isinstance(node, Add):
-        return to_jet(node.left, ctx, order) + to_jet(node.right, ctx, order)
-    if isinstance(node, Sub):
-        return to_jet(node.left, ctx, order) - to_jet(node.right, ctx, order)
-    if isinstance(node, Mul):
-        return to_jet(node.left, ctx, order) * to_jet(node.right, ctx, order)
-    if isinstance(node, Pow):
-        return to_jet(node.base, ctx, order) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def parse_jet(text: str, ctx: VarContext, order: int) -> Jet:
-    return to_jet(parse(text, ctx.names), ctx, order)
+    """The jet of an expression in the names of ``ctx`` at ``order`` (terms
+    at or above the order are dropped and flagged); an undeclared variable
+    is rejected with its source position."""
+    value, _ = _Parser(text, ctx, order).parse_all()
+    return value()
+
+
+def parse_factored(text: str, ctx: VarContext, order: int) -> List[Tuple[Jet, int]]:
+    """The factors of a factored form, a top-level product of powered groups.
+
+    ``(x1)*(x2)^2`` yields the jets ``[(x1, 1), (x2, 2)]``; a single powered
+    atom or group counts as a one-factor product.  Only the bases are
+    evaluated, not their powers or their product.
+    """
+    _, factors = _Parser(text, ctx, order).parse_all()
+    return factors

@@ -143,6 +143,8 @@ class PseudoPolynomial:
         return f"<PseudoPolynomial deg {self.degree} in {self.var}>"
 
     def __str__(self):
+        if self.degree == 0:
+            return "1"
         parts = [f"{self.var}^{self.degree}" if self.degree != 1 else self.var]
         for j, a in enumerate(self.coeffs, start=1):
             if a.is_zero():

@@ -52,6 +52,27 @@ def test_mero_analyze_report():
     assert rep["result"]["records"][0]["c"] == "1/4"
 
 
+def test_mero_analyze_reports_an_algebraic_constant():
+    code, out = machine_run(["mero-analyze", "--f", "(x1 + 4*x2)*(x1 - 4*x2)",
+                             "--g", "(x1)*(x2)"])
+    assert code == 0
+    records = json.loads(out)["result"]["records"]
+    # c^2 = -64: both constants live in Q(cconst0) and print with their minpoly
+    assert [rec["c"] for rec in records] == [
+        {"value": "cconst0", "minpoly": ["64", "0", "1"]},
+        {"value": "-1*cconst0", "minpoly": ["64", "0", "1"]}]
+    h = records[0]["h"]
+    assert h["text"] == "(-1/2*cconst0)*x2 + x1"
+    assert h["terms"][0]["coefficient"] == {"value": "-1/2*cconst0",
+                                            "minpoly": ["64", "0", "1"]}
+
+
+def test_prepare_of_a_unit_prints_the_distinguished_polynomial_1():
+    code, out = run(["prepare", "1 + x1", "--var", "x2", "--vars", "x1,x2"])
+    assert code == 0
+    assert "distinguished polynomial: 1\n" in out
+
+
 def test_binomial_target_with_a_tail_beyond_the_order():
     # y1^2 = y2^3 holds here only modulo the order: the exact product of the
     # targets must still be truncated at it

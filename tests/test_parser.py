@@ -2,86 +2,86 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from equijet.errors import ParseError, UnknownVariableError
-from equijet.jets import Jet, VarContext
-from equijet.parser import (
-    Add,
-    Mul,
-    Neg,
-    Num,
-    Pow,
-    Sub,
-    Var,
-    parse,
-    parse_factored,
-    parse_jet,
-    to_text,
-)
+from equijet.jets import INFINITE_ORDER, Jet, VarContext
+from equijet.parser import parse_factored, parse_jet
 
 X2 = VarContext.make(["x1", "x2"])
 TX2 = VarContext.make(["x1", "x2"], params=["t"])
 
 
+def x1(order=16):
+    return Jet.variable(X2, "x1", order)
+
+
+def x2(order=16):
+    return Jet.variable(X2, "x2", order)
+
+
 def test_parse_cusp():
-    tree = parse("x2^2 - x1^3")
-    assert tree == Sub(Pow(Var("x2"), 2), Pow(Var("x1"), 3))
+    assert parse_jet("x2^2 - x1^3", X2, 16) == x2() ** 2 - x1() ** 3
 
 
 def test_parse_family():
-    tree = parse("x2^2 - (1+t)*x1^3", names=("t", "x1", "x2"))
-    assert tree == Sub(Pow(Var("x2"), 2),
-                       Mul(Add(Num(Fraction(1)), Var("t")), Pow(Var("x1"), 3)))
+    f = parse_jet("x2^2 - (1+t)*x1^3", TX2, 16)
+    t, y1, y2 = (Jet.variable(TX2, n, 16) for n in ("t", "x1", "x2"))
+    assert f == y2 ** 2 - (Jet.constant(TX2, 1, 16) + t) * y1 ** 3
 
 
 def test_parse_double_caret_is_located_error():
     with pytest.raises(ParseError) as err:
-        parse("x2^^2")
+        parse_jet("x2^^2", X2, 16)
     assert err.value.line == 1
     assert err.value.column == 4
 
 
+def test_errors_after_a_newline_are_located_on_their_line():
+    with pytest.raises(ParseError) as err:
+        parse_jet("x1^2 +\n  x2^^2", X2, 16)
+    assert (err.value.line, err.value.column) == (2, 6)
+    with pytest.raises(ParseError) as err:
+        parse_jet("(x1 + x2)*x1\n )", X2, 16)
+    assert (err.value.line, err.value.column) == (2, 2)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("(x1 + x2", "expected ')', found 'end of input'", 9),
+    ("x1 +", "unexpected 'end of input'", 5),
+    ("x1 * )", "unexpected ')'", 6),
+    # the whole text is tokenized before the grammar error is reached
+    ("x2^^2 + $", "unexpected character '$'", 9),
+])
+def test_grammar_and_tokenizer_errors_are_located(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_jet(text, X2, 16)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_parse_unknown_variable_against_context():
-    with pytest.raises(UnknownVariableError):
-        parse("x1 + zz", names=("x1", "x2"))
+    with pytest.raises(UnknownVariableError) as err:
+        parse_jet("x1 + zz", X2, 16)
+    assert "'zz' at line 1, column 6" in str(err.value)
 
 
 def test_parse_rational_literals():
-    assert parse("3/4") == Num(Fraction(3, 4))
-    assert parse("-3/4") == Neg(Num(Fraction(3, 4)))
+    assert parse_jet("3/4", X2, 16) == Jet.constant(X2, Fraction(3, 4), 16)
+    assert parse_jet("-3/4", X2, 16) == Jet.constant(X2, Fraction(-3, 4), 16)
+    # a rational literal is an atom, so it is the base of a power
+    assert parse_jet("3/4^2", X2, 16) == Jet.constant(X2, Fraction(9, 16), 16)
     with pytest.raises(ParseError):
-        parse("3/x1")
-    with pytest.raises(ParseError):
-        parse("1/0")
+        parse_jet("3/x1", X2, 16)
+    with pytest.raises(ParseError) as err:
+        parse_jet("1/0", X2, 16)
+    assert err.value.column == 3
 
 
 def test_parse_trailing_garbage():
-    with pytest.raises(ParseError):
-        parse("x1 + x2 )")
-
-
-def random_expr(rng, depth=0):
-    roll = rng.random()
-    if depth > 3 or roll < 0.3:
-        if rng.random() < 0.5:
-            return Num(Fraction(rng.randrange(0, 9), rng.randrange(1, 5)))
-        return Var(rng.choice(["x1", "x2", "t"]))
-    if roll < 0.45:
-        return Add(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
-    if roll < 0.6:
-        return Sub(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
-    if roll < 0.75:
-        return Mul(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
-    if roll < 0.87:
-        return Neg(random_expr(rng, depth + 1))
-    return Pow(random_expr(rng, depth + 1), rng.randrange(0, 4))
-
-
-def test_roundtrip_on_random_trees():
-    rng = random.Random(42)
-    for _ in range(300):
-        tree = random_expr(rng)
-        assert parse(to_text(tree)) == tree
+    with pytest.raises(ParseError) as err:
+        parse_jet("x1 + x2 )", X2, 16)
+    assert err.value.column == 9
 
 
 def test_parse_jet_matches_hand_value():
@@ -98,7 +98,97 @@ def test_parse_jet_text_roundtrip():
 
 
 def test_parse_factored():
-    factors = parse_factored("(x1)*(x2)^2*(x1+x2)")
-    assert factors == [(Var("x1"), 1), (Var("x2"), 2),
-                       (Add(Var("x1"), Var("x2")), 1)]
-    assert parse_factored("x1^3") == [(Var("x1"), 3)]
+    factors = parse_factored("(x1)*(x2)^2*(x1+x2)", X2, 16)
+    assert factors == [(x1(), 1), (x2(), 2), (x1() + x2(), 1)]
+    assert parse_factored("x1^3", X2, 16) == [(x1(), 3)]
+
+
+def test_factor_lists_follow_products_powers_and_negations():
+    # a top-level product lists its factors, parentheses included
+    assert parse_factored("((x1)*(x2))", X2, 16) == [(x1(), 1), (x2(), 1)]
+    assert parse_factored("x1*(x2*(x1 + x2))", X2, 16) == [(x1(), 1), (x2(), 1),
+                                                         (x1() + x2(), 1)]
+    # a power gives its base and its last exponent
+    assert parse_factored("((x1)*(x2))^2", X2, 16) == [(x1() * x2(), 2)]
+    assert parse_factored("x1^2^3", X2, 16) == [(x1() ** 2, 3)]
+    # anything else is one factor: unary minus binds tighter than '*'
+    assert parse_factored("-(x1)*(x2)", X2, 16) == [(-x1(), 1), (x2(), 1)]
+    assert parse_factored("-((x1)*(x2))", X2, 16) == [(-(x1() * x2()), 1)]
+    assert parse_factored("x1*x2 + x1", X2, 16) == [(x1() * x2() + x1(), 1)]
+
+
+def test_parse_factored_forms_only_the_bases(monkeypatch):
+    calls = []
+    mul = Jet.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    parse_factored("(x1 + 4*x2)^2*(x1 - 4*x2)", X2, 16)
+    assert len(calls) == 2
+    calls.clear()
+    parse_jet("(x1 + 4*x2)^2*(x1 - 4*x2)", X2, 16)
+    assert len(calls) == 2 + 2 + 1
+
+
+def test_products_keep_the_grammar_grouping():
+    # exact operands at a finite order: dropping terms clears the flag, so
+    # the flag of the product depends on which product is formed first
+    left = parse_jet("x1^10*x1^10*0", X2, 16)
+    right = parse_jet("x1^10*(x1^10*0)", X2, 16)
+    assert left.is_zero() and not left.exact
+    assert right.is_zero() and right.exact
+
+
+NAMES = ("t", "x1", "x2")
+SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
+
+
+def random_text(rng, depth=0):
+    """A random expression as ``(text, value, level)``, where ``level`` is
+    the grammar rule whose operand position the text can fill without
+    parentheses."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        if rng.random() < 0.5:
+            num, den = rng.randrange(0, 9), rng.randrange(1, 5)
+            text = str(num) if den == 1 else f"{num}/{den}"
+            return text, sympy.Rational(num, den), ATOM
+        name = rng.choice(NAMES)
+        return name, sympy.Symbol(name), ATOM
+
+    def operand(least):
+        text, value, level = random_text(rng, depth + 1)
+        if level < least or rng.random() < 0.1:
+            text = f"({text})"
+        return text, value
+
+    if roll < 0.55:
+        (lt, lv), (rt, rv) = operand(SUM), operand(PRODUCT)
+        op = rng.choice("+-")
+        space = rng.choice([" ", "", "\n", " \n  "])
+        return f"{lt}{space}{op} {rt}", lv + rv if op == "+" else lv - rv, SUM
+    if roll < 0.7:
+        (lt, lv), (rt, rv) = operand(PRODUCT), operand(UNARY)
+        return f"{lt}*{rt}", lv * rv, PRODUCT
+    if roll < 0.85:
+        text, value = operand(UNARY)
+        return f"-{text}", -value, UNARY
+    # '^' is left associative: a power is a valid base of another power
+    text, value = operand(POWER)
+    exp = rng.randrange(0, 4)
+    return f"{text}^{exp}", value ** exp, POWER
+
+
+def test_random_text_matches_its_value():
+    rng = random.Random(42)
+    symbols = [sympy.Symbol(n) for n in TX2.names]
+    for _ in range(300):
+        text, value, _ = random_text(rng)
+        jet = parse_jet(text, TX2, INFINITE_ORDER)
+        poly = sympy.Poly(sympy.expand(value), *symbols)
+        want = {k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms() if c}
+        assert jet.exact, text
+        assert dict(jet.graded_items()) == want, text

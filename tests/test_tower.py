@@ -156,6 +156,17 @@ def test_system_of_two_lines():
     assert tw.degree_sequence == (2, 2)
 
 
+def test_system_carries_factors_source_and_unit_through_a_lower_shear():
+    X3 = VarContext.make(["x1", "x2", "x3"])
+    v = {n: Jet.variable(X3, n, 10) for n in X3.names}
+    tw = build_tower_system([v["x3"] - v["x1"] * v["x2"], v["x3"] + v["x1"] * v["x2"]])
+    assert not tw.levels[1].change.is_identity
+    top = tw.levels[0]
+    assert tw.factors[0].as_jet() * tw.factors[1].as_jet() == top.poly.as_jet()
+    assert top.unit * top.poly.as_jet() == tw.source
+    assert verify_tower(tw).all_passed
+
+
 def test_system_prepares_the_product_once(monkeypatch):
     import equijet.tower as tower
     import equijet.weierstrass as weierstrass

@@ -141,6 +141,14 @@ def test_divide_already_reduced():
     assert r == x1()
 
 
+def test_divide_by_a_unit_leaves_no_remainder():
+    g, f = x1() + x2() ** 2, 1 + x1()
+    q, r = weierstrass_divide(g, f, "x2")
+    assert r.is_zero()
+    assert (q * f - g).is_zero()
+    assert q.order == 16
+
+
 def test_divide_not_regular():
     with pytest.raises(NotRegularError):
         weierstrass_divide(x1(), x1() * x2(), "x2")
