@@ -4,7 +4,10 @@ A :class:`SolutionFamily` packages a polynomial system ``f(x, y)``, a family
 of candidate solutions ``y(x, z)`` in auxiliary variables ``z``, a witness
 ``z(x)`` vanishing at the origin, and the target solution ``y_hat(x)`` the
 family is supposed to pass through.  Verification is pure substitution: the
-residuals are computed, never thresholded.
+residuals are computed, never thresholded.  One nesting rule, ``_nesting``,
+serves :func:`verify_nested` and :func:`build_deformation`: a component may
+use only its x-prefix and z-prefix, and the witness of each z in that prefix
+only the same x-prefix.
 
 General solution *synthesis* is out of scope; the one constructive case
 carried here is the binomial family for ``y1^2 = y2^3`` over a single
@@ -13,7 +16,11 @@ the target.  On top of that, :func:`build_deformation` turns a verified
 solution of a tower's discriminant/preparation identities into the
 one-parameter deformation ``F(t, x)`` whose ``t = 1`` fiber is the original
 distinguished polynomial and whose ``t = 0`` fiber has the witness set to
-zero.
+zero.  A failed identity or nesting raises :class:`NotASolutionError`;
+malformed input (a tower with a parameter or without levels, witness entries
+off the origin or not one per z-variable, ``tau`` beyond the z-variables, a
+missing or ill-sized family, a missing unit) raises
+:class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .errors import (
 from .jets import INFINITE_ORDER, Jet, VarContext
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
 from .scalars import scalar_inverse, scalar_nth_root
-from .tower import Tower
+from .tower import Tower, TowerLevel
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,19 @@ class NestingViolation:
     reason: str
 
 
+def _nesting(component: str, jet: Jet, xs: Tuple[str, ...], zs: Tuple[str, ...],
+             witness: Tuple[Jet, ...]) -> List[NestingViolation]:
+    """The nesting rule: ``jet`` uses only the x-prefix ``xs`` and the
+    z-prefix ``zs``, and the witness of each z in ``zs`` (``witness`` is
+    aligned with the z-variables) uses only ``xs``."""
+    out = [NestingViolation(component, name, f"component {component} may only use "
+                                             f"x-prefix {len(xs)} and z-prefix {len(zs)}")
+           for name in jet.occurring() if name not in xs + zs]
+    return out + [NestingViolation(z, name, f"witness {z} must depend only on x-prefix "
+                                            f"{len(xs)} (required by {component})")
+                  for z, w in zip(zs, witness) for name in w.occurring() if name not in xs]
+
+
 def verify_nested(sf: SolutionFamily, shape: NestedShape,
                   order: Optional[int] = None):
     """Run :func:`verify_family` and additionally check the nested shape:
@@ -161,24 +181,9 @@ def verify_nested(sf: SolutionFamily, shape: NestedShape,
     if shape.sigma and max(shape.sigma) > len(sf.x_names):
         raise PreconditionError("sigma exceeds the number of x-variables")
     violations: List[NestingViolation] = []
-    for i, comp in enumerate(sf.family):
-        allowed = set(sf.x_names[: shape.sigma[i]]) | set(sf.z_names[: shape.tau[i]])
-        for name in comp.occurring():
-            if name not in allowed:
-                violations.append(NestingViolation(
-                    component=sf.y_names[i], variable=name,
-                    reason=f"component {sf.y_names[i]} may only use "
-                           f"x-prefix {shape.sigma[i]} and z-prefix {shape.tau[i]}"))
-        for j in range(shape.tau[i]):
-            allowed_x = set(sf.x_names[: shape.sigma[i]])
-            for name in sf.witness[j].occurring():
-                if name not in allowed_x:
-                    violations.append(NestingViolation(
-                        component=sf.z_names[j], variable=name,
-                        reason=f"witness {sf.z_names[j]} must depend only on "
-                               f"x-prefix {shape.sigma[i]} (required by {sf.y_names[i]})"))
-    verification = verify_family(sf, order)
-    return verification, tuple(violations)
+    for y, comp, sigma, tau in zip(sf.y_names, sf.family, shape.sigma, shape.tau):
+        violations += _nesting(y, comp, sf.x_names[:sigma], sf.z_names[:tau], sf.witness)
+    return verify_family(sf, order), tuple(violations)
 
 
 def jet_nth_root(a: Jet, n: int) -> Jet:
@@ -294,90 +299,68 @@ class DeformationResult:
     fiber_one_matches: bool
     fiber_zero: Jet
     fiber_zero_polynomial: bool
-    identity_residuals: Tuple[Jet, ...]
-    nesting_violations: Tuple[NestingViolation, ...]
 
 
-def _family_pseudopoly(tsol: TowerSolution, level_index: int, fam_ctx: VarContext,
-                       var: str) -> PseudoPolynomial:
-    coeffs = [c.in_context(fam_ctx) for c in tsol.families[level_index]]
-    return PseudoPolynomial(var, coeffs)
+def _family(tsol: TowerSolution, level: TowerLevel, fam_ctx: VarContext) -> PseudoPolynomial:
+    """The family of ``level`` as a pseudopolynomial in ``(x..., z...)``."""
+    fam = tsol.families.get(level.index)
+    if fam is None or len(fam) != level.degree:
+        raise PreconditionError(f"missing or ill-sized family for level {level.index}")
+    return PseudoPolynomial(fam_ctx.names[level.index - 1], [c.in_context(fam_ctx) for c in fam])
 
 
 def build_deformation(tsol: TowerSolution) -> DeformationResult:
     """Substitute ``z -> t * z(x)`` into the top-level coefficient families.
 
-    The supplied families are first verified against the tower's own
-    identities (the discriminant vanishing list and the unit-times-prepared
-    factorization at every descent, evaluated on the families) and against
-    the nesting bounds; verification failures raise
-    :class:`NotASolutionError`.
+    One walk over the levels first verifies the families: each coefficient
+    ``a[i,j]`` composed with the witness gives the tower's coefficient, and
+    the descent below level i (or the terminal one) is the unit family
+    ``u[k]`` times the family of level k.  ``a[i,j]`` is nested with x-prefix
+    ``i - 1`` and z-prefix ``tau(i - 1)``, ``u[k]`` with ``k`` and ``tau(k)``.
     """
     tower = tsol.tower
     ctx = tower.source.ctx
     if ctx.n_params:
         raise PreconditionError("the tower must be parameter-free")
+    if not tower.levels:
+        raise PreconditionError("the tower has no level to deform")
+    if len(tsol.witness) != len(tsol.z_names):
+        raise PreconditionError("one witness entry per z-variable is required")
+    if any(w.constant_term() for w in tsol.witness):
+        raise PreconditionError("witness entries must vanish at the origin")
+    if max(tsol.tau.values(), default=0) > len(tsol.z_names):
+        raise PreconditionError("tau exceeds the number of z-variables")
     x_names = ctx.coords
-    fam_ctx = VarContext.make(tuple(x_names) + tuple(tsol.z_names))
-    x_ctx = VarContext.make(tuple(x_names))
+    z_names = tuple(tsol.z_names)
+    fam_ctx = VarContext.make(x_names + z_names)
+    x_ctx = VarContext.make(x_names)
+    wsubst = {name: w.in_context(x_ctx) for name, w in zip(z_names, tsol.witness)}
 
-    for w in tsol.witness:
-        if w.constant_term():
-            raise PreconditionError("witness entries must vanish at the origin")
+    def nesting(component, jet, k):
+        return _nesting(component, jet, x_names[:k], z_names[:tsol.tau.get(k, 0)], tsol.witness)
 
     residuals: List[Jet] = []
     violations: List[NestingViolation] = []
-
-    levels = list(tower.levels)
-    for pos, level in enumerate(levels):
+    levels = tower.levels
+    for level, below in zip(levels, levels[1:] + (None,)):
         i = level.index
-        fam = tsol.families.get(i)
-        if fam is None or len(fam) != level.degree:
-            raise PreconditionError(f"missing or ill-sized family for level {i}")
-        # nesting: level-i data may use x_1..x_{i-1} and z_1..z_{tau(i-1)}
-        allowed_x = set(x_names[: i - 1])
-        allowed_z = set(tsol.z_names[: tsol.tau.get(i - 1, 0)])
-        for j, comp in enumerate(fam):
-            for name in comp.occurring():
-                if name not in allowed_x | allowed_z:
-                    violations.append(NestingViolation(
-                        component=f"a[{i},{j + 1}]", variable=name,
-                        reason=f"level {i} coefficients may use x-prefix {i - 1} "
-                               f"and z-prefix {tsol.tau.get(i - 1, 0)}"))
-        for j in range(tsol.tau.get(i - 1, 0)):
-            for name in tsol.witness[j].occurring():
-                if name not in allowed_x:
-                    violations.append(NestingViolation(
-                        component=tsol.z_names[j], variable=name,
-                        reason=f"witness allowed at level {i} must depend on x-prefix {i - 1}"))
-        # target consistency: family composed with the witness hits the
-        # tower's actual coefficients
-        wsubst = {name: w.in_context(x_ctx) for name, w in zip(tsol.z_names, tsol.witness)}
-        for j, comp in enumerate(fam):
-            through = comp.compose(wsubst) if wsubst else comp.in_context(x_ctx)
-            residuals.append(through - level.poly.coeffs[j].in_context(x_ctx))
-        # descent identity evaluated on the families
-        if pos + 1 < len(levels) or tower.terminal_disc_index is not None:
-            fam_poly = _family_pseudopoly(tsol, i, fam_ctx, x_names[i - 1])
-            gd = generalized_discriminants(fam_poly)
-            below = levels[pos + 1] if pos + 1 < len(levels) else None
-            l = below.disc_index if below is not None else tower.terminal_disc_index
-            unit_level = below.index if below is not None else tower.terminal_index
-            unit_fam = tsol.units.get(unit_level)
-            if unit_fam is None:
-                raise PreconditionError(f"missing unit family for level {unit_level}")
-            allowed_u = set(x_names[:unit_level]) | set(tsol.z_names[: tsol.tau.get(unit_level, 0)])
-            for name in unit_fam.occurring():
-                if name not in allowed_u:
-                    violations.append(NestingViolation(
-                        component=f"u[{unit_level}]", variable=name,
-                        reason=f"the unit below level {i} may use x-prefix {unit_level} "
-                               f"and z-prefix {tsol.tau.get(unit_level, 0)}"))
-            rhs = unit_fam.in_context(fam_ctx)
-            if below is not None:
-                rhs = rhs * _family_pseudopoly(tsol, below.index, fam_ctx,
-                                               x_names[below.index - 1]).as_jet()
-            residuals.extend(gd.descent_residuals(l, rhs))
+        fam = _family(tsol, level, fam_ctx)
+        for j, (a, want) in enumerate(zip(fam.coeffs, level.poly.coeffs), start=1):
+            violations += nesting(f"a[{i},{j}]", a, i - 1)
+            through = a.compose(wsubst) if wsubst else a.in_context(x_ctx)
+            residuals.append(through - want.in_context(x_ctx))
+        if below is None and tower.terminal_disc_index is None:
+            continue
+        k, l = ((below.index, below.disc_index) if below is not None
+                else (tower.terminal_index, tower.terminal_disc_index))
+        unit = tsol.units.get(k)
+        if unit is None:
+            raise PreconditionError(f"missing unit family for level {k}")
+        violations += nesting(f"u[{k}]", unit, k)
+        rhs = unit.in_context(fam_ctx)
+        if below is not None:
+            rhs = rhs * _family(tsol, below, fam_ctx).as_jet()
+        residuals.extend(generalized_discriminants(fam).descent_residuals(l, rhs))
 
     bad = [r for r in residuals if not r.is_zero()]
     if bad:
@@ -389,27 +372,16 @@ def build_deformation(tsol: TowerSolution) -> DeformationResult:
             f"nesting violated: {violations[0].reason} (variable {violations[0].variable})")
 
     top = levels[0]
-    def_ctx = VarContext.make(tuple(x_names), params=("t",))
-    order = tower.order
-    tvar = Jet.variable(def_ctx, "t", order)
-    subst = {}
-    for name, w in zip(tsol.z_names, tsol.witness):
-        subst[name] = tvar * w.in_context(def_ctx)
-    v = Jet.variable(def_ctx, x_names[top.index - 1], order)
+    def_ctx = VarContext.make(x_names, params=("t",))
+    tvar = Jet.variable(def_ctx, "t", tower.order)
+    subst = {name: tvar * w.in_context(def_ctx) for name, w in zip(z_names, tsol.witness)}
+    v = Jet.variable(def_ctx, x_names[top.index - 1], tower.order)
     F = v ** top.degree
-    for j, fam_coeff in enumerate(tsol.families[top.index], start=1):
-        coeff = fam_coeff.in_context(fam_ctx).compose(subst) if subst else \
-            fam_coeff.in_context(def_ctx)
-        F = F + coeff * v ** (top.degree - j)
+    for j, a in enumerate(_family(tsol, top, fam_ctx).coeffs, start=1):
+        F = F + (a.compose(subst) if subst else a.in_context(def_ctx)) * v ** (top.degree - j)
 
     fiber_one = F.restrict({"t": 1}, drop=True)
     matches = (fiber_one - top.poly.as_jet().in_context(fiber_one.ctx)).is_zero()
     fiber_zero = F.restrict({"t": 0}, drop=True)
-    return DeformationResult(
-        deformation=F, parameter="t",
-        fiber_one_matches=matches,
-        fiber_zero=fiber_zero,
-        fiber_zero_polynomial=fiber_zero.exact,
-        identity_residuals=tuple(residuals),
-        nesting_violations=tuple(violations))
-
+    return DeformationResult(deformation=F, parameter="t", fiber_one_matches=matches,
+                             fiber_zero=fiber_zero, fiber_zero_polynomial=fiber_zero.exact)

@@ -10,7 +10,9 @@ Grammar (standard precedence, left associativity):
     RATIONAL := INT ('/' INT)?
 
 There is no division operator; '/' only joins two integer literals into a
-rational literal.  Powers take nonnegative integer literals.
+rational literal.  Powers take nonnegative integer literals.  A rational
+literal takes no '^': ``3/4^2`` is a located error that suggests
+``(3/4)^2``, since it could mean ``(3/4)^2`` or ``3/(4^2)``.
 
 No expression tree is built.  Each grammar rule returns its value together
 with its factor list ``[(base, exponent), ...]``: the factors of a product
@@ -173,6 +175,12 @@ class _Parser:
                 den = int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.line, den_tok.column)
+                hat = self.peek()
+                if hat.text == "^":
+                    literal, exp = f"{tok.text}/{den_tok.text}", self.tokens[self.pos + 1]
+                    raise ParseError(f"'^' after the rational literal {literal}; write "
+                                     f"({literal})^{exp.text if exp.kind == 'int' else 'n'}",
+                                     hat.line, hat.column)
             return _evaluated(Jet.constant(self.ctx, Fraction(int(tok.text), den), self.order))
         if tok.kind == "name":
             if tok.text not in self.ctx.names:

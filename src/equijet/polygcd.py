@@ -34,6 +34,7 @@ from .scalars import (
     uni_gcd,
     uni_mul,
     uni_neg,
+    uni_squarefree_part,
     uni_sub,
     uni_trim,
 )
@@ -43,40 +44,60 @@ POWER_CAP = 64
 
 
 def rational_roots(a: Uni) -> List[Fraction]:
-    """All rational roots of a polynomial with rational coefficients."""
+    """All rational roots of a polynomial with rational coefficients.
+
+    With integer coefficients ``c_0..c_d`` a root ``p/q`` has ``q | c_d``, so
+    ``y = c_d * x`` makes the roots integer roots of a monic integer
+    polynomial; Sturm bisection on integer endpoints isolates those without
+    factoring any coefficient.
+    """
     a = uni_trim(list(a))
     if not a or any(not isinstance(c, Fraction) for c in a):
         return []
     # clear denominators to integer coefficients
     den = math.lcm(*(c.denominator for c in a))
     ints = [int(c * den) for c in a]
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
+    shift = next(k for k, c in enumerate(ints) if c)
     roots = [Fraction(0)] if shift else []
     ints = ints[shift:]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and uni_eval(a, cand) == 0:
-                    roots.append(cand)
+    d, lead = len(ints) - 1, ints[-1]
+    if d < 1:
+        return roots
+    monic = [Fraction(c * lead ** (d - 1 - k)) for k, c in enumerate(ints[:-1])] + [Fraction(1)]
+    chain, bound = _sturm(uni_squarefree_part(monic))
+    todo = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not uni_eval(chain[0], hi):
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(chain, mid)
+        todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _sturm(a: Uni) -> Tuple[List[List[int]], int]:
+    """The Sturm chain of a squarefree rational ``a``, each entry scaled by a
+    positive number to integer coefficients, and an integer ``B`` with every
+    real root of ``a`` in ``(-B, B)``."""
+    chain = [list(a), uni_derivative(a)]
+    while uni_deg(chain[-1]) > 0:
+        _, r = uni_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(uni_neg(r))
+    bound = math.ceil(1 + max(abs(c / a[-1]) for c in a[:-1]))
+    scales = [math.lcm(*(c.denominator for c in p)) for p in chain]
+    return [[int(c * m) for c in p] for p, m in zip(chain, scales)], bound
+
+
+def _sign_changes(chain: List[List[int]], x: int) -> int:
+    signs = [v > 0 for v in (uni_eval(p, x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def sturm_real_root_count(a: Uni) -> int:
@@ -84,24 +105,8 @@ def sturm_real_root_count(a: Uni) -> int:
     a = uni_trim([Fraction(c) for c in a])
     if uni_deg(a) < 1:
         return 0
-    chain = [list(a), uni_derivative(a)]
-    while uni_deg(chain[-1]) > 0:
-        _, r = uni_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(uni_neg(r))
-    def sign_changes(at_inf: int) -> int:
-        signs = []
-        for p in chain:
-            if not p:
-                continue
-            lead = p[-1]
-            s = 1 if lead > 0 else -1
-            if at_inf < 0 and uni_deg(p) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-    return sign_changes(-1) - sign_changes(1)
+    chain, bound = _sturm(a)
+    return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
 
 
 # -- jets <-> columns ---------------------------------------------------

@@ -118,7 +118,8 @@ def uni_squarefree_part(a: Uni) -> Uni:
 
 
 def uni_eval(a: Uni, x: "Scalar") -> "Scalar":
-    acc: Scalar = Fraction(0)
+    """Horner evaluation; integer coefficients at an integer give an integer."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc

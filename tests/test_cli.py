@@ -67,6 +67,17 @@ def test_mero_analyze_reports_an_algebraic_constant():
                                             "minpoly": ["64", "0", "1"]}
 
 
+def test_mero_analyze_finds_a_constant_with_an_18_digit_numerator():
+    # the rational root of the constant's polynomial is found without
+    # factoring its 19-digit constant term
+    code, out = machine_run(["mero-analyze", "--f", "(x2 - 1000000000000000003*x1^2)",
+                             "--g", "(x1)^2", "--candidate", "x2"])
+    assert code == 0
+    [record] = json.loads(out)["result"]["informational"]
+    assert (record["h"]["text"], record["c"], record["mu"]) == (
+        "x2", "-1000000000000000003", 0)
+
+
 def test_prepare_of_a_unit_prints_the_distinguished_polynomial_1():
     code, out = run(["prepare", "1 + x1", "--var", "x2", "--vars", "x1,x2"])
     assert code == 0

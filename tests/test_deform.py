@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from equijet.deform import (
@@ -10,7 +12,7 @@ from equijet.deform import (
     verify_family,
     verify_nested,
 )
-from equijet.errors import NotASolutionError
+from equijet.errors import NotASolutionError, PreconditionError
 from equijet.jets import Jet, VarContext
 from equijet.tower import build_tower, check_family
 
@@ -255,4 +257,99 @@ def test_build_deformation_rejects_nesting_violation():
     tsol = TowerSolution(tower=tower, families=families, units=units,
                          witness=witness, z_names=("z1",), tau={1: 1, 0: 0})
     with pytest.raises(NotASolutionError):
+        build_deformation(tsol)
+
+
+def _malformed(case):
+    """The cusp's trivial one-z solution with one part broken."""
+    tower, families, units, fam_ctx = _cusp_trivial_solution(z_names=("z1",))
+    families, units = dict(families), dict(units)
+    x1 = Jet.variable(VarContext.make(["x1", "x2"]), "x1")
+    witness, tau = (x1,), {1: 1, 0: 0}
+    if case == "lower-family-missing":
+        del families[1]
+    elif case == "tau-beyond-z":
+        tau = {1: 2, 0: 0}
+    elif case == "extra-witness":
+        witness = (x1, x1)
+    elif case == "no-witness":
+        witness = ()
+    elif case == "unit-missing":
+        del units[0]
+    elif case == "family-wrong-size":
+        families[2] = families[2][:1]
+    return TowerSolution(tower=tower, families=families, units=units,
+                         witness=witness, z_names=("z1",), tau=tau)
+
+
+MALFORMED = {
+    "lower-family-missing": "missing or ill-sized family for level 1",
+    "tau-beyond-z": "tau exceeds the number of z-variables",
+    "extra-witness": "one witness entry per z-variable is required",
+    "no-witness": "one witness entry per z-variable is required",
+    "unit-missing": "missing unit family for level 0",
+    "family-wrong-size": "missing or ill-sized family for level 2",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_build_deformation_rejects_malformed_solutions(case):
+    with pytest.raises(PreconditionError) as info:
+        build_deformation(_malformed(case))
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == MALFORMED[case]
+
+
+def test_build_deformation_rejects_a_tower_without_levels():
+    ctx = VarContext.make(["x1", "x2"])
+    tower = build_tower(1 + Jet.variable(ctx, "x1"))
+    assert not tower.levels
+    tsol = TowerSolution(tower=tower, families={}, units={}, witness=(), z_names=(), tau={})
+    with pytest.raises(PreconditionError, match="no level"):
+        build_deformation(tsol)
+
+
+def test_nesting_rule_is_shared_by_verify_nested_and_build_deformation():
+    # one violation in both: the witness of z1 uses x2, only x1 is allowed
+    x_ctx = VarContext.make(["x1", "x2"])
+    fam_ctx = VarContext.make(["x1", "x2", "z1"])
+    sys_ctx = VarContext.make(["x1", "x2", "y1"])
+    sf = SolutionFamily(
+        x_names=("x1", "x2"), y_names=("y1",), z_names=("z1",),
+        system=(Jet.variable(sys_ctx, "y1") - Jet.variable(sys_ctx, "y1"),),
+        family=(Jet.variable(fam_ctx, "x1"),),
+        witness=(Jet.variable(x_ctx, "x2"),),
+        target=(Jet.variable(x_ctx, "x1"),))
+    _, violations = verify_nested(sf, NestedShape(sigma=(1,), tau=(1,)))
+    assert [(v.component, v.variable) for v in violations] == [("z1", "x2")]
+    reason = violations[0].reason
+    assert reason == "witness z1 must depend only on x-prefix 1 (required by y1)"
+
+    tower, families, units, _ = _cusp_trivial_solution(z_names=("z1",))
+    tsol = TowerSolution(tower=tower, families=families, units=units,
+                         witness=(Jet.variable(x_ctx, "x2"),), z_names=("z1",),
+                         tau={1: 1, 0: 0})
+    with pytest.raises(NotASolutionError) as info:
+        build_deformation(tsol)
+    want = reason.replace("(required by y1)", "(required by a[2,1])")
+    assert str(info.value) == f"nesting violated: {want} (variable x2)"
+
+
+def test_build_deformation_names_the_offending_coefficient():
+    # the genuine solution of x2^2 - x1^4*(1+x1^2) with tau(1) = 0: a[2,2]
+    # and u[1] use z1, which level 2 and the unit below it may not
+    ctx = VarContext.make(["x1", "x2"])
+    tower = build_tower(Jet.variable(ctx, "x2") ** 2
+                        - Jet.variable(ctx, "x1") ** 4 * (1 + Jet.variable(ctx, "x1") ** 2))
+    fam_ctx = VarContext.make(["x1", "x2", "z1"])
+    fz = Jet.variable(fam_ctx, "z1")
+    zero = Jet.zero(fam_ctx)
+    tsol = TowerSolution(
+        tower=tower, families={2: (zero, -(Jet.variable(fam_ctx, "x1") ** 4) * (1 + fz)),
+                               1: (zero,) * 4},
+        units={1: Jet.constant(fam_ctx, 4) * (1 + fz), 0: Jet.constant(fam_ctx, 4)},
+        witness=(Jet.variable(ctx, "x1") ** 2,), z_names=("z1",), tau={1: 0, 0: 0})
+    with pytest.raises(NotASolutionError, match=re.escape(
+            "nesting violated: component a[2,2] may only use x-prefix 1 and "
+            "z-prefix 0 (variable z1)")):
         build_deformation(tsol)

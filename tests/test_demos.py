@@ -6,6 +6,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
@@ -17,3 +18,4 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

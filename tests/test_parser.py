@@ -69,8 +69,14 @@ def test_parse_unknown_variable_against_context():
 def test_parse_rational_literals():
     assert parse_jet("3/4", X2, 16) == Jet.constant(X2, Fraction(3, 4), 16)
     assert parse_jet("-3/4", X2, 16) == Jet.constant(X2, Fraction(-3, 4), 16)
-    # a rational literal is an atom, so it is the base of a power
-    assert parse_jet("3/4^2", X2, 16) == Jet.constant(X2, Fraction(9, 16), 16)
+    # '^' after a rational literal is ambiguous, so it is a located error
+    with pytest.raises(ParseError) as err:
+        parse_jet("x1 + 3/4^2", X2, 16)
+    assert (err.value.line, err.value.column) == (1, 9)
+    assert "write (3/4)^2" in str(err.value)
+    assert parse_jet("(3/4)^2", X2, 16) == Jet.constant(X2, Fraction(9, 16), 16)
+    assert parse_jet("3^2", X2, 16) == Jet.constant(X2, 9, 16)
+    assert parse_jet("3/4*x1^2", X2, 16) == Jet.variable(X2, "x1", 16) ** 2 * Fraction(3, 4)
     with pytest.raises(ParseError):
         parse_jet("3/x1", X2, 16)
     with pytest.raises(ParseError) as err:
@@ -154,8 +160,10 @@ def random_text(rng, depth=0):
     if depth > 3 or roll < 0.3:
         if rng.random() < 0.5:
             num, den = rng.randrange(0, 9), rng.randrange(1, 5)
-            text = str(num) if den == 1 else f"{num}/{den}"
-            return text, sympy.Rational(num, den), ATOM
+            if den == 1:
+                return str(num), sympy.Integer(num), ATOM
+            # a rational literal is no base of '^': it fills a unary position
+            return f"{num}/{den}", sympy.Rational(num, den), UNARY
         name = rng.choice(NAMES)
         return name, sympy.Symbol(name), ATOM
 

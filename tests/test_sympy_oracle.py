@@ -284,12 +284,24 @@ def to_uni(expr):
     return [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, X1).all_coeffs())]
 
 
+def with_large_constant(rng):
+    """A cubic whose integer constant term has 18 digits or more: a rational
+    root of up to 21 digits times ``x^2 - m^2 - e``, rational roots for
+    ``e = 0`` and irrational ones otherwise."""
+    p, q = rng.randrange(10 ** 9, 10 ** 21), rng.randrange(1, 1000)
+    m, e = rng.randrange(10 ** 9, 10 ** 12), rng.choice([-1, 0, 1])
+    expr = sympy.expand((q * X1 + rng.choice([-1, 1]) * p) * (X1 ** 2 - m ** 2 - e))
+    assert abs(sympy.Poly(expr, X1).all_coeffs()[-1]) >= 10 ** 17
+    return expr
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rational_roots_against_sympy(seed):
-    expr = random_univariate(random.Random(113 + seed))
-    want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(sympy.Poly(expr, X1))
-                  if r.is_rational)
-    assert rational_roots(to_uni(expr)) == want
+    rng = random.Random(113 + seed)
+    for expr in (random_univariate(rng), with_large_constant(rng)):
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(sympy.Poly(expr, X1))
+                      if r.is_rational)
+        assert rational_roots(to_uni(expr)) == want
 
 
 @pytest.mark.parametrize("seed", range(12))
