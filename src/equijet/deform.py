@@ -18,8 +18,8 @@ one-parameter deformation ``F(t, x)`` whose ``t = 1`` fiber is the original
 distinguished polynomial and whose ``t = 0`` fiber has the witness set to
 zero.  A failed identity or nesting raises :class:`NotASolutionError`;
 malformed input (a tower with a parameter or without levels, witness entries
-off the origin or not one per z-variable, ``tau`` beyond the z-variables, a
-missing or ill-sized family, a missing unit) raises
+off the origin or not one per z-variable, ``tau`` negative or beyond the
+z-variables, a missing or ill-sized family, a missing unit) raises
 :class:`PreconditionError`.
 """
 
@@ -328,6 +328,8 @@ def build_deformation(tsol: TowerSolution) -> DeformationResult:
         raise PreconditionError("one witness entry per z-variable is required")
     if any(w.constant_term() for w in tsol.witness):
         raise PreconditionError("witness entries must vanish at the origin")
+    if min(tsol.tau.values(), default=0) < 0:
+        raise PreconditionError("tau must be nonnegative")
     if max(tsol.tau.values(), default=0) > len(tsol.z_names):
         raise PreconditionError("tau exceeds the number of z-variables")
     x_names = ctx.coords

@@ -2,14 +2,15 @@
 
 Given coprime factored germs f and g, the holomorphic 1-form
 
-    theta = (f_1...f_p g_1...g_q / (f g)) * (g df - f dg)
+    theta = F G (df/f - dg/g),  F = f_1...f_p and G = g_1...g_q,
 
-is computed by exact polynomial arithmetic (the division is verified, not
-assumed).  Divisors of theta -- common factors of its two coefficients --
-are located through the constant test: an irreducible h coprime to f*g
-divides theta exactly when some constant c makes h divide f - c*g, and then
-the h-power in f - c*g exceeds the h-power in theta by one.  Constants are
-found by eliminating one variable with a resultant and taking the gcd of the
+is a sum of products of the declared factors and their derivatives, so it
+is computed by exact polynomial arithmetic and nothing is divided.  Divisors
+of theta -- common factors of its two coefficients -- are located through
+the constant test: an irreducible h coprime to f*g divides theta exactly
+when some constant c makes h divide f - c*g, and then the h-power in
+f - c*g exceeds the h-power in theta by one.  Constants are found by
+eliminating one variable with a resultant and taking the gcd of the
 resulting coefficients as polynomials in c; algebraic constants are carried
 in a simple extension field.
 
@@ -21,9 +22,10 @@ lemma-violation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .deform import SolutionFamily, verify_family
 from .errors import (
@@ -102,14 +104,6 @@ class FactoredGerm:
     def ctx(self) -> VarContext:
         return self.product.ctx
 
-    def reduced(self, order: int) -> Jet:
-        """The product of the bases, each taken once, at ``order``: theta
-        prints the order of what it is computed from."""
-        out = Jet.constant(self.ctx, 1, order)
-        for base, _ in self.factors:
-            out = out * base.with_order(order)
-        return out
-
 
 @dataclass(frozen=True)
 class OneForm:
@@ -118,14 +112,17 @@ class OneForm:
     a: Jet
     b: Jet
 
-    def divided(self, h: Jet, times: int) -> Optional["OneForm"]:
-        """The form divided by ``h^times``, or None when a division is not exact."""
+    def divided(self, pairs: Iterable[Tuple[Jet, int]]) -> Optional["OneForm"]:
+        """The form divided by ``h^times`` for each pair ``(h, times)`` in
+        turn, or None as soon as a division is not exact; no pair is drawn
+        after that."""
         a, b = self.a, self.b
-        for _ in range(times):
-            qa, qb = exact_divide(a, h), exact_divide(b, h)
-            if qa is None or qb is None:
-                return None
-            a, b = qa, qb
+        for h, times in pairs:
+            for _ in range(times):
+                qa, qb = exact_divide(a, h), exact_divide(b, h)
+                if qa is None or qb is None:
+                    return None
+                a, b = qa, qb
         return OneForm(a=a, b=b)
 
     def coefficient_gcd(self) -> Jet:
@@ -158,41 +155,38 @@ class MeroAnalysis:
         return len(self.records)
 
 
-def _lift_pair(f: FactoredGerm, g: FactoredGerm) -> Tuple[Jet, Jet, int]:
-    """Both products at one order above their degrees: theta, omega and rho
-    are computed from them and print this order, so it stays finite."""
-    df = f.product.total_degree() or 0
-    dg = g.product.total_degree() or 0
-    bound = 2 * (df + dg) + sum((b.total_degree() or 0) for b, _ in f.factors + g.factors) + 4
-    return f.product.with_order(bound), g.product.with_order(bound), bound
+def _lift_order(f: FactoredGerm, g: FactoredGerm) -> int:
+    """An order above the degree of ``f*g*F*G``: theta, omega and rho are
+    computed at it and print it, so it stays finite."""
+    return sum((2 * e + 1) * base.total_degree() for base, e in f.factors + g.factors) + 4
+
+
+def _lift_pair(f: FactoredGerm, g: FactoredGerm) -> Tuple[Jet, Jet]:
+    """Both products at :func:`_lift_order`, for omega and rho; theta is a
+    sum of products of the declared factors and needs neither."""
+    bound = _lift_order(f, g)
+    return f.product.with_order(bound), g.product.with_order(bound)
 
 
 def theta(f: FactoredGerm, g: FactoredGerm) -> OneForm:
-    """The reduced-numerator logarithmic 1-form of f/g.
+    """The reduced-numerator logarithmic 1-form ``F*G*(df/f - dg/g)`` of f/g.
 
-    The exact division by ``f*g`` must come out with zero remainder; a
-    nonzero remainder means the declared factorization was inconsistent.
+    Its coefficient along each coordinate v is the sum, over the bases b of
+    f and of g, of ``e_b * d_v b`` times the product of the other bases, with
+    e_b the exponent of b in f or minus its exponent in g: a sum of products
+    of the declared factors, so nothing is divided.
     """
     if f.ctx != g.ctx:
         raise PreconditionError("germs in different contexts")
-    fp, gp, bound = _lift_pair(f, g)
-    if not is_constant(jet_gcd(fp, gp)):
+    if any(not is_constant(jet_gcd(b, c)) for b, _ in f.factors for c, _ in g.factors):
         raise CoprimalityError("f and g share a factor")
-    x1, x2 = f.ctx.names
-    red = f.reduced(bound) * g.reduced(bound)
-    fg = fp * gp
-    coeffs = []
-    for var in (x1, x2):
-        # the derivatives keep the order of the products: theta prints it
-        num = red * (gp * fp.derivative(var).with_order(bound)
-                     - fp * gp.derivative(var).with_order(bound))
-        q = exact_divide(num, fg)
-        if q is None:
-            raise ConsistencyError(
-                "the 1-form numerator is not divisible by f*g; "
-                "the declared factorization is inconsistent")
-        coeffs.append(q)
-    return OneForm(a=coeffs[0], b=coeffs[1])
+    bases = [base.with_order(INFINITE_ORDER) for base, _ in f.factors + g.factors]
+    exps = [e for _, e in f.factors] + [-e for _, e in g.factors]
+    others = [math.prod(bases[:i] + bases[i + 1:]) for i in range(len(bases))]
+    zero, bound = Jet.zero(f.ctx, INFINITE_ORDER), _lift_order(f, g)
+    a, b = (Jet.dot([base.derivative(v).scale(e) for base, e in zip(bases, exps)], others, zero)
+            for v in f.ctx.names)
+    return OneForm(*(Jet.polynomial(f.ctx, c.graded_items(), bound) for c in (a, b)))
 
 
 def _constants_for(h: Jet, fp: Jet, gp: Jet) -> List[Scalar]:
@@ -252,7 +246,7 @@ def divisor_constant(h: Jet, f: FactoredGerm, g: FactoredGerm) -> Optional[Divis
         raise PreconditionError("candidate divisor must be an exact polynomial")
     if h.is_zero() or is_constant(h):
         raise PreconditionError("candidate divisor must be nonconstant")
-    fp, gp, _ = _lift_pair(f, g)
+    fp, gp = _lift_pair(f, g)
     if not is_constant(jet_gcd(h, fp)):
         raise PreconditionError("candidate divisor divides f")
     if not is_constant(jet_gcd(h, gp)):
@@ -335,7 +329,7 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
     with mu = 0 never enter the divisor product.
     """
     th = theta(f, g)
-    fp, gp, _ = _lift_pair(f, g)
+    fp, gp = _lift_pair(f, g)
     d = th.coefficient_gcd()
     records: List[DivisorRecord] = []
     if not is_constant(d):
@@ -345,11 +339,9 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
             for part in content_split(piece):
                 if not is_constant(part):
                     records += _records_for(part, mult, fp, gp)
-    omega = th
-    for rec in records:
-        omega = omega.divided(rec.h, rec.mu)
-        if omega is None:
-            raise ConsistencyError("dividing the form by its divisors failed")
+    omega = th.divided((rec.h, rec.mu) for rec in records)
+    if omega is None:
+        raise ConsistencyError("dividing the form by its divisors failed")
     if not is_constant(omega.coefficient_gcd()):
         raise ConsistencyError("the reduced form still has a nonconstant coefficient gcd")
 
@@ -477,9 +469,7 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
     check = verify_family(family)
     if not check.passed:
         raise PreconditionError("the family does not satisfy the emitted system")
-    p = len(sysS.y1_names)
-    q = len(sysS.y2_names)
-    e = len(sysS.y3_names)
+    p, q, e = len(sysS.y1_names), len(sysS.y2_names), len(sysS.y3_names)
     if len(family.family) != p + q + 2 * e:
         raise PreconditionError("family component count does not match the system")
 
@@ -497,21 +487,19 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
         g_slices = comps[p:p + q]
         h_slices = comps[p + q:p + q + e]
         note = ""
-        division_exact = True
         isolated: Optional[bool] = None
         poly_data = all(c.exact for c in comps)
         try:
             fg_f = FactoredGerm.build(list(zip(f_slices, sysS.f_exponents)))
             fg_g = FactoredGerm.build(list(zip(g_slices, sysS.g_exponents)))
-            omega = theta(fg_f, fg_g)
-            for hk, mu in zip(h_slices, sysS.mus):
-                omega = omega.divided(hk.with_order(omega.a.order), mu)
-                if omega is None:
-                    division_exact = False
-                    break
+            th = theta(fg_f, fg_g)
+            # a lift of a truncated hk raises: none is made after a failed division
+            omega = th.divided((hk.with_order(th.a.order), mu)
+                               for hk, mu in zip(h_slices, sysS.mus))
+            division_exact = omega is not None
             if division_exact:
                 isolated = is_constant(omega.coefficient_gcd())
-        except (PreconditionError, ConsistencyError) as err:
+        except PreconditionError as err:
             division_exact = False
             note = str(err)
 

@@ -27,6 +27,7 @@ from .scalars import (
     Scalar,
     Uni,
     scalar_inverse,
+    scalar_is_rational,
     uni_deg,
     uni_derivative,
     uni_divmod,
@@ -52,7 +53,7 @@ def rational_roots(a: Uni) -> List[Fraction]:
     factoring any coefficient.
     """
     a = uni_trim(list(a))
-    if not a or any(not isinstance(c, Fraction) for c in a):
+    if not a or any(not scalar_is_rational(c) for c in a):
         return []
     # clear denominators to integer coefficients
     den = math.lcm(*(c.denominator for c in a))

@@ -262,14 +262,18 @@ def test_build_deformation_rejects_nesting_violation():
 
 def _malformed(case):
     """The cusp's trivial one-z solution with one part broken."""
-    tower, families, units, fam_ctx = _cusp_trivial_solution(z_names=("z1",))
+    # two z-variables for a negative tau, whose z-prefix z_names[:-1] is not empty
+    z_names = ("z1", "z2") if case == "tau-negative" else ("z1",)
+    tower, families, units, fam_ctx = _cusp_trivial_solution(z_names=z_names)
     families, units = dict(families), dict(units)
     x1 = Jet.variable(VarContext.make(["x1", "x2"]), "x1")
-    witness, tau = (x1,), {1: 1, 0: 0}
+    witness, tau = (x1,) * len(z_names), {1: 1, 0: 0}
     if case == "lower-family-missing":
         del families[1]
     elif case == "tau-beyond-z":
         tau = {1: 2, 0: 0}
+    elif case == "tau-negative":
+        tau = {1: -1, 0: 0}
     elif case == "extra-witness":
         witness = (x1, x1)
     elif case == "no-witness":
@@ -279,12 +283,13 @@ def _malformed(case):
     elif case == "family-wrong-size":
         families[2] = families[2][:1]
     return TowerSolution(tower=tower, families=families, units=units,
-                         witness=witness, z_names=("z1",), tau=tau)
+                         witness=witness, z_names=z_names, tau=tau)
 
 
 MALFORMED = {
     "lower-family-missing": "missing or ill-sized family for level 1",
     "tau-beyond-z": "tau exceeds the number of z-variables",
+    "tau-negative": "tau must be nonnegative",
     "extra-witness": "one witness entry per z-variable is required",
     "no-witness": "one witness entry per z-variable is required",
     "unit-missing": "missing unit family for level 0",

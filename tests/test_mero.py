@@ -18,6 +18,7 @@ from equijet.mero import (
     emit_system,
     theta,
 )
+from equijet.parser import parse_jet
 from equijet.polygcd import (
     content_split,
     exact_divide,
@@ -183,20 +184,66 @@ def test_theta_rejects_common_factor():
         theta(germ((x1(), 1)), germ((x1(), 2)))
 
 
+def test_theta_rejects_a_factor_shared_inside_a_composite_base():
+    curve = x2() - x1() ** 2
+    with pytest.raises(CoprimalityError, match="^f and g share a factor$"):
+        theta(germ((x1() * curve, 1)), germ((curve, 2)))
+
+
+# irreducible curves through the origin; distinct ones are coprime
+CURVES = ["x1", "x2", "x1 + x2", "x1 - x2", "x1 + 2*x2", "x2 - x1^2", "x1 - x2^2",
+          "x2^2 - x1^3"]
+
+
+def random_coprime_pair(rng):
+    """Two germs of 1-3 distinct curves each, none shared, exponents 1-3."""
+    picked = rng.sample(CURVES, rng.randrange(2, 7))
+    cut = rng.randrange(max(1, len(picked) - 3), min(3, len(picked) - 1) + 1)
+    factors = [(parse_jet(c, X, 16), rng.randrange(1, 4)) for c in picked]
+    return germ(*factors[:cut]), germ(*factors[cut:])
+
+
+def quotient_theta(f, g):
+    """theta the long way: ``F*G*(g*df - f*dg) / (f*g)`` by exact division,
+    every operand at the order that theta prints."""
+    order = (2 * (f.product.total_degree() + g.product.total_degree())
+             + sum(base.total_degree() for base, _ in f.factors + g.factors) + 4)
+    fp, gp = f.product.with_order(order), g.product.with_order(order)
+    red = Jet.constant(X, 1, order)
+    for base, _ in f.factors + g.factors:
+        red = red * base.with_order(order)
+    return [exact_divide(red * (gp * fp.derivative(v).with_order(order)
+                                - fp * gp.derivative(v).with_order(order)), fp * gp)
+            for v in ("x1", "x2")]
+
+
 def test_theta_identity_property():
-    # theta * (f*g) == (reduced products) * (g df - f dg), coefficientwise
-    f = germ((x1(), 1), (x2(), 2))
-    g = germ((x1() + x2(), 1))
-    th = theta(f, g)
-    order = th.a.order
-    fp = f.product.with_order(order)
-    gp = g.product.with_order(order)
-    red = f.reduced(order) * g.reduced(order)
-    for var, coeff in (("x1", th.a), ("x2", th.b)):
-        lhs = coeff * fp * gp
-        rhs = red * (gp * fp.derivative(var).with_order(order)
-                     - fp * gp.derivative(var).with_order(order))
-        assert (lhs - rhs).is_zero()
+    rng = random.Random(14)
+    for _ in range(30):
+        f, g = random_coprime_pair(rng)
+        th = theta(f, g)
+        # terms, order and flag
+        assert [th.a, th.b] == quotient_theta(f, g)
+
+
+def test_theta_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    s1, s2 = sympy.symbols("x1 x2")
+
+    def expr(j):
+        return sum(sympy.Rational(c.numerator, c.denominator) * s1 ** e1 * s2 ** e2
+                   for (e1, e2), c in j.graded_items())
+
+    rng = random.Random(41)
+    for _ in range(4):
+        f, g = random_coprime_pair(rng)
+        th = theta(f, g)
+        fs = sympy.Mul(*[expr(b) ** e for b, e in f.factors])
+        gs = sympy.Mul(*[expr(b) ** e for b, e in g.factors])
+        red = sympy.Mul(*[expr(b) for b, _ in f.factors + g.factors])
+        for coeff, v in ((th.a, s1), (th.b, s2)):
+            want = sympy.cancel(red * (sympy.diff(fs, v) / fs - sympy.diff(gs, v) / gs))
+            assert sympy.expand(expr(coeff) - want) == 0
 
 
 # -- divisor constants ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Differential tests against sympy, an oracle that shares no code with
 equijet.  Skipped when sympy is not installed."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -302,6 +303,10 @@ def test_rational_roots_against_sympy(seed):
         want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(sympy.Poly(expr, X1))
                       if r.is_rational)
         assert rational_roots(to_uni(expr)) == want
+        # the same roots from int coefficients, denominators cleared
+        coeffs = to_uni(expr)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        assert rational_roots([int(c * den) for c in coeffs]) == want
 
 
 @pytest.mark.parametrize("seed", range(12))
