@@ -12,7 +12,9 @@ when some constant c makes h divide f - c*g, and then the h-power in
 f - c*g exceeds the h-power in theta by one.  Constants are found by
 eliminating one variable with a resultant and taking the gcd of the
 resulting coefficients as polynomials in c; algebraic constants are carried
-in a simple extension field.
+in a simple extension field, and the analysis stops with a precondition
+error when a divisor's constants need one of degree above 2.  A germ's
+expanded product is formed only when the constant test reads it.
 
 Declared factorizations are validated for pairwise coprimality and
 squarefreeness, but irreducibility over the complex numbers is *not*
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -65,10 +68,10 @@ _C_NAME = "cconst"
 
 @dataclass(frozen=True)
 class FactoredGerm:
-    """A germ supplied in factored form: ``prod base_i ^ exp_i``."""
+    """A germ supplied in factored form: ``prod base_i ^ exp_i``.  Only the
+    factors are stored; ``product`` is expanded the first time it is read."""
 
     factors: Tuple[Tuple[Jet, int], ...]
-    product: Jet
 
     @classmethod
     def build(cls, factors: Sequence[Tuple[Jet, int]]) -> "FactoredGerm":
@@ -98,11 +101,15 @@ class FactoredGerm:
                 if not is_constant(jet_gcd(factors[i][0], factors[j][0])):
                     raise PreconditionError(
                         f"declared factors share a divisor: {factors[i][0]} and {factors[j][0]}")
-        return cls(factors=factors, product=_product(*zip(*factors)))
+        return cls(factors=factors)
+
+    @cached_property
+    def product(self) -> Jet:
+        return _product(*zip(*self.factors))
 
     @property
     def ctx(self) -> VarContext:
-        return self.product.ctx
+        return self.factors[0][0].ctx
 
 
 @dataclass(frozen=True)
@@ -288,10 +295,11 @@ def _reality_flag(records: Sequence[DivisorRecord]) -> str:
     return "indeterminate"
 
 
-def _records_for(piece: Jet, mult: int, fp: Jet, gp: Jet) -> List[DivisorRecord]:
+def _records_for(piece: Jet, mult: int, f: FactoredGerm, g: FactoredGerm) -> List[DivisorRecord]:
     """Split a squarefree piece of the 1-form's divisor, of multiplicity
     ``mult``, by the constants found for it; the records must multiply back
     to the piece."""
+    fp, gp = _lift_pair(f, g)
     records: List[DivisorRecord] = []
     remaining = piece
     for c in _constants_for(piece, fp, gp):
@@ -299,6 +307,9 @@ def _records_for(piece: Jet, mult: int, fp: Jet, gp: Jet) -> List[DivisorRecord]
         hc = jet_gcd(piece, shifted)
         if is_constant(hc):
             continue
+        if isinstance(c, FieldElement) and c.field.degree > 2:
+            raise PreconditionError("a divisor constant of degree above 2 would need further "
+                                    "extensions; the scalar tower supports a single one")
         dc_m, rho = exact_power_dividing(shifted, hc)
         if dc_m - 1 != mult:
             raise LemmaViolationError(
@@ -329,20 +340,19 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
     with mu = 0 never enter the divisor product.
     """
     th = theta(f, g)
-    fp, gp = _lift_pair(f, g)
     d = th.coefficient_gcd()
     records: List[DivisorRecord] = []
-    if not is_constant(d):
-        for piece, mult in squarefree_decomposition(d):
-            # eliminating x2 finds no constant for a factor in x1 alone, so
-            # the x2-content of each piece is searched apart from the rest
-            for part in content_split(piece):
-                if not is_constant(part):
-                    records += _records_for(part, mult, fp, gp)
+    for piece, mult in squarefree_decomposition(d):
+        # eliminating x2 finds no constant for a factor in x1 alone, so
+        # the x2-content of each piece is searched apart from the rest
+        for part in content_split(piece):
+            if not is_constant(part):
+                records += _records_for(part, mult, f, g)
     omega = th.divided((rec.h, rec.mu) for rec in records)
     if omega is None:
         raise ConsistencyError("dividing the form by its divisors failed")
-    if not is_constant(omega.coefficient_gcd()):
+    # with nothing divided out omega is theta, whose coefficient gcd is d
+    if not is_constant(omega.coefficient_gcd() if records else d):
         raise ConsistencyError("the reduced form still has a nonconstant coefficient gcd")
 
     informational: List[DivisorRecord] = []
@@ -367,8 +377,9 @@ class SystemS:
 
     Equation k reads ``prod y1_i^(l_i) - c_k prod y2_j^(k_j) =
     y3_k^(mu_k+1) y4_k``; the reference solution is the vector of the
-    declared factors, divisors, and cofactors, and substituting it into
-    every equation must give exact zero.
+    declared factors, divisors, and cofactors, and :func:`emit_system`
+    raises unless substituting it into every equation gives exact zero.  The
+    constants, exponents and powers are those of the analysis and the germs.
     """
 
     y_ctx: VarContext
@@ -377,12 +388,7 @@ class SystemS:
     y3_names: Tuple[str, ...]
     y4_names: Tuple[str, ...]
     equations: Tuple[Tuple[Jet, Jet], ...]  # (lhs, rhs) pairs
-    constants: Tuple[Scalar, ...]
-    f_exponents: Tuple[int, ...]
-    g_exponents: Tuple[int, ...]
-    mus: Tuple[int, ...]
     solution: Tuple[Jet, ...]
-    verified: bool
 
 
 def emit_system(analysis: MeroAnalysis, f: FactoredGerm, g: FactoredGerm) -> SystemS:
@@ -399,41 +405,23 @@ def emit_system(analysis: MeroAnalysis, f: FactoredGerm, g: FactoredGerm) -> Sys
     deg_cap = max((s.total_degree() or 0 for s in solution), default=1)
     ell = tuple(exp for _, exp in f.factors)
     kk = tuple(exp for _, exp in g.factors)
-    mus = tuple(rec.mu for rec in analysis.records)
-    weight = max(sum(ell), sum(kk), max((m + 2 for m in mus), default=1))
+    weight = max(sum(ell), sum(kk), max((rec.mu + 2 for rec in analysis.records), default=1))
     # the equations print this order
     order = deg_cap * weight + 2
+    y = {name: Jet.variable(y_ctx, name, order) for name in y_ctx.names}
 
-    def mono_product(names, exps):
-        acc = Jet.constant(y_ctx, 1, order)
-        for name, exp in zip(names, exps):
-            acc = acc * Jet.variable(y_ctx, name, order) ** exp
-        return acc
+    lhs_core = _product([y[name] for name in y1], ell)
+    g_core = _product([y[name] for name in y2], kk)
+    equations = tuple((lhs_core - g_core.scale(rec.c), y[y3[k]] ** (rec.mu + 1) * y[y4[k]])
+                      for k, rec in enumerate(analysis.records))
 
-    lhs_core = mono_product(y1, ell)
-    g_core = mono_product(y2, kk)
-    equations = []
-    for k, rec in enumerate(analysis.records):
-        lhs = lhs_core - g_core.scale(rec.c)
-        rhs = (Jet.variable(y_ctx, y3[k], order) ** (rec.mu + 1)
-               * Jet.variable(y_ctx, y4[k], order))
-        equations.append((lhs, rhs))
-
-    subst = {name: sol.with_order(order)
-             for name, sol in zip(y1 + y2 + y3 + y4, solution)}
-    verified = True
+    subst = {name: sol.with_order(order) for name, sol in zip(y_ctx.names, solution)}
     for lhs, rhs in equations:
         resid = (lhs - rhs).compose(subst, allow_constant=True)
         if not (resid.is_zero() and resid.exact):
-            verified = False
-    if not verified:
-        raise ConsistencyError("the reference solution does not satisfy the emitted system")
-    return SystemS(
-        y_ctx=y_ctx, y1_names=y1, y2_names=y2, y3_names=y3, y4_names=y4,
-        equations=tuple(equations),
-        constants=tuple(rec.c for rec in analysis.records),
-        f_exponents=ell, g_exponents=kk, mus=mus,
-        solution=solution, verified=verified)
+            raise ConsistencyError("the reference solution does not satisfy the emitted system")
+    return SystemS(y_ctx=y_ctx, y1_names=y1, y2_names=y2, y3_names=y3, y4_names=y4,
+                   equations=equations, solution=solution)
 
 
 # -- deformation slices ---------------------------------------------------
@@ -444,7 +432,7 @@ class SliceReport:
     t_value: Scalar
     division_exact: bool
     isolated_singularity: Optional[bool]
-    reproduces_quotient: Optional[bool]  # only checked at t = 0
+    reproduces_quotient: Optional[bool]  # checked at t = 0 when polynomial_data
     polynomial_data: bool
     note: str
 
@@ -455,21 +443,24 @@ class MeroDeformationReport:
     slices: Tuple[SliceReport, ...]
 
 
-def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
+def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
                            t_grid: Sequence[Scalar], k0: int,
                            f: FactoredGerm, g: FactoredGerm) -> MeroDeformationReport:
-    """Slice the interpolated family at sampled parameter values.
+    """Slice a solution family of the system emitted for ``analysis`` at sampled t.
 
     The witness is split as ``z = z_trunc + tail`` at degree k0; the slice at
     t substitutes ``z_trunc + (1-t) tail``.  For every sampled t the report
     records whether the divisor powers divide the slice form exactly and
     whether the reduced slice form has a constant coefficient gcd.  Division
-    failures are per-slice report entries, not fatal errors.
+    failures and truncated slices are per-slice report entries, not fatal
+    errors: the t = 0 quotient check runs only on exact slices.
     """
     check = verify_family(family)
     if not check.passed:
         raise PreconditionError("the family does not satisfy the emitted system")
-    p, q, e = len(sysS.y1_names), len(sysS.y2_names), len(sysS.y3_names)
+    f_exps, g_exps = [exp for _, exp in f.factors], [exp for _, exp in g.factors]
+    mus = [rec.mu for rec in analysis.records]
+    p, q, e = len(f_exps), len(g_exps), len(mus)
     if len(family.family) != p + q + 2 * e:
         raise PreconditionError("family component count does not match the system")
 
@@ -490,12 +481,12 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
         isolated: Optional[bool] = None
         poly_data = all(c.exact for c in comps)
         try:
-            fg_f = FactoredGerm.build(list(zip(f_slices, sysS.f_exponents)))
-            fg_g = FactoredGerm.build(list(zip(g_slices, sysS.g_exponents)))
+            fg_f = FactoredGerm.build(list(zip(f_slices, f_exps)))
+            fg_g = FactoredGerm.build(list(zip(g_slices, g_exps)))
             th = theta(fg_f, fg_g)
             # a lift of a truncated hk raises: none is made after a failed division
             omega = th.divided((hk.with_order(th.a.order), mu)
-                               for hk, mu in zip(h_slices, sysS.mus))
+                               for hk, mu in zip(h_slices, mus))
             division_exact = omega is not None
             if division_exact:
                 isolated = is_constant(omega.coefficient_gcd())
@@ -504,9 +495,9 @@ def build_mero_deformation(sysS: SystemS, family: SolutionFamily,
             note = str(err)
 
         reproduces = None
-        if t0 == 0:
-            fprod = _product(f_slices, sysS.f_exponents).with_order(INFINITE_ORDER)
-            gprod = _product(g_slices, sysS.g_exponents).with_order(INFINITE_ORDER)
+        if t0 == 0 and poly_data:
+            fprod = _product(f_slices, f_exps).with_order(INFINITE_ORDER)
+            gprod = _product(g_slices, g_exps).with_order(INFINITE_ORDER)
             fp = f.product.in_context(x_ctx).with_order(INFINITE_ORDER)
             gp = g.product.in_context(x_ctx).with_order(INFINITE_ORDER)
             reproduces = (fprod * gp - fp * gprod).is_zero()

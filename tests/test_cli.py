@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import pathlib
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -231,6 +232,10 @@ def test_golden_reports_cover_their_cases():
     for name in ("tower_lower_shear", "family_lower_shear"):
         assert result(name)["levels"][1]["change"]["matrix"] != identity
     assert result("tower_system_shear")["levels"][0]["change"]["matrix"] != identity
+    # a truncated slice is a report entry: no quotient check at t = 0
+    zero = result("mero_deform_truncated")["slices"][0]
+    assert zero["t"] == "0"
+    assert zero["polynomial_data"] is False and zero["reproduces_quotient"] is None
 
 
 @pytest.mark.parametrize("argv, env_order", [
@@ -246,6 +251,41 @@ def test_bad_input_is_a_one_line_usage_error(argv, env_order, monkeypatch, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# irreducible over Q and pairwise coprime; homogeneous, so that f and g of one
+# degree give 1-form divisors whose constants may be algebraic of any degree
+MERO_BASES = {"x1": 1, "x2": 1, "x1+x2": 1, "x1-2*x2": 1, "x1+3*x2": 1, "x1^2+x2^2": 2,
+              "x1^2+2*x2^2": 2, "x1^2-3*x2^2": 2, "x1^2-5*x2^2": 2, "x1^2+x1*x2+x2^2": 2}
+
+
+def test_mero_analyze_of_irreducible_factors_exits_0_or_2(capsys):
+    rng = random.Random(1)
+    done = 0
+    while done < 40:
+        chosen = rng.sample(sorted(MERO_BASES), rng.choice([2, 3, 4]))
+        exps = [rng.choice([1, 2]) for _ in chosen]
+        cut = rng.randrange(1, len(chosen))
+        degs = [MERO_BASES[b] * e for b, e in zip(chosen, exps)]
+        if sum(degs[:cut]) != sum(degs[cut:]):
+            continue
+        text = [f"({b})^{e}" for b, e in zip(chosen, exps)]
+        f, g = "*".join(text[:cut]), "*".join(text[cut:])
+        code, _ = run(["mero-analyze", "--f", f, "--g", g])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (f, g, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (f, g, err)
+        done += 1
+
+
+def test_mero_analyze_of_a_cubic_constant_is_a_precondition_error(capsys):
+    # the constants of one divisor piece are the three roots of an irreducible cubic
+    code, _ = run(["mero-analyze", "--f", "(x1^2+2*x2^2)*(x1+x2)", "--g", "(x1)*(x2)^2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "supports a single one" in err
 
 
 @pytest.mark.parametrize("expr", ["-x2^2+x1^3", "-x2^2 + x1^3"], ids=["unspaced", "spaced"])

@@ -9,6 +9,7 @@ from equijet.errors import (
     LemmaViolationError,
     PreconditionError,
 )
+from equijet import mero
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.mero import (
     FactoredGerm,
@@ -159,6 +160,22 @@ def test_factored_product_is_exact_at_a_finite_order():
     f = FactoredGerm.build([(x2() - x1() ** 2, 2), (x1(), 1)])
     assert f.product.exact and f.product.order < INFINITE_ORDER
     assert f.product == (x2() - x1() ** 2) ** 2 * x1()
+
+
+def test_germ_products_are_formed_only_when_read(monkeypatch):
+    formed = []
+    product = mero._product
+    monkeypatch.setattr(mero, "_product",
+                        lambda jets, exps: formed.append(tuple(exps)) or product(jets, exps))
+    f = germ((x2(), 2))
+    g = germ((x1(), 1))
+    assert formed == []
+    # no divisor and no candidate: theta is built from the factors alone
+    assert analyze(f, g).e == 0
+    assert formed == []
+    assert f.product == x2() ** 2
+    assert f.product is f.product
+    assert formed == [(2,)]
 
 
 def test_theta_product_against_double_line():
@@ -365,6 +382,27 @@ def test_analyze_two_rational_divisors():
         assert m == rec.mu + 1
 
 
+@pytest.mark.parametrize("f_factors, g_factors, minpolys", [
+    # f - c g = (x1 -+ sqrt(2) x2)^2 at c = +-2 sqrt(2)
+    (lambda: [(x1() ** 2 + 2 * x2() ** 2, 1)], lambda: [(x1(), 1), (x2(), 1)],
+     [(Fraction(-8), Fraction(0), Fraction(1))] * 2),
+    # the line x1 + 3 x2 at c = 3/8 beside a real conjugate pair
+    (lambda: [(x1() + 2 * x2(), 2), (x1() ** 2 - 3 * x2() ** 2, 1)],
+     lambda: [(x1() ** 2 - 5 * x2() ** 2, 2)],
+     [None] + [(Fraction(-1, 200), Fraction(261, 200), Fraction(1))] * 2),
+], ids=["real-pair", "rational-among-real"])
+def test_analyze_real_constants(f_factors, g_factors, minpolys):
+    f, g = germ(*f_factors()), germ(*g_factors())
+    an = analyze(f, g)
+    assert an.reality == "real"
+    assert [rec.minpoly for rec in an.records] == minpolys
+    for rec in an.records:
+        assert rec.mu == 1
+        target = f.product - g.product.scale(rec.c)
+        m, _ = exact_power_dividing(target, rec.h.with_order(target.order))
+        assert m == rec.mu + 1
+
+
 def test_analyze_lemma_bookkeeping_randomized():
     rng = random.Random(97)
     done = 0
@@ -453,10 +491,10 @@ def test_emit_system_fixture():
     g = germ((x1() + x2(), 2))
     an = analyze(f, g)
     sysS = emit_system(an, f, g)
-    assert sysS.verified
-    assert len(sysS.equations) == 1
-    assert sysS.constants == (Fraction(1, 4),)
-    assert sysS.mus == (1,)
+    # the constant 1/4 and the power mu + 1 = 2 of the single record
+    [(lhs, rhs)] = sysS.equations
+    assert str(lhs) == "-1/4*y2_1^2 + y1_1*y1_2"
+    assert str(rhs) == "y3_1^2*y4_1"
     assert len(sysS.solution) == 5  # x1, x2, x1+x2, h, rho
     # substituting the reference solution gives exact zero
     subst = {name: sol.with_order(40) for name, sol in
@@ -472,7 +510,7 @@ def test_emit_system_empty():
     g = germ((x1(), 1))
     sysS = emit_system(analyze(f, g), f, g)
     assert sysS.equations == ()
-    assert sysS.verified
+    assert sysS.solution == (x2(), x1())
 
 
 def test_emit_system_two_divisor_fixture():
@@ -487,7 +525,8 @@ def test_emit_system_two_divisor_fixture():
     info = an.informational[0]
     assert info.mu == 0 and info.c == Fraction(2, 9)
     sysS = emit_system(an, f, g)
-    assert sysS.verified
+    # informational records enter no equation
+    assert len(sysS.equations) == 1
 
 
 # -- deformation slices -------------------------------------------------------
@@ -518,7 +557,7 @@ def test_mero_deformation_identity_family():
     an = analyze(f, g)
     sysS = emit_system(an, f, g)
     family = _fixture_family(an, sysS, f, g)
-    rep = build_mero_deformation(sysS, family, [Fraction(0), Fraction(1, 2), Fraction(1)],
+    rep = build_mero_deformation(an, family, [Fraction(0), Fraction(1, 2), Fraction(1)],
                                  k0=4, f=f, g=g)
     assert len(rep.slices) == 3
     for sl in rep.slices:
