@@ -243,6 +243,9 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     d = y1_hat.order_of()
     if d % 3:
         raise NotASolutionError(f"valuation {d} of the first component is not in 3Z")
+    if not d:
+        raise NotASolutionError("the targets are units; the family needs a witness "
+                                "that vanishes at the origin")
     e = d // 3 - 1
     witness = jet_nth_root(y1_hat.shift(x_name, -3 * e), 3)
     order = min(y1_hat.order, y2_hat.order)

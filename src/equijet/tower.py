@@ -2,18 +2,20 @@
 one for parametrized families.
 
 The ladder of a germ ``f`` in coordinates ``x_1..x_n`` is built top down by
-one loop, :meth:`_Ladder.run`.  At level ``i`` the current series is
-prepared in ``x_i``, after a regularizing linear change of ``x_1..x_i`` when
-it is not regular in ``x_i``; the levels already recorded are carried
-through that change.  Each level is prepared in its own coordinates
-``x_1..x_i``, with the parameters kept: a truncated coefficient is then
-known to be a series in those variables only, and without parameters the
-level of index 1 is exactly ``x_1^p``.  The unit and the coefficients are
-widened back to the full context, so reports keep full-width exponents.
-The level is recorded, and the first nonzero generalized discriminant of
-its distinguished polynomial becomes the series of level ``i - 1``.  Each
-level records the discriminant index, the unit and the coordinate change
-used, so the whole ladder can be re-verified from its stored data.
+one loop, :meth:`_Ladder.run`; a system of germs enters that loop with its
+top level prepared, as the product of its entries' preparations.  At level
+``i`` the current series is prepared in ``x_i``, after a regularizing
+linear change of ``x_1..x_i`` when it is not regular in ``x_i``; the levels
+already recorded are carried through that change.  Each level is prepared
+in its own coordinates ``x_1..x_i``, with the parameters kept: a truncated
+coefficient is then known to be a series in those variables only, and
+without parameters the level of index 1 is exactly ``x_1^p``.  The unit and
+the coefficients are widened back to the full context, so reports keep
+full-width exponents.  The level is recorded, and the first nonzero
+generalized discriminant of its distinguished polynomial becomes the series
+of level ``i - 1``.  Each level records the discriminant index, the unit
+and the coordinate change used, so the whole ladder can be re-verified from
+its stored data.
 
 What the callers add is the policy applied at each level:
 
@@ -37,6 +39,7 @@ decidable and are outside every verdict issued here; reports say so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,6 +56,7 @@ from .pseudopoly import (
 )
 from .weierstrass import (
     LinearChange,
+    PreparedForm,
     prepare_in,
     regularizing_change,
     weierstrass_prepare,
@@ -159,35 +163,44 @@ def _gendisc_caveats(gd: GenDiscSequence, level: int) -> List[str]:
 class _Ladder:
     """The descent shared by towers and families.
 
-    :meth:`run` walks down the ladder of ``f`` and calls the policy hooks of
-    the subclass: ``on_unit(index, disc_index, unit)`` when the series of
-    level ``index`` is the unit ``unit``; ``on_level(level)`` when a level
-    is prepared, before it is recorded; ``on_discriminant(index, gd)`` with
-    the discriminants of the last recorded level, whose first nonzero entry
-    is the series of level ``index``.  A hook that returns anything but None
-    ends the descent with that value.
+    :meth:`run` walks down the ladder of ``f``, from ``top`` (the prepared
+    form and change of the top level) when the caller has it, and calls the
+    policy hooks of the subclass: ``on_unit(index, disc_index, unit)`` when
+    the series of level ``index`` is the unit ``unit``; ``on_level(level)``
+    when a level is prepared, before it is recorded;
+    ``on_discriminant(index, gd)`` with the discriminants of the last
+    recorded level, whose first nonzero entry is the series of level
+    ``index``.  A hook that returns anything but None ends the descent with
+    that value.  A system's ``factors``, given in the top coordinates, are
+    carried through the lower changes like the recorded levels.
     """
 
-    def __init__(self, f: Jet, seed: int):
+    def __init__(self, f: Jet, seed: int,
+                 factors: Optional[Tuple[PseudoPolynomial, ...]] = None):
         if not f.ctx.coords:
             raise PreconditionError("need at least one coordinate")
         if f.is_zero():
             raise PreconditionError(f"input vanishes to order {f.order}")
         self.f = f
         self.seed = seed
+        self.factors = factors
         self.levels: List[TowerLevel] = []
 
-    def run(self):
+    def run(self, top: Optional[Tuple[PreparedForm, LinearChange]] = None):
         ctx = self.f.ctx
         xs = ctx.coords
         current = self.f
         disc_index: Optional[int] = None
         for i in range(len(xs), 0, -1):
             # the series of level i is one in x_1..x_i and the parameters
-            prepared, change = prepare_in(current.in_context(ctx.without(xs[i:])),
-                                          xs[i - 1], xs[:i], self.seed)
-            if not change.is_identity:
+            prepared, change = top or prepare_in(current.in_context(ctx.without(xs[i:])),
+                                                 xs[i - 1], xs[:i], self.seed)
+            top = None
+            if self.levels and not change.is_identity:
+                # a lower change: the top one is already in the factors
                 self.levels = [lv.remapped(change) for lv in self.levels]
+                if self.factors:
+                    self.factors = tuple(fac.map_coeffs(change.apply) for fac in self.factors)
             unit = prepared.unit.in_context(ctx)
             if prepared.poly.degree == 0:
                 return self.on_unit(i, disc_index, unit)
@@ -233,7 +246,7 @@ class _TowerLadder(_Ladder):
             input_jet=self.f, source=source, levels=tuple(self.levels),
             terminal_index=index, terminal_disc_index=disc_index,
             terminal_unit=unit, kind=kind,
-            order=self.f.order, seed=self.seed, caveats=())
+            order=self.f.order, seed=self.seed, caveats=(), factors=self.factors)
 
 
 def build_tower(f: Jet, seed: int = 0) -> Tower:
@@ -249,8 +262,10 @@ def build_tower(f: Jet, seed: int = 0) -> Tower:
 
 
 def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
-    """Ladder for a finite system of germs: prepare each one, descend on the
-    product, and keep the per-factor coefficient blocks in the report."""
+    """Ladder for a finite system of germs.  Each entry is prepared once,
+    under the change that regularizes their product; the top level is the
+    product of these preparations, and the one descent continues from there.
+    The per-factor coefficient blocks are kept in the report."""
     gs = list(gs)
     if not gs:
         raise PreconditionError("empty system")
@@ -263,39 +278,16 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
         if g.is_zero():
             raise PreconditionError("system entry vanishes to the certification order")
     var = ctx.coords[-1]
-    product = gs[0]
-    for g in gs[1:]:
-        product = product * g
+    product = math.prod(gs[1:], start=gs[0])
     if product.is_zero():
         raise PreconditionError("product of the system vanishes to the certification order")
     change = regularizing_change(product, var, ctx.coords, seed)
-    factors = []
-    unit = Jet.constant(ctx, 1, product.order)
-    for g in gs:
-        pf = weierstrass_prepare(change.apply(g), var)
-        factors.append(pf.poly)
-        unit = unit * pf.unit
-    top_jet = factors[0].as_jet()
-    for fac in factors[1:]:
-        top_jet = top_jet * fac.as_jet()
-
-    inner = _TowerLadder(top_jet, seed).run()
-    if not inner.levels:
-        # every entry is a unit: empty zero set, nothing to ladder
-        return replace(inner, input_jet=product, source=product, terminal_unit=product,
-                       order=product.order, factors=tuple(factors))
-    # carry the product and the combined unit through any coordinate changes
-    # the inner descent applied, so the stored identities stay coherent
-    source = change.apply(product)
-    for lv in inner.levels:
-        if not lv.change.is_identity:
-            source = lv.change.apply(source)
-            unit = lv.change.apply(unit)
-            factors = [fac.map_coeffs(lv.change.apply) for fac in factors]
-    top = inner.levels[0]
-    levels = (replace(top, unit=top.unit * unit, change=change),) + inner.levels[1:]
-    return replace(inner, input_jet=product, source=source, levels=levels,
-                   order=product.order, factors=tuple(factors))
+    prepared = [weierstrass_prepare(change.apply(g), var) for g in gs]
+    factors = tuple(pf.poly for pf in prepared)
+    unit = math.prod((pf.unit for pf in prepared), start=Jet.constant(ctx, 1, product.order))
+    top_jet = math.prod((fac.as_jet() for fac in factors[1:]), start=factors[0].as_jet())
+    top = PreparedForm(unit, PseudoPolynomial.from_jet(top_jet, var), product.order)
+    return _TowerLadder(product, seed, factors).run((top, change))
 
 
 @dataclass(frozen=True)

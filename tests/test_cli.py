@@ -95,6 +95,16 @@ def test_binomial_target_with_a_tail_beyond_the_order():
     assert json.loads(out)["result"]["verified"] is True
 
 
+@pytest.mark.parametrize("y1, y2", [("1", "1"), ("x^0", "x^0")])
+def test_binomial_of_unit_targets_is_exit_2(y1, y2, capsys):
+    # y1^2 = y2^3 holds at valuation 0, where no witness vanishes at the origin
+    code, _ = run(["binomial", y1, y2, "--vars", "x"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the targets are units; the family needs a witness "
+        "that vanishes at the origin\n")
+
+
 def test_usage_error_is_exit_1():
     code, _ = run(["tower"])
     assert code == 1

@@ -391,6 +391,80 @@ def test_mul_matches_the_reference_product_property():
     check_property([jets(st), jets(st)], body)
 
 
+def ref_compose(f, values):
+    """Reference substitution of dict polynomials: ``values[i]`` replaces the
+    variable of index ``i`` in ``f``."""
+    out = {}
+    for key, coeff in f.items():
+        term = {(0,) * len(key): coeff}
+        for i, e in enumerate(key):
+            for _ in range(e):
+                term = ref_mul(term, values[i])
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def exact_lift(data, st, j):
+    """The terms of an exact jet that agrees with ``j`` below its order:
+    those of ``j`` when it is exact, else with terms drawn at or above it."""
+    terms = dict(j.graded_items())
+    if not j.exact:
+        tail = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(j.ctx.names)),
+                               st.integers(-4, 4).filter(bool).map(Fraction), max_size=2)
+        for k, v in data.draw(tail).items():
+            terms[(k[0] + max(0, j.order - sum(k)),) + k[1:]] = v
+    return terms
+
+
+def whole_or_truncated(st, terms):
+    """Jets in ``X2`` of order 1..8 with these terms: an exact one keeps them
+    all (its order is raised to hold them), a truncated one drops those at or
+    above its order."""
+    return st.builds(lambda t, order, exact: Jet.polynomial(X2, t, order) if exact
+                     else Jet(X2, order, t, False), terms, st.integers(1, 8), st.booleans())
+
+
+def test_compose_matches_the_reference_substitution_property():
+    # an exact result is the whole substitution; any other agrees below its
+    # order with the substitution into exact lifts of the operands
+    st = pytest.importorskip("hypothesis").strategies
+    no_constant = whole_or_truncated(
+        st, term_dicts(st).map(lambda t: {k: v for k, v in t.items() if any(k)}))
+
+    def body(f, values, data):
+        subst = {name: v for name, v in zip(X2.names, values) if v is not None}
+        out = f.compose(subst)
+        lifts = [exact_lift(data, st, subst[name]) if name in subst else {unit: Fraction(1)}
+                 for name, unit in zip(X2.names, ((1, 0), (0, 1)))]
+        ref = ref_compose(exact_lift(data, st, f), lifts)
+        if out.exact:
+            assert f.exact and all(subst[n].exact for n in f.occurring() if n in subst)
+        assert dict(out.graded_items()) == {k: v for k, v in ref.items()
+                                            if out.exact or sum(k) < out.order}
+
+    values = st.tuples(*[st.one_of(st.none(), no_constant)] * 2)
+    check_property([whole_or_truncated(st, term_dicts(st)), values, st.data()], body,
+                   max_examples=40)
+
+
+def test_invert_unit_is_the_inverse_modulo_its_order_property():
+    # u * inv is 1 in full when inv is flagged exact, else modulo its order
+    # for every exact lift of u
+    st = pytest.importorskip("hypothesis").strategies
+    units = whole_or_truncated(st, st.builds(
+        lambda t, c0: {**t, (0, 0): c0},
+        term_dicts(st), st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 4)])))
+
+    def body(u, data):
+        inv = u.invert_unit()
+        prod = ref_mul(exact_lift(data, st, u), dict(inv.graded_items()))
+        assert {k: v for k, v in prod.items() if inv.exact or sum(k) < inv.order} \
+            == {(0, 0): Fraction(1)}
+
+    check_property([units, st.data()], body, max_examples=40)
+
+
 
 # -- the Kronecker product kernel and its fallbacks -----------------------------
 

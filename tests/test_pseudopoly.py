@@ -252,6 +252,50 @@ def test_resultant_with_constant_one():
     assert resultant_jets(f, one, "y").constant_term() == 1
 
 
+def test_resultant_jets_matches_sympy_property():
+    # an exact resultant is the whole Sylvester resultant; any other agrees
+    # below its order with the resultant of exact lifts that keep the degree
+    # in y and the leading coefficient (the docstring's condition)
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x1, y = sympy.symbols("x1 y")
+    coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
+    # keys (a, j) of x1^a * y^j below the degree in y
+    lower = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), coeffs, max_size=4)
+    leads = [{(0, 0): 1}, {(0, 0): -2}, {(0, 0): 1, (1, 0): 1}, {(1, 0): 3}]
+
+    @st.composite
+    def operands(draw):
+        # exact operands may have any leading coefficient; truncated ones are monic
+        degree, exact = draw(st.integers(0, 3)), draw(st.booleans())
+        lead = draw(st.sampled_from(leads)) if exact else {(0, 0): 1}
+        terms = {(a, j): c for (a, j), c in draw(lower).items() if j < degree}
+        terms.update({(a, degree): Fraction(c) for (a, _), c in lead.items()})
+        if exact:
+            return degree, Jet.polynomial(YX, terms, draw(st.integers(1, 6)))
+        return degree, Jet(YX, draw(st.integers(degree + 1, 8)), terms, False)
+
+    def lift(data, degree, j):
+        terms = dict(j.graded_items())
+        if not j.exact:
+            for (a, e), c in data.draw(lower).items():
+                if e < degree:
+                    terms[(a + max(0, j.order - a - e), e)] = c
+        return sum((c * x1 ** a * y ** e for (a, e), c in terms.items()), sympy.Integer(0))
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(operands(), operands(), st.data())
+    def check(a, b, data):
+        res = resultant_jets(a[1], b[1], "y")
+        ref = sympy.Poly(sympy.resultant(lift(data, *a), lift(data, *b), y), x1, y).as_dict()
+        assert dict(res.graded_items()) == {k: Fraction(int(v.p), int(v.q))
+                                            for k, v in ref.items()
+                                            if res.exact or sum(k) < res.order}
+
+    check()
+
+
 def test_resultant_shared_factor_vanishes():
     rng = random.Random(5)
     for _ in range(15):

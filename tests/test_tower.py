@@ -181,8 +181,8 @@ def test_system_prepares_the_product_once(monkeypatch):
     monkeypatch.setattr(weierstrass, "weierstrass_prepare", counted)
     monkeypatch.setattr(tower, "weierstrass_prepare", counted)
     build_tower_system([x2() - x1(), x2() + x1()])
-    # one per entry, then the two levels of the descent
-    assert len(calls) == 4
+    # one per entry, then the level below; the product is not prepared again
+    assert len(calls) == 3
 
 
 def test_parameter_free_bottom_level_is_exactly_a_power():

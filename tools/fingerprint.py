@@ -16,6 +16,14 @@ raised error; for a CLI job, the exit code and the printed text without its
 
     diff <(python3 tools/fingerprint.py --root OLD --workload cli --seeds 3) \\
          <(python3 tools/fingerprint.py --root NEW --workload cli --seeds 3)
+
+The workload ``systems`` is not one of the benchmark's: its jobs come from
+this tool, so ``DIR`` may be any checkout that has ``src``.  Each seed draws
+:data:`SYSTEMS_DRAWS` ``tower`` commands on systems of 1-3 germs in 1-3
+coordinates at orders 6-12, half of them with a term beyond the order (so
+that the input is truncated).  Each runs in-process through ``cli.main``
+and is hashed by its exit code, its stdout and its stderr, both without
+their ``elapsed:`` lines.
 """
 
 from __future__ import annotations
@@ -23,9 +31,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +71,55 @@ def canon(x):
     raise TypeError(f"no fingerprint for a {type(x).__name__}")
 
 
+SYSTEMS_DRAWS = 300
+
+
+def germ_text(rng: random.Random, names, order: int, beyond: bool) -> str:
+    """A few terms of total degree 1-5 in ``names``, one in seven of them
+    with a constant term (a unit entry); ``beyond`` adds a term of degree at
+    least ``order``."""
+    terms = ["1"] if rng.random() < 1 / 7 else []
+    degrees = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+    if beyond:
+        degrees.append(order + rng.randint(0, 2))
+    for degree in degrees:
+        exps = [0] * len(names)
+        for _ in range(degree):
+            exps[rng.randrange(len(names))] += 1
+        mono = "*".join(f"{n}^{e}" for n, e in zip(names, exps) if e)
+        terms.append(f"({rng.choice((-3, -2, -1, 1, 2, 3))})*{mono}")
+    return " + ".join(terms)
+
+
+def systems_jobs(seed: int):
+    """``(label, run)`` for the seeded ``tower`` commands of one seed."""
+    rng = random.Random(f"systems:{seed}")
+    jobs = []
+    for _ in range(SYSTEMS_DRAWS):
+        names = [f"x{k}" for k in range(1, rng.randint(1, 3) + 1)]
+        order = rng.randint(6, 12)
+        count = rng.randint(1, 3)
+        beyond = rng.randrange(2 * count)  # an entry index, or no entry
+        exprs = [germ_text(rng, names, order, k == beyond) for k in range(count)]
+        argv = ["tower", *exprs, "--vars", ",".join(names), "--order", str(order)]
+        label = f"systems/{len(names)}v/{count}g/o{order}"
+        jobs.append((label, lambda argv=argv: run_cli(argv)))
+    return jobs
+
+
+def run_cli(argv):
+    """The exit code, stdout and stderr of ``cli.main``, or what it raised."""
+    from equijet import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    except Exception as exc:  # a traceback is an output too
+        return exc
+    return code, out.getvalue(), err.getvalue()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", required=True, type=Path, help="checkout to run")
@@ -70,14 +130,19 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "bench"), str(root / "src")]
     sys.dont_write_bytecode = True
     os.environ.pop("EQUIJET_ORDER", None)
-    import workloads
+
+    def jobs(seed):
+        if args.workload == "systems":
+            return systems_jobs(seed)
+        import workloads
+        return [(job.label, job.run) for job in workloads.make_jobs(args.workload, seed, root)]
 
     total = hashlib.sha256()
     for seed in (int(s) for s in args.seeds.split(",")):
-        for i, job in enumerate(workloads.make_jobs(args.workload, seed, root)):
-            digest = hashlib.sha256(json.dumps(canon(job.run())).encode()).hexdigest()
+        for i, (label, run) in enumerate(jobs(seed)):
+            digest = hashlib.sha256(json.dumps(canon(run())).encode()).hexdigest()
             total.update(digest.encode())
-            print(seed, i, job.label, digest[:16])
+            print(seed, i, label, digest[:16])
     print("total", total.hexdigest())
     return 0
 
