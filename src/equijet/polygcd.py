@@ -11,6 +11,13 @@ helpers of :mod:`.scalars`.  :func:`jet_gcd`, :func:`x2_content` and
 compute each content once.  Everything is exact; no scalar division is
 performed outside the field operations.
 
+Most gcds the analysis asks for are constant.  Before the sequence runs,
+:func:`jet_gcd` tries to prove that: it reduces rational operands modulo
+the prime :data:`_P` and evaluates each variable in turn at a fixed large
+point (:func:`_coprime_images`; Brown, JACM 1971).  A proof ends the call;
+anything else, including ``Q(alpha)`` coefficients and every gcd that is
+not constant, runs the pseudo-remainder sequence as before.
+
 The jet-facing entry points (:func:`jet_gcd`, :func:`exact_divide`,
 :func:`squarefree_decomposition`) require exact polynomial jets.
 """
@@ -212,14 +219,96 @@ def _gcd(a: List[Uni], b: List[Uni]) -> List[Uni]:
     return f1 if len(cont) == 1 else [uni_mul(cont, col) for col in f1]
 
 
+# -- coprimality certificate --------------------------------------------
+
+#: The prime of the modular images, and the points at which the first and
+#: the second variable are evaluated.  The points are large: curves through
+#: the origin often meet again on a line such as ``x1 = 2``, rarely on one
+#: of these.
+_P = (1 << 61) - 1
+_POINTS = (0x1234_5678_9ABC_DEF1, 0x1EDC_BA98_7654_3211)
+
+
+def _residues(j: Jet) -> Optional[List[Tuple[Tuple[int, int], int]]]:
+    """The terms of a nonzero rational ``j`` with coefficients mod ``_P``,
+    or None when ``j`` is zero, has a coefficient outside Q, or has a
+    denominator divisible by ``_P``."""
+    out = []
+    for key, c in j.graded_items():
+        if type(c) is not Fraction or not c.denominator % _P:
+            return None
+        out.append((key, c.numerator * pow(c.denominator, -1, _P) % _P))
+    return out or None
+
+
+def _unit_gcd_mod_p(f: List[int], g: List[int]) -> bool:
+    """Whether the gcd of two polynomials over GF(_P), ascending and trimmed,
+    is a nonzero constant."""
+    while g:
+        inv, dg = pow(g[-1], -1, _P), len(g) - 1
+        r = f
+        while len(r) > dg:
+            c, shift = r[-1] * inv % _P, len(r) - 1 - dg
+            r = r[:-1]
+            for i, gc in enumerate(g[:-1]):
+                r[shift + i] = (r[shift + i] - c * gc) % _P
+            uni_trim(r)
+        f, g = g, r
+    return len(f) == 1
+
+
+def _coprime_images(a: Jet, b: Jet) -> bool:
+    """True only when the gcd of ``a`` and ``b`` is a constant.
+
+    For ``v`` each variable in turn, both operands are reduced mod ``_P`` and
+    ``v`` is set to its point ``t``, which gives images in GF(_P)[w], ``w``
+    the other variable.  The gcd is certified constant when, for both
+    ``v``, one image keeps the operand's degree in ``w`` and the two images
+    have a unit gcd.
+
+    Proof.  Let ``h`` be the primitive integer gcd and ``D`` clear the
+    denominators of ``a``, so that ``h*k = D*a`` over Z (Gauss's lemma);
+    ``D`` is a unit mod ``_P`` because no denominator is divisible by it.
+    Reduction mod ``_P`` followed by ``v = t`` is a ring homomorphism, so
+    the image of ``h`` divides both images, and its leading coefficient in
+    ``w`` divides that of ``a``.  If ``a`` keeps its degree (the roles of
+    ``a`` and ``b`` are symmetric), that coefficient is nonzero, so the
+    image of ``h`` has degree ``deg_w h``; dividing the unit gcd of the
+    images, it has degree 0.  Both variables give
+    ``deg_x1 h = deg_x2 h = 0``, so ``h`` is constant.
+    """
+    ra, rb = _residues(a), _residues(b)
+    if ra is None or rb is None:
+        return False
+    for v, t in enumerate(_POINTS):
+        w, images, keeps = 1 - v, [], False
+        for terms in (ra, rb):
+            image = [0] * (1 + max(key[w] for key, _ in terms))
+            for key, c in terms:
+                image[key[w]] = (image[key[w]] + c * pow(t, key[v], _P)) % _P
+            keeps = keeps or image[-1] != 0
+            images.append(uni_trim(image))
+        if not keeps or not _unit_gcd_mod_p(*images):
+            return False
+    return True
+
+
 # -- jet-level API -------------------------------------------------------
 
 def jet_gcd(a: Jet, b: Jet) -> Jet:
-    """Normalized gcd of two exact bivariate polynomial jets."""
+    """Normalized gcd of two exact bivariate polynomial jets.
+
+    A pair that :func:`_coprime_images` certifies coprime gets the constant
+    1 without the pseudo-remainder sequence; that needs both operands
+    nonzero with rational coefficients.  Every other pair, and every pair
+    whose gcd is not constant, runs the sequence (:func:`_gcd`).
+    """
     _require_exact(a, "gcd")
     _require_exact(b, "gcd")
     if a.ctx != b.ctx:
         raise PreconditionError("gcd operands in different contexts")
+    if len(a.ctx.names) == 2 and _coprime_images(a, b):
+        return Jet.polynomial(a.ctx, {(0, 0): Fraction(1)}, min(a.order, b.order))
     g = _gcd(_columns(a), _columns(b))
     return Jet.polynomial(a.ctx, _monic(_terms(g)), min(a.order, b.order))
 

@@ -272,6 +272,8 @@ def build_tower_system(gs: Sequence[Jet], seed: int = 0) -> Tower:
     ctx = gs[0].ctx
     if ctx.n_params:
         raise PreconditionError("build_tower_system expects a parameter-free context")
+    if not ctx.coords:
+        raise PreconditionError("need at least one coordinate")
     for g in gs:
         if g.ctx != ctx:
             raise PreconditionError("system entries in different contexts")

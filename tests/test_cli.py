@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import random
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,6 +14,7 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 # reports the corpus does not cover; kept out of ``corpus/`` so that the
 # benchmark's corpus job mix stays as it is
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_BUDGET_S = 2.0
 
 
 def run(argv):
@@ -223,7 +225,11 @@ def test_corpus_matches_committed_reports(fixture):
                          ids=lambda p: p.stem)
 def test_golden_reports(fixture):
     argv = fixture.read_text().splitlines()
+    start = time.perf_counter()
     code, out = run(argv)
+    # the generic-factor mero reports take seconds when their constant gcds
+    # run the whole pseudo-remainder sequence
+    assert time.perf_counter() - start < GOLDEN_BUDGET_S
     expected = (GOLDEN / "expected" / (fixture.stem + ".json")).read_text()
     verdict = json.loads(expected)["result"].get("verdict")
     assert code == (3 if verdict == "inconclusive" else 0)

@@ -8,7 +8,8 @@ on stderr.  The argument lists come from a small grammar over all ten
 commands: expressions with zero, unit, rational-literal and huge-exponent
 terms, orders 0-3 and up to 10, empty, duplicate and overlapping
 ``--vars``/``--params``, systems of 1-3 germs for ``tower``, mero germs with
-shared or repeated factors, and ``binomial`` with unit targets.
+shared or repeated factors, fixed or generic, and ``binomial`` with unit
+targets.
 """
 
 import random
@@ -23,6 +24,7 @@ NAMES = ("x", "x1", "x2", "x3", "t")
 RATIONALS = ("1/2", "-3/4", "5/3", "-1/7")
 REPORTED_INCONCLUSIVE = ("gendisc", "check-family")
 MERO_BASES = ("x1", "x2", "x1 + x2", "x1 - 2*x2", "x2^2 - x1^3", "x1^2 + x2^2", "x1 + x2^2")
+COEFFICIENTS = ("1", "-1", "2", "-3", "1/2", "-3/4", "5/3")
 
 
 def _monomial(rng, names):
@@ -81,6 +83,19 @@ def _common(rng, vars_pool=NAMES[:4], params=False):
     return argv, names, order
 
 
+def _generic_base(rng):
+    """A curve through the origin: 2-4 terms of degree 1-3 in ``x1, x2`` with
+    small integer or rational coefficients.  (One term with a coefficient
+    would parse as two factors, one of them constant.)"""
+    terms = []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3)
+        e1 = rng.randint(0, degree)
+        mono = "*".join(f"{n}^{e}" for n, e in (("x1", e1), ("x2", degree - e1)) if e)
+        terms.append(f"({rng.choice(COEFFICIENTS)})*{mono}")
+    return " + ".join(terms)
+
+
 def _factored(rng, chosen):
     """A factored mero germ of these bases, some of them powered."""
     return "*".join(f"({b})" + (f"^{rng.randint(2, 3)}" if rng.random() < 0.3 else "")
@@ -129,12 +144,12 @@ def draw(rng):
     if rng.random() < 0.7:
         common = common[2:]  # the default coordinates x1, x2
         names = ["x1", "x2"]
-    # random bases with rational coefficients can take seconds in the content
-    # gcds of the analysis, so the bases are fixed: curves, and a unit, a
-    # zero, a rational multiple and a power beyond the order
+    # fixed curves, a unit, a zero, a rational multiple, a power beyond the
+    # order, and generic curves
     bases = MERO_BASES + (rng.choice(("1", "0", "(1/2)*x1", "x1 + 1", f"{names[0]}^30")),)
     # a base may repeat within a germ, and g may share one with f
-    f, g = ([rng.choice(bases) for _ in range(rng.randint(1, 3))] for _ in range(2))
+    f, g = ([rng.choice(bases) if rng.random() < 0.5 else _generic_base(rng)
+             for _ in range(rng.randint(1, 3))] for _ in range(2))
     if rng.random() < 0.3:
         g.append(f[0])
     argv = [command, "--f", _factored(rng, f), "--g", _factored(rng, g), *common]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from equijet import polygcd
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.polygcd import (
     exact_divide,
@@ -149,15 +150,90 @@ def random_product(rng, count, max_power=2):
                                     for _ in range(count)]))
 
 
+@pytest.fixture
+def prs_runs(monkeypatch):
+    """The operand pairs on which ``jet_gcd`` runs the pseudo-remainder
+    sequence, that is, does not certify a constant gcd by modular images."""
+    runs = []
+    real = polygcd._gcd
+    monkeypatch.setattr(polygcd, "_gcd", lambda a, b: runs.append((a, b)) or real(a, b))
+    return runs
+
+
+def sympy_gcd(f, g):
+    """``sympy.gcd`` made monic (the zero polynomial as it is)."""
+    h = sympy.Poly(sympy.gcd(f, g), X1, Y)
+    return h.monic() if not h.is_zero else h
+
+
+def check_gcd(f, g, prs_runs, runs=None):
+    """``jet_gcd`` agrees with sympy, and runs the sequence if ``runs``; by
+    default exactly when an operand is zero or the gcd is not constant."""
+    got = jet_gcd(to_jet(f), to_jet(g))
+    assert got.exact
+    want = sympy_gcd(f, g)
+    assert (to_sympy(got) if not got.is_zero() else sympy.Poly(0, X1, Y)) == want
+    if runs is None:
+        runs = f == 0 or g == 0 or want.total_degree() > 0
+    assert bool(prs_runs) == runs
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_jet_gcd_against_sympy(seed):
+def test_jet_gcd_against_sympy(seed, prs_runs):
     rng = random.Random(71 + seed)
     common = random_product(rng, rng.randrange(0, 3))
     f = sympy.expand(common * random_product(rng, 2))
     g = sympy.expand(common * random_product(rng, 2))
-    got = jet_gcd(to_jet(f), to_jet(g))
-    assert got.exact
-    assert to_sympy(got) == sympy.Poly(sympy.gcd(f, g), X1, Y).monic()
+    check_gcd(f, g, prs_runs)
+
+
+P, (T1, T2) = polygcd._P, polygcd._POINTS
+# vanishes at neither point, but its leading coefficients in y and in x1
+# vanish at x1 = T1 and at y = T2, where its images are 1
+SPLIT_AT_THE_POINTS = (X1 - T1) * (Y - T2) + 1
+# (f, g, whether the pseudo-remainder sequence runs)
+ADVERSARIAL = {
+    # coprime curves through the origin that meet again on x1 = 2, 1, -1
+    "meet-again-on-x1=2": (Y - X1 - X1 ** 2, Y - 3 * X1, False),
+    "meet-again-on-x1=1": (Y ** 2 - X1 ** 3, Y - X1, False),
+    "meet-again-on-x1=-1": (Y - X1 ** 2, Y + X1, False),
+    "common-factor-in-x1-only": (X1 * (Y + 1), X1 * (Y - 1), True),
+    "common-factor-in-y-only": (Y * (X1 + 1), Y * (X1 - 1), True),
+    # coprime, but the certificate declines: both degrees in y drop mod P
+    "top-numerator-divisible-by-P": (P * Y ** 2 + X1, P * Y ** 2 + X1 + 1, True),
+    # coprime, but not reducible mod P
+    "denominator-divisible-by-P": (Y / P + X1, Y - X1, True),
+    "degrees-drop-at-the-points": (sympy.expand(SPLIT_AT_THE_POINTS * X1),
+                                   sympy.expand(SPLIT_AT_THE_POINTS * Y), True),
+    "zero-operand": (sympy.Integer(0), Y - X1 ** 2, True),
+    "zero-operands": (sympy.Integer(0), sympy.Integer(0), True),
+}
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL)
+def test_coprime_certificate_on_adversarial_pairs(case, prs_runs):
+    f, g, runs = ADVERSARIAL[case]
+    check_gcd(f, g, prs_runs, runs)
+
+
+def test_coprime_certificate_property(prs_runs):
+    """Random small operands, often with a common factor, against sympy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.builds(sympy.Rational, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3)))
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs,
+                            min_size=1, max_size=4)
+
+    def expr(t):
+        return sum((c * X1 ** e1 * Y ** e2 for (e1, e2), c in t.items()), sympy.Integer(0))
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(terms, terms, st.sampled_from((1, 1, 1, X1, Y, Y - X1 ** 2, X1 + 2 * Y + 1)))
+    def check(a, b, common):
+        prs_runs.clear()
+        check_gcd(sympy.expand(common * expr(a)), sympy.expand(common * expr(b)), prs_runs)
+
+    check()
 
 
 # S stands for sqrt(2) until the comparison with sympy
@@ -225,6 +301,15 @@ def test_jet_gcd_with_contents_and_sqrt2_against_sympy(n):
     f, g = (sympy.Poly(sympy.expand(h.subs(S, sympy.sqrt(2))), X1, Y, domain=QQ_SQRT2)
             for h in (f, g))
     assert sqrt2_poly(got) == f.gcd(g).monic()
+
+
+@pytest.mark.parametrize("f, g", [(Y - S * X1, Y + S * X1), (Y - X1, Y - S * X1)],
+                         ids=["both-over-sqrt2", "one-over-sqrt2"])
+def test_coprime_pairs_over_sqrt2_run_the_sequence(f, g, prs_runs):
+    # the certificate takes rational coefficients only
+    got = jet_gcd(field_jet(f), field_jet(g))
+    assert got == Jet.constant(YX, 1, 16) and got.exact
+    assert prs_runs
 
 
 def test_exact_divide_of_a_product_property():

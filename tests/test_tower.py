@@ -73,6 +73,11 @@ def test_tower_needs_nonzero_input():
         build_tower(Jet.zero(X2))
 
 
+def test_system_tower_needs_a_coordinate():
+    with pytest.raises(PreconditionError, match="need at least one coordinate"):
+        build_tower_system([Jet.constant(VarContext.make([]), 1, 5)])
+
+
 def test_tower_inconclusive_on_truncated_zero_claims():
     # x2^2 - x1^20 at order 8 stores only x2^2, non-exact; the descent would
     # have to trust an uncertified vanishing, so it must refuse

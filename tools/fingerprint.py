@@ -24,6 +24,15 @@ coordinates at orders 6-12, half of them with a term beyond the order (so
 that the input is truncated).  Each runs in-process through ``cli.main``
 and is hashed by its exit code, its stdout and its stderr, both without
 their ``elapsed:`` lines.
+
+The workload ``mero`` is the tool's too.  Each seed draws
+:data:`MERO_DRAWS` ``mero-analyze``, ``emit-system`` and ``mero-deform``
+commands (in turn) on germs of 1-2 generic curves through the origin each
+(:func:`mero_base`), some of them squared, at orders 4-8; an analysis may
+name a candidate divisor, a deformation a ``--k0`` and a grid of ``t``.
+They run and are hashed as the ``systems`` commands are.  About half of
+them end in exit 2 (shared or repeated factors); the rest reach the gcds,
+the 1-form and the divisor analysis of ``mero``.
 """
 
 from __future__ import annotations
@@ -107,6 +116,40 @@ def systems_jobs(seed: int):
     return jobs
 
 
+MERO_DRAWS = 120
+MERO_COEFFICIENTS = ("1", "-1", "2", "-3", "1/2", "-3/4", "5/3")
+
+
+def mero_base(rng: random.Random) -> str:
+    """2-4 terms of degree 1-3 in ``x1, x2`` with small integer or rational
+    coefficients: a curve through the origin."""
+    terms = []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3)
+        e1 = rng.randint(0, degree)
+        mono = "*".join(f"{n}^{e}" for n, e in (("x1", e1), ("x2", degree - e1)) if e)
+        terms.append(f"({rng.choice(MERO_COEFFICIENTS)})*{mono}")
+    return " + ".join(terms)
+
+
+def mero_jobs(seed: int):
+    """``(label, run)`` for the seeded ``mero`` commands of one seed."""
+    rng = random.Random(f"mero:{seed}")
+    jobs = []
+    for k in range(MERO_DRAWS):
+        command = ("mero-analyze", "emit-system", "mero-deform")[k % 3]
+        f, g = ("*".join(f"({mero_base(rng)})" + ("^2" if rng.random() < 0.25 else "")
+                         for _ in range(rng.randint(1, 2))) for _ in range(2))
+        order = rng.randint(4, 8)
+        argv = [command, "--f", f, "--g", g, "--order", str(order), "--machine"]
+        if command == "mero-analyze" and rng.random() < 0.5:
+            argv += ["--candidate", mero_base(rng)]
+        if command == "mero-deform":
+            argv += ["--k0", str(rng.randint(0, 3)), "--t", rng.choice(("0,1", "1/2,-3"))]
+        jobs.append((f"mero/{command}/o{order}", lambda argv=argv: run_cli(argv)))
+    return jobs
+
+
 def run_cli(argv):
     """The exit code, stdout and stderr of ``cli.main``, or what it raised."""
     from equijet import cli
@@ -134,6 +177,8 @@ def main(argv=None) -> int:
     def jobs(seed):
         if args.workload == "systems":
             return systems_jobs(seed)
+        if args.workload == "mero":
+            return mero_jobs(seed)
         import workloads
         return [(job.label, job.run) for job in workloads.make_jobs(args.workload, seed, root)]
 
