@@ -26,11 +26,17 @@ are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
 exact times exact in a box of the exponents, anything truncated in a box
 graded by total degree that reads only the degrees below the order.  The
 same kernel sums a dot product ``acc + x_1*y_1 + ...`` (:meth:`Jet.dot`,
-the inner step of the Berkowitz pass and of Newton's identities) in one
-pass: one box and one digit width for all pairs, the packed products added
-as integers and unpacked once.  Coefficients in an algebraic extension,
-fewer term pairs and operands too sparse to pack (``x1^3000 + x2``) take
-the schoolbook loop, one product at a time.
+the inner step of Newton's identities and of the Berkowitz pass on jets)
+in one pass: one box and one digit width for all pairs, the packed products
+added as integers and unpacked once.  Coefficients in an algebraic
+extension, fewer term pairs and operands too sparse to pack
+(``x1^3000 + x2``) take the schoolbook loop, one product at a time.
+
+A square matrix of exact integer polynomials known to every order has
+Kronecker images too (:func:`minor_images`): each entry is packed once, in
+a box and a digit width that hold every leading principal minor, so that a
+whole division-free determinant pass runs on plain integers and each minor
+is unpacked once.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -272,26 +278,12 @@ def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponen
         bound += min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
         numerators.append((na, nb))
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    size = window * width
     packed = 0
     for (na, nb), sa, sb, (ea, eb) in zip(numerators, slots_a, slots_b, extents):
         packed += _pack(sa, na, ea, width) * _pack(sb, nb, eb, width)
-    # the offset makes every digit of the window nonnegative; xor-ing it off
-    # again leaves each digit in two's complement, and zero digits as zero bytes
-    offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * window, "little")
-    data = (((packed + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
-    # one byte per slot, 1 where the slot's digit is nonzero
-    nonzero = 0
-    for j in range(width):
-        nonzero |= int.from_bytes(data[j::width], "little")
-    flags = nonzero.to_bytes(window, "little").translate(_NONZERO_TO_ONE)
-
     lo = [a + b for a, b in zip(lo_a, lo_b)]
     prod: Dict[Exponents, Scalar] = {}
-    slot = flags.find(1)
-    while slot >= 0:
-        at = slot * width
-        d = int.from_bytes(data[at:at + width], "little", signed=True)
+    for slot, d in _digits(packed, window, width):
         exps, rest = [], slot
         for s, low in zip(strides, lo):
             digit, rest = divmod(rest, s)
@@ -304,8 +296,31 @@ def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponen
         for i, e in zip(inner, exps):
             key[i] = e
         prod[tuple(key)] = Fraction(d) if den == 1 else Fraction(d, den)
-        slot = flags.find(1, slot + 1)
     return prod
+
+
+def _digits(packed: int, window: int, width: int) -> Iterator[Tuple[int, int]]:
+    """The nonzero digits of ``packed`` in its lowest ``window`` signed
+    base-``2^(8*width)`` digits, as ``(slot, digit)`` pairs in slot order;
+    every digit must lie in ``[-2^(8*width-1), 2^(8*width-1))``.
+
+    Adding half the digit range to every digit makes them all nonnegative
+    with no carry between them, so the digits are read once, as bytes."""
+    size = window * width
+    # the offset makes every digit of the window nonnegative; xor-ing it off
+    # again leaves each digit in two's complement, and zero digits as zero bytes
+    offset = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * window, "little")
+    data = (((packed + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
+    # one byte per slot, 1 where the slot's digit is nonzero
+    nonzero = 0
+    for j in range(width):
+        nonzero |= int.from_bytes(data[j::width], "little")
+    flags = nonzero.to_bytes(window, "little").translate(_NONZERO_TO_ONE)
+    slot = flags.find(1)
+    while slot >= 0:
+        at = slot * width
+        yield slot, int.from_bytes(data[at:at + width], "little", signed=True)
+        slot = flags.find(1, slot + 1)
 
 
 class Jet:
@@ -523,13 +538,19 @@ class Jet:
         return Jet(self.ctx, self.order, {k: s * v for k, v in self.terms.items()}, self.exact)
 
     def __pow__(self, n: int) -> "Jet":
+        """Square and multiply, from the lowest bit of ``n``.  The first
+        factor is the jet itself, never a product with the constant 1 (whose
+        terms, order and flag would be the same); ``n == 0`` gives the exact
+        constant 1 at this jet's order."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be nonnegative integers")
-        result = Jet.constant(self.ctx, 1, self.order, exact=True)
+        if n == 0:
+            return Jet.constant(self.ctx, 1, self.order, exact=True)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -813,6 +834,79 @@ class Jet:
     def __repr__(self):
         tag = "exact" if self.exact else f"mod deg {self.order}"
         return f"<Jet {jet_to_text(self)} ({tag})>"
+
+
+def minor_images(rows: Sequence[Sequence[Jet]]
+                 ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet]]]:
+    """The Kronecker images of a square matrix of integer polynomials, for
+    a division-free determinant pass on plain integers, and the map that
+    reads a leading principal minor back from its image; None unless every
+    entry is exact at ``INFINITE_ORDER`` with integer coefficients, in one
+    context.
+
+    An entry ``sum c_k x^k`` becomes the integer ``sum c_k 2^(8*w*slot(k))``
+    with ``slot(k) = sum_v k_v*stride_v``: evaluation at
+    ``x_v = 2^(8*w*stride_v)``, a ring homomorphism from Z[x] to Z.  So a
+    pass of sums and products on the images gives the image of each minor,
+    and the minor is read back from its signed digits (:func:`_digits`)
+    when it lies in the box and its coefficients fit ``w`` bytes:
+
+    * box: the k-by-k leading minor sums products of one entry per row,
+      so its degree in ``v`` is at most the sum over rows of the row's
+      greatest degree in ``v``; each variable's digit has room for that sum
+      over all rows;
+    * digit width: on the unit torus ``|M_ij| <= ||M_ij||_1``, and a
+      coefficient of a polynomial is at most its greatest modulus there, so
+      by Hadamard's bound every coefficient of the k-by-k leading minor is
+      at most ``prod_(i<k) sqrt(sum_(j<k) ||M_ij||_1^2)``; ``w`` holds the
+      largest of these bounds over k and every coefficient of an entry
+      (which packs one digit each), plus a sign bit.
+
+    Only the minors are read back, so the values met on the way may
+    overflow their digits and the box freely.  Each entry is packed once.
+    """
+    ctx = rows[0][0].ctx
+    for row in rows:
+        for e in row:
+            if e.order != INFINITE_ORDER or e.ctx != ctx or not all(
+                    type(v) is Fraction and v.denominator == 1 for v in e.terms.values()):
+                return None
+    n = len(ctx.names)
+    box = [0] * n
+    for row in rows:
+        keys = [k for e in row for k in e.terms]
+        for v in range(n):
+            box[v] += max((k[v] for k in keys), default=0)
+    norms = [[sum(abs(c.numerator) for c in e.terms.values()) for e in row] for row in rows]
+    square = max(math.prod(sum(x * x for x in norms[i][:k]) for i in range(k))
+                 for k in range(1, len(rows) + 1))
+    # an integer coefficient at most sqrt(square) is at most isqrt(square)
+    bound = max(math.isqrt(square), max(map(max, norms)))
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    strides = [0] * n
+    window = 1
+    for v in range(n - 1, -1, -1):
+        if box[v]:
+            strides[v] = window
+            window *= box[v] + 1
+    digits = [(v, strides[v]) for v in range(n) if box[v]]
+
+    def pack(e: Jet) -> int:
+        if not e.terms:
+            return 0
+        slots = [sum(map(operator.mul, k, strides)) for k in e.terms]
+        return _pack(slots, [c.numerator for c in e.terms.values()], max(slots) + 1, width)
+
+    def unpack(image: int) -> Jet:
+        terms: Dict[Exponents, Scalar] = {}
+        for slot, d in _digits(image, window, width):
+            key = [0] * n
+            for v, s in digits:
+                key[v], slot = divmod(slot, s)
+            terms[tuple(key)] = Fraction(d)
+        return Jet(ctx, INFINITE_ORDER, terms, True)
+
+    return [[pack(e) for e in row] for row in rows], unpack
 
 
 def jet_to_text(j: Jet) -> str:

@@ -90,7 +90,7 @@ class FactoredGerm:
             if not base.exact:
                 raise PreconditionError("factors must be exact polynomials")
             if base.is_zero() or is_constant(base):
-                raise PreconditionError("factors must be nonconstant")
+                raise PreconditionError(f"factors must be nonconstant: {base}")
             if base.constant_term():
                 raise PreconditionError("factors must vanish at the origin")
             sq = jet_gcd_many([base, base.derivative(x1), base.derivative(x2)])

@@ -17,11 +17,16 @@ and the first nonzero index detects the number of distinct roots:
 The coefficient ring (jets) has zero divisors, so every determinant here is
 computed division-free (Berkowitz's algorithm).  Its pass meets the
 determinant of every leading principal submatrix on the way, so one pass over
-the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
+the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.  The
+pass is written once, over any commutative ring: a matrix of exact integer
+polynomials known to every order runs it on its Kronecker images, plain
+integers (:func:`~equijet.jets.minor_images`); every other matrix runs it on
+jets, one :meth:`Jet.dot` per step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,7 +36,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .jets import INFINITE_ORDER, Jet, VarContext
+from .jets import INFINITE_ORDER, Jet, VarContext, minor_images
 
 #: Determinant expansion cost grows quickly; keep the artifact at desk scale.
 MAX_DEGREE = 12
@@ -224,39 +229,68 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     return [_settle(s, base_order) for s in sums]
 
 
+def _berkowitz(rows, diagonal, one, zero, dot) -> list:
+    """The determinants of the leading principal submatrices, top-left 1-by-1
+    block first, from one Berkowitz pass over any commutative ring: it
+    extends each block's characteristic polynomial to the next with sums of
+    products ``dot(xs, ys, zero)``, and places ``-diagonal[r]`` for the
+    corner ``rows[r][r]`` of each block."""
+    n = len(rows)
+    # charpoly coefficient vector of the 1x1 leading principal submatrix
+    vec = [one, -diagonal[0]]
+    minors = [-vec[-1]]
+    for r in range(1, n):
+        # Toeplitz factor of the block [[M, C], [R, a]]: 1, -a, -R.C, -R.M.C, ...
+        col0 = [one, -diagonal[r]]
+        w = [rows[i][r] for i in range(r)]
+        for _ in range(r):
+            col0.append(-dot(rows[r][:r], w, zero))
+            w = [dot(rows[i][:r], w, zero) for i in range(r)]
+        vec = [dot(col0[i::-1], vec[:min(i, r) + 1], zero) for i in range(r + 2)]
+        minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
+    return minors
+
+
+def _integer_dot(xs: Sequence[int], ys: Sequence[int], acc: int) -> int:
+    return sum(map(operator.mul, xs, ys), acc)
+
+
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     """Division-free determinants of the leading principal submatrices of a
     square matrix of jets, top-left 1-by-1 block first, each modulo the least
     order in the matrix, from one Berkowitz pass (it extends each block's
     characteristic polynomial to the next).
 
-    Every step is a dot product ``sum x*y`` (:meth:`Jet.dot`): on rational
-    operands known to every order, or with a truncated one, the whole sum
-    is one Kronecker multiply-accumulate.  A product of two exact operands,
-    one of them zero, is not formed; a zero known only modulo its order is
-    still multiplied, because it clears the exact flag.  Every power sum of
-    an exact ``x^p`` but ``s_0`` is an exact zero, so its pass forms a few
+    When every entry is exact at ``INFINITE_ORDER`` with integer
+    coefficients (the exact Hankel matrices of :func:`hankel_minors` and the
+    exact Sylvester matrices of :func:`resultant_jets`), the pass runs on
+    plain integers, their Kronecker images (:func:`minor_images`): each
+    entry is packed once and each minor unpacked once.  Its box is, per
+    variable, the sum over rows of the row's greatest degree, and its digits
+    hold Hadamard's bound ``prod_i sqrt(sum_j ||M_ij||_1^2)`` at its largest
+    over the leading blocks, plus a sign bit.
+
+    Every other matrix (rational or ``Q(alpha)`` coefficients, or an entry
+    at a finite order) runs the pass on jets, where every step is a dot
+    product ``sum x*y`` (:meth:`Jet.dot`): on rational operands known to
+    every order, or with a truncated one, the whole sum is one Kronecker
+    multiply-accumulate.  A product of two exact operands, one of them
+    zero, is not formed; a zero known only modulo its order is still
+    multiplied, because it clears the exact flag.  Every power sum of an
+    exact ``x^p`` but ``s_0`` is an exact zero, so its pass forms a few
     dozen of its ~p^4/4 products."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
+    images = minor_images(rows)
+    if images is not None:
+        packed, unpack = images
+        return [unpack(m) for m in _berkowitz(packed, [packed[r][r] for r in range(n)],
+                                              1, 0, _integer_dot)]
     ctx = rows[0][0].ctx
     order = min(e.order for r in rows for e in r)
-    one = Jet.constant(ctx, 1, order)
-    zero = Jet.zero(ctx, order)
-    # charpoly coefficient vector of the 1x1 leading principal submatrix
-    vec: List[Jet] = [one, -rows[0][0].truncate(order)]
-    minors = [-vec[-1]]
-    for r in range(1, n):
-        # Toeplitz factor of the block [[M, C], [R, a]]: 1, -a, -R.C, -R.M.C, ...
-        col0: List[Jet] = [one, -rows[r][r].truncate(order)]
-        w = [rows[i][r] for i in range(r)]
-        for _ in range(r):
-            col0.append(-Jet.dot(rows[r][:r], w, zero))
-            w = [Jet.dot(rows[i][:r], w, zero) for i in range(r)]
-        vec = [Jet.dot(col0[i::-1], vec[:min(i, r) + 1], zero) for i in range(r + 2)]
-        minors.append(vec[-1] if r % 2 == 1 else -vec[-1])
-    return minors
+    return _berkowitz(rows, [rows[r][r].truncate(order) for r in range(n)],
+                      Jet.constant(ctx, 1, order), Jet.zero(ctx, order), Jet.dot)
 
 
 def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:

@@ -304,6 +304,13 @@ def test_mero_analyze_of_a_cubic_constant_is_a_precondition_error(capsys):
     assert "supports a single one" in err
 
 
+def test_mero_analyze_names_a_constant_factor(capsys):
+    # a parenthesized product lists its factors: here the constant 2 and x1
+    code, _ = run(["mero-analyze", "--f", "(2*x1)*(x2)", "--g", "(x2 - x1^2)"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: factors must be nonconstant: 2\n"
+
+
 @pytest.mark.parametrize("expr", ["-x2^2+x1^3", "-x2^2 + x1^3"], ids=["unspaced", "spaced"])
 def test_expression_may_start_with_minus(expr):
     code, out = machine_run(["tower", expr, "--vars", "x1,x2"])

@@ -286,6 +286,35 @@ def test_shift_by_a_negative_power_needs_divisibility():
         f.shift("x1", -1)
 
 
+@pytest.mark.parametrize("kind", ["exact", "truncated", "infinite", "field"])
+def test_power_squares_and_multiplies_from_the_base(kind, monkeypatch):
+    # every power equals the product of n copies (terms, order and flag), and
+    # costs bit_length(n) - 1 squarings and popcount(n) - 1 products, none of
+    # them with the constant 1
+    terms = {(0, 0): Fraction(3), (1, 0): Fraction(1), (0, 1): Fraction(-2, 3)}
+    if kind == "field":
+        terms[(1, 1)] = NumberField([-2, 0, 1]).generator()
+    base = Jet(X2, INFINITE_ORDER if kind == "infinite" else 7, terms, kind != "truncated")
+    one = Jet.constant(X2, 1, base.order)
+    expected = [one]
+    for _ in range(9):
+        expected.append(expected[-1] * base)
+    operands = []
+    mul = Jet.__mul__
+
+    def spy(a, b):
+        operands.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    for n, power in enumerate(expected):
+        operands.clear()
+        assert base ** n == power
+        assert len(operands) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+        assert one not in [j for pair in operands for j in pair]
+    assert (base ** 9).exact == (kind == "infinite")
+
+
 def test_settled_order_of_the_zero_polynomial_is_at_least_one():
     assert Jet.polynomial(X2, {}, 0).order == 1
     assert Jet.polynomial(X2, {}, 7).order == 7

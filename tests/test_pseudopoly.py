@@ -18,6 +18,7 @@ from equijet.pseudopoly import (
     resultant,
     resultant_jets,
 )
+from equijet.scalars import NumberField
 
 Y = VarContext.make(["y"])
 YX = VarContext.make(["x1", "y"])
@@ -444,3 +445,81 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
     fused.clear()
     settings(hypothesis.given(matrices(large))(check))()
     assert sum(fused) >= len(fused) // 4
+
+    # exact integer matrices known to every order, in 1-3 variables: the
+    # pass on Kronecker images, which forms no product of jets
+    @st.composite
+    def integer_matrices(draw):
+        ctx = VarContext.make([f"x{i}" for i in range(1, draw(st.integers(1, 3)) + 1)])
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(ctx.names)),
+            st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)).map(Fraction),
+            max_size=5)
+        n = draw(st.integers(1, 5))
+        return [[Jet(ctx, INFINITE_ORDER, draw(terms), True) for _ in range(n)]
+                for _ in range(n)]
+
+    def check_integer(rows):
+        formed.clear()
+        minors = berkowitz_minors(rows)
+        assert not formed
+        assert minors == dense_berkowitz_minors(rows)
+
+    settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(integer_matrices())(check_integer))()
+
+
+def sylvester_hadamard(k):
+    """The 2^k-by-2^k Sylvester-Hadamard matrix of +-1."""
+    rows = [[1]]
+    for _ in range(k):
+        rows = [r + r for r in rows] + [r + [-v for v in r] for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("entries, minors", [
+    # x1 * H_4: rows orthogonal of norm 2, so |16*x1^4| meets Hadamard's bound
+    (sylvester_hadamard(2), [1, -2, 4, 16]),
+    # [[8, 8], [-8, 8]]*x1: 128*x1^2 meets the bound, which needs a sign
+    # bit beyond one byte
+    ([[8, 8], [-8, 8]], [8, 128]),
+    # the same block above a zero row: the bound of the whole matrix is 0,
+    # that of the leading 2-by-2 block 128
+    ([[8, 8, 0], [-8, 8, 0], [0, 0, 0]], [8, 128, 0]),
+], ids=["hadamard-4", "sign-bit", "zero-row"])
+def test_integer_pass_reads_minors_that_meet_hadamards_bound(entries, minors):
+    ctx = VarContext.make(["x1", "x2"])
+    rows = [[Jet(ctx, INFINITE_ORDER, {(1, 0): Fraction(v)}, True) for v in r] for r in entries]
+    out = berkowitz_minors(rows)
+    assert out == [Jet(ctx, INFINITE_ORDER, {(k, 0): Fraction(m)} if m else {}, True)
+                   for k, m in enumerate(minors, start=1)]
+    assert out == dense_berkowitz_minors(rows)
+
+
+@pytest.mark.parametrize("kind", ["rational", "field", "truncated"])
+def test_a_matrix_that_is_not_integer_keeps_the_dot_path(kind, monkeypatch):
+    ctx = VarContext.make(["x1", "x2"])
+    rows = [[Jet(ctx, INFINITE_ORDER, {(i, j): Fraction(i + 2 * j + 1)}, True)
+             for j in range(3)] for i in range(3)]
+    special = {"rational": Fraction(1, 3), "field": NumberField([-2, 0, 1]).generator()}
+    if kind == "truncated":
+        rows[2][1] = Jet(ctx, 9, {(2, 1): Fraction(5)}, False)
+    else:
+        rows[2][1] = Jet(ctx, INFINITE_ORDER, {(2, 1): special[kind]}, True)
+    dots = []
+    dot = Jet.dot
+
+    def spy(xs, ys, acc):
+        dots.append(len(xs))
+        return dot(xs, ys, acc)
+
+    monkeypatch.setattr(Jet, "dot", staticmethod(spy))
+    out = berkowitz_minors(rows)
+    assert dots
+    assert out == dense_berkowitz_minors(rows)
+    # the integer matrix takes the integer pass, with no dot product of jets
+    dots.clear()
+    rows[2][1] = Jet(ctx, INFINITE_ORDER, {(2, 1): Fraction(5)}, True)
+    assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+    assert not dots
