@@ -32,11 +32,17 @@ added as integers and unpacked once.  Coefficients in an algebraic
 extension, fewer term pairs and operands too sparse to pack
 (``x1^3000 + x2``) take the schoolbook loop, one product at a time.
 
-A square matrix of exact integer polynomials known to every order has
-Kronecker images too (:func:`minor_images`): each entry is packed once, in
-a box and a digit width that hold every leading principal minor, so that a
-whole division-free determinant pass runs on plain integers and each minor
-is unpacked once.
+A square matrix of integer polynomials has Kronecker images too
+(:func:`minor_images`): each entry is packed once, in a box and a digit
+width that hold every leading principal minor, so that a whole
+division-free determinant pass runs on plain integers and each minor is
+unpacked once.  Entries known to every order are packed in a box of the
+exponents, and the pass runs in Z.  Entries truncated at a least order
+``N`` are packed in a box graded by total degree below ``N``, and the pass
+runs modulo ``2^(8*w*window)``: evaluation followed by that reduction is a
+ring homomorphism from ``Z[x]/(deg >= N)``.  Its minors but the first are
+flagged not exact, as on jets, where a non-exact entry of the leading
+2-by-2 block clears the flag of every later minor.
 """
 
 from __future__ import annotations
@@ -636,15 +642,17 @@ class Jet:
         orders = [self.order] + [values[i].order for i in values if i in occurring]
         order = min(orders)
 
-        # powers[i][e] is the e-th power of what variable i becomes, built
-        # one product at a time up to the highest exponent that occurs
+        # powers[i][e - 1] is the e-th power of what variable i becomes,
+        # built one product at a time up to the highest exponent that
+        # occurs; the first power is the base at the order, whose terms,
+        # order and flag are those of the product 1*base
         powers: Dict[int, List[Jet]] = {}
         for i in occurring:
             base = values.get(i)
             if base is None:
                 base = Jet.variable(target, self.ctx.names[i], order)
-            row = [Jet.constant(target, 1, order, exact=True)]
-            for _ in range(max(key[i] for key in self.terms)):
+            row = [base.truncate(order)]
+            for _ in range(max(key[i] for key in self.terms) - 1):
                 row.append(row[-1] * base)
             powers[i] = row
 
@@ -653,7 +661,7 @@ class Jet:
             term = Jet.constant(target, coeff, order, exact=True)
             for i, e in enumerate(key):
                 if e:
-                    term = term * powers[i][e]
+                    term = term * powers[i][e - 1]
             acc = acc + term
         return Jet(target, order, acc.terms, acc.exact and self.exact)
 
@@ -837,65 +845,115 @@ class Jet:
 
 
 def minor_images(rows: Sequence[Sequence[Jet]]
-                 ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet]]]:
+                 ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet], Optional[int]]]:
     """The Kronecker images of a square matrix of integer polynomials, for
-    a division-free determinant pass on plain integers, and the map that
-    reads a leading principal minor back from its image; None unless every
-    entry is exact at ``INFINITE_ORDER`` with integer coefficients, in one
-    context.
+    a division-free determinant pass on plain integers, the map that reads
+    each leading principal minor but the first back from its image, and the
+    mask of the ring the pass runs in (None for all of Z).  None unless
+    every entry has integer coefficients, in one context, and one of two
+    boxes applies: the exact box when every entry is exact at
+    ``INFINITE_ORDER``, the graded box when the least order ``N`` is finite
+    and at least 1 and an entry of the leading 2-by-2 block is not exact.
 
     An entry ``sum c_k x^k`` becomes the integer ``sum c_k 2^(8*w*slot(k))``
-    with ``slot(k) = sum_v k_v*stride_v``: evaluation at
-    ``x_v = 2^(8*w*stride_v)``, a ring homomorphism from Z[x] to Z.  So a
-    pass of sums and products on the images gives the image of each minor,
-    and the minor is read back from its signed digits (:func:`_digits`)
-    when it lies in the box and its coefficients fit ``w`` bytes:
+    with ``slot(k) = sum_v k_v*weight_v``: evaluation at
+    ``x_v = 2^(8*w*weight_v)``, a ring homomorphism.  So a pass of sums and
+    products on the images gives the image of each minor, and the minor is
+    read back from its signed digits (:func:`_digits`) when it lies in the
+    box and its coefficients fit ``w`` bytes:
 
-    * box: the k-by-k leading minor sums products of one entry per row,
-      so its degree in ``v`` is at most the sum over rows of the row's
-      greatest degree in ``v``; each variable's digit has room for that sum
-      over all rows;
-    * digit width: on the unit torus ``|M_ij| <= ||M_ij||_1``, and a
-      coefficient of a polynomial is at most its greatest modulus there, so
-      by Hadamard's bound every coefficient of the k-by-k leading minor is
-      at most ``prod_(i<k) sqrt(sum_(j<k) ||M_ij||_1^2)``; ``w`` holds the
-      largest of these bounds over k and every coefficient of an entry
-      (which packs one digit each), plus a sign bit.
+    * exact box: the images are in Z.  The k-by-k leading minor sums
+      products of one entry per row, so its degree in ``v`` is at most the
+      sum over rows of the row's greatest degree in ``v``; each variable's
+      digit has room for that sum over all rows.  The minors are exact.
+    * graded box: the total degree is the outermost digit, with ``N``
+      values, and each active variable but the last is one more digit, with
+      ``N`` values, so the window is ``N^(#active)`` slots; the last
+      variable's exponent is the total degree less the inner digits.  A
+      monomial of degree ``>= N`` has a slot of at least the window, so
+      evaluation followed by reduction modulo ``2^(8*w*window)`` (the mask)
+      is a ring homomorphism from ``Z[x]/(deg >= N)``: sums of products may
+      be masked, and wrap freely.  Only the terms below ``N`` are packed.
+      The minors are stated at ``N`` and are not exact: the pass on jets
+      (:func:`~equijet.pseudopoly.berkowitz_minors`) forms every product
+      with an operand that is not exact, so a non-exact entry of the
+      leading 2-by-2 block leaves the third entry of the characteristic
+      vector of that block (its determinant) not exact; every later step
+      keeps that entry (times the constant 1) and sums it, times a
+      coefficient, into the block's determinant, so every minor from the
+      second on is not exact.  When the leading 2-by-2 block is exact at a
+      finite order, each product's own truncation decides its flag, and
+      the matrix keeps the pass on jets.
+    * digit width, both boxes: on the unit torus ``|M_ij| <= ||M_ij||_1``,
+      and a coefficient of a polynomial is at most its greatest modulus
+      there, so by Hadamard's bound every coefficient of the k-by-k leading
+      minor (in the graded box, of the polynomial minor of the packed
+      entries, which agrees below ``N``) is at most
+      ``prod_(i<k) sqrt(sum_(j<k) ||M_ij||_1^2)``; ``w`` holds the largest
+      of these bounds over k and every coefficient of an entry (which packs
+      one digit each), plus a sign bit.
 
     Only the minors are read back, so the values met on the way may
     overflow their digits and the box freely.  Each entry is packed once.
+    The first minor is the entry ``rows[0][0]`` itself, at the least order.
     """
     ctx = rows[0][0].ctx
+    order = INFINITE_ORDER
     for row in rows:
         for e in row:
-            if e.order != INFINITE_ORDER or e.ctx != ctx or not all(
+            if e.ctx != ctx or not all(
                     type(v) is Fraction and v.denominator == 1 for v in e.terms.values()):
                 return None
+            order = min(order, e.order)
+    graded = order != INFINITE_ORDER
+    if graded:
+        if order < 1 or all(e.exact for row in rows[:2] for e in row[:2]):
+            return None
+        entries = [[{k: c for k, c in e.terms.items() if sum(k) < order} for e in row]
+                   for row in rows]
+    else:
+        entries = [[e.terms for e in row] for row in rows]
     n = len(ctx.names)
-    box = [0] * n
-    for row in rows:
-        keys = [k for e in row for k in e.terms]
-        for v in range(n):
-            box[v] += max((k[v] for k in keys), default=0)
-    norms = [[sum(abs(c.numerator) for c in e.terms.values()) for e in row] for row in rows]
+    norms = [[sum(abs(c.numerator) for c in t.values()) for t in row] for row in entries]
     square = max(math.prod(sum(x * x for x in norms[i][:k]) for i in range(k))
                  for k in range(1, len(rows) + 1))
     # an integer coefficient at most sqrt(square) is at most isqrt(square)
     bound = max(math.isqrt(square), max(map(max, norms)))
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    strides = [0] * n
-    window = 1
-    for v in range(n - 1, -1, -1):
-        if box[v]:
-            strides[v] = window
-            window *= box[v] + 1
-    digits = [(v, strides[v]) for v in range(n) if box[v]]
+    # digits: (variable, stride), outermost first
+    last = None
+    if graded:
+        active = [v for v in range(n) if any(k[v] for row in entries for t in row for k in t)]
+        # the outermost digit, the total degree, is held at the last active
+        # variable until the inner digits are subtracted from it
+        places = active[-1:] + active[:-1]
+        digits = [(v, order ** (len(places) - 1 - j)) for j, v in enumerate(places)]
+        window = order ** len(places)
+        weights = [0] * n
+        for v, s in digits[1:]:
+            weights[v] = s
+        for v in active:
+            weights[v] += window // order
+        last = active[-1] if active else None
+    else:
+        box = [0] * n
+        for row in entries:
+            keys = [k for t in row for k in t]
+            for v in range(n):
+                box[v] += max((k[v] for k in keys), default=0)
+        weights = [0] * n
+        window = 1
+        for v in range(n - 1, -1, -1):
+            if box[v]:
+                weights[v] = window
+                window *= box[v] + 1
+        digits = [(v, weights[v]) for v in range(n) if box[v]]
 
-    def pack(e: Jet) -> int:
-        if not e.terms:
+    def pack(t: Mapping[Exponents, Scalar]) -> int:
+        if not t:
             return 0
-        slots = [sum(map(operator.mul, k, strides)) for k in e.terms]
-        return _pack(slots, [c.numerator for c in e.terms.values()], max(slots) + 1, width)
+        slots = [sum(map(operator.mul, k, weights)) for k in t]
+        return _pack(slots, [c.numerator for c in t.values()], max(slots) + 1, width)
 
     def unpack(image: int) -> Jet:
         terms: Dict[Exponents, Scalar] = {}
@@ -903,10 +961,13 @@ def minor_images(rows: Sequence[Sequence[Jet]]
             key = [0] * n
             for v, s in digits:
                 key[v], slot = divmod(slot, s)
+            if last is not None:
+                key[last] -= sum(key) - key[last]
             terms[tuple(key)] = Fraction(d)
-        return Jet(ctx, INFINITE_ORDER, terms, True)
+        return Jet(ctx, order, terms, not graded)
 
-    return [[pack(e) for e in row] for row in rows], unpack
+    mask = (1 << (8 * width * window)) - 1 if graded else None
+    return [[pack(t) for t in row] for row in entries], unpack, mask
 
 
 def jet_to_text(j: Jet) -> str:

@@ -509,8 +509,10 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
 
 
 def _product(jets: Sequence[Jet], exps: Sequence[int]) -> Jet:
-    """The exact product of exact polynomials, at their least order."""
-    acc = Jet.constant(jets[0].ctx, 1, INFINITE_ORDER)
-    for j, e in zip(jets, exps):
-        acc = acc * j.with_order(INFINITE_ORDER) ** e
+    """The exact product of exact polynomials, at their least order.  It
+    starts at the first factor's power, never at the constant 1."""
+    powers = [j.with_order(INFINITE_ORDER) ** e for j, e in zip(jets, exps)]
+    acc = powers[0]
+    for power in powers[1:]:
+        acc = acc * power
     return Jet.polynomial(acc.ctx, acc.graded_items(), min(j.order for j in jets))

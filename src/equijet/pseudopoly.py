@@ -18,10 +18,12 @@ The coefficient ring (jets) has zero divisors, so every determinant here is
 computed division-free (Berkowitz's algorithm).  Its pass meets the
 determinant of every leading principal submatrix on the way, so one pass over
 the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.  The
-pass is written once, over any commutative ring: a matrix of exact integer
-polynomials known to every order runs it on its Kronecker images, plain
-integers (:func:`~equijet.jets.minor_images`); every other matrix runs it on
-jets, one :meth:`Jet.dot` per step.
+pass is written once, over any commutative ring: a matrix of integer
+polynomials runs it on its Kronecker images, plain integers
+(:func:`~equijet.jets.minor_images`), in Z when every entry is known to
+every order and modulo a power of 2 when the entries are truncated and an
+entry of the leading 2-by-2 block is not exact; every other matrix runs it
+on jets, one :meth:`Jet.dot` per step.
 """
 
 from __future__ import annotations
@@ -258,22 +260,34 @@ def _integer_dot(xs: Sequence[int], ys: Sequence[int], acc: int) -> int:
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     """Division-free determinants of the leading principal submatrices of a
     square matrix of jets, top-left 1-by-1 block first, each modulo the least
-    order in the matrix, from one Berkowitz pass (it extends each block's
-    characteristic polynomial to the next).
+    order ``N`` in the matrix, from one Berkowitz pass (it extends each
+    block's characteristic polynomial to the next).
 
-    When every entry is exact at ``INFINITE_ORDER`` with integer
-    coefficients (the exact Hankel matrices of :func:`hankel_minors` and the
-    exact Sylvester matrices of :func:`resultant_jets`), the pass runs on
-    plain integers, their Kronecker images (:func:`minor_images`): each
-    entry is packed once and each minor unpacked once.  Its box is, per
-    variable, the sum over rows of the row's greatest degree, and its digits
-    hold Hadamard's bound ``prod_i sqrt(sum_j ||M_ij||_1^2)`` at its largest
-    over the leading blocks, plus a sign bit.
+    A matrix of integer polynomials runs the pass on plain integers, their
+    Kronecker images (:func:`minor_images`): each entry is packed once and
+    each minor but the first (the entry ``rows[0][0]`` at order ``N``)
+    unpacked once.  It does so in one of two boxes:
 
-    Every other matrix (rational or ``Q(alpha)`` coefficients, or an entry
-    at a finite order) runs the pass on jets, where every step is a dot
-    product ``sum x*y`` (:meth:`Jet.dot`): on rational operands known to
-    every order, or with a truncated one, the whole sum is one Kronecker
+    * every entry exact at ``INFINITE_ORDER`` (the exact Hankel matrices of
+      :func:`hankel_minors` and the exact Sylvester matrices of
+      :func:`resultant_jets`): the box is, per variable, the sum over rows
+      of the row's greatest degree, and the pass runs in Z;
+    * ``N`` finite and at least 1, with an entry of the leading 2-by-2
+      block not exact (the truncated Hankel matrices): the box is graded by
+      total degree below ``N``, and the pass runs modulo
+      ``2^(8*w*N^(#active))``, where evaluation is a ring homomorphism from
+      ``Z[x]/(deg >= N)``; every minor from the second on is not exact, as
+      it is on jets.
+
+    In both, the digits hold Hadamard's bound
+    ``prod_i sqrt(sum_j ||M_ij||_1^2)`` at its largest over the leading
+    blocks, plus a sign bit.
+
+    Every other matrix (rational or ``Q(alpha)`` coefficients, or a leading
+    2-by-2 block exact at a finite order, where each product's own
+    truncation decides its flag) runs the pass on jets, where every step is
+    a dot product ``sum x*y`` (:meth:`Jet.dot`): on rational operands known
+    to every order, or with a truncated one, the whole sum is one Kronecker
     multiply-accumulate.  A product of two exact operands, one of them
     zero, is not formed; a zero known only modulo its order is still
     multiplied, because it clears the exact flag.  Every power sum of an
@@ -282,13 +296,18 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
+    order = min(e.order for r in rows for e in r)
     images = minor_images(rows)
     if images is not None:
-        packed, unpack = images
-        return [unpack(m) for m in _berkowitz(packed, [packed[r][r] for r in range(n)],
-                                              1, 0, _integer_dot)]
+        packed, unpack, mask = images
+        if mask is None:
+            dot = _integer_dot
+        else:
+            def dot(xs, ys, acc):
+                return _integer_dot(xs, ys, acc) & mask
+        minors = _berkowitz(packed, [packed[r][r] for r in range(n)], 1, 0, dot)
+        return [rows[0][0].truncate(order)] + [unpack(m) for m in minors[1:]]
     ctx = rows[0][0].ctx
-    order = min(e.order for r in rows for e in r)
     return _berkowitz(rows, [rows[r][r].truncate(order) for r in range(n)],
                       Jet.constant(ctx, 1, order), Jet.zero(ctx, order), Jet.dot)
 

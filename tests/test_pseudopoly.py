@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from equijet import jets as jets_module
+from equijet import pseudopoly as pseudopoly_module
 from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
-from equijet.jets import INFINITE_ORDER, Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext, minor_images
 from equijet.pseudopoly import (
     PseudoPolynomial,
     berkowitz_det,
@@ -523,3 +524,140 @@ def test_a_matrix_that_is_not_integer_keeps_the_dot_path(kind, monkeypatch):
     rows[2][1] = Jet(ctx, INFINITE_ORDER, {(2, 1): Fraction(5)}, True)
     assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
     assert not dots
+
+
+def spy_graded_pass(monkeypatch):
+    """Record the dot products of jets formed and every value that the
+    dot of the Berkowitz pass returns, whatever its ring."""
+    seen = {"dots": 0, "values": []}
+    dot, berkowitz = Jet.dot, pseudopoly_module._berkowitz
+
+    def dot_spy(xs, ys, acc):
+        seen["dots"] += 1
+        return dot(xs, ys, acc)
+
+    def berkowitz_spy(rows, diagonal, one, zero, ring_dot):
+        def value_spy(xs, ys, acc):
+            value = ring_dot(xs, ys, acc)
+            seen["values"].append(value)
+            return value
+        return berkowitz(rows, diagonal, one, zero, value_spy)
+
+    monkeypatch.setattr(Jet, "dot", staticmethod(dot_spy))
+    monkeypatch.setattr(pseudopoly_module, "_berkowitz", berkowitz_spy)
+    return seen
+
+
+def takes_the_graded_pass(rows):
+    """The rule of the graded box: integer entries, a least order ``N``
+    finite and at least 1, and an entry of the leading 2-by-2 block that
+    is not exact."""
+    order = min(e.order for r in rows for e in r)
+    return (all(v.denominator == 1 for r in rows for e in r for v in e.terms.values())
+            and 1 <= order < INFINITE_ORDER
+            and not all(e.exact for r in rows[:2] for e in r[:2]))
+
+
+def check_graded_pass(rows, seen):
+    """The graded pass formed no dot product of jets, and every sum of
+    products it formed lies in ``[0, 2^(8*w*window))``, its mask."""
+    assert seen["dots"] == 0
+    mask = minor_images(rows)[2]
+    assert mask is not None
+    assert all(0 <= v <= mask for v in seen["values"])
+
+
+def test_truncated_integer_matrices_take_the_graded_pass_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def truncated_integer_matrices(draw):
+        ctx = VarContext.make([f"x{i}" for i in range(1, draw(st.integers(1, 3)) + 1)])
+        order = draw(st.integers(1, 5))
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(ctx.names)),
+            st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)).map(Fraction),
+            max_size=4)
+        above = st.integers(order, order + 3)
+        # truncated entries, exact entries at the order or above it (some
+        # with terms of degree >= order), entries known to every order,
+        # exact zeros and zeros known only modulo their order
+        entry = st.one_of(
+            st.builds(lambda t, o: Jet(ctx, o, t, False), terms, above),
+            st.builds(lambda t, o: Jet.polynomial(ctx, t, o), terms, above),
+            st.builds(lambda t: Jet(ctx, INFINITE_ORDER, t, True), terms),
+            st.builds(lambda o: Jet.zero(ctx, o), st.sampled_from((order, INFINITE_ORDER))),
+            st.builds(lambda o: Jet.zero(ctx, o, exact=False), above),
+        )
+        n = draw(st.integers(1, 5))
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            # an entry of the leading 2-by-2 block truncated at the order
+            i, j = draw(st.integers(0, min(n, 2) - 1)), draw(st.integers(0, min(n, 2) - 1))
+            rows[i][j] = Jet(ctx, order, draw(terms), False)
+        return rows
+
+    seen = spy_graded_pass(monkeypatch)
+    graded = []
+
+    def check(rows):
+        seen["dots"], seen["values"] = 0, []
+        minors = berkowitz_minors(rows)
+        graded.append(takes_the_graded_pass(rows))
+        if graded[-1]:
+            check_graded_pass(rows, seen)
+        assert minors == dense_berkowitz_minors(rows)
+
+    settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(truncated_integer_matrices())(check))()
+    assert sum(graded) >= len(graded) // 2
+
+
+def minors_of(ctx, order, minors):
+    return [Jet(ctx, order, {tuple(k): Fraction(v) for k, v in m.items()}, False)
+            for m in minors]
+
+
+@pytest.mark.parametrize("entries, order, minors", [
+    # [[8, 8], [-8, 8]]*x1: 128*x1^2 needs a sign bit beyond one byte
+    ({(0, 0): {(1, 0): 8}, (0, 1): {(1, 0): 8}, (1, 0): {(1, 0): -8}, (1, 1): {(1, 0): 8}},
+     3, [{(1, 0): 8}, {(2, 0): 128}]),
+    # constants only: no active variable, a window of one slot
+    ({(0, 0): {(0, 0): 2}, (0, 1): {(0, 0): 1}, (1, 0): {(0, 0): 1}, (1, 1): {(0, 0): 3},
+      (1, 2): {(0, 0): 1}, (2, 1): {(0, 0): 1}, (2, 2): {(0, 0): 4}},
+     2, [{(0, 0): 2}, {(0, 0): 5}, {(0, 0): 18}]),
+    # two variables, so that the inner digit (x1) is decoded and the last
+    # variable's exponent is the total degree less it; 3*x1*x2^3 is past
+    # the order
+    ({(0, 0): {(1, 0): 1, (0, 1): 2}, (0, 1): {(0, 2): 1}, (1, 0): {(1, 1): 3},
+      (1, 1): {(1, 0): 1, (0, 1): -1}},
+     4, [{(1, 0): 1, (0, 1): 2}, {(2, 0): 1, (1, 1): 1, (0, 2): -2}]),
+], ids=["sign-bit", "constants", "two-variables"])
+def test_graded_pass_reads_truncated_minors(entries, order, minors, monkeypatch):
+    ctx = VarContext.make(["x1", "x2"])
+    n = len(minors)
+    rows = [[Jet(ctx, order, {k: Fraction(v) for k, v in entries.get((i, j), {}).items()},
+                 False) for j in range(n)] for i in range(n)]
+    seen = spy_graded_pass(monkeypatch)
+    out = berkowitz_minors(rows)
+    check_graded_pass(rows, seen)
+    assert out == minors_of(ctx, order, minors)
+    assert out == dense_berkowitz_minors(rows)
+
+
+def test_an_exact_leading_block_at_a_finite_order_keeps_the_dot_path(monkeypatch):
+    # the leading 2-by-2 block is exact at order 4 and so is its minor
+    # 1 - x1^2; only the entry below it is truncated
+    ctx = VarContext.make(["x1", "x2"])
+    x1, x2 = Jet.variable(ctx, "x1", 4), Jet.variable(ctx, "x2", 4)
+    one, zero = Jet.constant(ctx, 1, 4), Jet.zero(ctx, 4)
+    rows = [[one, x1, zero], [x1, one, x2], [zero, x2, Jet(ctx, 4, {(1, 0): Fraction(2)}, False)]]
+    assert minor_images(rows) is None
+    seen = spy_graded_pass(monkeypatch)
+    out = berkowitz_minors(rows)
+    assert seen["dots"]
+    assert out[1] == Jet.polynomial(ctx, {(0, 0): 1, (2, 0): -1}, 4) and out[1].exact
+    assert not out[2].exact
+    assert out == dense_berkowitz_minors(rows)

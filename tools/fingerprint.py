@@ -6,7 +6,8 @@ Run from any directory::
     python3 tools/fingerprint.py --root DIR --workload cli --seeds 3,11,21
 
 ``DIR`` is a checkout of equijet; the jobs and the program both come from
-it (``DIR/bench/workloads.py``, read only, and ``DIR/src``).  Every job of
+it (``DIR/bench/workloads.py``, read only, and ``DIR/src``), and for ``cli``
+the corpus fixtures too (``DIR/corpus``; without them the tool exits 2).  Every job of
 each seed is run once, the known-defect probe jobs included, and one line
 ``seed index label hash`` is printed per job, then ``total hash``.  The hash
 covers the whole output: the terms, order and exactness flag of every jet,
@@ -172,6 +173,12 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "bench"), str(root / "src")]
     sys.dont_write_bytecode = True
+    if args.workload == "cli" and not any((root / "corpus").glob("*.args")):
+        # the cli jobs begin with the corpus fixtures: hashing the rest
+        # alone would print a total that no full checkout gives
+        print(f"error: no corpus fixtures in {root / 'corpus'}; the cli workload runs them",
+              file=sys.stderr)
+        return 2
     os.environ.pop("EQUIJET_ORDER", None)
 
     def jobs(seed):
