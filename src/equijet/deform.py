@@ -208,11 +208,14 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
             f"leading coefficient {lead} has no {n}-th root in the scalar field")
     # a = lead * x^val * (1 + B); solve (1 + C)^n = 1 + B degree by degree
     u = a.shift(x, -val).scale(scalar_inverse(lead))
-    w = Jet.constant(a.ctx, 1, u.order, exact=False)
+    # w ** n is formed again only when w changes; the starting constant 1
+    # is its own n-th power
+    w = power = Jet.constant(a.ctx, 1, u.order, exact=False)
     for d in range(1, u.order):
-        coeff = (u - w ** n).coefficient((d,))
+        coeff = (u - power).coefficient((d,))
         if coeff:
             w = w + Jet.monomial(a.ctx, (d,), coeff * Fraction(1, n), order=u.order)
+            power = w ** n
     root = w.scale(lead_root).shift(x, val // n)
     # certify exactness when the power genuinely reproduces the input
     if a.exact:

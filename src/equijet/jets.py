@@ -26,11 +26,12 @@ are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
 exact times exact in a box of the exponents, anything truncated in a box
 graded by total degree that reads only the degrees below the order.  The
 same kernel sums a dot product ``acc + x_1*y_1 + ...`` (:meth:`Jet.dot`,
-the inner step of Newton's identities and of the Berkowitz pass on jets)
-in one pass: one box and one digit width for all pairs, the packed products
-added as integers and unpacked once.  Coefficients in an algebraic
-extension, fewer term pairs and operands too sparse to pack
-(``x1^3000 + x2``) take the schoolbook loop, one product at a time.
+the inner step of Newton's identities and of the Berkowitz pass on jets of
+rational or truncated input) in one pass: one box and one digit width for
+all pairs, the packed products added as integers and unpacked once.
+Coefficients in an algebraic extension, fewer term pairs and operands too
+sparse to pack (``x1^3000 + x2``) take the schoolbook loop, one product at
+a time.
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -42,7 +43,12 @@ exponents, and the pass runs in Z.  Entries truncated at a least order
 runs modulo ``2^(8*w*window)``: evaluation followed by that reduction is a
 ring homomorphism from ``Z[x]/(deg >= N)``.  Its minors but the first are
 flagged not exact, as on jets, where a non-exact entry of the leading
-2-by-2 block clears the flag of every later minor.
+2-by-2 block clears the flag of every later minor.  The coefficients of a
+monic polynomial with integer coefficients have images in the same boxes
+(:func:`hankel_images`), sized for the Hankel minors of its power sums, so
+that Newton's identities run on the same integers as the Berkowitz pass
+that follows them.  One builder (:func:`_images`) lays out both boxes and
+packs and unpacks for both.
 """
 
 from __future__ import annotations
@@ -656,13 +662,16 @@ class Jet:
                 row.append(row[-1] * base)
             powers[i] = row
 
+        # a term starts at its first power times the coefficient, whose
+        # terms, order and flag are those of the product coeff*power
         acc = Jet.zero(target, order, exact=True)
         for key, coeff in self.graded_items():
-            term = Jet.constant(target, coeff, order, exact=True)
+            term = None
             for i, e in enumerate(key):
                 if e:
-                    term = term * powers[i][e - 1]
-            acc = acc + term
+                    power = powers[i][e - 1]
+                    term = power.scale(coeff) if term is None else term * power
+            acc = acc + (Jet.constant(target, coeff, order) if term is None else term)
         return Jet(target, order, acc.terms, acc.exact and self.exact)
 
     def restrict(self, assign: Mapping[str, object], *, drop: bool = False) -> "Jet":
@@ -844,6 +853,95 @@ class Jet:
         return f"<Jet {jet_to_text(self)} ({tag})>"
 
 
+def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:
+    """True when every jet lies in ``ctx`` and has integer coefficients."""
+    return all(e.ctx == ctx and all(type(v) is Fraction and v.denominator == 1
+                                    for v in e.terms.values()) for e in jets)
+
+
+def _below(t: Mapping[Exponents, Scalar], order: int) -> Dict[Exponents, Scalar]:
+    return {k: c for k, c in t.items() if sum(k) < order}
+
+
+def _norm(t: Mapping[Exponents, Scalar]) -> int:
+    """``||f||_1``, the sum of the absolute values of integer coefficients."""
+    return sum(abs(c.numerator) for c in t.values())
+
+
+def _hadamard(norms: Sequence[Sequence[int]]) -> int:
+    """A bound on every coefficient of every leading principal minor of a
+    square matrix whose entries have the 1-norms ``norms``; see
+    :func:`minor_images`."""
+    square = max(math.prod(sum(x * x for x in norms[i][:k]) for i in range(k))
+                 for k in range(1, len(norms) + 1))
+    # an integer coefficient at most sqrt(square) is at most isqrt(square)
+    return math.isqrt(square)
+
+
+def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], order,
+            box: Optional[Sequence[int]], bound: int
+            ) -> Tuple[List[int], Callable[[int], Jet], Optional[int]]:
+    """The Kronecker images of term dicts with integer coefficients in
+    ``ctx``, the map that reads a polynomial back from its image, and the
+    mask of the ring the images live in (None for all of Z); the box
+    layout and the digit width of :func:`minor_images` and
+    :func:`hankel_images`.
+
+    With a ``box`` (``order`` is ``INFINITE_ORDER``), the digit of
+    variable ``v`` holds the exponents ``0..box[v]`` and a value reads back
+    exact.  With ``box`` None, the entries have no term of degree
+    ``>= order``, the box is graded below ``order`` over the variables that
+    occur in them, and a value reads back at ``order``, not exact.  The
+    digits are signed and hold every magnitude up to ``bound``.
+    """
+    n = len(ctx.names)
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    graded = box is None
+    # digits: (variable, stride), outermost first
+    last = None
+    if graded:
+        active = [v for v in range(n) if any(k[v] for t in entries for k in t)]
+        # the outermost digit, the total degree, is held at the last active
+        # variable until the inner digits are subtracted from it
+        places = active[-1:] + active[:-1]
+        digits = [(v, order ** (len(places) - 1 - j)) for j, v in enumerate(places)]
+        window = order ** len(places)
+        weights = [0] * n
+        for v, s in digits[1:]:
+            weights[v] = s
+        for v in active:
+            weights[v] += window // order
+        last = active[-1] if active else None
+    else:
+        weights = [0] * n
+        window = 1
+        for v in range(n - 1, -1, -1):
+            if box[v]:
+                weights[v] = window
+                window *= box[v] + 1
+        digits = [(v, weights[v]) for v in range(n) if box[v]]
+
+    def pack(t: Mapping[Exponents, Scalar]) -> int:
+        if not t:
+            return 0
+        slots = [sum(map(operator.mul, k, weights)) for k in t]
+        return _pack(slots, [c.numerator for c in t.values()], max(slots) + 1, width)
+
+    def unpack(image: int) -> Jet:
+        terms: Dict[Exponents, Scalar] = {}
+        for slot, d in _digits(image, window, width):
+            key = [0] * n
+            for v, s in digits:
+                key[v], slot = divmod(slot, s)
+            if last is not None:
+                key[last] -= sum(key) - key[last]
+            terms[tuple(key)] = Fraction(d)
+        return Jet(ctx, order, terms, not graded)
+
+    mask = (1 << (8 * width * window)) - 1 if graded else None
+    return [pack(t) for t in entries], unpack, mask
+
+
 def minor_images(rows: Sequence[Sequence[Jet]]
                  ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet], Optional[int]]]:
     """The Kronecker images of a square matrix of integer polynomials, for
@@ -898,76 +996,107 @@ def minor_images(rows: Sequence[Sequence[Jet]]
     The first minor is the entry ``rows[0][0]`` itself, at the least order.
     """
     ctx = rows[0][0].ctx
-    order = INFINITE_ORDER
-    for row in rows:
-        for e in row:
-            if e.ctx != ctx or not all(
-                    type(v) is Fraction and v.denominator == 1 for v in e.terms.values()):
-                return None
-            order = min(order, e.order)
-    graded = order != INFINITE_ORDER
-    if graded:
-        if order < 1 or all(e.exact for row in rows[:2] for e in row[:2]):
-            return None
-        entries = [[{k: c for k, c in e.terms.items() if sum(k) < order} for e in row]
-                   for row in rows]
-    else:
+    if not _integer_jets((e for row in rows for e in row), ctx):
+        return None
+    order = min(e.order for row in rows for e in row)
+    if order == INFINITE_ORDER:
         entries = [[e.terms for e in row] for row in rows]
-    n = len(ctx.names)
-    norms = [[sum(abs(c.numerator) for c in t.values()) for t in row] for row in entries]
-    square = max(math.prod(sum(x * x for x in norms[i][:k]) for i in range(k))
-                 for k in range(1, len(rows) + 1))
-    # an integer coefficient at most sqrt(square) is at most isqrt(square)
-    bound = max(math.isqrt(square), max(map(max, norms)))
-    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    # digits: (variable, stride), outermost first
-    last = None
-    if graded:
-        active = [v for v in range(n) if any(k[v] for row in entries for t in row for k in t)]
-        # the outermost digit, the total degree, is held at the last active
-        # variable until the inner digits are subtracted from it
-        places = active[-1:] + active[:-1]
-        digits = [(v, order ** (len(places) - 1 - j)) for j, v in enumerate(places)]
-        window = order ** len(places)
-        weights = [0] * n
-        for v, s in digits[1:]:
-            weights[v] = s
-        for v in active:
-            weights[v] += window // order
-        last = active[-1] if active else None
+        # per variable, the sum over rows of the row's greatest degree
+        box = [sum(max((k[v] for t in row for k in t), default=0) for row in entries)
+               for v in range(len(ctx.names))]
+    elif order < 1 or all(e.exact for row in rows[:2] for e in row[:2]):
+        return None
     else:
-        box = [0] * n
-        for row in entries:
-            keys = [k for t in row for k in t]
-            for v in range(n):
-                box[v] += max((k[v] for k in keys), default=0)
-        weights = [0] * n
-        window = 1
-        for v in range(n - 1, -1, -1):
-            if box[v]:
-                weights[v] = window
-                window *= box[v] + 1
-        digits = [(v, weights[v]) for v in range(n) if box[v]]
+        entries = [[_below(e.terms, order) for e in row] for row in rows]
+        box = None
+    norms = [[_norm(t) for t in row] for row in entries]
+    bound = max(_hadamard(norms), max(map(max, norms)))
+    packed, unpack, mask = _images(ctx, [t for row in entries for t in row], order, box, bound)
+    n = len(rows)
+    return [packed[i * n:(i + 1) * n] for i in range(n)], unpack, mask
 
-    def pack(t: Mapping[Exponents, Scalar]) -> int:
-        if not t:
-            return 0
-        slots = [sum(map(operator.mul, k, weights)) for k in t]
-        return _pack(slots, [c.numerator for c in t.values()], max(slots) + 1, width)
 
-    def unpack(image: int) -> Jet:
-        terms: Dict[Exponents, Scalar] = {}
-        for slot, d in _digits(image, window, width):
-            key = [0] * n
-            for v, s in digits:
-                key[v], slot = divmod(slot, s)
-            if last is not None:
-                key[last] -= sum(key) - key[last]
-            terms[tuple(key)] = Fraction(d)
-        return Jet(ctx, order, terms, not graded)
+def hankel_images(coeffs: Sequence[Jet], k: int
+                  ) -> Optional[Tuple[List[int], Callable[[int], Jet], Optional[int]]]:
+    """The Kronecker images of the coefficients ``a_1..a_p`` of a monic
+    polynomial, in a box and a digit width that hold the leading principal
+    minors ``d_1..d_k`` of the Hankel matrix ``(s_(i+j))`` of its Newton
+    power sums, with the map that reads a minor but the first back and the
+    mask of the ring, as :func:`minor_images` gives them.  Newton's
+    identities and the Berkowitz pass are both division-free, so both run
+    on the images, which :func:`minor_images` shows to be a ring: the power
+    sums are never read back, and only the minors have to fit.  Each
+    ``a_i`` is packed once.  None unless ``p >= 2``, every ``a_i`` has
+    integer coefficients, in one context, and one of two boxes applies:
 
-    mask = (1 << (8 * width * window)) - 1 if graded else None
-    return [[pack(t) for t in row] for row in entries], unpack, mask
+    * exact box: every ``a_i`` is exact at ``INFINITE_ORDER``, and so are
+      the power sums and the minors;
+    * graded box: the least order ``N`` is finite and at least 1, and
+      ``a_1`` or ``a_2`` is not exact.  Then ``s_1 = -a_1`` or
+      ``s_2 = -a_1*s_1 - 2*a_2`` is not exact, so the Hankel matrix of the
+      power sums on jets, all at ``N``, takes the graded box of
+      :func:`minor_images`, whose minors from the second on are not exact.
+      Only the terms of the ``a_i`` below ``N`` are packed; the power sums
+      and minors of the polynomials they make up agree below ``N`` with the
+      truncated ones, and the bounds below are theirs.
+
+    Every other ``P`` (rational or ``Q(alpha)`` coefficients, ``p = 1``,
+    or ``a_1`` and ``a_2`` exact at a finite order, where each product's
+    own truncation decides its flag) gives None.
+
+    Bounds, with ``||f||_1`` the sum of the absolute values of the
+    coefficients of ``f``:
+
+    * degree box: give ``a_i`` the weight ``i``.  By Newton's identity
+      ``s_j = -(a_1*s_(j-1) + ... + a_m*s_(j-m)) - j*a_j`` (``m =
+      min(j-1, p)``, the last term for ``j <= p`` only) and induction,
+      ``s_j`` is isobaric of weight ``j``: a sum of products
+      ``prod_i a_i^(e_i)`` with ``sum_i i*e_i = j``.  The m-by-m leading
+      minor sums products ``prod_(i<m) s_(i+sigma(i))`` over permutations
+      ``sigma``, of weight ``sum_(i<m) (i + sigma(i)) = m*(m-1)``, so it is
+      isobaric of weight ``m*(m-1) <= k*(k-1)``.  A product of weight ``W``
+      has degree in ``v`` at most ``sum_i e_i*deg_v(a_i) <= W*delta_v``,
+      with ``delta_v = max_i deg_v(a_i)/i``; so each variable's digit holds
+      ``floor(k*(k-1)*delta_v)``, the greatest ``floor(k*(k-1)*deg_v(a_i)/i)``:
+      about 2/3 of the row sums ``sum_(i<k) floor((i+k-1)*delta_v)`` that
+      the rule of :func:`minor_images` would give.
+    * digit width: let ``N_0 = p`` and ``N_j = sum_(i=1..min(j-1,p))
+      ||a_i||_1*N_(j-i) + [j <= p]*j*||a_j||_1``.  By the triangle
+      inequality and ``||f*g||_1 <= ||f||_1*||g||_1``, Newton's identity
+      gives ``||s_j||_1 <= N_j`` by induction.  Hadamard's bound of
+      :func:`minor_images` grows with the entries' norms, so it holds with
+      ``N_(i+j)`` in place of ``||s_(i+j)||_1``.  ``w`` holds the largest of
+      that bound, every ``||a_i||_1`` (each coefficient packs one digit)
+      and ``p``, plus a sign bit.
+
+    The first minor is ``s_0``, the constant ``p``, at the least order.
+    """
+    p = len(coeffs)
+    if p < 2:
+        return None
+    ctx = coeffs[0].ctx
+    if not _integer_jets(coeffs, ctx):
+        return None
+    order = min(a.order for a in coeffs)
+    if order == INFINITE_ORDER:
+        entries = [a.terms for a in coeffs]
+        degrees = [[max((key[v] for key in t), default=0) for t in entries]
+                   for v in range(len(ctx.names))]
+        box = [max(k * (k - 1) * d // i for i, d in enumerate(degs, start=1))
+               for degs in degrees]
+    elif order < 1 or (coeffs[0].exact and coeffs[1].exact):
+        return None
+    else:
+        entries = [_below(a.terms, order) for a in coeffs]
+        box = None
+    norms = [_norm(t) for t in entries]
+    # N_j >= ||s_j||_1
+    sums = [p]
+    for j in range(1, 2 * k - 1):
+        sums.append(sum(norms[i - 1] * sums[j - i] for i in range(1, min(j - 1, p) + 1))
+                    + (j * norms[j - 1] if j <= p else 0))
+    bound = max(_hadamard([[sums[i + j] for j in range(k)] for i in range(k)]), max(norms), p)
+    return _images(ctx, entries, order, box, bound)
 
 
 def jet_to_text(j: Jet) -> str:

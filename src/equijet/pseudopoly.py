@@ -17,13 +17,22 @@ and the first nonzero index detects the number of distinct roots:
 The coefficient ring (jets) has zero divisors, so every determinant here is
 computed division-free (Berkowitz's algorithm).  Its pass meets the
 determinant of every leading principal submatrix on the way, so one pass over
-the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.  The
-pass is written once, over any commutative ring: a matrix of integer
-polynomials runs it on its Kronecker images, plain integers
-(:func:`~equijet.jets.minor_images`), in Z when every entry is known to
-every order and modulo a power of 2 when the entries are truncated and an
-entry of the leading 2-by-2 block is not exact; every other matrix runs it
-on jets, one :meth:`Jet.dot` per step.
+the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
+Newton's identities, which give the power sums from the coefficients, are
+division-free too.  Both recursions are written once, over any commutative
+ring (:func:`_newton`, :func:`_berkowitz`), and run on one of two rings:
+
+* Kronecker images, plain integers.  A polynomial with integer coefficients
+  (:func:`~equijet.jets.hankel_images`) packs each coefficient once, runs
+  both recursions on the integers and unpacks each minor once; the power
+  sums are never formed as jets.  Any other matrix of integer polynomials
+  (:func:`~equijet.jets.minor_images`) packs each entry once for the
+  Berkowitz pass.  The images live in Z when every input is known to every
+  order, and modulo a power of 2 when the inputs are truncated and the
+  leading 2-by-2 block of the matrix has an entry that is not exact.
+* jets, one :meth:`Jet.dot` per step: rational or ``Q(alpha)``
+  coefficients, and truncated input whose flags each product's own
+  truncation decides.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .jets import INFINITE_ORDER, Jet, VarContext, minor_images
+from .jets import INFINITE_ORDER, Jet, VarContext, hankel_images, minor_images
 
 #: Determinant expansion cost grows quickly; keep the artifact at desk scale.
 MAX_DEGREE = 12
@@ -204,30 +213,42 @@ def _settle(entry: Jet, base_order: int) -> Jet:
     return Jet.polynomial(entry.ctx, entry.graded_items(), base_order) if entry.exact else entry
 
 
+def _newton(coeffs, count: int, s0, zero, dot, scale) -> list:
+    """Newton power sums ``s_0..s_(count-1)`` of the roots of
+    ``v^p + a_1 v^(p-1) + ... + a_p`` over any commutative ring, from
+    ``s_0`` (``p``) and the coefficients, with sums of products
+    ``dot(xs, ys, zero)`` and multiples ``scale(a, k)``:
+    ``s_k = -(a_1 s_(k-1) + ... + a_m s_(k-m)) - k a_k``, ``m = min(k-1, p)``,
+    the last term only for ``k <= p``.  No division is needed."""
+    p = len(coeffs)
+    sums = [s0]
+    for k in range(1, count):
+        m = min(k - 1, p)
+        acc = dot(coeffs[:m], sums[k - m:k][::-1], zero)
+        if k <= p:
+            acc = acc + scale(coeffs[k - 1], k)
+        sums.append(-acc)
+    return sums
+
+
 def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     """Newton power sums ``s_0..s_{count-1}`` of the roots, from the
     coefficients.
 
     Newton's identities in this direction need no division at all, so the
-    computation stays inside the jet ring.  Each ``s_k`` is one dot product
-    of coefficients and earlier sums (:meth:`Jet.dot`, one Kronecker pass
-    when the operands are rational and large enough).  Exact input is
-    processed at every order so the sums come out exact whatever their
-    degree.
+    computation stays inside the jet ring (:func:`_newton` on jets).  Each
+    ``s_k`` is one dot product of coefficients and earlier sums
+    (:meth:`Jet.dot`, one Kronecker pass when the operands are rational and
+    large enough).  Exact input is processed at every order so the sums
+    come out exact whatever their degree.  :func:`hankel_minors` runs the
+    same recursion on integer images when it can, and does not call this.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
     base_order = P.order
     P = _exact_lift(P)
-    p = P.degree
-    sums: List[Jet] = [Jet.constant(P.ctx, p, P.order)]
-    for k in range(1, count):
-        # s_k = -(a_1 s_{k-1} + ... + a_m s_{k-m}) - k a_k, the last only for k <= p
-        m = min(k - 1, p)
-        acc = Jet.dot(P.coeffs[:m], sums[k - m:k][::-1], Jet.zero(P.ctx, P.order))
-        if k <= p:
-            acc = acc + P.coeffs[k - 1].scale(k)
-        sums.append(-acc)
+    sums = _newton(P.coeffs, count, Jet.constant(P.ctx, P.degree, P.order),
+                   Jet.zero(P.ctx, P.order), Jet.dot, Jet.scale)
     return [_settle(s, base_order) for s in sums]
 
 
@@ -255,6 +276,17 @@ def _berkowitz(rows, diagonal, one, zero, dot) -> list:
 
 def _integer_dot(xs: Sequence[int], ys: Sequence[int], acc: int) -> int:
     return sum(map(operator.mul, xs, ys), acc)
+
+
+def _image_dot(mask: Optional[int]):
+    """The dot product of the ring of Kronecker images with this mask:
+    plain integers for None, else every sum reduced modulo ``mask + 1``."""
+    if mask is None:
+        return _integer_dot
+
+    def dot(xs, ys, acc):
+        return _integer_dot(xs, ys, acc) & mask
+    return dot
 
 
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
@@ -300,12 +332,7 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     images = minor_images(rows)
     if images is not None:
         packed, unpack, mask = images
-        if mask is None:
-            dot = _integer_dot
-        else:
-            def dot(xs, ys, acc):
-                return _integer_dot(xs, ys, acc) & mask
-        minors = _berkowitz(packed, [packed[r][r] for r in range(n)], 1, 0, dot)
+        minors = _berkowitz(packed, [packed[r][r] for r in range(n)], 1, 0, _image_dot(mask))
         return [rows[0][0].truncate(order)] + [unpack(m) for m in minors[1:]]
     ctx = rows[0][0].ctx
     return _berkowitz(rows, [rows[r][r].truncate(order) for r in range(n)],
@@ -319,19 +346,41 @@ def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
 
 def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     """``d_1..d_k``, the leading principal minors of the k-by-k Hankel matrix
-    of power sums, from one :func:`power_sums` call and one Berkowitz pass.
+    of power sums ``(s_(i+j))``, from one pass of Newton's identities and
+    one Berkowitz pass.
 
     ``d_j`` is the sum over all j-element root subsets of the squared
     Vandermonde of the subset.  Exact coefficients are lifted to every
     order, so certified answers stay exact whatever their degree.
+
+    When the coefficients have integer Kronecker images
+    (:func:`~equijet.jets.hankel_images`: integer coefficients, ``p >= 2``,
+    and ``P`` exact, or truncated at an order ``N >= 1`` with ``a_1`` or
+    ``a_2`` not exact), each ``a_i`` is packed once, :func:`_newton` and
+    :func:`_berkowitz` run on the integers (modulo a power of 2 in the
+    truncated case), and each minor but the first is unpacked once: the
+    power sums are never formed as jets.  The box and the digit width hold
+    the minors, by bounds on the degrees and norms of the power sums proved
+    in :func:`~equijet.jets.hankel_images`.  Every other ``P`` forms the
+    power sums on jets (:func:`power_sums`) and takes
+    :func:`berkowitz_minors`.  Both give the same terms, order and flag.
     """
     if not (1 <= k <= P.degree):
         raise PreconditionError(f"k={k} out of range 1..{P.degree}")
     base_order = P.order
     P = _exact_lift(P)
-    sums = power_sums(P, 2 * k - 1)
-    rows = [[sums[i + j] for j in range(k)] for i in range(k)]
-    return [_settle(d, base_order) for d in berkowitz_minors(rows)]
+    images = hankel_images(P.coeffs, k)
+    if images is None:
+        sums = power_sums(P, 2 * k - 1)
+        minors = berkowitz_minors([[sums[i + j] for j in range(k)] for i in range(k)])
+    else:
+        packed, unpack, mask = images
+        dot = _image_dot(mask)
+        sums = _newton(packed, 2 * k - 1, P.degree, 0, dot, operator.mul)
+        rows = [[sums[i + j] for j in range(k)] for i in range(k)]
+        minors = _berkowitz(rows, [rows[r][r] for r in range(k)], 1, 0, dot)
+        minors = [Jet.constant(P.ctx, P.degree, P.order)] + [unpack(m) for m in minors[1:]]
+    return [_settle(d, base_order) for d in minors]
 
 
 def hankel_minor(P: PseudoPolynomial, k: int) -> Jet:

@@ -1,4 +1,7 @@
 import re
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +121,49 @@ def test_jet_nth_root_truncated_series():
     root = jet_nth_root(a, 2)
     assert not root.exact
     assert ((root ** 2) - a.truncate(root.order)).is_zero()
+
+
+def nth_root_series_by_powers(u, n):
+    """The series loop of :func:`jet_nth_root`, forming ``w ** n`` at every
+    degree from the constant 1 on."""
+    w = Jet.constant(u.ctx, 1, u.order, exact=False)
+    for d in range(1, u.order):
+        coeff = (u - w ** n).coefficient((d,))
+        if coeff:
+            w = w + Jet.monomial(u.ctx, (d,), coeff * Fraction(1, n), order=u.order)
+    return w
+
+
+@pytest.mark.parametrize("a, n, lead_root", [
+    ((xv() * (1 + xv())) ** 3, 3, 1),
+    (1 + xv(order=6), 2, 1),
+    (Jet(X, 9, {(4,): Fraction(1), (5,): Fraction(-3), (7,): Fraction(1)}, False), 2, 1),
+    (Jet.polynomial(X, {(2,): 4, (5,): 4, (8,): 1}, 12), 2, 2),
+], ids=["exact-cube", "series-root", "truncated", "exact-square"])
+def test_jet_nth_root_forms_no_product_with_the_constant_1(a, n, lead_root, monkeypatch):
+    # the root is the one that the loop forming w ** n at every degree
+    # gives, and the starting constant 1 is never multiplied
+    val = a.order_of()
+    u = a.shift("x", -val).scale(Fraction(1, a.coefficient((val,))))
+    expected = nth_root_series_by_powers(u, n).scale(lead_root).shift("x", val // n)
+    callers = Counter()
+    mul = Jet.__mul__
+
+    def spy(x, y):
+        if any(j.graded_items() == [((0,), 1)] for j in (x, y)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "__pow__":
+                frame = frame.f_back
+            callers[frame.f_code.co_name] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(Jet, "__rmul__", spy)
+    root = jet_nth_root(a, n)
+    assert not callers
+    # an exact power is certified as the polynomial of the same terms
+    assert root == (Jet.polynomial(X, expected.graded_items(), a.order) if root.exact
+                    else expected)
 
 
 def test_jet_nth_root_rejects_bad_valuation():

@@ -1,8 +1,10 @@
 import ast
 import pathlib
 import random
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -475,6 +477,74 @@ def test_compose_matches_the_reference_substitution_property():
     values = st.tuples(*[st.one_of(st.none(), no_constant)] * 2)
     check_property([whole_or_truncated(st, term_dicts(st)), values, st.data()], body,
                    max_examples=40)
+
+
+def constant_one_products(monkeypatch):
+    """Count the products with the constant 1 as an operand, by the first
+    calling function outside ``Jet.__pow__``."""
+    callers = Counter()
+    mul = Jet.__mul__
+
+    def is_one(j):
+        return isinstance(j, Jet) and j.graded_items() == [((0,) * len(j.ctx.names), 1)]
+
+    def spy(a, b):
+        if is_one(a) or is_one(b):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "__pow__":
+                frame = frame.f_back
+            callers[frame.f_code.co_name] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(Jet, "__rmul__", spy)
+    return callers
+
+
+def compose_by_constant_products(f, subst):
+    """:meth:`Jet.compose` formed term by term as the constant coefficient
+    times the powers, one product each."""
+    target = next(iter(subst.values())).ctx
+    order = min([f.order] + [subst[n].order for n in f.occurring() if n in subst])
+    acc = Jet.zero(target, order)
+    for key, coeff in f.graded_items():
+        term = Jet.constant(target, coeff, order)
+        for name, e in zip(f.ctx.names, key):
+            if e:
+                base = subst[name] if name in subst else Jet.variable(target, name, order)
+                power = base.truncate(order)
+                for _ in range(e - 1):
+                    power = power * base
+                term = term * power
+        acc = acc + term
+    return Jet(target, order, dict(acc.graded_items()), acc.exact and f.exact)
+
+
+def test_compose_forms_no_product_with_a_constant_coefficient_property(monkeypatch):
+    # exact jets at a finite order, truncated ones and exact ones known to
+    # every order: the terms, order and flag of the constant-times-powers
+    # formulation, with no product by a constant
+    st = pytest.importorskip("hypothesis").strategies
+    callers = constant_one_products(monkeypatch)
+
+    def operands(terms):
+        return st.one_of(whole_or_truncated(st, terms),
+                         st.builds(lambda t: Jet(X2, INFINITE_ORDER, t, True), terms))
+
+    no_constant = operands(term_dicts(st).map(lambda t: {k: v for k, v in t.items() if any(k)}))
+
+    def body(f, values):
+        subst = {name: v for name, v in zip(X2.names, values) if v is not None}
+        if not subst:
+            return
+        callers.clear()
+        out = f.compose(subst)
+        assert not callers
+        assert out == compose_by_constant_products(f, subst)
+
+    ones = term_dicts(st).map(lambda t: {**t, (0, 0): Fraction(1), (1, 1): Fraction(1)})
+    values = st.tuples(*[st.one_of(st.none(), no_constant)] * 2)
+    check_property([operands(st.one_of(term_dicts(st), ones)), values], body, max_examples=60)
 
 
 def test_invert_unit_is_the_inverse_modulo_its_order_property():

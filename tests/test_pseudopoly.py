@@ -661,3 +661,150 @@ def test_an_exact_leading_block_at_a_finite_order_keeps_the_dot_path(monkeypatch
     assert out[1] == Jet.polynomial(ctx, {(0, 0): 1, (2, 0): -1}, 4) and out[1].exact
     assert not out[2].exact
     assert out == dense_berkowitz_minors(rows)
+
+
+def reference_hankel_minors(P, k):
+    """``d_1..d_k`` from the power sums on jets and the dense pass, settled
+    as :func:`hankel_minors` settles them."""
+    base_order = P.order
+    sums = power_sums(pseudopoly_module._exact_lift(P), 2 * k - 1)
+    minors = dense_berkowitz_minors([[sums[i + j] for j in range(k)] for i in range(k)])
+    return [pseudopoly_module._settle(d, base_order) for d in minors]
+
+
+def takes_the_image_pass(P):
+    """The rule of :func:`hankel_images`: integer coefficients, degree at
+    least 2, and ``P`` exact, or truncated at ``N >= 1`` with ``a_1`` or
+    ``a_2`` not exact."""
+    return (P.degree >= 2
+            and all(v.denominator == 1 for a in P.coeffs for _, v in a.graded_items())
+            and (P.exact or (P.order >= 1 and not (P.coeffs[0].exact and P.coeffs[1].exact))))
+
+
+def spy_jet_products(monkeypatch):
+    """Count the calls of :meth:`Jet.dot` and :meth:`Jet.__mul__`."""
+    seen = {"products": 0}
+    dot, mul = Jet.dot, Jet.__mul__
+
+    def dot_spy(xs, ys, acc):
+        seen["products"] += 1
+        return dot(xs, ys, acc)
+
+    def mul_spy(a, b):
+        seen["products"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "dot", staticmethod(dot_spy))
+    monkeypatch.setattr(Jet, "__mul__", mul_spy)
+    monkeypatch.setattr(Jet, "__rmul__", mul_spy)
+    return seen
+
+
+def random_monic(rng):
+    """An integer monic ``P`` (rational one time in five) of degree 1-6 in
+    1-3 variables besides ``y``, with numerators up to 2^40: exact, or
+    truncated at ``N`` from 1 to 6 on either side of the rule of
+    :func:`takes_the_image_pass`."""
+    nx, p = rng.randint(1, 3), rng.randint(1, 6)
+    ctx = VarContext.make([f"x{i}" for i in range(1, nx + 1)] + ["y"])
+    den = rng.choice((1, 1, 1, 1, 2))
+
+    def terms(max_exp, max_size):
+        return {tuple(rng.randint(0, max_exp) for _ in range(nx)) + (0,):
+                Fraction(rng.choice((rng.randint(-3, 3), rng.randint(-2 ** 40, 2 ** 40))), den)
+                for _ in range(rng.randint(0, max_size))}
+
+    mode = rng.choice(("exact", "truncated", "exact-leading-pair"))
+    if mode == "exact":
+        # small enough for the dense pass on the whole power sums
+        return PseudoPolynomial("y", [Jet.polynomial(ctx, terms(1, 2), rng.randint(1, 6))
+                                      for _ in range(p)])
+    order = rng.randint(1, 6)
+
+    def coeff():
+        # truncated, exact at or above the order (some with terms past it),
+        # exact and known to every order, or a zero known only modulo its order
+        kind, above = rng.randrange(4), rng.randint(order, order + 3)
+        if kind == 0:
+            return Jet(ctx, above, terms(2, 3), False)
+        if kind == 1:
+            return Jet.polynomial(ctx, terms(2, 3), above)
+        if kind == 2:
+            return Jet(ctx, INFINITE_ORDER, terms(2, 3), True)
+        return Jet.zero(ctx, above, exact=False)
+
+    coeffs = [coeff() for _ in range(p)]
+    if mode == "truncated" or p < 3:
+        # a_1 or a_2 truncated at the order: the graded box
+        coeffs[rng.randrange(min(p, 2))] = Jet(ctx, order, terms(2, 3), False)
+    else:
+        # a_1 and a_2 exact at a finite order, a later one truncated at the
+        # order: the other side of the rule
+        coeffs[:2] = [Jet.polynomial(ctx, terms(2, 3), rng.randint(order, order + 3))
+                      for _ in range(2)]
+        coeffs[rng.randrange(2, p)] = Jet(ctx, order, terms(2, 3), False)
+    return PseudoPolynomial("y", coeffs)
+
+
+def test_hankel_minors_match_the_power_sums_and_the_dense_pass_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = spy_jet_products(monkeypatch)
+    taken = []
+
+    def check(rng):
+        P = random_monic(rng)
+        k = rng.randint(1, P.degree)
+        seen["products"] = 0
+        minors = hankel_minors(P, k)
+        taken.append(takes_the_image_pass(P))
+        if taken[-1]:
+            assert seen["products"] == 0
+        else:
+            assert seen["products"] or k == 1
+        assert minors == reference_hankel_minors(P, k)
+
+    settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(st.randoms(use_true_random=False))(check))()
+    assert len(taken) // 3 <= sum(taken) <= len(taken) - len(taken) // 5
+
+
+def coefficients_of(ctx, order, exact, values):
+    return [Jet(ctx, order, {tuple(k): Fraction(v) for k, v in a.items()}, exact)
+            for a in values]
+
+
+@pytest.mark.parametrize("order", [INFINITE_ORDER, 5], ids=["exact", "graded"])
+@pytest.mark.parametrize("coeffs, minors", [
+    # y^2 - c: d_2 = 4c is Hadamard's bound on the Hankel matrix [[2, 0],
+    # [0, 2c]] of the norm bounds; 2^15 <= 4c < 2^16 needs a sign bit beyond
+    # two bytes, and twice the bytes of ||a_2||_1 = c
+    ([{}, {(0, 0): -(2 ** 13 + 1)}], [{(0, 0): 2}, {(0, 0): 4 * (2 ** 13 + 1)}]),
+    # y^2 + x1^2*y - 1: d_2 = a_1^2 - 4*a_2 = x1^4 + 4 has degree
+    # k*(k-1)*delta = 2*2, twice the greatest degree of a coefficient
+    ([{(2, 0): 1}, {(0, 0): -1}], [{(0, 0): 2}, {(4, 0): 1, (0, 0): 4}]),
+    # y^3 + x1*x2^3, one sparse coefficient: d_3 = -3*s_3^2 = -27*x1^2*x2^6,
+    # of degree 6*delta = 6*(3/3) in x2
+    ([{}, {}, {(1, 3): 1}], [{(0, 0): 3}, {}, {(2, 6): -27}]),
+    # (y - 300*x1)^3: every minor but the first vanishes; its power sums
+    # 3*(300*x1)^j overflow the digits on the way
+    ([{(1, 0): -900}, {(2, 0): 270000}, {(3, 0): -27000000}],
+     [{(0, 0): 3}, {}, {}]),
+], ids=["width", "degree", "sparse", "repeated-root"])
+def test_hankel_images_read_minors_that_meet_their_bounds(coeffs, minors, order,
+                                                          monkeypatch):
+    ctx = VarContext.make(["x1", "x2", "y"])
+    values = [{k + (0,): v for k, v in a.items()} for a in coeffs]
+    P = PseudoPolynomial("y", coefficients_of(ctx, order, order == INFINITE_ORDER, values))
+    seen = spy_jet_products(monkeypatch)
+    out = hankel_minors(P, P.degree)
+    assert seen["products"] == 0
+    expected = coefficients_of(ctx, order, order == INFINITE_ORDER,
+                               [{k + (0,): v for k, v in m.items()} for m in minors])
+    if order != INFINITE_ORDER:
+        # the first minor is the exact constant s_0 = p at the order
+        expected[0] = Jet.constant(ctx, P.degree, order)
+    assert out == expected
+    monkeypatch.undo()
+    assert out == reference_hankel_minors(P, P.degree)

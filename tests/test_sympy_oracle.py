@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from equijet import polygcd
-from equijet.jets import INFINITE_ORDER, Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext, hankel_images
 from equijet.polygcd import (
     exact_divide,
     jet_gcd,
@@ -121,6 +121,36 @@ def test_hankel_minors_of_sparse_inputs_against_sympy():
         assert got == [to_jet(d) for d in companion_hankel_minors(f, p)]
 
     check()
+
+
+def integer_monic_with_repeated_roots(rng):
+    """A monic polynomial in ``y`` of degree 2..6 over ``Z[x1]``: roots
+    ``y = a + b*x1 + c*x1^2`` with ``a, b, c`` up to 2^12 in magnitude,
+    some of them repeated, sometimes times an irreducible ``y^2 - d*x1^k``."""
+    p = rng.randrange(2, 7)
+    quadratic = Y ** 2 - rng.choice([1, 2, -3, 7]) * X1 ** rng.randrange(1, 4) \
+        if p >= 3 and rng.random() < 0.4 else 1
+    count = p - (2 if quadratic != 1 else 0)
+    distinct = [sum(rng.randrange(-2 ** 12, 2 ** 12) * X1 ** e for e in range(3))
+                for _ in range(rng.randrange(1, count + 1))]
+    roots = distinct + [rng.choice(distinct) for _ in range(count - len(distinct))]
+    return sympy.expand(quadratic * sympy.Mul(*[Y - r for r in roots])), p
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_discriminant_on_integer_images_against_sympy(seed):
+    # exact integer input takes the pass on Kronecker images
+    f, p = integer_monic_with_repeated_roots(random.Random(311 + seed))
+    P = PseudoPolynomial.from_jet(to_jet(f), "y")
+    assert P.exact and P.degree == p
+    assert hankel_images([a.with_order(INFINITE_ORDER) for a in P.coeffs], p) is not None
+    gd = generalized_discriminants(P)
+    # Delta_1 = prod_(i<j) (r_i - r_j)^2, which sympy's discriminant of a
+    # monic polynomial is: the classical constant lc^(2p-2) is 1
+    assert gd.entries[0] == to_jet(sympy.discriminant(f, Y)).with_order(gd.entries[0].order)
+    distinct = sympy.degree(sympy.sqf_part(f), Y)
+    assert gd.first_nonzero == p - distinct + 1
+    assert gd.certified
 
 
 # pairs of the cases above of total degree at most 6 in y
