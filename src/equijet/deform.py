@@ -190,8 +190,8 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     """Exact n-th root of a single-variable jet, coefficient by coefficient
     from the lowest term.
 
-    The valuation must be divisible by n and the leading coefficient must
-    have an n-th root in the scalar field.
+    The jet must have a finite order, its valuation must be divisible by n
+    and its leading coefficient must have an n-th root in the scalar field.
     """
     if len(a.ctx.names) != 1:
         raise PreconditionError("root extraction is implemented for one variable")
@@ -206,6 +206,8 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     if lead_root is None:
         raise NotASolutionError(
             f"leading coefficient {lead} has no {n}-th root in the scalar field")
+    if a.order == INFINITE_ORDER:
+        raise PreconditionError("root extraction needs a finite order")
     # a = lead * x^val * (1 + B); solve (1 + C)^n = 1 + B degree by degree
     u = a.shift(x, -val).scale(scalar_inverse(lead))
     # w ** n is formed again only when w changes; the starting constant 1

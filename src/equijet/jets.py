@@ -24,14 +24,10 @@ Conventions:
 Products of rational jets with at least ``_KRONECKER_MIN_PAIRS`` term pairs
 are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
 exact times exact in a box of the exponents, anything truncated in a box
-graded by total degree that reads only the degrees below the order.  The
-same kernel sums a dot product ``acc + x_1*y_1 + ...`` (:meth:`Jet.dot`,
-the inner step of Newton's identities and of the Berkowitz pass on jets of
-rational or truncated input) in one pass: one box and one digit width for
-all pairs, the packed products added as integers and unpacked once.
+graded by total degree that reads only the degrees below the order.
 Coefficients in an algebraic extension, fewer term pairs and operands too
-sparse to pack (``x1^3000 + x2``) take the schoolbook loop, one product at
-a time.
+sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
+(:meth:`Jet.dot`) is the loop of these products.
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -140,8 +136,9 @@ def term_sort_key(exps: Exponents):
 #: beats packing on small operands.
 _KRONECKER_MIN_PAIRS = 32
 #: The big-integer multiply meets every slot of one packed operand with
-#: every slot of the other, so it pays only when the operands fill their
-#: slots: at most this many slot pairs per term pair.  Sparser operands
+#: every slot of the other, so it pays only when the two operands fill their
+#: slots: at most this many slot pairs (the product of the two extents) per
+#: term pair (the product of the two term counts).  Sparser operands
 #: (``x1^3000 + x2`` spans 3001 slots with 2 terms) keep the schoolbook loop.
 _KRONECKER_SLOTS_PER_PAIR = 256
 #: ``bytes.translate`` table: every nonzero byte becomes 1.
@@ -181,48 +178,41 @@ def _pack(slots: List[int], values: List[int], extent: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponents, Scalar]]],
+def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
                n: int, limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
-    """``sum a*b`` over the pairs of term dicts in ``n`` variables as one
-    big-integer multiply-accumulate (Kronecker substitution), or None when
-    the schoolbook loop should run: a coefficient is not a ``Fraction``,
-    there are fewer than ``_KRONECKER_MIN_PAIRS`` term pairs in all, or the
-    packed operands are too sparse (``_KRONECKER_SLOTS_PER_PAIR``, summed
-    over the pairs).  A product is the sum of one pair.
+    """The product of two term dicts in ``n`` variables as one big-integer
+    multiply (Kronecker substitution), or None when the schoolbook loop
+    should run: a coefficient is not a ``Fraction``, there are fewer than
+    ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed operands are too
+    sparse (``_KRONECKER_SLOTS_PER_PAIR``).
 
-    Every monomial is a slot of one mixed-radix box shared by all pairs.
-    With ``limit`` None the digits are the exponents of the variables that
-    occur and the whole sum is read.  With a ``limit`` the box is graded:
-    the total degree is the outermost digit, then every occurring variable
-    but the last; operand terms of degree ``>= limit`` are dropped, and only
-    the slots of degree below ``limit`` are read.  Digits count from the
-    lowest value over all left operands and over all right operands and have
-    room for the greatest digit of any one pair's product (for one pair, the
-    sum of the two spans), so a pair's slot is the sum of its operands'
-    slots; a graded pair of degree ``>= limit`` has an outermost digit past
-    the box and lands in a slot that is never read.  Each operand
-    is scaled to integers by the lcm of its denominators; each pair's
-    left operand is further scaled by ``L / (den_a*den_b)``, ``L`` the lcm of
-    the pairs' denominators, so that the packed products share the
-    denominator ``L``.  The digits are signed and wide enough for the sum
-    over the pairs of ``min(len a, len b) * max|a| * max|b|``; the packed
-    products are summed as they are formed and read back once by adding half
-    the digit range to every digit.
+    Every monomial is a slot of one mixed-radix box.  With ``limit`` None
+    the digits are the exponents of the variables that occur and the whole
+    product is read.  With a ``limit`` the box is graded: the total degree
+    is the outermost digit, then every occurring variable but the last;
+    operand terms of degree ``>= limit`` are dropped, and only the slots of
+    degree below ``limit`` are read.  Digits count from each operand's
+    lowest value and have room for the greatest digit of the product (the
+    sum of the two spans), so a product's slot is the sum of its operands'
+    slots; a pair of degree ``>= limit`` has an outermost digit past the
+    box and lands in a slot that is never read.  Each operand is scaled to
+    integers by the lcm of its denominators, so the product has the
+    denominator ``den_a*den_b``.  The digits are signed and wide enough for
+    ``min(len a, len b) * max|a| * max|b|``, and are read back once by
+    adding half the digit range to every digit.
     """
-    if sum(len(ta) * len(tb) for ta, tb in pairs) < _KRONECKER_MIN_PAIRS:
+    if len(ta) * len(tb) < _KRONECKER_MIN_PAIRS:
         return None
     if limit is not None:
-        pairs = [({k: v for k, v in ta.items() if sum(k) < limit},
-                  {k: v for k, v in tb.items() if sum(k) < limit}) for ta, tb in pairs]
-    pairs = [(ta, tb) for ta, tb in pairs if ta and tb]
-    count = sum(len(ta) * len(tb) for ta, tb in pairs)
+        ta = {k: v for k, v in ta.items() if sum(k) < limit}
+        tb = {k: v for k, v in tb.items() if sum(k) < limit}
+    count = len(ta) * len(tb)
     if count < _KRONECKER_MIN_PAIRS:
         return None
-    if not all(isinstance(v, Fraction) for pair in pairs for t in pair for v in t.values()):
+    if not all(isinstance(v, Fraction) for t in (ta, tb) for v in t.values()):
         return None
-    cols_a = [list(zip(*ta)) for ta, _ in pairs]
-    cols_b = [list(zip(*tb)) for _, tb in pairs]
-    active = [i for i in range(n) if any(any(cols[i]) for cols in cols_a + cols_b)]
+    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
+    active = [i for i in range(n) if any(cols_a[i]) or any(cols_b[i])]
     inner = active if limit is None else active[:-1]
 
     def ranges(t, cols):
@@ -233,14 +223,9 @@ def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponen
             digit_cols.insert(0, list(map(sum, t)))
         return list(map(min, digit_cols)), list(map(max, digit_cols))
 
-    ranges_a = [ranges(ta, cols) for (ta, _), cols in zip(pairs, cols_a)]
-    ranges_b = [ranges(tb, cols) for (_, tb), cols in zip(pairs, cols_b)]
-    lo_a = [min(lows) for lows in zip(*(lo for lo, _ in ranges_a))]
-    lo_b = [min(lows) for lows in zip(*(lo for lo, _ in ranges_b))]
-    # room for the greatest digit of any one pair's product
-    tops = [max(highs) for highs in zip(*([x + y for x, y in zip(hi_a, hi_b)]
-                                          for (_, hi_a), (_, hi_b) in zip(ranges_a, ranges_b)))]
-    bases = [top - low_a - low_b + 1 for top, low_a, low_b in zip(tops, lo_a, lo_b)]
+    lo_a, hi_a = ranges(ta, cols_a)
+    lo_b, hi_b = ranges(tb, cols_b)
+    bases = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
     if limit is not None:
         # a pair below the limit has every digit below these caps
         bases[0] = min(bases[0], limit - lo_a[0] - lo_b[0])
@@ -264,12 +249,11 @@ def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponen
         base = sum(map(operator.mul, lo, strides))
         return [sum(map(operator.mul, k, weights)) - base for k in t]
 
-    slots_a = [slots(ta, lo_a) for ta, _ in pairs]
-    slots_b = [slots(tb, lo_b) for _, tb in pairs]
-    extents = [(max(sa) + 1, max(sb) + 1) for sa, sb in zip(slots_a, slots_b)]
-    if sum(ea * eb for ea, eb in extents) > _KRONECKER_SLOTS_PER_PAIR * count:
+    slots_a, slots_b = slots(ta, lo_a), slots(tb, lo_b)
+    extent_a, extent_b = max(slots_a) + 1, max(slots_b) + 1
+    if extent_a * extent_b > _KRONECKER_SLOTS_PER_PAIR * count:
         return None
-    window = min(math.prod(bases), max(ea + eb - 1 for ea, eb in extents))
+    window = min(math.prod(bases), extent_a + extent_b - 1)
 
     def integers(t):
         """The lcm of the denominators and the values scaled by it."""
@@ -280,19 +264,11 @@ def _kronecker(pairs: Sequence[Tuple[Mapping[Exponents, Scalar], Mapping[Exponen
             nums = [a * (den // d) for a, d in zip(nums, dens)]
         return den, nums
 
-    scaled = [integers(ta) + integers(tb) for ta, tb in pairs]
-    den = math.lcm(*(da * db for da, _, db, _ in scaled))
-    numerators, bound = [], 0
-    for da, na, db, nb in scaled:
-        m = den // (da * db)
-        if m != 1:
-            na = [a * m for a in na]
-        bound += min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
-        numerators.append((na, nb))
+    (den_a, na), (den_b, nb) = integers(ta), integers(tb)
+    den = den_a * den_b
+    bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    packed = 0
-    for (na, nb), sa, sb, (ea, eb) in zip(numerators, slots_a, slots_b, extents):
-        packed += _pack(sa, na, ea, width) * _pack(sb, nb, eb, width)
+    packed = _pack(slots_a, na, extent_a, width) * _pack(slots_b, nb, extent_b, width)
     lo = [a + b for a, b in zip(lo_a, lo_b)]
     prod: Dict[Exponents, Scalar] = {}
     for slot, d in _digits(packed, window, width):
@@ -495,7 +471,7 @@ class Jet:
         full = self.exact and other.exact
         limit = None if full else order
         width = len(self.ctx.names)
-        prod = _kronecker([(self.terms, other.terms)], width, limit)
+        prod = _kronecker(self.terms, other.terms, width, limit)
         if prod is None:
             prod = _schoolbook(self.terms, other.terms, limit)
         return Jet(self.ctx, order, prod, full)
@@ -504,43 +480,17 @@ class Jet:
 
     @staticmethod
     def dot(xs: Sequence["Jet"], ys: Sequence["Jet"], acc: "Jet") -> "Jet":
-        """``acc + x_1*y_1 + x_2*y_2 + ...``: the jet that the loop
-        ``acc = acc + x*y`` over the pairs gives, terms, order and flag.
+        """``acc + x_1*y_1 + x_2*y_2 + ...`` by the loop ``acc = acc + x*y``
+        over the pairs.
 
         A pair of exact operands, one of them zero, is skipped: its product
         is an exact zero, which changes no term or flag, and the caller
         starts ``acc`` at an order no higher than the skipped operands', so
-        it changes no order either.  When every formed operand and ``acc``
-        are exact at ``INFINITE_ORDER`` the sum is exact there; when one of
-        them is not exact the sum is not, and is known modulo the least
-        order, below which each product is read (truncation commutes with
-        the sum).  Both sums are one Kronecker multiply-accumulate
-        (:func:`_kronecker`).  Exact operands at a finite order, where each
-        product's own truncation decides the flag, and the operands that
-        :func:`_kronecker` declines keep the loop.
+        it changes no order either.
         """
-        formed, count = [], 0
         for x, y in zip(xs, ys):
-            if x.exact and y.exact and (not x.terms or not y.terms):
-                continue
-            formed.append((x, y))
-            count += len(x.terms) * len(y.terms)
-        if count >= _KRONECKER_MIN_PAIRS:
-            operands = [acc] + [j for pair in formed for j in pair]
-            if any(j.ctx != acc.ctx for j in operands):
-                raise ContextMismatchError("dot product operands in different contexts")
-            order = min(j.order for j in operands)
-            exact = all(j.exact for j in operands)
-            if order == INFINITE_ORDER or not exact:
-                terms = _kronecker([(x.terms, y.terms) for x, y in formed], len(acc.ctx.names),
-                                   None if exact else order)
-                if terms is not None:
-                    for key, val in acc.terms.items():
-                        cur = terms.get(key)
-                        terms[key] = val if cur is None else cur + val
-                    return Jet(acc.ctx, order, terms, exact)
-        for x, y in formed:
-            acc = acc + x * y
+            if not (x.exact and y.exact and (not x.terms or not y.terms)):
+                acc = acc + x * y
         return acc
 
     def scale(self, s) -> "Jet":

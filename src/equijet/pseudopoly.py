@@ -30,9 +30,9 @@ ring (:func:`_newton`, :func:`_berkowitz`), and run on one of two rings:
   Berkowitz pass.  The images live in Z when every input is known to every
   order, and modulo a power of 2 when the inputs are truncated and the
   leading 2-by-2 block of the matrix has an entry that is not exact.
-* jets, one :meth:`Jet.dot` per step: rational or ``Q(alpha)``
-  coefficients, and truncated input whose flags each product's own
-  truncation decides.
+* jets, one :meth:`Jet.dot` (a loop of jet products) per step: rational
+  or ``Q(alpha)`` coefficients, and truncated input whose flags each
+  product's own truncation decides.
 """
 
 from __future__ import annotations
@@ -238,10 +238,10 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     Newton's identities in this direction need no division at all, so the
     computation stays inside the jet ring (:func:`_newton` on jets).  Each
     ``s_k`` is one dot product of coefficients and earlier sums
-    (:meth:`Jet.dot`, one Kronecker pass when the operands are rational and
-    large enough).  Exact input is processed at every order so the sums
-    come out exact whatever their degree.  :func:`hankel_minors` runs the
-    same recursion on integer images when it can, and does not call this.
+    (:meth:`Jet.dot`, one jet product per pair).  Exact input is processed
+    at every order so the sums come out exact whatever their degree.
+    :func:`hankel_minors` runs the same recursion on integer images when it
+    can, and does not call this.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
@@ -318,11 +318,10 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     Every other matrix (rational or ``Q(alpha)`` coefficients, or a leading
     2-by-2 block exact at a finite order, where each product's own
     truncation decides its flag) runs the pass on jets, where every step is
-    a dot product ``sum x*y`` (:meth:`Jet.dot`): on rational operands known
-    to every order, or with a truncated one, the whole sum is one Kronecker
-    multiply-accumulate.  A product of two exact operands, one of them
-    zero, is not formed; a zero known only modulo its order is still
-    multiplied, because it clears the exact flag.  Every power sum of an
+    a dot product ``sum x*y`` (:meth:`Jet.dot`), one jet product per pair.
+    A product of two exact operands, one of them zero, is not formed; a
+    zero known only modulo its order is still multiplied, because it clears
+    the exact flag.  Every power sum of an
     exact ``x^p`` but ``s_0`` is an exact zero, so its pass forms a few
     dozen of its ~p^4/4 products."""
     n = len(rows)

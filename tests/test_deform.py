@@ -16,7 +16,7 @@ from equijet.deform import (
     verify_nested,
 )
 from equijet.errors import NotASolutionError, PreconditionError
-from equijet.jets import Jet, VarContext
+from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.tower import build_tower, check_family
 
 X = VarContext.make(["x"])
@@ -164,6 +164,14 @@ def test_jet_nth_root_forms_no_product_with_the_constant_1(a, n, lead_root, monk
     # an exact power is certified as the polynomial of the same terms
     assert root == (Jet.polynomial(X, expected.graded_items(), a.order) if root.exact
                     else expected)
+
+
+def test_jet_nth_root_of_a_jet_known_to_every_order_is_a_precondition_error():
+    # an exact square at INFINITE_ORDER has no finite degree to stop the
+    # series loop at, so it is refused before the loop
+    a = ((xv() * (1 + xv())) ** 2).with_order(INFINITE_ORDER)
+    with pytest.raises(PreconditionError, match="root extraction needs a finite order"):
+        jet_nth_root(a, 2)
 
 
 def test_jet_nth_root_rejects_bad_valuation():

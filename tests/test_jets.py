@@ -578,13 +578,13 @@ def ref_product(a, b):
 
 
 def count_kronecker(monkeypatch):
-    """Count the calls that the Kronecker kernel takes, not declines: one
-    per product, and one per dot product that it sums in one pass."""
+    """Record each call of the Kronecker kernel, one per product: True when
+    it takes the product, False when it declines it."""
     taken = []
     kernel = jets_module._kronecker
 
-    def spy(pairs, n, limit):
-        out = kernel(pairs, n, limit)
+    def spy(ta, tb, n, limit):
+        out = kernel(ta, tb, n, limit)
         taken.append(out is not None)
         return out
 
@@ -655,13 +655,19 @@ def test_kronecker_seeded_differential(monkeypatch):
 def test_kronecker_digits_at_their_bound(monkeypatch):
     """Every slot of ``(45 + 45*x1 + ... + 45*x1^31)`` times itself, or times
     its negative, reaches ``32 * 45^2 = 64,800``: a 16-bit bound, so the
-    digits need a third byte for the sign."""
+    digits need a third byte for the sign.  Over the denominators 4 and 6
+    the operands scale to the same numerators, so the digits meet the same
+    bound, and the product is read over ``4 * 6``, not their lcm 12."""
     taken = count_kronecker(monkeypatch)
     ctx = VarContext.make(["x1"])
     a = Jet(ctx, 64, {(i,): 45 for i in range(32)}, True)
     for b in (a, -a):
         assert a * b == ref_product(a, b)
-    assert taken == [True, True]
+    quarters, sixths = a.scale(Fraction(1, 4)), a.scale(Fraction(-1, 6))
+    prod = quarters * sixths
+    assert prod == ref_product(quarters, sixths)
+    assert prod.coefficient((31,)) == Fraction(-64800, 24)
+    assert taken == [True, True, True]
 
 
 def test_kronecker_graded_box_with_an_operand_divisible_by_a_variable(monkeypatch):
@@ -705,58 +711,6 @@ def test_sparse_operands_take_the_schoolbook_loop(monkeypatch):
     assert taken == [False, False]
 
 
-def test_kronecker_summed_digits_at_their_bound(monkeypatch):
-    """130 pairs whose middle slots all reach ``32 * 45^2 = 64,800`` with one
-    sign sum to 8,424,000, past the 2^23 that the 3-byte digits of a single
-    pair hold: only a width for the whole sum reads them back."""
-    taken = count_kronecker(monkeypatch)
-    ctx = VarContext.make(["x1"])
-    a = Jet(ctx, INFINITE_ORDER, {(i,): 45 for i in range(32)}, True)
-    acc = Jet.zero(ctx, INFINITE_ORDER)
-    for sign in (1, -1):
-        b = a.scale(sign)
-        out, calls = dot_and_calls(taken, [a] * 130, [b] * 130, acc)
-        assert out == loop_dot([a] * 130, [b] * 130, acc)
-        assert out.coefficient((31,)) == sign * 130 * 32 * 45 ** 2
-        assert calls == [True]
-
-
-def test_kronecker_summed_digits_over_unequal_denominators(monkeypatch):
-    """Left operands over 2, 3 and 7: the packed products share the
-    denominator 42 through the multipliers 21, 14 and 6, and four rounds of
-    them sum to ``64,800 * 41 * 4`` at the middle slot, past 2^23."""
-    taken = count_kronecker(monkeypatch)
-    ctx = VarContext.make(["x1"])
-    a = Jet(ctx, INFINITE_ORDER, {(i,): 45 for i in range(32)}, True)
-    xs = [a.scale(Fraction(1, d)) for d in (2, 3, 7)] * 4
-    acc = Jet.zero(ctx, INFINITE_ORDER)
-    for sign in (1, -1):
-        b = a.scale(sign)
-        out, calls = dot_and_calls(taken, xs, [b] * 12, acc)
-        assert out == loop_dot(xs, [b] * 12, acc)
-        assert out.coefficient((31,)) == sign * 32 * 45 ** 2 * Fraction(41 * 4, 42)
-        assert calls == [True]
-
-
-def test_kronecker_sum_box_fits_the_largest_pair_product(monkeypatch):
-    """Pairs whose spans run opposite ways, as in the Toeplitz steps of the
-    Berkowitz pass, and one balanced pair: the box has room for the largest
-    single product, 13 in each digit, not for the 21 that the largest left
-    and right spans would ask (11 + 9 + 1), and operand digits reach 11."""
-    taken = count_kronecker(monkeypatch)
-    spans = [(11, 0), (8, 3), (2, 9), (6, 6)]
-    for limit in (INFINITE_ORDER, 20):
-        exact = limit == INFINITE_ORDER
-        xs = [Jet(X2, limit, {(i, j): i + 2 * j - 5 for i in range(p + 1) for j in range(q + 1)},
-                  exact) for p, q in spans]
-        ys = [Jet(X2, limit, {(i, j): 3 * i - j + 1 for i in range(q + 1) for j in range(p + 1)},
-                  exact) for p, q in spans]
-        acc = Jet.zero(X2, limit)
-        out, calls = dot_and_calls(taken, xs, ys, acc)
-        assert out == loop_dot(xs, ys, acc)
-        assert calls == [True]
-
-
 # -- the dot product entry -------------------------------------------------------
 
 
@@ -790,7 +744,7 @@ def test_dot_of_exact_operands_known_to_every_order_is_one_exact_pass(monkeypatc
     out, calls = dot_and_calls(taken, xs, ys, acc)
     assert out.exact and out.order == INFINITE_ORDER
     assert out == loop_dot(xs, ys, acc)
-    assert calls == [True]
+    assert calls == [True, True]
 
 
 def test_dot_of_exact_and_truncated_operands_is_not_exact(monkeypatch):
@@ -807,7 +761,7 @@ def test_dot_of_exact_and_truncated_operands_is_not_exact(monkeypatch):
     out, calls = dot_and_calls(taken, xs + [Jet.zero(X2, 3)], ys + [exact], acc)
     assert not out.exact and out.order == 8
     assert out == loop_dot(xs, ys, acc)
-    assert calls == [True]
+    assert calls == [True, True, True]
 
 
 def test_dot_of_exact_operands_at_a_finite_order_keeps_the_loop(monkeypatch):
@@ -833,8 +787,8 @@ def test_dot_with_field_element_coefficients_keeps_the_loop(monkeypatch):
     acc = Jet.zero(X2, 12)
     out, calls = dot_and_calls(taken, [a, b], [b, b], acc)
     assert out == loop_dot([a, b], [b, b], acc)
-    # declined as one sum, then a*b declined and b*b taken in the loop
-    assert calls == [False, False, True]
+    # a*b declined, b*b taken
+    assert calls == [False, True]
 
 
 def test_dot_of_sparse_operands_keeps_the_loop(monkeypatch):
@@ -848,7 +802,7 @@ def test_dot_of_sparse_operands_keeps_the_loop(monkeypatch):
     out, calls = dot_and_calls(taken, [a, dense], [b, dense], acc)
     assert time.perf_counter() - start < 0.5
     assert out == loop_dot([a, dense], [b, dense], acc)
-    assert calls == [False, False, True]
+    assert calls == [False, True]
 
 
 def test_dot_of_few_term_pairs_keeps_the_loop(monkeypatch):
@@ -864,14 +818,15 @@ def test_dot_of_few_term_pairs_keeps_the_loop(monkeypatch):
 
 
 def test_dot_of_constants_in_one_slot(monkeypatch):
-    """40 pairs of constants: no variable occurs, so the box is one slot."""
+    """40 pairs of constants, one term pair each: every product is below
+    ``_KRONECKER_MIN_PAIRS``, so the kernel declines each one."""
     taken = count_kronecker(monkeypatch)
     ones = [Jet.constant(X2, Fraction(i, 3), INFINITE_ORDER) for i in range(1, 41)]
     for acc in (Jet.zero(X2, INFINITE_ORDER), Jet.zero(X2, 4, exact=False)):
         out, calls = dot_and_calls(taken, ones, ones, acc)
         assert out == loop_dot(ones, ones, acc)
         assert out.constant_term() == Fraction(sum(i * i for i in range(1, 41)), 9)
-        assert calls == [True]
+        assert calls == [False] * 40
 
 
 def test_dot_skips_exact_zeros_only():
@@ -914,7 +869,6 @@ def test_dot_seeded_differential(monkeypatch):
             return Jet.polynomial(ctx, terms, rng.randint(4, 12))
         return Jet(ctx, rng.randint(4, 12), terms, False)
 
-    fused = 0
     for _ in range(600):
         ctx = VarContext.make([f"x{i}" for i in range(1, rng.randint(1, 3) + 1)])
         k = rng.randint(1, 5)
@@ -924,8 +878,9 @@ def test_dot_seeded_differential(monkeypatch):
                                                                low == INFINITE_ORDER)
         out, calls = dot_and_calls(taken, xs, ys, acc)
         assert out == loop_dot(xs, ys, acc)
-        fused += calls[:1] == [True]
-    assert fused >= 120
+        # one kernel call per formed pair: only exact zero pairs are skipped
+        assert len(calls) == sum(not (x.exact and y.exact and (x.is_zero() or y.is_zero()))
+                                 for x, y in zip(xs, ys))
 
 
 def test_compose_builds_high_powers_without_recursion():

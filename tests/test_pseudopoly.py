@@ -339,18 +339,17 @@ def test_variable_mismatch():
 
 
 def count_products(monkeypatch):
-    """Record the products of term dicts formed, fused or one by one: each
-    call that the Kronecker kernel takes adds the number of pairs it sums
-    (a product is one pair, a fused dot product one per formed pair), and
-    each schoolbook product adds 1.  A dot product that the kernel declines
-    forms its pairs one by one, so nothing is counted twice."""
+    """Record the products of term dicts formed: each product that the
+    Kronecker kernel takes adds 1, and so does each schoolbook product.  A
+    product that the kernel declines goes to the schoolbook loop, so nothing
+    is counted twice."""
     formed = []
     kernel, schoolbook = jets_module._kronecker, jets_module._schoolbook
 
-    def kernel_spy(pairs, n, limit):
-        out = kernel(pairs, n, limit)
+    def kernel_spy(ta, tb, n, limit):
+        out = kernel(ta, tb, n, limit)
         if out is not None:
-            formed.append(len(pairs))
+            formed.append(1)
         return out
 
     def schoolbook_spy(ta, tb, limit):
@@ -412,8 +411,8 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
         )
 
     monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    # entries of at most 3 small integer terms, whose dot products stay
-    # below the 32 term pairs of the summed path
+    # entries of at most 3 small integer terms, whose products stay below
+    # the 32 term pairs of the Kronecker kernel
     small = entries(st.dictionaries(monomials, st.integers(-3, 3).map(Fraction), max_size=3),
                     st.integers(3, 8), (3, 6, INFINITE_ORDER))
     # entries of 4-12 terms with numerators up to 2^70 over 1, 2, 3 or 7, at
@@ -429,26 +428,18 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
         n = draw(st.integers(1, 5))
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
-    # the Kronecker calls of the pass under test that sum more than one
-    # pair: dot products on the fused path
-    formed = count_products(monkeypatch)
-    fused = []
-
     def check(rows):
-        formed.clear()
-        minors = berkowitz_minors(rows)
-        fused.append(any(k > 1 for k in formed))
-        assert minors == dense_berkowitz_minors(rows)
+        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
 
     settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
                                    database=None)
     settings(hypothesis.given(matrices(small))(check))()
-    fused.clear()
     settings(hypothesis.given(matrices(large))(check))()
-    assert sum(fused) >= len(fused) // 4
 
     # exact integer matrices known to every order, in 1-3 variables: the
     # pass on Kronecker images, which forms no product of jets
+    formed = count_products(monkeypatch)
+
     @st.composite
     def integer_matrices(draw):
         ctx = VarContext.make([f"x{i}" for i in range(1, draw(st.integers(1, 3)) + 1)])
