@@ -496,7 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         result, human, code = _DISPATCH[args.command](args)
         inputs = {k: v for k, v in sorted(vars(args).items())
-                  if k != "machine" and v is not None and not callable(v)}
+                  if k != "machine" and v is not None}
         report = _report(args.command, inputs, args, result)
         text = json.dumps(report, indent=2) + "\n"
         if args.machine:

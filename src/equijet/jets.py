@@ -24,7 +24,8 @@ Conventions:
 Products of rational jets with at least ``_KRONECKER_MIN_PAIRS`` term pairs
 are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
 exact times exact in a box of the exponents, anything truncated in a box
-graded by total degree that reads only the degrees below the order.
+graded by total degree that reads only the degrees below the order.  Every
+Kronecker box in this module comes from one builder, :func:`_layout`.
 Coefficients in an algebraic extension, fewer term pairs and operands too
 sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
@@ -43,8 +44,7 @@ flagged not exact, as on jets, where a non-exact entry of the leading
 monic polynomial with integer coefficients have images in the same boxes
 (:func:`hankel_images`), sized for the Hankel minors of its power sums, so
 that Newton's identities run on the same integers as the Berkowitz pass
-that follows them.  One builder (:func:`_images`) lays out both boxes and
-packs and unpacks for both.
+that follows them.  :func:`_images` packs and unpacks for both.
 """
 
 from __future__ import annotations
@@ -178,6 +178,63 @@ def _pack(slots: List[int], values: List[int], extent: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _layout(n: int, entries: Sequence[Mapping[Exponents, Scalar]], order,
+            box: Optional[Sequence[int]]
+            ) -> Tuple[List[int], int, Callable[[int, int, int, int], Dict[Exponents, Scalar]]]:
+    """The Kronecker box of term dicts in ``n`` variables: the weight of each
+    variable, so that the slot of ``x^k`` is ``sum_v k_v*weight_v``, the
+    window (the number of slots in the box), and the map
+    ``read(packed, window, width, den)`` from the nonzero signed digits in
+    the lowest ``window`` slots of ``packed`` (:func:`_digits`) to the terms
+    ``digit/den`` at their exponents.
+
+    With a ``box``, the digit of variable ``v`` holds the exponents
+    ``0..box[v]``, the last variable innermost.  With ``box`` None, the box
+    is graded below ``order`` over the variables that occur in the entries:
+    the total degree is the outermost digit, then every one of them but the
+    last, each digit with ``order`` values, so the window is
+    ``order^(#active)`` slots; the last one's exponent is the total degree
+    less the inner digits.  Slots count from 0 and are linear in the
+    exponents, so the slot of a product of monomials is the sum of theirs;
+    in the graded box a monomial of degree ``>= order`` has a slot of at
+    least the window.
+    """
+    weights = [0] * n
+    last = None
+    if box is None:
+        active = [v for v in range(n) if any(k[v] for t in entries for k in t)]
+        # the outermost digit, the total degree, is held at the last active
+        # variable until the inner digits are subtracted from it
+        places = active[-1:] + active[:-1]
+        digits = [(v, order ** (len(places) - 1 - j)) for j, v in enumerate(places)]
+        window = order ** len(places)
+        for v, s in digits[1:]:
+            weights[v] = s
+        for v in active:
+            weights[v] += window // order
+        last = active[-1] if active else None
+    else:
+        window = 1
+        for v in range(n - 1, -1, -1):
+            if box[v]:
+                weights[v] = window
+                window *= box[v] + 1
+        digits = [(v, weights[v]) for v in range(n) if box[v]]
+
+    def read(packed: int, window: int, width: int, den: int) -> Dict[Exponents, Scalar]:
+        terms: Dict[Exponents, Scalar] = {}
+        for slot, d in _digits(packed, window, width):
+            key = [0] * n
+            for v, s in digits:
+                key[v], slot = divmod(slot, s)
+            if last is not None:
+                key[last] -= sum(key) - key[last]
+            terms[tuple(key)] = Fraction(d) if den == 1 else Fraction(d, den)
+        return terms
+
+    return weights, window, read
+
+
 def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
                n: int, limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
     """The product of two term dicts in ``n`` variables as one big-integer
@@ -186,74 +243,33 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
     ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed operands are too
     sparse (``_KRONECKER_SLOTS_PER_PAIR``).
 
-    Every monomial is a slot of one mixed-radix box.  With ``limit`` None
-    the digits are the exponents of the variables that occur and the whole
-    product is read.  With a ``limit`` the box is graded: the total degree
-    is the outermost digit, then every occurring variable but the last;
-    operand terms of degree ``>= limit`` are dropped, and only the slots of
-    degree below ``limit`` are read.  Digits count from each operand's
-    lowest value and have room for the greatest digit of the product (the
-    sum of the two spans), so a product's slot is the sum of its operands'
-    slots; a pair of degree ``>= limit`` has an outermost digit past the
-    box and lands in a slot that is never read.  Each operand is scaled to
-    integers by the lcm of its denominators, so the product has the
-    denominator ``den_a*den_b``.  The digits are signed and wide enough for
-    ``min(len a, len b) * max|a| * max|b|``, and are read back once by
-    adding half the digit range to every digit.
+    Both operands are packed in one box of :func:`_layout`.  With ``limit``
+    None it is the exact box whose digit of ``v`` holds the greatest
+    exponent of ``v`` in ``a`` plus that in ``b``, and the whole product
+    is read.  With a ``limit`` it is the box graded below ``limit``: operand
+    terms of degree ``>= limit`` are dropped, a pair of degree ``>= limit``
+    lands in a slot past the window, and only the window is read.  Each
+    operand is scaled to integers by the lcm of its denominators, so the
+    product has the denominator ``den_a*den_b``.  The digits are signed and
+    wide enough for ``min(len a, len b) * max|a| * max|b|``.
     """
     if len(ta) * len(tb) < _KRONECKER_MIN_PAIRS:
         return None
     if limit is not None:
-        ta = {k: v for k, v in ta.items() if sum(k) < limit}
-        tb = {k: v for k, v in tb.items() if sum(k) < limit}
+        ta, tb = _below(ta, limit), _below(tb, limit)
     count = len(ta) * len(tb)
     if count < _KRONECKER_MIN_PAIRS:
         return None
     if not all(isinstance(v, Fraction) for t in (ta, tb) for v in t.values()):
         return None
-    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
-    active = [i for i in range(n) if any(cols_a[i]) or any(cols_b[i])]
-    inner = active if limit is None else active[:-1]
-
-    def ranges(t, cols):
-        """The least and the greatest value of each digit over the terms:
-        the total degree when graded, then the inner variables."""
-        digit_cols = [cols[i] for i in inner]
-        if limit is not None:
-            digit_cols.insert(0, list(map(sum, t)))
-        return list(map(min, digit_cols)), list(map(max, digit_cols))
-
-    lo_a, hi_a = ranges(ta, cols_a)
-    lo_b, hi_b = ranges(tb, cols_b)
-    bases = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
-    if limit is not None:
-        # a pair below the limit has every digit below these caps
-        bases[0] = min(bases[0], limit - lo_a[0] - lo_b[0])
-        for j in range(1, len(bases)):
-            bases[j] = min(bases[j], limit - min(lo_a[j], lo_b[j]))
-        if bases[0] <= 0:
-            return {}
-    strides = [1] * len(bases)
-    for j in range(len(bases) - 2, -1, -1):
-        strides[j] = strides[j + 1] * bases[j + 1]
-    # a slot is linear in the exponents: each variable weighs the stride of
-    # its own digit plus, when graded, that of the total degree
-    weights = [0] * n
-    for i, s in zip(inner, strides[len(strides) - len(inner):]):
-        weights[i] = s
-    if limit is not None:
-        for i in active:
-            weights[i] += strides[0]
-
-    def slots(t, lo):
-        base = sum(map(operator.mul, lo, strides))
-        return [sum(map(operator.mul, k, weights)) - base for k in t]
-
-    slots_a, slots_b = slots(ta, lo_a), slots(tb, lo_b)
+    box = None if limit is not None else [
+        max(ca) + max(cb) for ca, cb in zip(zip(*ta), zip(*tb))]
+    weights, window, read = _layout(n, (ta, tb), limit, box)
+    slots_a = [sum(map(operator.mul, k, weights)) for k in ta]
+    slots_b = [sum(map(operator.mul, k, weights)) for k in tb]
     extent_a, extent_b = max(slots_a) + 1, max(slots_b) + 1
     if extent_a * extent_b > _KRONECKER_SLOTS_PER_PAIR * count:
         return None
-    window = min(math.prod(bases), extent_a + extent_b - 1)
 
     def integers(t):
         """The lcm of the denominators and the values scaled by it."""
@@ -265,26 +281,10 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
         return den, nums
 
     (den_a, na), (den_b, nb) = integers(ta), integers(tb)
-    den = den_a * den_b
     bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
     packed = _pack(slots_a, na, extent_a, width) * _pack(slots_b, nb, extent_b, width)
-    lo = [a + b for a, b in zip(lo_a, lo_b)]
-    prod: Dict[Exponents, Scalar] = {}
-    for slot, d in _digits(packed, window, width):
-        exps, rest = [], slot
-        for s, low in zip(strides, lo):
-            digit, rest = divmod(rest, s)
-            exps.append(digit + low)
-        key = [0] * n
-        if limit is not None:
-            if active:
-                key[active[-1]] = exps[0] - sum(exps[1:])
-            exps = exps[1:]
-        for i, e in zip(inner, exps):
-            key[i] = e
-        prod[tuple(key)] = Fraction(d) if den == 1 else Fraction(d, den)
-    return prod
+    return read(packed, min(window, extent_a + extent_b - 1), width, den_a * den_b)
 
 
 def _digits(packed: int, window: int, width: int) -> Iterator[Tuple[int, int]]:
@@ -833,43 +833,17 @@ def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], orde
             ) -> Tuple[List[int], Callable[[int], Jet], Optional[int]]:
     """The Kronecker images of term dicts with integer coefficients in
     ``ctx``, the map that reads a polynomial back from its image, and the
-    mask of the ring the images live in (None for all of Z); the box
-    layout and the digit width of :func:`minor_images` and
-    :func:`hankel_images`.
+    mask of the ring the images live in (None for all of Z); the packing
+    and the digit width of :func:`minor_images` and :func:`hankel_images`.
 
-    With a ``box`` (``order`` is ``INFINITE_ORDER``), the digit of
-    variable ``v`` holds the exponents ``0..box[v]`` and a value reads back
-    exact.  With ``box`` None, the entries have no term of degree
-    ``>= order``, the box is graded below ``order`` over the variables that
-    occur in them, and a value reads back at ``order``, not exact.  The
-    digits are signed and hold every magnitude up to ``bound``.
+    The box is the one of :func:`_layout`.  With a ``box`` (``order`` is
+    ``INFINITE_ORDER``), a value reads back exact.  With ``box`` None, the
+    entries have no term of degree ``>= order``, the box is graded below
+    ``order``, and a value reads back at ``order``, not exact.  The digits
+    are signed and hold every magnitude up to ``bound``.
     """
-    n = len(ctx.names)
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
-    graded = box is None
-    # digits: (variable, stride), outermost first
-    last = None
-    if graded:
-        active = [v for v in range(n) if any(k[v] for t in entries for k in t)]
-        # the outermost digit, the total degree, is held at the last active
-        # variable until the inner digits are subtracted from it
-        places = active[-1:] + active[:-1]
-        digits = [(v, order ** (len(places) - 1 - j)) for j, v in enumerate(places)]
-        window = order ** len(places)
-        weights = [0] * n
-        for v, s in digits[1:]:
-            weights[v] = s
-        for v in active:
-            weights[v] += window // order
-        last = active[-1] if active else None
-    else:
-        weights = [0] * n
-        window = 1
-        for v in range(n - 1, -1, -1):
-            if box[v]:
-                weights[v] = window
-                window *= box[v] + 1
-        digits = [(v, weights[v]) for v in range(n) if box[v]]
+    weights, window, read = _layout(len(ctx.names), entries, order, box)
 
     def pack(t: Mapping[Exponents, Scalar]) -> int:
         if not t:
@@ -878,17 +852,9 @@ def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], orde
         return _pack(slots, [c.numerator for c in t.values()], max(slots) + 1, width)
 
     def unpack(image: int) -> Jet:
-        terms: Dict[Exponents, Scalar] = {}
-        for slot, d in _digits(image, window, width):
-            key = [0] * n
-            for v, s in digits:
-                key[v], slot = divmod(slot, s)
-            if last is not None:
-                key[last] -= sum(key) - key[last]
-            terms[tuple(key)] = Fraction(d)
-        return Jet(ctx, order, terms, not graded)
+        return Jet(ctx, order, read(image, window, width, 1), box is not None)
 
-    mask = (1 << (8 * width * window)) - 1 if graded else None
+    mask = (1 << (8 * width * window)) - 1 if box is None else None
     return [pack(t) for t in entries], unpack, mask
 
 
@@ -914,10 +880,7 @@ def minor_images(rows: Sequence[Sequence[Jet]]
       products of one entry per row, so its degree in ``v`` is at most the
       sum over rows of the row's greatest degree in ``v``; each variable's
       digit has room for that sum over all rows.  The minors are exact.
-    * graded box: the total degree is the outermost digit, with ``N``
-      values, and each active variable but the last is one more digit, with
-      ``N`` values, so the window is ``N^(#active)`` slots; the last
-      variable's exponent is the total degree less the inner digits.  A
+    * graded box: the box of :func:`_layout` graded below ``N``.  A
       monomial of degree ``>= N`` has a slot of at least the window, so
       evaluation followed by reduction modulo ``2^(8*w*window)`` (the mask)
       is a ring homomorphism from ``Z[x]/(deg >= N)``: sums of products may

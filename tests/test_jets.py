@@ -671,13 +671,19 @@ def test_kronecker_digits_at_their_bound(monkeypatch):
 
 
 def test_kronecker_graded_box_with_an_operand_divisible_by_a_variable(monkeypatch):
-    """Every term of ``b`` has ``x1``, so the lowest ``x1`` digit of ``b`` is 1
-    while a term of ``a`` reaches ``x1^7`` below the order 8."""
+    """The graded box counts every digit from 0, whatever the operands'
+    lowest exponents.  Every term of ``b`` has ``x1`` while a term of ``a``
+    reaches ``x1^7`` below the order 8; and every term of ``c`` and ``d`` has
+    ``x1^2*x2^2``, so no term lies below degree 4 of the order 12."""
     taken = count_kronecker(monkeypatch)
     a = Jet(X2, 8, {(i, j): i - 2 * j + 1 for i in range(8) for j in range(8 - i)}, False)
     b = Jet(X2, 8, {(i + 1, j): 3 - i * j for i in range(4) for j in range(4 - i)}, False)
+    c = Jet(X2, 12, {(i + 2, j + 2): i * j - 5 for i in range(8) for j in range(8 - i)}, False)
+    d = Jet(X2, 12, {(i + 2, j + 2): Fraction(2 - i, j + 1) for i in range(6) for j in range(6 - i)},
+            False)
     assert a * b == ref_product(a, b)
-    assert taken == [True]
+    assert c * d == ref_product(c, d)
+    assert taken == [True, True]
 
 def test_field_element_coefficients_take_the_schoolbook_loop(monkeypatch):
     taken = count_kronecker(monkeypatch)

@@ -171,6 +171,38 @@ def test_divide_uniqueness_mod_order():
     assert q1.terms == q2.terms and r1.terms == r2.terms
 
 
+def test_divide_exact_results_are_identities_property():
+    # a quotient and a remainder both flagged exact satisfy q*f + r == g as
+    # polynomials, with nothing truncated
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exact = []
+
+    @st.composite
+    def pairs(draw):
+        order = draw(st.integers(6, 12))
+        p = draw(st.integers(1, 3))
+        terms = st.tuples(st.integers(1, 3), st.integers(0, p + 2), st.integers(-3, 3))
+        f = {(a, b): Fraction(c) for a, b, c in draw(st.lists(terms, max_size=4))}
+        f[(0, p)] = Fraction(draw(st.sampled_from((1, -2, 3))))
+        small = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        g = {draw(small): Fraction(draw(st.integers(-4, 4))) for _ in range(draw(st.integers(1, 4)))}
+        return Jet.polynomial(X2, g, order), Jet.polynomial(X2, f, order)
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(pairs())
+    def check(case):
+        g, f = case
+        q, r = weierstrass_divide(g, f, "x2")
+        if q.exact and r.exact:
+            exact.append(1)
+            q, f, r, g = (j.with_order(INFINITE_ORDER) for j in (q, f, r, g))
+            assert (q * f + r - g).is_zero()
+
+    check()
+    assert len(exact) >= 10
+
+
 def test_prepare_geometric_series_example():
     f = (1 + x1(5)) * x2(5) ** 2 - x1(5) ** 2
     pf = weierstrass_prepare(f, "x2")
