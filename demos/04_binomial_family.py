@@ -8,17 +8,16 @@ preparation identities and builds the deformation F(t, x).
 """
 
 from equijet import Jet, VarContext
-from equijet.deform import TowerSolution, binomial_family, build_deformation, verify_family
+from equijet.deform import TowerSolution, binomial_family, build_deformation
 from equijet.tower import build_tower, check_family
 
 X = VarContext.make(["x"])
 x = Jet.variable(X, "x")
 
 print("== the binomial family through (x^6, x^4) ==")
-sf = binomial_family(x ** 6, x ** 4)
+sf, rep = binomial_family(x ** 6, x ** 4)
 print(f"family : ({sf.family[0]}, {sf.family[1]})")
 print(f"witness: {sf.witness[0]}")
-rep = verify_family(sf)
 print(f"equation residuals: {[str(r) for r in rep.equation_residuals]}")
 print(f"target residuals  : {[str(r) for r in rep.target_residuals]}")
 print(f"passes: {rep.passed}")

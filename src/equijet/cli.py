@@ -278,8 +278,8 @@ def _cmd_binomial(args) -> Tuple[dict, List[str], int]:
         raise UsageError("binomial expects exactly one variable")
     y1 = parse_jet(args.y1, ctx, args.order)
     y2 = parse_jet(args.y2, ctx, args.order)
-    sf = binomial_family(y1, y2)
-    rep = verify_family(sf, args.order)
+    # both targets are parsed at --order, so the family was verified at it
+    sf, rep = binomial_family(y1, y2)
     result = {
         "family": [_jet_entry(c) for c in sf.family],
         "witness": [_jet_entry(w) for w in sf.witness],

@@ -229,14 +229,17 @@ def jet_nth_root(a: Jet, n: int) -> Jet:
     raise NotASolutionError(f"input is not an exact {n}-th power to its order")
 
 
-def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
+def binomial_family(y1_hat: Jet, y2_hat: Jet) -> Tuple[SolutionFamily, FamilyVerification]:
     """The explicit one-z family through a solution of ``y1^2 = y2^3`` over a
-    single variable.
+    single variable, with its verification.
 
     With d the valuation of the first target component (necessarily a
     multiple of 3) and ``e = d/3 - 1``, the family is
     ``(x^{3e} z^3, x^{2e} z^2)`` and the witness is the cube root of
-    ``y1_hat / x^{3e}``.
+    ``y1_hat / x^{3e}``.  Returns ``(family, verification)``, the
+    verification being :func:`verify_family` at the targets' least order,
+    which has passed: a family that does not reproduce the targets raises
+    :class:`NotASolutionError`.
     """
     if y1_hat.ctx != y2_hat.ctx or len(y1_hat.ctx.names) != 1:
         raise PreconditionError("targets must share a single-variable context")
@@ -264,7 +267,9 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     sys_ctx = VarContext.make(x_names + y_names)
     z = Jet.variable(fam_ctx, "z", order)
     xv = Jet.variable(fam_ctx, x_name, order)
-    family = (xv ** (3 * e) * z ** 3, xv ** (2 * e) * z ** 2)
+    family = (z ** 3, z ** 2)
+    if e:
+        family = (xv ** (3 * e) * family[0], xv ** (2 * e) * family[1])
     system = (Jet.variable(sys_ctx, y_names[0], order) ** 2
               - Jet.variable(sys_ctx, y_names[1], order) ** 3,)
     sf = SolutionFamily(
@@ -275,7 +280,7 @@ def binomial_family(y1_hat: Jet, y2_hat: Jet) -> SolutionFamily:
     check = verify_family(sf, order)
     if not check.passed:
         raise NotASolutionError("extracted family does not reproduce the targets")
-    return sf
+    return sf, check
 
 
 # -- deformation of a tower solution ------------------------------------

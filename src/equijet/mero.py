@@ -69,13 +69,21 @@ _C_NAME = "cconst"
 @dataclass(frozen=True)
 class FactoredGerm:
     """A germ supplied in factored form: ``prod base_i ^ exp_i``.  Only the
-    factors are stored; ``product`` is expanded the first time it is read."""
+    factors are stored; ``product`` is expanded the first time it is read.
+
+    A germ is checked on construction, by the dataclass constructor as well
+    as by :meth:`build`: every factor is an exact, nonconstant, squarefree
+    polynomial vanishing at the origin of one two-coordinate context, with an
+    exponent of at least 1, and no two factors share a divisor; anything else
+    raises :class:`PreconditionError`.  So no unchecked germ exists, which
+    :func:`build_mero_deformation` relies on when it takes the analysed
+    germ's slice without rebuilding it.
+    """
 
     factors: Tuple[Tuple[Jet, int], ...]
 
-    @classmethod
-    def build(cls, factors: Sequence[Tuple[Jet, int]]) -> "FactoredGerm":
-        factors = tuple((base, int(exp)) for base, exp in factors)
+    def __post_init__(self):
+        factors = self.factors
         if not factors:
             raise PreconditionError("a factored germ needs at least one factor")
         ctx = factors[0][0].ctx
@@ -101,7 +109,12 @@ class FactoredGerm:
                 if not is_constant(jet_gcd(factors[i][0], factors[j][0])):
                     raise PreconditionError(
                         f"declared factors share a divisor: {factors[i][0]} and {factors[j][0]}")
-        return cls(factors=factors)
+
+    @classmethod
+    def build(cls, factors: Sequence[Tuple[Jet, int]]) -> "FactoredGerm":
+        """The checked germ of ``(base, exponent)`` pairs, the exponents
+        taken as ints."""
+        return cls(factors=tuple((base, int(exp)) for base, exp in factors))
 
     @cached_property
     def product(self) -> Jet:
@@ -454,6 +467,21 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
     whether the reduced slice form has a constant coefficient gcd.  Division
     failures and truncated slices are per-slice report entries, not fatal
     errors: the t = 0 quotient check runs only on exact slices.
+
+    A slice's outcome ``(division_exact, isolated_singularity, note)`` is a
+    function of its f-, g- and h-components alone, since the exponents and
+    the ``mu``s are fixed for the call; so it is worked out once per distinct
+    components (``Jet.__eq__``) and reused for a later slice with the same
+    ones, within this call only.  ``analysis`` must be ``analyze(f, g)``.
+    A slice whose f-, g- and h-components are exact and equal, as
+    polynomials, to the declared factors of f and g and the ``h`` of
+    ``analysis.records``, in order, is then the analysed germ, and nothing
+    is worked out for it: f and g passed the checks of
+    :class:`FactoredGerm` on construction, and ``analyze`` built their
+    1-form, divided it by the same ``h^mu`` and found a constant gcd of the
+    reduced form, or raised.  Its outcome is ``(True, True, "")``, and at
+    t = 0 with polynomial data it reproduces the quotient, since its
+    products are f and g.
     """
     check = verify_family(family)
     if not check.passed:
@@ -465,6 +493,9 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
         raise PreconditionError("family component count does not match the system")
 
     x_ctx = family.x_ctx
+    germ = [_lifted(j) for j in [base for base, _ in f.factors + g.factors]
+            + [rec.h for rec in analysis.records]]
+    outcomes: List[Tuple[List[Jet], Tuple[bool, Optional[bool], str]]] = []
     slices: List[SliceReport] = []
     for t0 in t_grid:
         subst = {}
@@ -474,38 +505,60 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
             subst[name] = trunc + tail.scale(1 - t0)
         comps = [(comp.compose(subst) if subst else comp.in_context(x_ctx))
                  for comp in family.family]
-        f_slices = comps[:p]
-        g_slices = comps[p:p + q]
-        h_slices = comps[p + q:p + q + e]
-        note = ""
-        isolated: Optional[bool] = None
         poly_data = all(c.exact for c in comps)
-        try:
-            fg_f = FactoredGerm.build(list(zip(f_slices, f_exps)))
-            fg_g = FactoredGerm.build(list(zip(g_slices, g_exps)))
-            th = theta(fg_f, fg_g)
-            # a lift of a truncated hk raises: none is made after a failed division
-            omega = th.divided((hk.with_order(th.a.order), mu)
-                               for hk, mu in zip(h_slices, mus))
-            division_exact = omega is not None
-            if division_exact:
-                isolated = is_constant(omega.coefficient_gcd())
-        except PreconditionError as err:
-            division_exact = False
-            note = str(err)
+        key = comps[:p + q + e]
+        analysed = all(c.exact and _lifted(c) == r for c, r in zip(key, germ))
+        if analysed:
+            outcome = (True, True, "")
+        else:
+            outcome = next((out for seen, out in outcomes if seen == key), None)
+            if outcome is None:
+                outcome = _slice_outcome(key[:p], f_exps, key[p:p + q], g_exps, key[p + q:], mus)
+                outcomes.append((key, outcome))
+        division_exact, isolated, note = outcome
 
         reproduces = None
         if t0 == 0 and poly_data:
-            fprod = _product(f_slices, f_exps).with_order(INFINITE_ORDER)
-            gprod = _product(g_slices, g_exps).with_order(INFINITE_ORDER)
-            fp = f.product.in_context(x_ctx).with_order(INFINITE_ORDER)
-            gp = g.product.in_context(x_ctx).with_order(INFINITE_ORDER)
-            reproduces = (fprod * gp - fp * gprod).is_zero()
+            # the analysed germ's products are f and g
+            reproduces = True
+            if not analysed:
+                fprod = _product(key[:p], f_exps).with_order(INFINITE_ORDER)
+                gprod = _product(key[p:p + q], g_exps).with_order(INFINITE_ORDER)
+                fp = f.product.in_context(x_ctx).with_order(INFINITE_ORDER)
+                gp = g.product.in_context(x_ctx).with_order(INFINITE_ORDER)
+                reproduces = (fprod * gp - fp * gprod).is_zero()
         slices.append(SliceReport(
             t_value=t0, division_exact=division_exact,
             isolated_singularity=isolated, reproduces_quotient=reproduces,
             polynomial_data=poly_data, note=note))
     return MeroDeformationReport(k0=k0, slices=tuple(slices))
+
+
+def _lifted(j: Jet) -> Optional[Jet]:
+    """An exact jet at ``INFINITE_ORDER``, so that two compare equal when
+    they are the same polynomial, whatever their orders; None otherwise."""
+    return j.with_order(INFINITE_ORDER) if j.exact else None
+
+
+def _slice_outcome(f_slices: Sequence[Jet], f_exps: Sequence[int],
+                   g_slices: Sequence[Jet], g_exps: Sequence[int],
+                   h_slices: Sequence[Jet], mus: Sequence[int]
+                   ) -> Tuple[bool, Optional[bool], str]:
+    """``(division_exact, isolated_singularity, note)`` of one slice: the
+    slice germs' 1-form divided by ``hk^mu``, and whether the reduced form
+    has a constant coefficient gcd.  A precondition failure is the slice's
+    note."""
+    try:
+        fg_f = FactoredGerm.build(list(zip(f_slices, f_exps)))
+        fg_g = FactoredGerm.build(list(zip(g_slices, g_exps)))
+        th = theta(fg_f, fg_g)
+        # a lift of a truncated hk raises: none is made after a failed division
+        omega = th.divided((hk.with_order(th.a.order), mu) for hk, mu in zip(h_slices, mus))
+        if omega is None:
+            return False, None, ""
+        return True, is_constant(omega.coefficient_gcd()), ""
+    except PreconditionError as err:
+        return False, None, str(err)
 
 
 def _product(jets: Sequence[Jet], exps: Sequence[int]) -> Jet:

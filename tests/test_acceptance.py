@@ -134,7 +134,7 @@ def test_criterion_4_family_verdicts_and_slices():
 
 def test_criterion_5_binomial_round_trip():
     x = Jet.variable(X1, "x", ORDER)
-    sf = binomial_family(x ** 6, x ** 4)
+    sf, _ = binomial_family(x ** 6, x ** 4)
     fam_ctx = VarContext.make(["x", "z"])
     xx = Jet.variable(fam_ctx, "x", ORDER)
     zz = Jet.variable(fam_ctx, "z", ORDER)

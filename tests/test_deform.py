@@ -185,7 +185,8 @@ def test_jet_nth_root_rejects_bad_leading_coefficient():
 
 
 def test_binomial_family_golden():
-    sf = binomial_family(xv() ** 6, xv() ** 4)
+    sf, check = binomial_family(xv() ** 6, xv() ** 4)
+    assert check == verify_family(sf, 16)
     x = Jet.variable(XZ, "x")
     z = Jet.variable(XZ, "z")
     assert sf.family == (x ** 3 * z ** 3, x ** 2 * z ** 2)
@@ -198,10 +199,34 @@ def test_binomial_family_golden():
 def test_binomial_family_unit_series():
     y1 = (xv() * (1 + xv())) ** 3
     y2 = (xv() * (1 + xv())) ** 2
-    sf = binomial_family(y1, y2)
+    sf, check = binomial_family(y1, y2)
+    assert check == verify_family(sf, 16)
     # d = 3, e = 0, witness x(1+x)
     assert sf.witness[0] == xv() * (1 + xv())
     assert verify_family(sf).passed
+
+
+def test_binomial_family_of_unit_targets_forms_no_product_by_one(monkeypatch):
+    # d = 3, e = 0: the family is (z^3, z^2), with no x^0 multiplied in
+    def is_one(j):
+        return j.exact and j.graded_items() == [((0,) * len(j.ctx.names), 1)]
+
+    ones = []
+    mul = Jet.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Jet) and (is_one(a) or is_one(b)):
+            ones.append((a, b))
+        return mul(a, b)
+
+    y = xv() * (1 + xv())
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    sf, check = binomial_family(y ** 3, y ** 2)
+    monkeypatch.undo()
+    z = Jet.variable(XZ, "z")
+    assert sf.family == (z ** 3, z ** 2)
+    assert check.passed
+    assert ones == []
 
 
 def test_binomial_family_rejects_bad_order():

@@ -19,7 +19,7 @@ from equijet.mero import (
     emit_system,
     theta,
 )
-from equijet.parser import parse_jet
+from equijet.parser import parse_factored, parse_jet
 from equijet.polygcd import (
     content_split,
     exact_divide,
@@ -141,6 +141,13 @@ def test_factored_germ_rejects_non_squarefree_factor():
 def test_factored_germ_rejects_shared_factor():
     with pytest.raises(PreconditionError):
         germ((x1(), 1), (x1(), 2))
+
+
+@pytest.mark.parametrize("factors", [((x1(), 1), (x1(), 2)), ((x1() * x2(), 1), (x2(), 1))])
+def test_factored_germ_constructor_rejects_a_repeated_or_shared_factor(factors):
+    # the checks run on construction, not only in build
+    with pytest.raises(PreconditionError, match="share a divisor"):
+        FactoredGerm(factors=factors)
 
 
 def test_factored_germ_rejects_nonvanishing():
@@ -566,3 +573,136 @@ def test_mero_deformation_identity_family():
         assert sl.polynomial_data
     assert rep.slices[0].reproduces_quotient is True
     assert rep.slices[1].reproduces_quotient is None
+
+
+def _translation_case(witness, order):
+    """The translation family of the golden ``mero_deform_family`` command
+    through ``witness``, as ``mero-deform --zvars z`` builds it:
+    ``(x1, x2, x1 + x2, x1 - x2, -1/4)`` shifted by ``z - witness``."""
+    f = FactoredGerm.build(parse_factored("(x1)*(x2)", X, order))
+    g = FactoredGerm.build(parse_factored("(x1+x2)^2", X, order))
+    an = analyze(f, g)
+    sysS = emit_system(an, f, g)
+    fam_ctx = VarContext.make(["x1", "x2", "z"])
+    fam = tuple(parse_jet(text.format(w=witness), fam_ctx, order)
+                for text in ("x1+z-({w})", "x2+z-({w})", "x1+x2+2*z-2*({w})", "x1-x2", "-1/4"))
+    y_names = sysS.y1_names + sysS.y2_names + sysS.y3_names + sysS.y4_names
+    sys_ctx = VarContext.make(("x1", "x2") + y_names)
+    family = SolutionFamily(
+        x_names=("x1", "x2"), y_names=y_names, z_names=("z",),
+        system=tuple((lhs - rhs).in_context(sys_ctx) for lhs, rhs in sysS.equations),
+        family=fam, witness=(parse_jet(witness, X, order),), target=sysS.solution)
+    return an, family, f, g
+
+
+def _slices_from_scratch(an, family, t_grid, k0, f, g):
+    """The oracle: every slice worked out from its own components, with no
+    outcome reused and no slice taken for the analysed germ."""
+    f_exps, g_exps = [exp for _, exp in f.factors], [exp for _, exp in g.factors]
+    mus = [rec.mu for rec in an.records]
+    p, q, e = len(f_exps), len(g_exps), len(mus)
+    out = []
+    for t0 in t_grid:
+        subst = {}
+        for name, w in zip(family.z_names, family.witness):
+            trunc = w.polynomial_part(min(k0, w.order - 1))
+            subst[name] = trunc + (w - trunc).scale(1 - t0)
+        comps = [comp.compose(subst) for comp in family.family]
+        note, isolated, poly_data = "", None, all(c.exact for c in comps)
+        try:
+            th = theta(FactoredGerm.build(list(zip(comps[:p], f_exps))),
+                       FactoredGerm.build(list(zip(comps[p:p + q], g_exps))))
+            omega = th.divided((hk.with_order(th.a.order), mu)
+                               for hk, mu in zip(comps[p + q:p + q + e], mus))
+            division_exact = omega is not None
+            if division_exact:
+                isolated = is_constant(omega.coefficient_gcd())
+        except PreconditionError as err:
+            division_exact, note = False, str(err)
+        reproduces = None
+        if t0 == 0 and poly_data:
+            fprod, gprod, fp, gp = (j.with_order(INFINITE_ORDER) for j in (
+                mero._product(comps[:p], f_exps), mero._product(comps[p:p + q], g_exps),
+                f.product, g.product))
+            reproduces = (fprod * gp - fp * gprod).is_zero()
+        out.append(mero.SliceReport(t_value=t0, division_exact=division_exact,
+                                    isolated_singularity=isolated,
+                                    reproduces_quotient=reproduces,
+                                    polynomial_data=poly_data, note=note))
+    return tuple(out)
+
+
+def _theta_calls(monkeypatch, *args, **kwargs):
+    """The slices of ``build_mero_deformation`` and the theta calls it made."""
+    calls = []
+    real = mero.theta
+    monkeypatch.setattr(mero, "theta", lambda f, g: calls.append(1) or real(f, g))
+    rep = build_mero_deformation(*args, **kwargs)
+    monkeypatch.undo()
+    return rep.slices, len(calls)
+
+
+GOLDEN_WITNESS = "x1^2+x1^6"
+
+
+@pytest.mark.parametrize("grid, calls", [
+    ((0, Fraction(1, 2), 1), 2),       # t = 0 is the analysed germ
+    ((Fraction(1, 2), 1), 2),
+    ((Fraction(1, 2), Fraction(1, 2), 1), 2),  # a repeated slice reuses its outcome
+    ((0, 0, Fraction(1, 2), 0), 1),
+])
+def test_mero_deformation_works_out_each_distinct_slice_once(monkeypatch, grid, calls):
+    an, family, f, g = _translation_case(GOLDEN_WITNESS, 10)
+    grid = [Fraction(t) for t in grid]
+    slices, made = _theta_calls(monkeypatch, an, family, grid, k0=4, f=f, g=g)
+    assert made == calls
+    assert slices == _slices_from_scratch(an, family, grid, 4, f, g)
+
+
+def test_mero_deformation_of_the_identity_family_makes_no_theta(monkeypatch):
+    f = germ((x1(), 1), (x2(), 1))
+    g = germ((x1() + x2(), 2))
+    an = analyze(f, g)
+    family = _fixture_family(an, emit_system(an, f, g), f, g)
+    grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    slices, made = _theta_calls(monkeypatch, an, family, grid, k0=4, f=f, g=g)
+    assert made == 0
+    assert slices == _slices_from_scratch(an, family, grid, 4, f, g)
+
+
+def test_mero_deformation_with_a_witness_of_degree_at_most_k0_makes_no_theta(monkeypatch):
+    # the tail is zero, so every slice is the family at the witness: the germ
+    an, family, f, g = _translation_case("x1^2 - 3*x1*x2 + 1/2*x2^3", 8)
+    grid = [Fraction(0), Fraction(-3), Fraction(1, 2), Fraction(1)]
+    slices, made = _theta_calls(monkeypatch, an, family, grid, k0=3, f=f, g=g)
+    assert made == 0
+    assert all(sl.division_exact and sl.isolated_singularity for sl in slices)
+    assert slices == _slices_from_scratch(an, family, grid, 3, f, g)
+
+
+def test_mero_deformation_matches_the_slices_worked_out_from_scratch():
+    """A derandomized differential test: drawn witnesses (some with a term
+    beyond the order, so that the slices are truncated and carry a note),
+    k0, grids with repeats and 0, orders 5-12."""
+    rng = random.Random(23)
+    notes = exact = 0
+    for _ in range(30):
+        order = rng.randint(5, 12)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, order + 1)
+            e1 = rng.randint(0, degree)
+            terms.append(f"({rng.choice(('1', '-1', '2', '1/2', '-3/4'))})*x1^{e1}*x2^{degree - e1}")
+        witness = " + ".join(terms)
+        k0 = rng.randint(0, 4)
+        grid = [Fraction(0)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 3))]
+        grid += rng.sample(grid, rng.randint(1, len(grid)))
+        rng.shuffle(grid)
+        an, family, f, g = _translation_case(witness, order)
+        slices = build_mero_deformation(an, family, grid, k0=k0, f=f, g=g).slices
+        assert slices == _slices_from_scratch(an, family, grid, k0, f, g), (witness, order, k0)
+        notes += any(sl.note for sl in slices)
+        exact += all(sl.division_exact for sl in slices)
+    # both kinds of slice occur
+    assert notes and exact

@@ -33,7 +33,15 @@ commands (in turn) on germs of 1-2 generic curves through the origin each
 name a candidate divisor, a deformation a ``--k0`` and a grid of ``t``.
 They run and are hashed as the ``systems`` commands are.  About half of
 them end in exit 2 (shared or repeated factors); the rest reach the gcds,
-the 1-form and the divisor analysis of ``mero``.
+the 1-form and the divisor analysis of ``mero``.  Then it draws
+:data:`MERO_FAMILY_DRAWS` ``mero-deform --zvars z`` commands on the
+translation family of ``tests/golden/mero_deform_family.args``, the
+components ``x1, x2, x1 + x2, x1 - x2, -1/4`` of the germ
+``(x1)*(x2) / (x1+x2)^2`` shifted by ``z - w``
+(:func:`translation_family_argv`): the witness ``w`` has 1-3 terms of degree
+1 to ``order + 1`` in ``x1, x2`` (so that some slices are truncated), with
+a drawn ``--k0`` of 0-4, a grid of ``t`` that holds 0 and repeats, and an
+order of 5-12.
 """
 
 from __future__ import annotations
@@ -121,16 +129,37 @@ MERO_DRAWS = 120
 MERO_COEFFICIENTS = ("1", "-1", "2", "-3", "1/2", "-3/4", "5/3")
 
 
+def mero_term(rng: random.Random, degree: int) -> str:
+    """A term of total degree ``degree`` in ``x1, x2`` with a small integer
+    or rational coefficient."""
+    e1 = rng.randint(0, degree)
+    mono = "*".join(f"{n}^{e}" for n, e in (("x1", e1), ("x2", degree - e1)) if e)
+    return f"({rng.choice(MERO_COEFFICIENTS)})*{mono}"
+
+
 def mero_base(rng: random.Random) -> str:
-    """2-4 terms of degree 1-3 in ``x1, x2`` with small integer or rational
-    coefficients: a curve through the origin."""
-    terms = []
-    for _ in range(rng.randint(2, 4)):
-        degree = rng.randint(1, 3)
-        e1 = rng.randint(0, degree)
-        mono = "*".join(f"{n}^{e}" for n, e in (("x1", e1), ("x2", degree - e1)) if e)
-        terms.append(f"({rng.choice(MERO_COEFFICIENTS)})*{mono}")
-    return " + ".join(terms)
+    """2-4 terms of degree 1-3 in ``x1, x2``: a curve through the origin."""
+    return " + ".join(mero_term(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 4)))
+
+
+MERO_FAMILY_DRAWS = 60
+
+
+def translation_family_argv(rng: random.Random):
+    """The order and argv of a ``mero-deform`` command on the translation
+    family of the golden ``mero_deform_family`` command, through a drawn
+    witness."""
+    order = rng.randint(5, 12)
+    w = " + ".join(mero_term(rng, rng.randint(1, order + 1)) for _ in range(rng.randint(1, 3)))
+    grid = ["0"] + [str(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 3))]
+    grid += rng.sample(grid, rng.randint(0, len(grid)))
+    rng.shuffle(grid)
+    fams = [f"x1+z-({w})", f"x2+z-({w})", f"x1+x2+2*z-2*({w})", "x1-x2", "-1/4"]
+    return order, (["mero-deform", "--f", "(x1)*(x2)", "--g", "(x1+x2)^2", "--zvars", "z"]
+                   + [arg for fam in fams for arg in ("--fam", fam)]
+                   + ["--witness", w, "--t", ",".join(grid), "--k0", str(rng.randint(0, 4)),
+                      "--order", str(order), "--machine"])
 
 
 def mero_jobs(seed: int):
@@ -148,6 +177,10 @@ def mero_jobs(seed: int):
         if command == "mero-deform":
             argv += ["--k0", str(rng.randint(0, 3)), "--t", rng.choice(("0,1", "1/2,-3"))]
         jobs.append((f"mero/{command}/o{order}", lambda argv=argv: run_cli(argv)))
+    rng = random.Random(f"mero-family:{seed}")
+    for _ in range(MERO_FAMILY_DRAWS):
+        order, argv = translation_family_argv(rng)
+        jobs.append((f"mero/mero-deform-zvars/o{order}", lambda argv=argv: run_cli(argv)))
     return jobs
 
 
