@@ -53,7 +53,7 @@ family = SolutionFamily(
     witness=(),
     target=tuple(s.in_context(ctx) for s in sysS.solution))
 report = build_mero_deformation(an, family, [Fraction(0), Fraction(1, 2), Fraction(1)],
-                                k0=4, f=f, g=g)
+                                k0=4)
 for sl in report.slices:
     print(f"  t = {scalar_to_text(sl.t_value)}: divisions exact {sl.division_exact}, "
           f"isolated singularity {sl.isolated_singularity}, "

@@ -379,7 +379,7 @@ def _cmd_mero_deform(args) -> Tuple[dict, List[str], int]:
         system=system, family=fam, witness=witness,
         target=tuple(s.in_context(ctx) for s in sysS.solution))
     grid = _rationals(args.t) if args.t else [Fraction(0), Fraction(1)]
-    rep = build_mero_deformation(an, family, grid, k0=args.k0, f=f, g=g)
+    rep = build_mero_deformation(an, family, grid, k0=args.k0)
     result = {
         "k0": rep.k0,
         "slices": [{

@@ -164,6 +164,11 @@ class DivisorRecord:
 
 @dataclass(frozen=True)
 class MeroAnalysis:
+    """What :func:`analyze` found for the germs ``f`` and ``g``, which it
+    keeps, so that the analysis cannot be paired with other germs."""
+
+    f: FactoredGerm
+    g: FactoredGerm
     theta: OneForm
     records: Tuple[DivisorRecord, ...]
     omega: OneForm
@@ -376,7 +381,7 @@ def analyze(f: FactoredGerm, g: FactoredGerm,
         found = divisor_constant(cand, f, g)
         if found is not None:
             informational.append(found)
-    return MeroAnalysis(theta=th, records=tuple(records), omega=omega,
+    return MeroAnalysis(f=f, g=g, theta=th, records=tuple(records), omega=omega,
                         informational=tuple(informational),
                         reality=_reality_flag(records))
 
@@ -457,9 +462,9 @@ class MeroDeformationReport:
 
 
 def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
-                           t_grid: Sequence[Scalar], k0: int,
-                           f: FactoredGerm, g: FactoredGerm) -> MeroDeformationReport:
-    """Slice a solution family of the system emitted for ``analysis`` at sampled t.
+                           t_grid: Sequence[Scalar], k0: int) -> MeroDeformationReport:
+    """Slice a solution family of the system emitted for ``analysis`` of the
+    germs f and g at sampled t.
 
     The witness is split as ``z = z_trunc + tail`` at degree k0; the slice at
     t substitutes ``z_trunc + (1-t) tail``.  For every sampled t the report
@@ -468,24 +473,21 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
     failures and truncated slices are per-slice report entries, not fatal
     errors: the t = 0 quotient check runs only on exact slices.
 
-    A slice's outcome ``(division_exact, isolated_singularity, note)`` is a
-    function of its f-, g- and h-components alone, since the exponents and
-    the ``mu``s are fixed for the call; so it is worked out once per distinct
-    components (``Jet.__eq__``) and reused for a later slice with the same
-    ones, within this call only.  ``analysis`` must be ``analyze(f, g)``.
     A slice whose f-, g- and h-components are exact and equal, as
     polynomials, to the declared factors of f and g and the ``h`` of
-    ``analysis.records``, in order, is then the analysed germ, and nothing
-    is worked out for it: f and g passed the checks of
-    :class:`FactoredGerm` on construction, and ``analyze`` built their
-    1-form, divided it by the same ``h^mu`` and found a constant gcd of the
-    reduced form, or raised.  Its outcome is ``(True, True, "")``, and at
-    t = 0 with polynomial data it reproduces the quotient, since its
-    products are f and g.
+    ``analysis.records``, in order, is the analysed germ, and nothing is
+    worked out for it: f and g passed the checks of :class:`FactoredGerm`
+    on construction, and ``analyze`` built their 1-form, divided it by the
+    same ``h^mu`` and found a constant gcd of the reduced form, or raised.
+    Its outcome ``(division_exact, isolated_singularity, note)`` is
+    ``(True, True, "")``, and at t = 0 with polynomial data it reproduces
+    the quotient, since its products are f and g.  Every other slice is
+    worked out from its own components.
     """
     check = verify_family(family)
     if not check.passed:
         raise PreconditionError("the family does not satisfy the emitted system")
+    f, g = analysis.f, analysis.g
     f_exps, g_exps = [exp for _, exp in f.factors], [exp for _, exp in g.factors]
     mus = [rec.mu for rec in analysis.records]
     p, q, e = len(f_exps), len(g_exps), len(mus)
@@ -495,7 +497,6 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
     x_ctx = family.x_ctx
     germ = [_lifted(j) for j in [base for base, _ in f.factors + g.factors]
             + [rec.h for rec in analysis.records]]
-    outcomes: List[Tuple[List[Jet], Tuple[bool, Optional[bool], str]]] = []
     slices: List[SliceReport] = []
     for t0 in t_grid:
         subst = {}
@@ -506,24 +507,21 @@ def build_mero_deformation(analysis: MeroAnalysis, family: SolutionFamily,
         comps = [(comp.compose(subst) if subst else comp.in_context(x_ctx))
                  for comp in family.family]
         poly_data = all(c.exact for c in comps)
-        key = comps[:p + q + e]
-        analysed = all(c.exact and _lifted(c) == r for c, r in zip(key, germ))
+        f_slices, g_slices = comps[:p], comps[p:p + q]
+        analysed = all(c.exact and _lifted(c) == r for c, r in zip(comps, germ))
         if analysed:
-            outcome = (True, True, "")
+            division_exact, isolated, note = True, True, ""
         else:
-            outcome = next((out for seen, out in outcomes if seen == key), None)
-            if outcome is None:
-                outcome = _slice_outcome(key[:p], f_exps, key[p:p + q], g_exps, key[p + q:], mus)
-                outcomes.append((key, outcome))
-        division_exact, isolated, note = outcome
+            division_exact, isolated, note = _slice_outcome(
+                f_slices, f_exps, g_slices, g_exps, comps[p + q:p + q + e], mus)
 
         reproduces = None
         if t0 == 0 and poly_data:
             # the analysed germ's products are f and g
             reproduces = True
             if not analysed:
-                fprod = _product(key[:p], f_exps).with_order(INFINITE_ORDER)
-                gprod = _product(key[p:p + q], g_exps).with_order(INFINITE_ORDER)
+                fprod = _product(f_slices, f_exps).with_order(INFINITE_ORDER)
+                gprod = _product(g_slices, g_exps).with_order(INFINITE_ORDER)
                 fp = f.product.in_context(x_ctx).with_order(INFINITE_ORDER)
                 gp = g.product.in_context(x_ctx).with_order(INFINITE_ORDER)
                 reproduces = (fprod * gp - fp * gprod).is_zero()
