@@ -30,6 +30,10 @@ Coefficients in an algebraic extension, fewer term pairs and operands too
 sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
+The unit inverse (:meth:`Jet.invert_unit`) and the Weierstrass division
+(:meth:`Jet.divmod_regular`) run on term dicts, with ``int`` values while
+the coefficients are integers, through the same product dispatch.
+
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
 width that hold every leading principal minor, so that a whole
@@ -49,6 +53,8 @@ that follows them.  :func:`_images` packs and unpacks for both.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -148,15 +154,17 @@ _NONZERO_TO_ONE = bytes([0] + [1] * 255)
 def _schoolbook(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
                 limit: Optional[int]) -> Dict[Exponents, Scalar]:
     """The product of two term dicts pair by pair; with a ``limit``, only the
-    pairs of total degree below it."""
+    pairs of total degree below it: each term of ``a`` meets the terms of
+    ``b``, sorted by degree, up to the first one that reaches the limit."""
     prod: Dict[Exponents, Scalar] = {}
     items_b = list(tb.items())
-    degs_b = None if limit is None else [sum(kb) for kb in tb]
+    if limit is not None:
+        items_b.sort(key=lambda kv: sum(kv[0]))
+        degs_b = [sum(kb) for kb, _ in items_b]
     for ka, va in ta.items():
         row = items_b
         if limit is not None:
-            room = limit - sum(ka)
-            row = [kv for kv, d in zip(items_b, degs_b) if d < room]
+            row = items_b[:bisect.bisect_left(degs_b, limit - sum(ka))]
         for kb, vb in row:
             key = tuple(x + y for x, y in zip(ka, kb))
             val = va * vb
@@ -186,7 +194,7 @@ def _layout(n: int, entries: Sequence[Mapping[Exponents, Scalar]], order,
     window (the number of slots in the box), and the map
     ``read(packed, window, width, den)`` from the nonzero signed digits in
     the lowest ``window`` slots of ``packed`` (:func:`_digits`) to the terms
-    ``digit/den`` at their exponents.
+    ``digit/den`` at their exponents, plain ``int`` values when ``den`` is 1.
 
     With a ``box``, the digit of variable ``v`` holds the exponents
     ``0..box[v]``, the last variable innermost.  With ``box`` None, the box
@@ -229,7 +237,7 @@ def _layout(n: int, entries: Sequence[Mapping[Exponents, Scalar]], order,
                 key[v], slot = divmod(slot, s)
             if last is not None:
                 key[last] -= sum(key) - key[last]
-            terms[tuple(key)] = Fraction(d) if den == 1 else Fraction(d, den)
+            terms[tuple(key)] = d if den == 1 else Fraction(d, den)
         return terms
 
     return weights, window, read
@@ -239,9 +247,9 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
                n: int, limit: Optional[int]) -> Optional[Dict[Exponents, Scalar]]:
     """The product of two term dicts in ``n`` variables as one big-integer
     multiply (Kronecker substitution), or None when the schoolbook loop
-    should run: a coefficient is not a ``Fraction``, there are fewer than
-    ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed operands are too
-    sparse (``_KRONECKER_SLOTS_PER_PAIR``).
+    should run: a coefficient is neither an ``int`` nor a ``Fraction``,
+    there are fewer than ``_KRONECKER_MIN_PAIRS`` term pairs, or the packed
+    operands are too sparse (``_KRONECKER_SLOTS_PER_PAIR``).
 
     Both operands are packed in one box of :func:`_layout`.  With ``limit``
     None it is the exact box whose digit of ``v`` holds the greatest
@@ -260,7 +268,7 @@ def _kronecker(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
     count = len(ta) * len(tb)
     if count < _KRONECKER_MIN_PAIRS:
         return None
-    if not all(isinstance(v, Fraction) for t in (ta, tb) for v in t.values()):
+    if not all(isinstance(v, (int, Fraction)) for t in (ta, tb) for v in t.values()):
         return None
     box = None if limit is not None else [
         max(ca) + max(cb) for ca, cb in zip(zip(*ta), zip(*tb))]
@@ -311,6 +319,112 @@ def _digits(packed: int, window: int, width: int) -> Iterator[Tuple[int, int]]:
         slot = flags.find(1, slot + 1)
 
 
+def _product(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
+             n: int, limit: Optional[int]) -> Dict[Exponents, Scalar]:
+    """The product of two term dicts by :func:`_kronecker` where it applies,
+    else by :func:`_schoolbook`; zero values may remain."""
+    prod = _kronecker(ta, tb, n, limit)
+    return _schoolbook(ta, tb, limit) if prod is None else prod
+
+
+# -- the unit inverse and the Weierstrass division on term dicts ---------------
+
+#: Units with at most this many terms are inverted by the degree recurrence,
+#: denser ones by Newton iteration (:func:`_inverse`).
+_RECURRENCE_MAX_TERMS = 20
+
+
+def _integral(t: Mapping[Exponents, Scalar]) -> Dict[Exponents, Scalar]:
+    """``t`` with its integral ``Fraction`` values as ``int``, which the
+    ``Jet`` constructor turns back."""
+    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for k, v in t.items()}
+
+
+def _difference(ta: Mapping[Exponents, Scalar],
+                tb: Mapping[Exponents, Scalar]) -> Dict[Exponents, Scalar]:
+    """The nonzero terms of ``ta - tb``."""
+    out = dict(ta)
+    for k, v in tb.items():
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def _split(t: Mapping[Exponents, Scalar], idx: int, p: int
+           ) -> Tuple[Dict[Exponents, Scalar], Dict[Exponents, Scalar]]:
+    """``(low, high)`` with ``t = low + x_idx^p * high`` and ``deg_(x_idx) low < p``."""
+    low: Dict[Exponents, Scalar] = {}
+    high: Dict[Exponents, Scalar] = {}
+    for k, v in t.items():
+        if k[idx] < p:
+            low[k] = v
+        else:
+            high[k[:idx] + (k[idx] - p,) + k[idx + 1:]] = v
+    return low, high
+
+
+def _flagged_product(ta: Mapping[Exponents, Scalar], exact_a: bool,
+                     tb: Mapping[Exponents, Scalar], exact_b: bool,
+                     n: int, order: int) -> Tuple[Dict[Exponents, Scalar], bool]:
+    """The terms and flag of the product of two jets at ``order``, by the
+    rules of :meth:`Jet.__mul__`: the whole product of exact operands, exact
+    unless it drops a nonzero term at or above ``order``; otherwise only the
+    pairs below ``order``, not exact."""
+    full = exact_a and exact_b
+    prod = {k: v for k, v in _product(ta, tb, n, None if full else order).items() if v}
+    kept = _below(prod, order)
+    return kept, full and len(kept) == len(prod)
+
+
+def _inverse(t: Mapping[Exponents, Scalar], n: int, order) -> Dict[Exponents, Scalar]:
+    """The terms of the inverse modulo total degree ``order`` of the unit
+    ``c0 + w_1 + w_2 + ...`` (``w_d`` of degree ``d``) with the terms ``t``.
+
+    A unit of at most ``_RECURRENCE_MAX_TERMS`` terms takes the degree
+    recurrence ``inv_d = -(1/c0) * sum_(i>=1) w_i*inv_(d-i)``, in which each
+    term of the unit meets each term of the inverse once.  A denser one
+    takes Newton iteration, a few whole products through the Kronecker
+    kernel: with ``t = c0*(1 - u)`` and ``u`` of valuation ``v``,
+    ``(1 + u)/c0`` is the inverse modulo degree ``2v``, and each step
+    ``g <- g - g*(t*g - 1)`` doubles the degree to which ``g`` is right
+    (Brent & Kung 1978).  The inverse modulo the order is unique, so both
+    give the same terms.  A non-constant unit at ``INFINITE_ORDER`` raises
+    ``ValueError``: its inverse is a genuine series.
+    """
+    zero = (0,) * n
+    c0 = t.get(zero)
+    if not c0:
+        raise NotAUnitError("constant term vanishes; not a unit")
+    if type(c0) is int:
+        inv0 = c0 if abs(c0) == 1 else Fraction(1, c0)
+    else:
+        inv0 = scalar_inverse(c0)
+    if len(t) == 1:
+        return {zero: inv0}
+    if order == INFINITE_ORDER:
+        raise ValueError("the inverse of a non-constant unit is known to no order")
+    rest = sorted((sum(k), k, v) for k, v in t.items() if k != zero)
+    if len(t) > _RECURRENCE_MAX_TERMS:
+        g = {k: inv0 if k == zero else -v * inv0 * inv0 for k, v in t.items()}
+        steps = [order]  # the precisions of the steps, each at most twice the one before
+        while steps[-1] > 2 * rest[0][0]:
+            steps.append((steps[-1] + 1) // 2)
+        for prec in reversed(steps[:-1]):
+            g = _below(g, prec)
+            error = _difference(_product(t, g, n, prec), {zero: 1})
+            g = _difference(g, _product(g, error, n, prec))
+        return g
+    layers = [{zero: inv0}]  # layers[d] holds the terms of inv_d
+    for d in range(1, order):
+        acc: Dict[Exponents, Scalar] = {}
+        for i, kw, cw in itertools.takewhile(lambda term: term[0] <= d, rest):
+            for ki, ci in layers[d - i].items():
+                key = tuple(map(operator.add, kw, ki))
+                acc[key] = acc.get(key, 0) + cw * ci
+        layers.append({k: -v * inv0 for k, v in acc.items() if v})
+    return {k: v for layer in layers for k, v in layer.items()}
+
+
 class Jet:
     """A series known modulo total degree ``order``; see module docstring."""
 
@@ -330,7 +444,7 @@ class Jet:
             if len(key) != width:
                 raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
             if type(val) is not Fraction:
-                val = as_scalar(val)
+                val = Fraction(val) if type(val) is int else as_scalar(val)
             if not val:
                 continue
             if finite and sum(key) >= order:
@@ -470,10 +584,7 @@ class Jet:
         order = min(self.order, other.order)
         full = self.exact and other.exact
         limit = None if full else order
-        width = len(self.ctx.names)
-        prod = _kronecker(self.terms, other.terms, width, limit)
-        if prod is None:
-            prod = _schoolbook(self.terms, other.terms, limit)
+        prod = _product(self.terms, other.terms, len(self.ctx.names), limit)
         return Jet(self.ctx, order, prod, full)
 
     __rmul__ = __mul__
@@ -518,34 +629,54 @@ class Jet:
         return result
 
     def invert_unit(self) -> "Jet":
-        """Multiplicative inverse modulo the order, by Newton iteration.
-
-        With ``self = c0 * (1 - u)`` and ``u`` of valuation ``v``,
-        ``(1 + u) / c0`` is the inverse modulo degree ``2v``; each step
-        ``g <- g - g*(self*g - 1)`` then doubles the degree to which ``g`` is
-        right (Brent & Kung 1978), at two products a step.  The inverse
-        modulo the order is unique, so this is the geometric series
-        ``sum u^k / c0`` with about a logarithmic number of products.
+        """Multiplicative inverse modulo the order (:func:`_inverse`): by the
+        degree recurrence for a unit of at most ``_RECURRENCE_MAX_TERMS``
+        terms, else by Newton iteration; the inverse modulo the order is
+        unique, so the two give the same terms.
 
         The result is flagged exact only for constants: inverses of
         non-constant units are genuinely infinite series.
         """
-        c0 = self.constant_term()
-        if not c0:
-            raise NotAUnitError("constant term vanishes; not a unit")
-        inv0 = scalar_inverse(c0)
-        one = Jet.constant(self.ctx, 1, self.order, exact=True)
-        u = one - self.scale(inv0)
-        g = (one + u).scale(inv0)
-        # the precisions of the steps, each at most twice the one before
-        steps = [self.order]
-        while not u.is_zero() and steps[-1] > 2 * u.order_of():
-            steps.append((steps[-1] + 1) // 2)
-        for prec in reversed(steps[:-1]):
-            g = Jet(self.ctx, prec, g.terms, False)
-            g = g - g * (self.truncate(prec) * g - 1)
-        exact = self.exact and self.total_degree() in (None, 0)
-        return Jet(self.ctx, self.order, g.terms, exact)
+        terms = _inverse(_integral(self.terms), len(self.ctx.names), self.order)
+        return Jet(self.ctx, self.order, terms, self.exact and self.total_degree() == 0)
+
+    def divmod_regular(self, f: "Jet", name: str, p: int) -> Tuple["Jet", "Jet"]:
+        """``(q, r)`` with ``self = q*f + r`` modulo the lower order ``N`` and
+        ``deg_name r < p``, for ``f = f_low + name^p * w`` with ``w`` a unit
+        at ``N``: the passes ``q <- w^-1 * high`` of Weierstrass division,
+        ``high`` the part of ``self - q*f_low`` from ``name^p`` on, until
+        ``q`` repeats (at most ``N + 1`` passes).
+
+        The passes run on term dicts, with ``int`` values while the
+        coefficients are integers, and ``w`` is inverted once
+        (:func:`_inverse`).  Each intermediate carries the flag that the same
+        steps on jets give: a product by :func:`_flagged_product`, a
+        difference exact when both operands are, ``w^-1`` exact only for an
+        exact constant ``w``.  ``r`` is ``self - q*f`` itself, not the last
+        low part, so that a failed division shows as ``deg_name r >= p``
+        and the flag of ``r`` is that of the identity.
+        """
+        f = self._coerce(f)
+        order = min(self.order, f.order)
+        g, f = self.truncate(order), f.truncate(order)
+        n, idx = len(self.ctx.names), self.ctx.index(name)
+        tg, tf = _integral(g.terms), _integral(f.terms)
+        f_low, w = _split(tf, idx, p)
+        winv = _inverse(w, n, order)
+        winv_exact = f.exact and not any(map(any, w))
+        q, q_exact = {}, True
+        for _ in range(order + 1):
+            prod, prod_exact = _flagged_product(q, q_exact, f_low, f.exact, n, order)
+            _, high = _split(_difference(tg, prod), idx, p)
+            q_next, next_exact = _flagged_product(winv, winv_exact, high,
+                                                  g.exact and prod_exact, n, order)
+            done = q_next == q
+            q, q_exact = q_next, next_exact
+            if done:
+                break
+        prod, prod_exact = _flagged_product(q, q_exact, tf, f.exact, n, order)
+        return (Jet(self.ctx, order, q, q_exact),
+                Jet(self.ctx, order, _difference(tg, prod), g.exact and prod_exact))
 
     def derivative(self, name: str) -> "Jet":
         idx = self.ctx.index(name)
@@ -714,14 +845,7 @@ class Jet:
     def split(self, name: str, p: int) -> Tuple["Jet", "Jet"]:
         """``(low, high)`` with ``self = low + name^p * high`` and the degree
         of ``low`` in ``name`` below ``p``; both keep this jet's order."""
-        idx = self.ctx.index(name)
-        low: Dict[Exponents, Scalar] = {}
-        high: Dict[Exponents, Scalar] = {}
-        for key, coeff in self.terms.items():
-            if key[idx] < p:
-                low[key] = coeff
-            else:
-                high[key[:idx] + (key[idx] - p,) + key[idx + 1:]] = coeff
+        low, high = _split(self.terms, self.ctx.index(name), p)
         return (Jet(self.ctx, self.order, low, self.exact),
                 Jet(self.ctx, self.order, high, self.exact))
 

@@ -3,7 +3,10 @@
 The division ``g = q f + r`` is computed by the standard order-by-order
 fixed-point iteration; it converges within the certification order because
 the low part of a regular series has positive valuation in the remaining
-variables.
+variables.  Its passes run on term dicts in :meth:`Jet.divmod_regular
+<equijet.jets.Jet.divmod_regular>`, with plain integer values while the
+coefficients are integers, and form no jet until ``q`` and ``r`` are
+returned.
 
 A series that is not regular in ``var`` is made so by an integer shear
 ``x_j -> x_j + c_j * var`` of a block of coordinates (:class:`LinearChange`),
@@ -175,7 +178,9 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
 
 def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     """Divide ``g`` by a ``var``-regular series: ``g = q f + r`` mod the order,
-    with deg_var(r) < p."""
+    with deg_var(r) < p.  The order is ``min(g.order, f.order)``; the passes
+    run on term dicts, with integer values when the coefficients allow
+    (:meth:`Jet.divmod_regular <equijet.jets.Jet.divmod_regular>`)."""
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
         raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
@@ -184,17 +189,7 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     f = f.truncate(order)
     if p == 0:
         return g * f.invert_unit(), Jet.zero(f.ctx, order)
-    f_low, w = f.split(var, p)
-    winv = w.invert_unit()
-    q = Jet.zero(f.ctx, order)
-    for _ in range(order + 1):
-        _, high = (g - q * f_low).split(var, p)
-        q_next = winv * high
-        if (q_next - q).is_zero():
-            q = q_next
-            break
-        q = q_next
-    r = g - q * f
+    q, r = g.divmod_regular(f, var, p)
     if (r.degree_in(var) or 0) >= p:
         raise ConsistencyError("division iteration failed to reduce the remainder")
     return q, r

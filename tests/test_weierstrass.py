@@ -1,15 +1,20 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from equijet.errors import (
+    ConsistencyError,
+    NotAUnitError,
     NotRegularError,
     PreconditionError,
 )
+from equijet import jets as jets_module
 from equijet import weierstrass
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.pseudopoly import PseudoPolynomial
+from equijet.scalars import NumberField, scalar_inverse
 from equijet.weierstrass import (
     LinearChange,
     find_regular_change,
@@ -201,6 +206,180 @@ def test_divide_exact_results_are_identities_property():
 
     check()
     assert len(exact) >= 10
+
+
+# -- the term-dict division against the jet loop it replaced --------------------
+
+
+def newton_inverse(u):
+    """Reference: the inverse of a unit by Newton iteration on jets, as
+    ``Jet.invert_unit`` formed it before it ran on term dicts."""
+    c0 = u.constant_term()
+    if not c0:
+        raise NotAUnitError("constant term vanishes; not a unit")
+    inv0 = scalar_inverse(c0)
+    one = Jet.constant(u.ctx, 1, u.order, exact=True)
+    w = one - u.scale(inv0)
+    g = (one + w).scale(inv0)
+    steps = [u.order]
+    while not w.is_zero() and steps[-1] > 2 * w.order_of():
+        steps.append((steps[-1] + 1) // 2)
+    for prec in reversed(steps[:-1]):
+        g = Jet(u.ctx, prec, g.terms, False)
+        g = g - g * (u.truncate(prec) * g - 1)
+    exact = u.exact and u.total_degree() in (None, 0)
+    return Jet(u.ctx, u.order, g.terms, exact)
+
+
+def loop_divide(g, f, var):
+    """Reference: ``weierstrass_divide`` as the fixed-point loop on jets, with
+    the Newton inverse, as it ran before its passes moved to term dicts."""
+    p = regularity_order(f, var)
+    if p == INFINITE_ORDER:
+        raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
+    order = min(g.order, f.order)
+    g = g.truncate(order)
+    f = f.truncate(order)
+    if p == 0:
+        return g * newton_inverse(f), Jet.zero(f.ctx, order)
+    f_low, w = f.split(var, p)
+    winv = newton_inverse(w)
+    q = Jet.zero(f.ctx, order)
+    for _ in range(order + 1):
+        _, high = (g - q * f_low).split(var, p)
+        q_next = winv * high
+        if (q_next - q).is_zero():
+            q = q_next
+            break
+        q = q_next
+    r = g - q * f
+    if (r.degree_in(var) or 0) >= p:
+        raise ConsistencyError("division iteration failed to reduce the remainder")
+    return q, r
+
+
+def outcome(fn, *args):
+    """The terms, order and flag of each jet ``fn`` returns, or the class of
+    the error it raises."""
+    try:
+        return [(j.terms, j.order, j.exact) for j in fn(*args)]
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+ALPHA = NumberField([-2, 0, 1]).generator()
+
+
+def division_cases(st):
+    """``(g, f, var)`` in 1-3 variables at orders 1-16, exact or truncated,
+    with integer, rational or one ``Q(alpha)`` coefficient; ``w(0)`` is
+    drawn from ``1, -1, 2, -3/2``, or 0, which leaves ``f`` regular only
+    through another pure power of ``var``.  ``g`` may sit two orders above
+    or below ``f``; below, the truncation may leave ``w`` no unit."""
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 3))
+        ctx = VarContext.make([f"x{i}" for i in range(1, n + 1)])
+        var = draw(st.sampled_from(ctx.names))
+        kind = draw(st.sampled_from(("integer", "rational", "algebraic")))
+        nonzero = st.integers(-3, 3).filter(bool)
+        values = (nonzero.map(Fraction) if kind == "integer"
+                  else st.builds(Fraction, nonzero, st.integers(1, 4)))
+        keys = st.tuples(*[st.integers(0, 4)] * n)
+        f = draw(st.dictionaries(keys, values, max_size=5))
+        g = draw(st.dictionaries(keys, values, min_size=1, max_size=5))
+        p = draw(st.integers(0, 3))
+        pure = tuple(p if name == var else 0 for name in ctx.names)
+        f[pure] = Fraction(draw(st.sampled_from((1, -1, 2, Fraction(-3, 2), 0))))
+        if kind == "algebraic":
+            (f if draw(st.booleans()) else g)[draw(st.sampled_from((pure, draw(keys))))] = ALPHA
+        order = draw(st.integers(1, 16))
+        g_order = max(1, order + draw(st.sampled_from((0, 0, 2, -2))))
+        return (Jet(ctx, g_order, g, draw(st.booleans())),
+                Jet(ctx, order, f, draw(st.booleans())), var)
+
+    return cases()
+
+
+def test_divide_matches_the_jet_loop_property():
+    # the same quotient and remainder, terms, order and flag, or the same
+    # error, as the loop on jets with the Newton inverse
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = []
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(division_cases(st))
+    def check(case):
+        got = outcome(weierstrass_divide, *case)
+        assert got == outcome(loop_divide, *case)
+        seen.append(got if isinstance(got, type) else "divided")
+        if not isinstance(got, type):
+            # the values leave the kernel as Fraction or FieldElement, never int
+            assert all(type(v) is not int for terms, _, _ in got for v in terms.values())
+
+    check()
+    assert seen.count("divided") >= 30 and NotRegularError in seen
+
+
+def test_divide_at_order_40_matches_the_jet_loop():
+    # an exact integer division with w(0) = 1, whose products take the
+    # Kronecker kernel on int values, and a truncated rational one with w(0) = 3
+    germ = x2(40) ** 2 + 2 * x1(40) ** 2 * x2(40) - x1(40) ** 3
+    f = germ * (1 + x1(40) - x2(40))
+    truncated = germ * (3 + x1(40) - x2(40)) + x2(40) ** 41 - x1(40) ** 39
+    assert f.exact and not truncated.exact
+    rational = x2(40) ** 5 + Jet.monomial(X2, (3, 1), Fraction(2, 7), 40)
+    for g, divisor in ((x2(40) ** 2, f), (rational, truncated)):
+        assert outcome(weierstrass_divide, g, divisor, "x2") \
+            == outcome(loop_divide, g, divisor, "x2")
+
+
+def test_invert_unit_matches_newton_on_both_sides_of_the_term_count():
+    rng = random.Random(5)
+    x3 = VarContext.make(["x1", "x2", "x3"])
+    sparse = [Jet(X2, 12, {(0, 0): 1, (1, 0): 1, (0, 1): -2}, True),
+              Jet(X2, 9, {(0, 0): Fraction(3, 4), (2, 1): 5, (0, 3): Fraction(-1, 2)}, False),
+              Jet(x3, 7, {(0, 0, 0): 2, (1, 0, 0): ALPHA, (0, 1, 2): 1}, True),
+              Jet(X2, 30, {(0, 0): -1, (4, 0): 1, (0, 7): 3}, True)]
+    dense = [Jet(X2, 14, {(a, b): Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+                          for a in range(12) for b in range(12 - a)}, exact)
+             for exact in (True, False)]
+    dense.append(Jet(x3, 8, {(a, b, c): rng.randint(-2, 2) or 1 for a in range(6)
+                             for b in range(6 - a) for c in range(6 - a - b)}, False))
+    assert all(len(u.terms) <= jets_module._RECURRENCE_MAX_TERMS for u in sparse)
+    assert all(len(u.terms) > jets_module._RECURRENCE_MAX_TERMS for u in dense)
+    for u in sparse + dense:
+        assert outcome(lambda: [u.invert_unit()]) == outcome(lambda: [newton_inverse(u)])
+
+
+def test_weierstrass_divide_forms_no_jet_product_or_inverse(monkeypatch):
+    # the division passes run on term dicts: a ladder-shaped preparation
+    # calls Jet.__mul__ and Jet.invert_unit only outside weierstrass_divide
+    f = (x2(12) ** 2 + 2 * x1(12) ** 2 * x2(12) - x1(12) ** 3) * (1 + x1(12) - x2(12))
+    divide_code = weierstrass.weierstrass_divide.__code__
+    calls = []
+
+    def inside_divide():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code is not divide_code:
+            frame = frame.f_back
+        return frame is not None
+
+    for name in ("__mul__", "invert_unit"):
+        def spy(self, *args, _original=getattr(Jet, name), _name=name):
+            calls.append((_name, inside_divide()))
+            return _original(self, *args)
+
+        monkeypatch.setattr(Jet, name, spy)
+    divisions = []
+    divide = weierstrass.weierstrass_divide
+    monkeypatch.setattr(weierstrass, "weierstrass_divide",
+                        lambda *args: divisions.append(1) or divide(*args))
+    weierstrass_prepare(f, "x2")
+    assert divisions and ("__mul__", False) in calls
+    assert not [c for c in calls if c[1]]
 
 
 def test_prepare_geometric_series_example():
