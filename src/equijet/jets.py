@@ -30,9 +30,10 @@ Coefficients in an algebraic extension, fewer term pairs and operands too
 sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
-The unit inverse (:meth:`Jet.invert_unit`) and the Weierstrass division
-(:meth:`Jet.divmod_regular`) run on term dicts, with ``int`` values while
-the coefficients are integers, through the same product dispatch.
+The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
+dicts.  The Weierstrass division (:meth:`Jet.divmod_regular`) runs on term
+dicts too, with ``int`` values while the coefficients are integers, through
+the same product dispatch.
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -329,11 +330,6 @@ def _product(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
 
 # -- the unit inverse and the Weierstrass division on term dicts ---------------
 
-#: Units with at most this many terms are inverted by the degree recurrence,
-#: denser ones by Newton iteration (:func:`_inverse`).
-_RECURRENCE_MAX_TERMS = 20
-
-
 def _integral(t: Mapping[Exponents, Scalar]) -> Dict[Exponents, Scalar]:
     """``t`` with its integral ``Fraction`` values as ``int``, which the
     ``Jet`` constructor turns back."""
@@ -366,30 +362,28 @@ def _split(t: Mapping[Exponents, Scalar], idx: int, p: int
 def _flagged_product(ta: Mapping[Exponents, Scalar], exact_a: bool,
                      tb: Mapping[Exponents, Scalar], exact_b: bool,
                      n: int, order: int) -> Tuple[Dict[Exponents, Scalar], bool]:
-    """The terms and flag of the product of two jets at ``order``, by the
-    rules of :meth:`Jet.__mul__`: the whole product of exact operands, exact
-    unless it drops a nonzero term at or above ``order``; otherwise only the
-    pairs below ``order``, not exact."""
+    """The terms and flag of the product of two jets at ``order``, as
+    :meth:`Jet.__mul__` gives them (``tests/test_jets.py`` compares the
+    two): the whole product of exact operands, exact unless it drops a
+    nonzero term at or above ``order``; otherwise only the pairs below
+    ``order``, not exact."""
     full = exact_a and exact_b
     prod = {k: v for k, v in _product(ta, tb, n, None if full else order).items() if v}
     kept = _below(prod, order)
     return kept, full and len(kept) == len(prod)
 
 
-def _inverse(t: Mapping[Exponents, Scalar], n: int, order) -> Dict[Exponents, Scalar]:
-    """The terms of the inverse modulo total degree ``order`` of the unit
-    ``c0 + w_1 + w_2 + ...`` (``w_d`` of degree ``d``) with the terms ``t``.
+def _inverse(t: Mapping[Exponents, Scalar], exact: bool, n: int, order
+             ) -> Tuple[Dict[Exponents, Scalar], bool]:
+    """The terms and flag of the inverse modulo total degree ``order`` of the
+    unit ``c0 + w_1 + w_2 + ...`` (``w_d`` of degree ``d``) with the terms
+    ``t`` and the flag ``exact``.
 
-    A unit of at most ``_RECURRENCE_MAX_TERMS`` terms takes the degree
-    recurrence ``inv_d = -(1/c0) * sum_(i>=1) w_i*inv_(d-i)``, in which each
-    term of the unit meets each term of the inverse once.  A denser one
-    takes Newton iteration, a few whole products through the Kronecker
-    kernel: with ``t = c0*(1 - u)`` and ``u`` of valuation ``v``,
-    ``(1 + u)/c0`` is the inverse modulo degree ``2v``, and each step
-    ``g <- g - g*(t*g - 1)`` doubles the degree to which ``g`` is right
-    (Brent & Kung 1978).  The inverse modulo the order is unique, so both
-    give the same terms.  A non-constant unit at ``INFINITE_ORDER`` raises
-    ``ValueError``: its inverse is a genuine series.
+    The terms come from the degree recurrence
+    ``inv_d = -(1/c0) * sum_(i>=1) w_i*inv_(d-i)``, in which each term of the
+    unit meets each term of the inverse below the order once.  The inverse
+    is exact only for an exact constant: that of a non-constant unit is a
+    genuine series, and at ``INFINITE_ORDER`` it raises ``ValueError``.
     """
     zero = (0,) * n
     c0 = t.get(zero)
@@ -400,20 +394,10 @@ def _inverse(t: Mapping[Exponents, Scalar], n: int, order) -> Dict[Exponents, Sc
     else:
         inv0 = scalar_inverse(c0)
     if len(t) == 1:
-        return {zero: inv0}
+        return {zero: inv0}, exact
     if order == INFINITE_ORDER:
         raise ValueError("the inverse of a non-constant unit is known to no order")
     rest = sorted((sum(k), k, v) for k, v in t.items() if k != zero)
-    if len(t) > _RECURRENCE_MAX_TERMS:
-        g = {k: inv0 if k == zero else -v * inv0 * inv0 for k, v in t.items()}
-        steps = [order]  # the precisions of the steps, each at most twice the one before
-        while steps[-1] > 2 * rest[0][0]:
-            steps.append((steps[-1] + 1) // 2)
-        for prec in reversed(steps[:-1]):
-            g = _below(g, prec)
-            error = _difference(_product(t, g, n, prec), {zero: 1})
-            g = _difference(g, _product(g, error, n, prec))
-        return g
     layers = [{zero: inv0}]  # layers[d] holds the terms of inv_d
     for d in range(1, order):
         acc: Dict[Exponents, Scalar] = {}
@@ -422,7 +406,7 @@ def _inverse(t: Mapping[Exponents, Scalar], n: int, order) -> Dict[Exponents, Sc
                 key = tuple(map(operator.add, kw, ki))
                 acc[key] = acc.get(key, 0) + cw * ci
         layers.append({k: -v * inv0 for k, v in acc.items() if v})
-    return {k: v for layer in layers for k, v in layer.items()}
+    return {k: v for layer in layers for k, v in layer.items()}, False
 
 
 class Jet:
@@ -629,54 +613,54 @@ class Jet:
         return result
 
     def invert_unit(self) -> "Jet":
-        """Multiplicative inverse modulo the order (:func:`_inverse`): by the
-        degree recurrence for a unit of at most ``_RECURRENCE_MAX_TERMS``
-        terms, else by Newton iteration; the inverse modulo the order is
-        unique, so the two give the same terms.
+        """Multiplicative inverse modulo the order, by the degree recurrence
+        (:func:`_inverse`).
 
         The result is flagged exact only for constants: inverses of
         non-constant units are genuinely infinite series.
         """
-        terms = _inverse(_integral(self.terms), len(self.ctx.names), self.order)
-        return Jet(self.ctx, self.order, terms, self.exact and self.total_degree() == 0)
+        terms, exact = _inverse(_integral(self.terms), self.exact, len(self.ctx.names), self.order)
+        return Jet(self.ctx, self.order, terms, exact)
 
     def divmod_regular(self, f: "Jet", name: str, p: int) -> Tuple["Jet", "Jet"]:
-        """``(q, r)`` with ``self = q*f + r`` modulo the lower order ``N`` and
+        """``(q, r)`` with ``self = q*f + r`` modulo the common order ``N`` and
         ``deg_name r < p``, for ``f = f_low + name^p * w`` with ``w`` a unit
         at ``N``: the passes ``q <- w^-1 * high`` of Weierstrass division,
         ``high`` the part of ``self - q*f_low`` from ``name^p`` on, until
-        ``q`` repeats (at most ``N + 1`` passes).
+        ``q`` repeats (at most ``N + 1`` passes).  ``self`` and ``f`` must
+        share their context and their order ``N``; the caller truncates them.
 
         The passes run on term dicts, with ``int`` values while the
         coefficients are integers, and ``w`` is inverted once
         (:func:`_inverse`).  Each intermediate carries the flag that the same
         steps on jets give: a product by :func:`_flagged_product`, a
-        difference exact when both operands are, ``w^-1`` exact only for an
-        exact constant ``w``.  ``r`` is ``self - q*f`` itself, not the last
-        low part, so that a failed division shows as ``deg_name r >= p``
-        and the flag of ``r`` is that of the identity.
+        difference exact when both operands are, ``w^-1`` by
+        :func:`_inverse`.  ``r`` is ``self - q*f`` itself, not the last low
+        part, so that a failed division shows as ``deg_name r >= p`` and the
+        flag of ``r`` is that of the identity.
         """
-        f = self._coerce(f)
-        order = min(self.order, f.order)
-        g, f = self.truncate(order), f.truncate(order)
+        if f.ctx != self.ctx:
+            raise ContextMismatchError(f"context mismatch: {self.ctx.names} vs {f.ctx.names}")
+        if f.order != self.order:
+            raise ValueError("divmod_regular needs the two jets at one order")
+        order = self.order
         n, idx = len(self.ctx.names), self.ctx.index(name)
-        tg, tf = _integral(g.terms), _integral(f.terms)
+        tg, tf = _integral(self.terms), _integral(f.terms)
         f_low, w = _split(tf, idx, p)
-        winv = _inverse(w, n, order)
-        winv_exact = f.exact and not any(map(any, w))
+        winv, winv_exact = _inverse(w, f.exact, n, order)
         q, q_exact = {}, True
         for _ in range(order + 1):
             prod, prod_exact = _flagged_product(q, q_exact, f_low, f.exact, n, order)
             _, high = _split(_difference(tg, prod), idx, p)
             q_next, next_exact = _flagged_product(winv, winv_exact, high,
-                                                  g.exact and prod_exact, n, order)
+                                                  self.exact and prod_exact, n, order)
             done = q_next == q
             q, q_exact = q_next, next_exact
             if done:
                 break
         prod, prod_exact = _flagged_product(q, q_exact, tf, f.exact, n, order)
         return (Jet(self.ctx, order, q, q_exact),
-                Jet(self.ctx, order, _difference(tg, prod), g.exact and prod_exact))
+                Jet(self.ctx, order, _difference(tg, prod), self.exact and prod_exact))
 
     def derivative(self, name: str) -> "Jet":
         idx = self.ctx.index(name)

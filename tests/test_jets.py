@@ -629,6 +629,36 @@ def test_kronecker_product_matches_the_reference_property(monkeypatch):
     assert sum(taken) > len(taken) // 2
 
 
+def test_flagged_product_is_the_jet_product_property(monkeypatch):
+    # the product that Weierstrass division runs on term dicts, with int
+    # values where they are integral, gives the terms and flag of Jet.__mul__
+    st = pytest.importorskip("hypothesis").strategies
+    taken = count_kronecker(monkeypatch)
+    flags = set()
+
+    def body(operands):
+        order = min(j.order for j in operands)
+        a, b = (j.truncate(order) for j in operands)
+        got = jets_module._flagged_product(jets_module._integral(a.terms), a.exact,
+                                           jets_module._integral(b.terms), b.exact,
+                                           len(a.ctx.names), order)
+        prod = a * b
+        assert got == (prod.terms, prod.exact)
+        flags.add((a.exact and b.exact, prod.exact))
+
+    check_property([st.one_of(wide_jets(st), st.tuples(jets(st), jets(st)))], body)
+    assert any(taken) and not all(taken)
+    assert {(True, True), (True, False), (False, False)} <= flags
+
+
+def test_divmod_regular_needs_one_context_and_one_order():
+    f = y(order=6) + x(order=6) ** 2
+    with pytest.raises(ValueError):
+        x(order=8).divmod_regular(f, "x2", 1)
+    with pytest.raises(ContextMismatchError):
+        x(TX, order=6).divmod_regular(f, "x2", 1)
+
+
 def test_kronecker_seeded_differential(monkeypatch):
     """3,000 seeded products, exact, truncated and mixed, in 1-4 variables,
     equal the reference product as whole jets: terms, order and flag."""
