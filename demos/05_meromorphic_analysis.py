@@ -33,7 +33,7 @@ print(f"reality of the constants: {an.reality}")
 
 print()
 print("== the emitted polynomial system ==")
-sysS = emit_system(an, f, g)
+sysS = emit_system(an)
 for lhs, rhs in sysS.equations:
     print(f"  {lhs} = {rhs}")
 print("reference solution: "

@@ -333,7 +333,7 @@ def _cmd_mero_analyze(args) -> Tuple[dict, List[str], int]:
 def _cmd_emit_system(args) -> Tuple[dict, List[str], int]:
     f, g, ctx = _germ_args(args)
     an = analyze(f, g)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     equations = [{
         "lhs": _jet_entry(lhs),
         "rhs": _jet_entry(rhs),
@@ -359,10 +359,10 @@ def _cmd_emit_system(args) -> Tuple[dict, List[str], int]:
 def _cmd_mero_deform(args) -> Tuple[dict, List[str], int]:
     f, g, ctx = _germ_args(args)
     an = analyze(f, g)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     z_names = _names(args.zvars)
     x_names = ctx.names
-    y_names = sysS.y1_names + sysS.y2_names + sysS.y3_names + sysS.y4_names
+    y_names = sysS.y_ctx.names
     sys_ctx = VarContext.make(x_names + y_names)
     system = tuple((lhs - rhs).in_context(sys_ctx) for lhs, rhs in sysS.equations)
     if z_names:

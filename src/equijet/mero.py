@@ -409,8 +409,9 @@ class SystemS:
     solution: Tuple[Jet, ...]
 
 
-def emit_system(analysis: MeroAnalysis, f: FactoredGerm, g: FactoredGerm) -> SystemS:
+def emit_system(analysis: MeroAnalysis) -> SystemS:
     """Emit the equations over fresh variables plus the reference solution."""
+    f, g = analysis.f, analysis.g
     p, q, e = len(f.factors), len(g.factors), analysis.e
     y1 = tuple(f"y1_{i}" for i in range(1, p + 1))
     y2 = tuple(f"y2_{j}" for j in range(1, q + 1))

@@ -20,19 +20,21 @@ determinant of every leading principal submatrix on the way, so one pass over
 the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
 Newton's identities, which give the power sums from the coefficients, are
 division-free too.  Both recursions are written once, over any commutative
-ring (:func:`_newton`, :func:`_berkowitz`), and run on one of two rings:
+ring (:func:`_newton`, :func:`_berkowitz`), and each input takes one of two
+routes, onto Kronecker images (plain integers: each input packed once, each
+minor unpacked once) or onto jets (one :meth:`Jet.dot`, a loop of jet
+products, per step):
 
-* Kronecker images, plain integers.  A polynomial with integer coefficients
-  (:func:`~equijet.jets.hankel_images`) packs each coefficient once, runs
-  both recursions on the integers and unpacks each minor once; the power
-  sums are never formed as jets.  Any other matrix of integer polynomials
-  (:func:`~equijet.jets.minor_images`) packs each entry once for the
-  Berkowitz pass.  The images live in Z when every input is known to every
-  order, and modulo a power of 2 when the inputs are truncated and the
-  leading 2-by-2 block of the matrix has an entry that is not exact.
-* jets, one :meth:`Jet.dot` (a loop of jet products) per step: rational
-  or ``Q(alpha)`` coefficients, and truncated input whose flags each
-  product's own truncation decides.
+* a polynomial (:func:`hankel_minors`) runs both recursions on images when
+  :func:`~equijet.jets.hankel_images` gives them, else on jets;
+* a matrix handed to :func:`berkowitz_minors` (the Sylvester matrices of
+  :func:`resultant_jets`) runs the Berkowitz pass on images when
+  :func:`~equijet.jets.minor_images` gives them, else on jets.
+
+The images live in Z when every input is known to every order, and modulo
+a power of 2 when the inputs are truncated and flag the minors as not
+exact.  Jets take rational or ``Q(alpha)`` coefficients, and truncated
+input whose flags each product's own truncation decides.
 """
 
 from __future__ import annotations
@@ -240,8 +242,8 @@ def power_sums(P: PseudoPolynomial, count: int) -> List[Jet]:
     ``s_k`` is one dot product of coefficients and earlier sums
     (:meth:`Jet.dot`, one jet product per pair).  Exact input is processed
     at every order so the sums come out exact whatever their degree.
-    :func:`hankel_minors` runs the same recursion on integer images when it
-    can, and does not call this.
+    :func:`hankel_minors` runs the same recursion itself and does not call
+    this.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
@@ -274,19 +276,12 @@ def _berkowitz(rows, diagonal, one, zero, dot) -> list:
     return minors
 
 
-def _integer_dot(xs: Sequence[int], ys: Sequence[int], acc: int) -> int:
-    return sum(map(operator.mul, xs, ys), acc)
-
-
 def _image_dot(mask: Optional[int]):
     """The dot product of the ring of Kronecker images with this mask:
     plain integers for None, else every sum reduced modulo ``mask + 1``."""
     if mask is None:
-        return _integer_dot
-
-    def dot(xs, ys, acc):
-        return _integer_dot(xs, ys, acc) & mask
-    return dot
+        return lambda xs, ys, acc: sum(map(operator.mul, xs, ys), acc)
+    return lambda xs, ys, acc: sum(map(operator.mul, xs, ys), acc) & mask
 
 
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
@@ -295,21 +290,21 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     order ``N`` in the matrix, from one Berkowitz pass (it extends each
     block's characteristic polynomial to the next).
 
-    A matrix of integer polynomials runs the pass on plain integers, their
-    Kronecker images (:func:`minor_images`): each entry is packed once and
-    each minor but the first (the entry ``rows[0][0]`` at order ``N``)
+    This serves the matrices handed to it, the Sylvester matrices of
+    :func:`resultant_jets` among them; :func:`hankel_minors` runs its own
+    pass.  A matrix of integer polynomials runs the pass on plain integers,
+    their Kronecker images (:func:`minor_images`): each entry is packed once
+    and each minor but the first (the entry ``rows[0][0]`` at order ``N``)
     unpacked once.  It does so in one of two boxes:
 
-    * every entry exact at ``INFINITE_ORDER`` (the exact Hankel matrices of
-      :func:`hankel_minors` and the exact Sylvester matrices of
-      :func:`resultant_jets`): the box is, per variable, the sum over rows
-      of the row's greatest degree, and the pass runs in Z;
+    * every entry exact at ``INFINITE_ORDER`` (the exact Sylvester matrices
+      of :func:`resultant_jets`): the box is, per variable, the sum over
+      rows of the row's greatest degree, and the pass runs in Z;
     * ``N`` finite and at least 1, with an entry of the leading 2-by-2
-      block not exact (the truncated Hankel matrices): the box is graded by
-      total degree below ``N``, and the pass runs modulo
-      ``2^(8*w*N^(#active))``, where evaluation is a ring homomorphism from
-      ``Z[x]/(deg >= N)``; every minor from the second on is not exact, as
-      it is on jets.
+      block not exact: the box is graded by total degree below ``N``, and
+      the pass runs modulo ``2^(8*w*N^(#active))``, where evaluation is a
+      ring homomorphism from ``Z[x]/(deg >= N)``; every minor from the
+      second on is not exact, as it is on jets.
 
     In both, the digits hold Hadamard's bound
     ``prod_i sqrt(sum_j ||M_ij||_1^2)`` at its largest over the leading
@@ -321,9 +316,7 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     a dot product ``sum x*y`` (:meth:`Jet.dot`), one jet product per pair.
     A product of two exact operands, one of them zero, is not formed; a
     zero known only modulo its order is still multiplied, because it clears
-    the exact flag.  Every power sum of an
-    exact ``x^p`` but ``s_0`` is an exact zero, so its pass forms a few
-    dozen of its ~p^4/4 products."""
+    the exact flag."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
@@ -352,17 +345,17 @@ def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     Vandermonde of the subset.  Exact coefficients are lifted to every
     order, so certified answers stay exact whatever their degree.
 
-    When the coefficients have integer Kronecker images
-    (:func:`~equijet.jets.hankel_images`: integer coefficients, ``p >= 2``,
-    and ``P`` exact, or truncated at an order ``N >= 1`` with ``a_1`` or
-    ``a_2`` not exact), each ``a_i`` is packed once, :func:`_newton` and
-    :func:`_berkowitz` run on the integers (modulo a power of 2 in the
-    truncated case), and each minor but the first is unpacked once: the
-    power sums are never formed as jets.  The box and the digit width hold
-    the minors, by bounds on the degrees and norms of the power sums proved
-    in :func:`~equijet.jets.hankel_images`.  Every other ``P`` forms the
-    power sums on jets (:func:`power_sums`) and takes
-    :func:`berkowitz_minors`.  Both give the same terms, order and flag.
+    :func:`~equijet.jets.hankel_images` alone picks the ring, on which
+    :func:`_newton` and :func:`_berkowitz` run once each.  It gives integer
+    Kronecker images for integer coefficients, ``p >= 2``, and ``P`` exact,
+    or truncated at an order ``N >= 1`` with ``a_1`` or ``a_2`` not exact:
+    each ``a_i`` is packed once, the passes run on the integers (modulo a
+    power of 2 in the truncated case), and each minor but the first is
+    unpacked once, so the power sums are never formed as jets.  The box and
+    the digit width hold the minors, by bounds on the degrees and norms of
+    the power sums proved there.  Every other ``P`` runs the passes on
+    jets, one :meth:`Jet.dot` per step.  Both give the same terms, order
+    and flag.
     """
     if not (1 <= k <= P.degree):
         raise PreconditionError(f"k={k} out of range 1..{P.degree}")
@@ -370,14 +363,15 @@ def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     P = _exact_lift(P)
     images = hankel_images(P.coeffs, k)
     if images is None:
-        sums = power_sums(P, 2 * k - 1)
-        minors = berkowitz_minors([[sums[i + j] for j in range(k)] for i in range(k)])
+        coeffs, one, zero = P.coeffs, Jet.constant(P.ctx, 1, P.order), Jet.zero(P.ctx, P.order)
+        dot, scale = Jet.dot, Jet.scale
     else:
-        packed, unpack, mask = images
-        dot = _image_dot(mask)
-        sums = _newton(packed, 2 * k - 1, P.degree, 0, dot, operator.mul)
-        rows = [[sums[i + j] for j in range(k)] for i in range(k)]
-        minors = _berkowitz(rows, [rows[r][r] for r in range(k)], 1, 0, dot)
+        coeffs, unpack, mask = images
+        one, zero, dot, scale = 1, 0, _image_dot(mask), operator.mul
+    sums = _newton(coeffs, 2 * k - 1, scale(one, P.degree), zero, dot, scale)
+    rows = [[sums[i + j] for j in range(k)] for i in range(k)]
+    minors = _berkowitz(rows, [rows[r][r] for r in range(k)], one, zero, dot)
+    if images is not None:
         minors = [Jet.constant(P.ctx, P.degree, P.order)] + [unpack(m) for m in minors[1:]]
     return [_settle(d, base_order) for d in minors]
 

@@ -178,9 +178,10 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
 
 def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     """Divide ``g`` by a ``var``-regular series: ``g = q f + r`` mod the order,
-    with deg_var(r) < p.  The order is ``min(g.order, f.order)``; the passes
-    run on term dicts, with integer values when the coefficients allow
-    (:meth:`Jet.divmod_regular <equijet.jets.Jet.divmod_regular>`)."""
+    with deg_var(r) < p.  The order is ``min(g.order, f.order)``, finite
+    unless p = 0; the passes run on term dicts, with integer values when the
+    coefficients allow (:meth:`Jet.divmod_regular
+    <equijet.jets.Jet.divmod_regular>`)."""
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
         raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
@@ -189,6 +190,8 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     f = f.truncate(order)
     if p == 0:
         return g * f.invert_unit(), Jet.zero(f.ctx, order)
+    if order == INFINITE_ORDER:
+        raise PreconditionError("Weierstrass division needs a finite order")
     q, r = g.divmod_regular(f, var, p)
     if (r.degree_in(var) or 0) >= p:
         raise ConsistencyError("division iteration failed to reduce the remainder")
@@ -198,11 +201,11 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
 def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     """Factor ``f = unit * W`` with ``W`` monic distinguished in ``var``.
 
-    Requires finite regularity order ``p``; computed by dividing ``var^p`` by
-    ``f``.  In a one-variable context ``W`` is exactly ``var^p``.  For exact
-    input the candidate ``W`` is certified by :func:`polygcd.exact_divide`;
-    on success ``W`` is exact, and so is the unit unless the quotient
-    reaches the certification order.
+    Requires finite regularity order ``p``, and a finite order unless p = 0;
+    computed by dividing ``var^p`` by ``f``.  In a one-variable context
+    ``W`` is exactly ``var^p``.  For exact input the candidate ``W`` is
+    certified by :func:`polygcd.exact_divide`; on success ``W`` is exact,
+    and so is the unit unless the quotient reaches the certification order.
 
     Exact input is divided at the probe orders ``p+2, 2(p+2), 4(p+2), ...``
     below the order, then at the order itself, and the first candidate that
@@ -228,6 +231,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         unit = f
         poly = PseudoPolynomial(var, (), ctx=f.ctx, order=order)
         return PreparedForm(unit=unit, poly=poly, order=order)
+    if order == INFINITE_ORDER:
+        raise PreconditionError("Weierstrass preparation needs a finite order")
     probes = []
     if f.exact:
         probe = p + 2

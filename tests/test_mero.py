@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -504,7 +505,7 @@ def test_emit_system_fixture():
     f = germ((x1(), 1), (x2(), 1))
     g = germ((x1() + x2(), 2))
     an = analyze(f, g)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     # the constant 1/4 and the power mu + 1 = 2 of the single record
     [(lhs, rhs)] = sysS.equations
     assert str(lhs) == "-1/4*y2_1^2 + y1_1*y1_2"
@@ -522,7 +523,7 @@ def test_emit_system_fixture():
 def test_emit_system_empty():
     f = germ((x2(), 2))
     g = germ((x1(), 1))
-    sysS = emit_system(analyze(f, g), f, g)
+    sysS = emit_system(analyze(f, g))
     assert sysS.equations == ()
     assert sysS.solution == (x2(), x1())
 
@@ -538,7 +539,7 @@ def test_emit_system_two_divisor_fixture():
     assert len(an.informational) == 1
     info = an.informational[0]
     assert info.mu == 0 and info.c == Fraction(2, 9)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     # informational records enter no equation
     assert len(sysS.equations) == 1
 
@@ -569,7 +570,7 @@ def test_mero_deformation_identity_family():
     f = germ((x1(), 1), (x2(), 1))
     g = germ((x1() + x2(), 2))
     an = analyze(f, g)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     family = _fixture_family(an, sysS, f, g)
     rep = build_mero_deformation(an, family, [Fraction(0), Fraction(1, 2), Fraction(1)],
                                  k0=4)
@@ -582,6 +583,9 @@ def test_mero_deformation_identity_family():
     assert rep.slices[1].reproduces_quotient is None
 
 
+TRANSLATION = ("x1+z-({w})", "x2+z-({w})", "x1+x2+2*z-2*({w})", "x1-x2", "-1/4")
+
+
 def _translation_case(witness, order):
     """The translation family of the golden ``mero_deform_family`` command
     through ``witness``, as ``mero-deform --zvars z`` builds it:
@@ -589,10 +593,9 @@ def _translation_case(witness, order):
     f = FactoredGerm.build(parse_factored("(x1)*(x2)", X, order))
     g = FactoredGerm.build(parse_factored("(x1+x2)^2", X, order))
     an = analyze(f, g)
-    sysS = emit_system(an, f, g)
+    sysS = emit_system(an)
     fam_ctx = VarContext.make(["x1", "x2", "z"])
-    fam = tuple(parse_jet(text.format(w=witness), fam_ctx, order)
-                for text in ("x1+z-({w})", "x2+z-({w})", "x1+x2+2*z-2*({w})", "x1-x2", "-1/4"))
+    fam = tuple(parse_jet(text.format(w=witness), fam_ctx, order) for text in TRANSLATION)
     y_names = sysS.y1_names + sysS.y2_names + sysS.y3_names + sysS.y4_names
     sys_ctx = VarContext.make(("x1", "x2") + y_names)
     family = SolutionFamily(
@@ -666,11 +669,39 @@ def test_mero_deformation_works_out_every_slice_but_the_analysed_germ(monkeypatc
     assert slices == _slices_from_scratch(an, family, grid, 4, f, g)
 
 
+@pytest.mark.parametrize("component, extra, reproduces", [
+    (0, "x1^12", False),  # above the order 10 of the factor targets
+    (3, "x1^16", True),   # above the order 15 of the divisor target
+], ids=["f-factor", "divisor"])
+def test_mero_deformation_checks_the_quotient_of_a_t0_slice_that_is_not_the_germ(
+        component, extra, reproduces):
+    # the family and its witness are stated at order 20, and one component
+    # carries a term above its target's order: the family still hits the
+    # targets, but its slice at t = 0 is not the analysed germ
+    sympy = pytest.importorskip("sympy")
+    an, family, f, g = _translation_case(GOLDEN_WITNESS, 10)
+    texts = list(TRANSLATION)
+    texts[component] += "+" + extra
+    fam_ctx = VarContext.make(["x1", "x2", "z"])
+    family = dataclasses.replace(
+        family, family=tuple(parse_jet(t.format(w=GOLDEN_WITNESS), fam_ctx, 20) for t in texts),
+        witness=(parse_jet(GOLDEN_WITNESS, X, 20),))
+    [sl] = build_mero_deformation(an, family, [Fraction(0)], k0=4).slices
+    # the oracle: f_slice*g == f*g_slice, expanded by sympy
+    z, w = sympy.Symbol("z"), sympy.sympify(GOLDEN_WITNESS.replace("^", "**"))
+    comps = [sympy.sympify(t.format(w=GOLDEN_WITNESS).replace("^", "**")).subs(z, w)
+             for t in texts]
+    fx, gx = sympy.sympify("x1*x2"), sympy.sympify("(x1+x2)**2")
+    oracle = sympy.expand(comps[0] * comps[1] * gx - fx * comps[2] ** 2) == 0
+    assert sl.polynomial_data and oracle is reproduces
+    assert sl.reproduces_quotient is oracle
+
+
 def test_mero_deformation_of_the_identity_family_makes_no_theta(monkeypatch):
     f = germ((x1(), 1), (x2(), 1))
     g = germ((x1() + x2(), 2))
     an = analyze(f, g)
-    family = _fixture_family(an, emit_system(an, f, g), f, g)
+    family = _fixture_family(an, emit_system(an), f, g)
     grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
     slices, made = _theta_calls(monkeypatch, an, family, grid, k0=4)
     assert made == 0

@@ -158,6 +158,18 @@ def test_divide_not_regular():
         weierstrass_divide(x1(), x1() * x2(), "x2")
 
 
+def test_divide_at_infinite_order_needs_a_finite_order(monkeypatch):
+    # w = 1, so no unit inverse refuses the order before the passes would run
+    g = (x2() ** 3 + x1()).with_order(INFINITE_ORDER)
+    f = (x2() ** 2 - x1() ** 3).with_order(INFINITE_ORDER)
+    monkeypatch.setattr(Jet, "divmod_regular", lambda *args: pytest.fail("the passes ran"))
+    with pytest.raises(PreconditionError, match="Weierstrass division needs a finite order"):
+        weierstrass_divide(g, f, "x2")
+    # p = 0: a constant divides at every order
+    q, r = weierstrass_divide(g, Jet.constant(X2, 2, INFINITE_ORDER), "x2")
+    assert q == g.scale(Fraction(1, 2)) and r.is_zero() and r.exact
+
+
 def test_divide_identity_randomized():
     rng = random.Random(21)
     for _ in range(60):
@@ -437,6 +449,18 @@ def test_prepare_divide_consistency():
 def test_prepare_not_regular():
     with pytest.raises(NotRegularError):
         weierstrass_prepare(x1() * x2(), "x2")
+
+
+def test_prepare_at_infinite_order_needs_a_finite_order(monkeypatch):
+    f = ((x2() ** 2 - x1() ** 3) * (1 + x1())).with_order(INFINITE_ORDER)
+    monkeypatch.setattr(weierstrass, "weierstrass_divide",
+                        lambda *args: pytest.fail("a probe division ran"))
+    with pytest.raises(PreconditionError, match="Weierstrass preparation needs a finite order"):
+        weierstrass_prepare(f, "x2")
+    # p = 0: a unit is its own preparation at every order
+    unit = (1 + x1()).with_order(INFINITE_ORDER)
+    pf = weierstrass_prepare(unit, "x2")
+    assert pf.unit == unit and pf.poly.degree == 0 and pf.order == INFINITE_ORDER
 
 
 def random_germ(rng, order):
