@@ -30,7 +30,7 @@ from .jets import DEFAULT_ORDER, Jet, VarContext, jet_to_text
 from .mero import FactoredGerm, analyze, build_mero_deformation, emit_system
 from .parser import parse_factored, parse_jet
 from .pseudopoly import PseudoPolynomial, generalized_discriminants
-from .scalars import Scalar, scalar_to_text
+from .scalars import Scalar, scalar_is_rational, scalar_to_text
 from .tower import build_tower, build_tower_system, check_family
 from .weierstrass import prepare_in, weierstrass_divide
 
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 # -- serialization --------------------------------------------------------
 
 def _scalar_entry(s: Scalar):
-    if isinstance(s, Fraction):
+    if scalar_is_rational(s):
         return str(s)
     return {"value": scalar_to_text(s),
             "minpoly": [str(c) for c in s.field.minpoly]}

@@ -18,6 +18,10 @@ Conventions:
 * only an exact jet may have ``order`` ``INFINITE_ORDER`` (known to every
   order): exact intermediates are lifted there so that no product truncates
   them, and settled with :meth:`Jet.polynomial` before they are returned;
+* a rational coefficient is stored as the ``int`` it is when it is
+  integral, else as a ``Fraction`` with a denominator above 1; the
+  constructor keeps this one format (and rejects a ``float``), so integer
+  jets run on plain ``int`` arithmetic throughout;
 * the term dict is this module's own format: other modules read jets
   through the queries and build them with the named constructors.
 
@@ -31,9 +35,7 @@ sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
 The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
-dicts.  The Weierstrass division (:meth:`Jet.divmod_regular`) runs on term
-dicts too, with ``int`` values while the coefficients are integers, through
-the same product dispatch.
+dicts (:func:`_inverse`).
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -70,7 +72,7 @@ from .errors import (
     SubstitutionDivergenceError,
     UnknownVariableError,
 )
-from .scalars import Scalar, as_scalar, scalar_inverse, scalar_to_text
+from .scalars import Scalar, as_scalar, scalar_inverse, scalar_is_rational, scalar_to_text
 
 DEFAULT_ORDER = 16
 
@@ -328,50 +330,7 @@ def _product(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
     return _schoolbook(ta, tb, limit) if prod is None else prod
 
 
-# -- the unit inverse and the Weierstrass division on term dicts ---------------
-
-def _integral(t: Mapping[Exponents, Scalar]) -> Dict[Exponents, Scalar]:
-    """``t`` with its integral ``Fraction`` values as ``int``, which the
-    ``Jet`` constructor turns back."""
-    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
-            for k, v in t.items()}
-
-
-def _difference(ta: Mapping[Exponents, Scalar],
-                tb: Mapping[Exponents, Scalar]) -> Dict[Exponents, Scalar]:
-    """The nonzero terms of ``ta - tb``."""
-    out = dict(ta)
-    for k, v in tb.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _split(t: Mapping[Exponents, Scalar], idx: int, p: int
-           ) -> Tuple[Dict[Exponents, Scalar], Dict[Exponents, Scalar]]:
-    """``(low, high)`` with ``t = low + x_idx^p * high`` and ``deg_(x_idx) low < p``."""
-    low: Dict[Exponents, Scalar] = {}
-    high: Dict[Exponents, Scalar] = {}
-    for k, v in t.items():
-        if k[idx] < p:
-            low[k] = v
-        else:
-            high[k[:idx] + (k[idx] - p,) + k[idx + 1:]] = v
-    return low, high
-
-
-def _flagged_product(ta: Mapping[Exponents, Scalar], exact_a: bool,
-                     tb: Mapping[Exponents, Scalar], exact_b: bool,
-                     n: int, order: int) -> Tuple[Dict[Exponents, Scalar], bool]:
-    """The terms and flag of the product of two jets at ``order``, as
-    :meth:`Jet.__mul__` gives them (``tests/test_jets.py`` compares the
-    two): the whole product of exact operands, exact unless it drops a
-    nonzero term at or above ``order``; otherwise only the pairs below
-    ``order``, not exact."""
-    full = exact_a and exact_b
-    prod = {k: v for k, v in _product(ta, tb, n, None if full else order).items() if v}
-    kept = _below(prod, order)
-    return kept, full and len(kept) == len(prod)
-
+# -- the unit inverse ----------------------------------------------------------
 
 def _inverse(t: Mapping[Exponents, Scalar], exact: bool, n: int, order
              ) -> Tuple[Dict[Exponents, Scalar], bool]:
@@ -389,10 +348,7 @@ def _inverse(t: Mapping[Exponents, Scalar], exact: bool, n: int, order
     c0 = t.get(zero)
     if not c0:
         raise NotAUnitError("constant term vanishes; not a unit")
-    if type(c0) is int:
-        inv0 = c0 if abs(c0) == 1 else Fraction(1, c0)
-    else:
-        inv0 = scalar_inverse(c0)
+    inv0 = c0 if c0 in (1, -1) else scalar_inverse(c0)
     if len(t) == 1:
         return {zero: inv0}, exact
     if order == INFINITE_ORDER:
@@ -427,8 +383,11 @@ class Jet:
         for key, val in terms.items():
             if len(key) != width:
                 raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
-            if type(val) is not Fraction:
-                val = Fraction(val) if type(val) is int else as_scalar(val)
+            if type(val) is not int:
+                if type(val) is not Fraction:
+                    val = as_scalar(val)
+                if type(val) is Fraction and val.denominator == 1:
+                    val = val.numerator
             if not val:
                 continue
             if finite and sum(key) >= order:
@@ -455,7 +414,7 @@ class Jet:
     def variable(cls, ctx: VarContext, name: str, order: int = DEFAULT_ORDER) -> "Jet":
         key = [0] * len(ctx.names)
         key[ctx.index(name)] = 1
-        return cls(ctx, order, {tuple(key): Fraction(1)}, True)
+        return cls(ctx, order, {tuple(key): 1}, True)
 
     @classmethod
     def monomial(cls, ctx: VarContext, exps: Exponents, coeff=1, order: int = DEFAULT_ORDER) -> "Jet":
@@ -477,7 +436,7 @@ class Jet:
 
     def coefficient(self, exps: Exponents) -> Scalar:
         """The stored coefficient of the monomial ``exps``; zero if absent."""
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def graded_items(self) -> List[Tuple[Exponents, Scalar]]:
         """The ``(exponents, coefficient)`` pairs in graded-lex order."""
@@ -619,48 +578,8 @@ class Jet:
         The result is flagged exact only for constants: inverses of
         non-constant units are genuinely infinite series.
         """
-        terms, exact = _inverse(_integral(self.terms), self.exact, len(self.ctx.names), self.order)
+        terms, exact = _inverse(self.terms, self.exact, len(self.ctx.names), self.order)
         return Jet(self.ctx, self.order, terms, exact)
-
-    def divmod_regular(self, f: "Jet", name: str, p: int) -> Tuple["Jet", "Jet"]:
-        """``(q, r)`` with ``self = q*f + r`` modulo the common order ``N`` and
-        ``deg_name r < p``, for ``f = f_low + name^p * w`` with ``w`` a unit
-        at ``N``: the passes ``q <- w^-1 * high`` of Weierstrass division,
-        ``high`` the part of ``self - q*f_low`` from ``name^p`` on, until
-        ``q`` repeats (at most ``N + 1`` passes).  ``self`` and ``f`` must
-        share their context and their order ``N``; the caller truncates them.
-
-        The passes run on term dicts, with ``int`` values while the
-        coefficients are integers, and ``w`` is inverted once
-        (:func:`_inverse`).  Each intermediate carries the flag that the same
-        steps on jets give: a product by :func:`_flagged_product`, a
-        difference exact when both operands are, ``w^-1`` by
-        :func:`_inverse`.  ``r`` is ``self - q*f`` itself, not the last low
-        part, so that a failed division shows as ``deg_name r >= p`` and the
-        flag of ``r`` is that of the identity.
-        """
-        if f.ctx != self.ctx:
-            raise ContextMismatchError(f"context mismatch: {self.ctx.names} vs {f.ctx.names}")
-        if f.order != self.order:
-            raise ValueError("divmod_regular needs the two jets at one order")
-        order = self.order
-        n, idx = len(self.ctx.names), self.ctx.index(name)
-        tg, tf = _integral(self.terms), _integral(f.terms)
-        f_low, w = _split(tf, idx, p)
-        winv, winv_exact = _inverse(w, f.exact, n, order)
-        q, q_exact = {}, True
-        for _ in range(order + 1):
-            prod, prod_exact = _flagged_product(q, q_exact, f_low, f.exact, n, order)
-            _, high = _split(_difference(tg, prod), idx, p)
-            q_next, next_exact = _flagged_product(winv, winv_exact, high,
-                                                  self.exact and prod_exact, n, order)
-            done = q_next == q
-            q, q_exact = q_next, next_exact
-            if done:
-                break
-        prod, prod_exact = _flagged_product(q, q_exact, tf, f.exact, n, order)
-        return (Jet(self.ctx, order, q, q_exact),
-                Jet(self.ctx, order, _difference(tg, prod), self.exact and prod_exact))
 
     def derivative(self, name: str) -> "Jet":
         idx = self.ctx.index(name)
@@ -829,7 +748,14 @@ class Jet:
     def split(self, name: str, p: int) -> Tuple["Jet", "Jet"]:
         """``(low, high)`` with ``self = low + name^p * high`` and the degree
         of ``low`` in ``name`` below ``p``; both keep this jet's order."""
-        low, high = _split(self.terms, self.ctx.index(name), p)
+        idx = self.ctx.index(name)
+        low: Dict[Exponents, Scalar] = {}
+        high: Dict[Exponents, Scalar] = {}
+        for k, v in self.terms.items():
+            if k[idx] < p:
+                low[k] = v
+            else:
+                high[k[:idx] + (k[idx] - p,) + k[idx + 1:]] = v
         return (Jet(self.ctx, self.order, low, self.exact),
                 Jet(self.ctx, self.order, high, self.exact))
 
@@ -913,8 +839,7 @@ class Jet:
 
 def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:
     """True when every jet lies in ``ctx`` and has integer coefficients."""
-    return all(e.ctx == ctx and all(type(v) is Fraction and v.denominator == 1
-                                    for v in e.terms.values()) for e in jets)
+    return all(e.ctx == ctx and all(type(v) is int for v in e.terms.values()) for e in jets)
 
 
 def _below(t: Mapping[Exponents, Scalar], order: int) -> Dict[Exponents, Scalar]:
@@ -923,7 +848,7 @@ def _below(t: Mapping[Exponents, Scalar], order: int) -> Dict[Exponents, Scalar]
 
 def _norm(t: Mapping[Exponents, Scalar]) -> int:
     """``||f||_1``, the sum of the absolute values of integer coefficients."""
-    return sum(abs(c.numerator) for c in t.values())
+    return sum(map(abs, t.values()))
 
 
 def _hadamard(norms: Sequence[Sequence[int]]) -> int:
@@ -957,7 +882,7 @@ def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], orde
         if not t:
             return 0
         slots = [sum(map(operator.mul, k, weights)) for k in t]
-        return _pack(slots, [c.numerator for c in t.values()], max(slots) + 1, width)
+        return _pack(slots, list(t.values()), max(slots) + 1, width)
 
     def unpack(image: int) -> Jet:
         return Jet(ctx, order, read(image, window, width, 1), box is not None)
@@ -1129,7 +1054,7 @@ def jet_to_text(j: Jet) -> str:
         mono = "*".join(
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(j.ctx.names, key) if e)
-        if isinstance(coeff, Fraction):
+        if scalar_is_rational(coeff):
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
             if not mono:

@@ -235,7 +235,7 @@ def _residues(j: Jet) -> Optional[List[Tuple[Tuple[int, int], int]]]:
     denominator divisible by ``_P``."""
     out = []
     for key, c in j.graded_items():
-        if type(c) is not Fraction or not c.denominator % _P:
+        if not scalar_is_rational(c) or not c.denominator % _P:
             return None
         out.append((key, c.numerator * pow(c.denominator, -1, _P) % _P))
     return out or None

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: rationals plus one simple algebraic extension.
 
-Coefficients throughout the package are either ``fractions.Fraction`` values
-or ``FieldElement`` values living in Q(alpha) for a stored monic minimal
-polynomial.  Nothing is ever rounded.  Results that happen to be rational are
-demoted back to plain ``Fraction``, so extension elements only appear where
-the extension is genuinely needed.
+Coefficients throughout the package are rational values or
+``FieldElement`` values living in Q(alpha) for a stored monic minimal
+polynomial.  Nothing is ever rounded.  Results that happen to be rational
+are demoted back to plain ``Fraction``, so extension elements only appear
+where the extension is genuinely needed.  A jet stores a rational value as
+an ``int`` when it is integral and as a ``Fraction`` otherwise, so a value
+read from a jet is inverted with :func:`scalar_inverse`, never ``1 / s``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def _frac(v) -> Fraction:
 
 
 def scalar_inverse(s: "Scalar") -> "Scalar":
-    return 1 / s if isinstance(s, Fraction) else s.inverse()
+    return Fraction(1) / s if isinstance(s, (int, Fraction)) else s.inverse()
 
 
 # -- univariate polynomials over the scalars (ascending coefficient lists) ----
@@ -287,7 +289,7 @@ class FieldElement:
         return f"FieldElement({scalar_to_text(self)})"
 
 
-Scalar = Union[Fraction, FieldElement]
+Scalar = Union[int, Fraction, FieldElement]
 
 
 def as_scalar(v) -> Scalar:

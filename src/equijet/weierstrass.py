@@ -1,12 +1,10 @@
 """Weierstrass division and preparation at finite order.
 
 The division ``g = q f + r`` is computed by the standard order-by-order
-fixed-point iteration; it converges within the certification order because
-the low part of a regular series has positive valuation in the remaining
-variables.  Its passes run on term dicts in :meth:`Jet.divmod_regular
-<equijet.jets.Jet.divmod_regular>`, with plain integer values while the
-coefficients are integers, and form no jet until ``q`` and ``r`` are
-returned.
+fixed-point iteration on jets; it converges within the certification order
+because the low part of a regular series has positive valuation in the
+remaining variables.  Its passes are jet products and differences around
+one unit inverse, which keep integral coefficients as ``int``.
 
 A series that is not regular in ``var`` is made so by an integer shear
 ``x_j -> x_j + c_j * var`` of a block of coordinates (:class:`LinearChange`),
@@ -178,21 +176,36 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
 
 def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
     """Divide ``g`` by a ``var``-regular series: ``g = q f + r`` mod the order,
-    with deg_var(r) < p.  The order is ``min(g.order, f.order)``, finite
-    unless p = 0; the passes run on term dicts, with integer values when the
-    coefficients allow (:meth:`Jet.divmod_regular
-    <equijet.jets.Jet.divmod_regular>`)."""
+    with deg_var(r) < p.  The order ``N`` is ``min(g.order, f.order)``,
+    finite unless ``f`` is a constant.
+
+    With ``f = f_low + var^p * w`` and ``w`` a unit, each pass sets
+    ``q <- w^-1 * high``, ``high`` the part of ``g - q*f_low`` from
+    ``var^p`` on, until ``q`` repeats, flag included (at most ``N + 1``
+    passes; the flag only falls, so it costs at most one more pass).  ``r``
+    is ``g - q*f`` itself, not the last low part, so that a failed division
+    shows as ``deg_var r >= p`` and the flag of ``r`` is that of the
+    identity."""
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
         raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
     order = min(g.order, f.order)
     g = g.truncate(order)
     f = f.truncate(order)
+    if order == INFINITE_ORDER and f.total_degree():
+        # only a constant divisor has a quotient known to every order
+        raise PreconditionError("Weierstrass division needs a finite order")
     if p == 0:
         return g * f.invert_unit(), Jet.zero(f.ctx, order)
-    if order == INFINITE_ORDER:
-        raise PreconditionError("Weierstrass division needs a finite order")
-    q, r = g.divmod_regular(f, var, p)
+    f_low, w = f.split(var, p)
+    winv = w.invert_unit()
+    q = Jet.zero(f.ctx, order)
+    for _ in range(order + 1):
+        q_next = winv * (g - q * f_low).split(var, p)[1]
+        if q_next == q:
+            break
+        q = q_next
+    r = g - q * f
     if (r.degree_in(var) or 0) >= p:
         raise ConsistencyError("division iteration failed to reduce the remainder")
     return q, r

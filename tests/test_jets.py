@@ -19,7 +19,10 @@ from equijet.errors import (
     UnknownVariableError,
 )
 from equijet.jets import DEFAULT_ORDER, INFINITE_ORDER, Jet, VarContext
-from equijet.scalars import NumberField
+from equijet.parser import parse_jet
+from equijet.pseudopoly import generalized_discriminants, resultant_jets
+from equijet.scalars import NumberField, scalar_inverse
+from equijet.weierstrass import regularity_order, weierstrass_divide, weierstrass_prepare
 
 
 X2 = VarContext.make(["x1", "x2"])
@@ -629,36 +632,6 @@ def test_kronecker_product_matches_the_reference_property(monkeypatch):
     assert sum(taken) > len(taken) // 2
 
 
-def test_flagged_product_is_the_jet_product_property(monkeypatch):
-    # the product that Weierstrass division runs on term dicts, with int
-    # values where they are integral, gives the terms and flag of Jet.__mul__
-    st = pytest.importorskip("hypothesis").strategies
-    taken = count_kronecker(monkeypatch)
-    flags = set()
-
-    def body(operands):
-        order = min(j.order for j in operands)
-        a, b = (j.truncate(order) for j in operands)
-        got = jets_module._flagged_product(jets_module._integral(a.terms), a.exact,
-                                           jets_module._integral(b.terms), b.exact,
-                                           len(a.ctx.names), order)
-        prod = a * b
-        assert got == (prod.terms, prod.exact)
-        flags.add((a.exact and b.exact, prod.exact))
-
-    check_property([st.one_of(wide_jets(st), st.tuples(jets(st), jets(st)))], body)
-    assert any(taken) and not all(taken)
-    assert {(True, True), (True, False), (False, False)} <= flags
-
-
-def test_divmod_regular_needs_one_context_and_one_order():
-    f = y(order=6) + x(order=6) ** 2
-    with pytest.raises(ValueError):
-        x(order=8).divmod_regular(f, "x2", 1)
-    with pytest.raises(ContextMismatchError):
-        x(TX, order=6).divmod_regular(f, "x2", 1)
-
-
 def test_kronecker_seeded_differential(monkeypatch):
     """3,000 seeded products, exact, truncated and mixed, in 1-4 variables,
     equal the reference product as whole jets: terms, order and flag."""
@@ -928,7 +901,7 @@ def test_compose_builds_high_powers_without_recursion():
 def geometric_inverse(f):
     """The inverse modulo the order as the geometric series ``sum u^k / c0``
     with ``f = c0 * (1 - u)``, one product per power."""
-    inv0 = 1 / f.constant_term()
+    inv0 = Fraction(1) / f.constant_term()
     u = Jet.constant(f.ctx, 1, f.order) - f.scale(inv0)
     acc, power = Jet.constant(f.ctx, 1, f.order), u
     while not power.is_zero():
@@ -976,3 +949,63 @@ def test_no_module_but_jets_reads_the_term_dict():
                     and node.func.id == "Jet"):
                 offenders.append(f"{path.name}:{node.lineno} calls Jet(...)")
     assert not offenders
+
+
+def seeded_text(rng, names, rational):
+    """2-6 terms of degree 0-6 in ``names`` with small integer coefficients,
+    about half of them fractions when ``rational``."""
+    terms = []
+    for _ in range(rng.randint(2, 6)):
+        coeff = str(rng.choice((-3, -2, -1, 1, 2, 5)))
+        if rational and rng.random() < 0.5:
+            coeff += f"/{rng.choice((2, 3, 4))}"
+        mono = "*".join(f"{v}^{rng.randint(1, 2)}" for v in names if rng.random() < 0.6)
+        terms.append(f"({coeff})*{mono}" if mono else f"({coeff})")
+    return " + ".join(terms)
+
+
+def one_format(j):
+    """Whether every coefficient of ``j`` is an ``int`` when it is integral
+    and otherwise a ``Fraction`` with a denominator above 1 (so no float)."""
+    return all(type(v) is int or type(v) is Fraction and v.denominator > 1
+               for v in j.terms.values())
+
+
+def test_integral_coefficients_are_int_property(monkeypatch):
+    """Seeded integer and rational jets in 1-3 variables keep the one
+    coefficient format through every operation of the package."""
+    taken = count_kronecker(monkeypatch)
+    default = jets_module._KRONECKER_MIN_PAIRS
+    rng = random.Random(26)
+    seen = []
+    for trial in range(90):
+        names = [f"x{i}" for i in range(1, trial % 3 + 2)]
+        ctx, order = VarContext.make(names), rng.randint(5, 9)
+        var = rng.choice(names)
+        f, g = (parse_jet(seeded_text(rng, names, trial % 2), ctx, order) for _ in range(2))
+        truncated = Jet(ctx, order, dict(f.graded_items()), False)
+        seen += [f, g, f + g, f - g, -f, f.scale(Fraction(2, 3)), f.scale(4)]
+        for pairs in (1, 10 ** 9):  # the Kronecker kernel, then the schoolbook loop
+            monkeypatch.setattr(jets_module, "_KRONECKER_MIN_PAIRS", pairs)
+            seen += [f * g, truncated * g, f * f * g]
+        monkeypatch.setattr(jets_module, "_KRONECKER_MIN_PAIRS", default)
+        unit = f - f.constant_term() + rng.choice((1, -1, 2, Fraction(3, 2)))
+        seen += [unit.invert_unit(), truncated.restrict({var: 0}),
+                 f.compose({var: g - g.constant_term()})]
+        if f.exact:
+            seen.append(f.restrict({var: rng.choice((2, Fraction(1, 2)))}))
+        divisor = Jet.variable(ctx, var, order) ** rng.randint(1, 3) + (g - g.constant_term()) * f
+        if regularity_order(divisor, var) < order - 1:
+            seen += weierstrass_divide(g, divisor, var)
+            prepared = weierstrass_prepare(divisor, var)
+            seen += [prepared.unit, prepared.poly.as_jet()]
+            if prepared.poly.degree >= 1:
+                seen += generalized_discriminants(prepared.poly).entries
+            seen.append(resultant_jets(prepared.poly.as_jet(), g, var))
+    assert all(map(one_format, seen))
+    assert any(type(v) is Fraction for j in seen for v in j.terms.values())
+    assert any(type(v) is int for j in seen for v in j.terms.values())
+    assert any(taken) and len(seen) > 2000
+    with pytest.raises(TypeError):
+        Jet(X2, 4, {(1, 0): 0.5}, True)
+    assert type(scalar_inverse(3)) is Fraction and scalar_inverse(3) == Fraction(1, 3)

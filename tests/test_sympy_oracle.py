@@ -288,7 +288,7 @@ def field_jet(expr) -> Jet:
 def sqrt2_poly(j: Jet):
     """The polynomial of an exact jet over Q(sqrt 2), up to a nonzero scalar."""
     def value(c):
-        a, b = (c, 0) if isinstance(c, Fraction) else c.coeffs
+        a, b = (c, 0) if isinstance(c, (int, Fraction)) else c.coeffs
         return sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(2)
     expr = sum(value(c) * X1 ** e1 * Y ** e2 for (e1, e2), c in j.graded_items())
     return sympy.Poly(expr, X1, Y, domain=QQ_SQRT2).monic()

@@ -1,11 +1,11 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
 from equijet.errors import (
     ConsistencyError,
+    ContextMismatchError,
     NotAUnitError,
     NotRegularError,
     PreconditionError,
@@ -13,7 +13,7 @@ from equijet.errors import (
 from equijet import weierstrass
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.pseudopoly import PseudoPolynomial
-from equijet.scalars import NumberField, scalar_inverse
+from equijet.scalars import NumberField, scalar_inverse, scalar_is_rational
 from equijet.weierstrass import (
     LinearChange,
     find_regular_change,
@@ -158,16 +158,31 @@ def test_divide_not_regular():
         weierstrass_divide(x1(), x1() * x2(), "x2")
 
 
+def test_divide_needs_one_context():
+    f = x2(6) + x1(6) ** 2
+    g = Jet.variable(VarContext.make(["x1", "x2"], params=["t"]), "x1", 6)
+    with pytest.raises(ContextMismatchError):
+        weierstrass_divide(g, f, "x2")
+
+
 def test_divide_at_infinite_order_needs_a_finite_order(monkeypatch):
     # w = 1, so no unit inverse refuses the order before the passes would run
     g = (x2() ** 3 + x1()).with_order(INFINITE_ORDER)
     f = (x2() ** 2 - x1() ** 3).with_order(INFINITE_ORDER)
-    monkeypatch.setattr(Jet, "divmod_regular", lambda *args: pytest.fail("the passes ran"))
+    monkeypatch.setattr(Jet, "split", lambda *args: pytest.fail("the passes ran"))
     with pytest.raises(PreconditionError, match="Weierstrass division needs a finite order"):
         weierstrass_divide(g, f, "x2")
     # p = 0: a constant divides at every order
     q, r = weierstrass_divide(g, Jet.constant(X2, 2, INFINITE_ORDER), "x2")
     assert q == g.scale(Fraction(1, 2)) and r.is_zero() and r.exact
+
+
+def test_divide_by_a_unit_at_infinite_order_needs_a_finite_order():
+    # p = 0 with a non-constant unit: its inverse is a genuine series
+    g = (x2() ** 3 + x1()).with_order(INFINITE_ORDER)
+    f = (1 + x1()).with_order(INFINITE_ORDER)
+    with pytest.raises(PreconditionError, match="Weierstrass division needs a finite order"):
+        weierstrass_divide(g, f, "x2")
 
 
 def test_divide_identity_randomized():
@@ -219,7 +234,7 @@ def test_divide_exact_results_are_identities_property():
     assert len(exact) >= 10
 
 
-# -- the term-dict division against the jet loop it replaced --------------------
+# -- the division against the jet loop with the Newton inverse -----------------
 
 
 def newton_inverse(u):
@@ -244,7 +259,7 @@ def newton_inverse(u):
 
 def loop_divide(g, f, var):
     """Reference: ``weierstrass_divide`` as the fixed-point loop on jets, with
-    the Newton inverse, as it ran before its passes moved to term dicts."""
+    the Newton inverse, stopping when ``q`` repeats its terms."""
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
         raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
@@ -327,8 +342,9 @@ def test_divide_matches_the_jet_loop_property():
         assert got == outcome(loop_divide, *case)
         seen.append(got if isinstance(got, type) else "divided")
         if not isinstance(got, type):
-            # the values leave the kernel as Fraction or FieldElement, never int
-            assert all(type(v) is not int for terms, _, _ in got for v in terms.values())
+            # an integral rational value is an int, any other one a Fraction
+            assert all(type(v) is int or type(v) is Fraction and v.denominator > 1
+                       or not scalar_is_rational(v) for terms, _, _ in got for v in terms.values())
 
     check()
     assert seen.count("divided") >= 30 and NotRegularError in seen
@@ -361,34 +377,6 @@ def test_invert_unit_matches_newton_on_sparse_and_dense_units():
                              for b in range(6 - a) for c in range(6 - a - b)}, False))
     for u in sparse + dense:
         assert outcome(lambda: [u.invert_unit()]) == outcome(lambda: [newton_inverse(u)])
-
-
-def test_weierstrass_divide_forms_no_jet_product_or_inverse(monkeypatch):
-    # the division passes run on term dicts: a ladder-shaped preparation
-    # calls Jet.__mul__ and Jet.invert_unit only outside weierstrass_divide
-    f = (x2(12) ** 2 + 2 * x1(12) ** 2 * x2(12) - x1(12) ** 3) * (1 + x1(12) - x2(12))
-    divide_code = weierstrass.weierstrass_divide.__code__
-    calls = []
-
-    def inside_divide():
-        frame = sys._getframe(2)
-        while frame is not None and frame.f_code is not divide_code:
-            frame = frame.f_back
-        return frame is not None
-
-    for name in ("__mul__", "invert_unit"):
-        def spy(self, *args, _original=getattr(Jet, name), _name=name):
-            calls.append((_name, inside_divide()))
-            return _original(self, *args)
-
-        monkeypatch.setattr(Jet, name, spy)
-    divisions = []
-    divide = weierstrass.weierstrass_divide
-    monkeypatch.setattr(weierstrass, "weierstrass_divide",
-                        lambda *args: divisions.append(1) or divide(*args))
-    weierstrass_prepare(f, "x2")
-    assert divisions and ("__mul__", False) in calls
-    assert not [c for c in calls if c[1]]
 
 
 def test_prepare_geometric_series_example():

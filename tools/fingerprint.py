@@ -65,8 +65,10 @@ def canon(x):
     from equijet.scalars import FieldElement
 
     if isinstance(x, Jet):
+        # a rational coefficient by its value: 3 and Fraction(3) hash alike
         return ["Jet", list(x.ctx.names), x.ctx.n_params, str(x.order), x.exact,
-                [[list(k), canon(v)] for k, v in x.graded_items()]]
+                [[list(k), str(v) if isinstance(v, (int, Fraction)) else canon(v)]
+                 for k, v in x.graded_items()]]
     if isinstance(x, BaseException):
         return ["error", type(x).__name__, str(x)]
     if isinstance(x, str):
