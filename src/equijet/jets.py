@@ -774,7 +774,7 @@ class Jet:
         """Valuation on the line ``x_j = c_j * t`` through ``direction``, with
         every variable it omits set to zero; INFINITE_ORDER when that
         restriction vanishes to the order."""
-        line = [(self.ctx.index(name), Fraction(c)) for name, c in direction.items()]
+        line = [(self.ctx.index(name), c) for name, c in direction.items()]
         inside = {i for i, _ in line}
         sums: Dict[int, Scalar] = {}
         for key, coeff in self.terms.items():

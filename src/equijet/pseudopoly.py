@@ -23,7 +23,8 @@ division-free too.  Both recursions are written once, over any commutative
 ring (:func:`_newton`, :func:`_berkowitz`), and each input takes one of two
 routes, onto Kronecker images (plain integers: each input packed once, each
 minor unpacked once) or onto jets (one :meth:`Jet.dot`, a loop of jet
-products, per step):
+products, per step), except ``v^p``, whose minors :func:`hankel_minors`
+states in closed form:
 
 * a polynomial (:func:`hankel_minors`) runs both recursions on images when
   :func:`~equijet.jets.hankel_images` gives them, else on jets;
@@ -356,10 +357,21 @@ def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     the power sums proved there.  Every other ``P`` runs the passes on
     jets, one :meth:`Jet.dot` per step.  Both give the same terms, order
     and flag.
+
+    ``v^p``, every coefficient an exact zero, runs no pass: its only root
+    is 0, so ``d_1 = s_0 = p``, and every subset of two or more roots
+    repeats it, so ``d_k = 0`` for ``k >= 2``.  These exact values are
+    settled at ``P.order`` as the passes settle theirs.  A zero known only
+    modulo its order takes the passes, whose minors carry its flag.
     """
     if not (1 <= k <= P.degree):
         raise PreconditionError(f"k={k} out of range 1..{P.degree}")
     base_order = P.order
+    if all(a.exact and a.is_zero() for a in P.coeffs):
+        # v^p: its one root is 0, so d_1 = p and every larger root subset repeats it
+        minors = [Jet.constant(P.ctx, P.degree, INFINITE_ORDER)]
+        minors += [Jet.zero(P.ctx, INFINITE_ORDER)] * (k - 1)
+        return [_settle(d, base_order) for d in minors]
     P = _exact_lift(P)
     images = hankel_images(P.coeffs, k)
     if images is None:

@@ -20,9 +20,12 @@ certified exact, which is what later lets vanishing claims about
 discriminants stay sound.  Candidates of low orders are checked first:
 the Weierstrass polynomial is unique, so one certified at any order is the
 answer, and the costly division at the full order runs only when no
-cheaper candidate passes.  In a one-variable context the distinguished
-polynomial is exactly ``var^p`` whatever the input, because a series in one
-variable is a unit times a power of it.
+cheaper candidate passes.  When ``var^p`` divides exact input, as it does
+in every one-variable context, ``W = var^p`` and the unit is the exact
+quotient, with no division at all.  A truncated series in one variable is
+still divided at its order, and its distinguished polynomial is exactly
+``var^p`` too, because a series in one variable is a unit times a power of
+it.
 """
 
 from __future__ import annotations
@@ -220,7 +223,16 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     certified by :func:`polygcd.exact_divide`; on success ``W`` is exact,
     and so is the unit unless the quotient reaches the certification order.
 
-    Exact input is divided at the probe orders ``p+2, 2(p+2), 4(p+2), ...``
+    Exact input whose low part ``f mod var^p`` is zero (``var^p`` divides
+    it, in one variable always) is answered in closed form: ``W = var^p``
+    with exact zero coefficients and the unit ``f / var^p`` at the order,
+    which is what the first probe would certify, since ``var^p`` is monic,
+    distinguished and divides ``f`` exactly, and the quotient is a unit
+    because ``p`` is the regularity order.  Truncated input keeps the
+    division, whose unit is stated at the order of ``f`` although
+    ``f / var^p`` is known only modulo ``order - p``.
+
+    Other exact input is divided at the probe orders ``p+2, 2(p+2), 4(p+2), ...``
     below the order, then at the order itself, and the first candidate that
     certifies is returned.  An exact quotient ``f = q * W`` with ``W`` monic
     and distinguished makes ``q`` a unit and ``W`` the unique Weierstrass
@@ -246,6 +258,11 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         return PreparedForm(unit=unit, poly=poly, order=order)
     if order == INFINITE_ORDER:
         raise PreconditionError("Weierstrass preparation needs a finite order")
+    if f.exact and f.split(var, p)[0].is_zero():
+        # var^p divides f: W = var^p and the unit is the exact quotient
+        zero = Jet.zero(f.ctx, order)
+        return PreparedForm(unit=f.shift(var, -p).with_order(order),
+                            poly=PseudoPolynomial(var, (zero,) * p), order=order)
     probes = []
     if f.exact:
         probe = p + 2

@@ -9,6 +9,7 @@ from equijet import pseudopoly as pseudopoly_module
 from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
 from equijet.jets import INFINITE_ORDER, Jet, VarContext, minor_images
 from equijet.pseudopoly import (
+    MAX_DEGREE,
     PseudoPolynomial,
     berkowitz_det,
     berkowitz_minors,
@@ -663,11 +664,17 @@ def reference_hankel_minors(P, k):
     return [pseudopoly_module._settle(d, base_order) for d in minors]
 
 
+def is_a_pure_power(P):
+    """The rule of the closed form of :func:`hankel_minors`: ``P`` is
+    ``v^p``, every coefficient an exact zero."""
+    return all(a.exact and a.is_zero() for a in P.coeffs)
+
+
 def takes_the_image_pass(P):
-    """The rule of :func:`hankel_images`: integer coefficients, degree at
-    least 2, and ``P`` exact, or truncated at ``N >= 1`` with ``a_1`` or
-    ``a_2`` not exact."""
-    return (P.degree >= 2
+    """The rule of :func:`hankel_images`, which a pure power never reaches:
+    integer coefficients, degree at least 2, and ``P`` exact, or truncated
+    at ``N >= 1`` with ``a_1`` or ``a_2`` not exact."""
+    return (not is_a_pure_power(P) and P.degree >= 2
             and all(v.denominator == 1 for a in P.coeffs for _, v in a.graded_items())
             and (P.exact or (P.order >= 1 and not (P.coeffs[0].exact and P.coeffs[1].exact))))
 
@@ -753,7 +760,7 @@ def test_hankel_minors_match_the_power_sums_and_the_dense_pass_property(monkeypa
         minors = hankel_minors(P, k)
         assert routes == []
         taken.append(takes_the_image_pass(P))
-        if taken[-1]:
+        if taken[-1] or is_a_pure_power(P):
             assert seen["products"] == 0
         else:
             assert seen["products"] or k == 1
@@ -777,6 +784,61 @@ def test_hankel_minors_match_the_power_sums_and_the_dense_pass_property(monkeypa
                                Jet(ctx, 3, {(1, 0): Fraction(-1)}, False)])
     check_minors(P, 3)
     assert not taken[-1]
+
+
+def test_hankel_minors_of_a_pure_power_match_the_reference_property(monkeypatch):
+    # v^p with exact zero coefficients takes the closed form d_1 = p and
+    # d_2..d_k = 0 and reaches no image pass; zeros known only modulo their
+    # order take the general route, and with a_1 among them every minor
+    # from d_2 on is not exact
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    asked = []
+    images = pseudopoly_module.hankel_images
+    monkeypatch.setattr(pseudopoly_module, "hankel_images",
+                        lambda coeffs, k: asked.append(k) or images(coeffs, k))
+    pure, inexact = [], []
+
+    @st.composite
+    def powers(draw):
+        n = draw(st.integers(1, 3))
+        params = ("t",) if draw(st.booleans()) else ()
+        ctx = VarContext.make([f"x{i}" for i in range(1, n)] + ["y"], params)
+        p, order = draw(st.integers(1, MAX_DEGREE)), draw(st.integers(1, 14))
+        # exact zeros at a finite order or at every order
+        coeffs = [Jet.zero(ctx, INFINITE_ORDER) if draw(st.booleans())
+                  else Jet.zero(ctx, order + draw(st.integers(0, 3))) for _ in range(p)]
+        if draw(st.booleans()):
+            for i in draw(st.sets(st.integers(0, p - 1), min_size=1)):
+                coeffs[i] = Jet.zero(ctx, order + draw(st.integers(0, 3)), exact=False)
+        return PseudoPolynomial("y", coeffs), draw(st.integers(1, p))
+
+    def check_power(P, k):
+        asked.clear()
+        minors = hankel_minors(P, k)
+        assert minors == reference_hankel_minors(P, k)
+        assert minors[0] == Jet.polynomial(P.ctx, {(0,) * len(P.ctx.names): P.degree}, P.order)
+        if P.exact:
+            pure.append(P)
+            assert asked == []
+            assert all(d.is_zero() and d.exact for d in minors[1:])
+        else:
+            assert asked == [k]
+            if not P.coeffs[0].exact:
+                inexact.append(P)
+                assert not any(d.exact for d in minors[1:])
+
+    settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(powers())(lambda case: check_power(*case)))()
+    assert len(pure) >= 20 and len(inexact) >= 10
+    # the cap, with d_1 alone and with every minor, and the whole Hankel
+    # matrix of a truncated y^12
+    ctx = VarContext.make(["x1", "y"], ["t"])
+    for k in (1, MAX_DEGREE):
+        check_power(PseudoPolynomial("y", [Jet.zero(ctx, 14)] * MAX_DEGREE), k)
+    check_power(PseudoPolynomial("y", [Jet.zero(ctx, 14, exact=False)] * MAX_DEGREE),
+                MAX_DEGREE)
 
 
 def coefficients_of(ctx, order, exact, values):

@@ -4,10 +4,13 @@ import pytest
 
 from equijet.errors import InconclusiveError, PreconditionError
 from equijet.jets import Jet, VarContext
-from equijet.pseudopoly import generalized_discriminants
+from equijet.pseudopoly import PseudoPolynomial, generalized_discriminants
+from equijet.weierstrass import LinearChange
 from equijet.tower import (
+    LevelVerification,
     Tower,
     TowerLevel,
+    TowerVerification,
     build_tower,
     build_tower_system,
     check_family,
@@ -198,6 +201,49 @@ def test_parameter_free_bottom_level_is_exactly_a_power():
     assert bottom.index == 1 and bottom.poly.exact
     assert bottom.poly.as_jet() == x1(order=bottom.poly.order) ** bottom.degree
     assert verify_tower(tw).all_passed
+
+
+def test_bottom_rung_of_a_cusp_tower_takes_the_closed_forms(monkeypatch):
+    # the series of level 1 is 4*x1^3: its preparation runs no division and
+    # the discriminants of its x1^3 no image pass, in the build and in the
+    # verification; the top level x2^2 - x1^3 runs both as before
+    import equijet.pseudopoly as pseudopoly
+    import equijet.weierstrass as weierstrass
+
+    seen = {}
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+        calls = seen[name] = []
+
+        def recording(*args):
+            calls.append(key(*args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    # each call is recorded by what tells the levels apart
+    spy(weierstrass, "weierstrass_divide", lambda g, f, var: var)
+    spy(weierstrass, "exact_divide", lambda a, b: a.ctx.names)
+    spy(pseudopoly, "hankel_images", lambda coeffs, k: len(coeffs))
+    f = x2(order=8) ** 2 - x1(order=8) ** 3
+    tw = build_tower(f)
+    rep = verify_tower(tw)
+    assert seen == {"weierstrass_divide": ["x2"], "exact_divide": [("x1", "x2")],
+                    "hankel_images": [2, 2]}
+    zero = Jet.zero(X2, 8)
+    top = TowerLevel(index=2, poly=PseudoPolynomial("x2", [zero, -x1(order=8) ** 3]),
+                     unit=Jet.constant(X2, 1, 8), disc_index=None,
+                     change=LinearChange(("x1", "x2"), "x2", (0,)))
+    bottom = TowerLevel(index=1, poly=PseudoPolynomial("x1", [zero] * 3),
+                        unit=Jet.constant(X2, 4, 8), disc_index=1,
+                        change=LinearChange(("x1",), "x1", ()))
+    assert tw == Tower(input_jet=f, source=f, levels=(top, bottom), terminal_index=0,
+                       terminal_disc_index=3, terminal_unit=Jet.constant(X2, 3, 8),
+                       kind="unit-reached", order=8, seed=0, caveats=())
+    assert rep == TowerVerification(levels=(LevelVerification(2, True, True, ""),
+                                            LevelVerification(1, True, True, "")),
+                                    terminal_ok=True, all_passed=True)
 
 
 def test_system_singleton_matches_plain_tower():
