@@ -915,9 +915,17 @@ def minor_images(rows: Sequence[Sequence[Jet]]
       digit has room for that sum over all rows.  The minors are exact.
     * graded box: the box of :func:`_layout` graded below ``N``.  A
       monomial of degree ``>= N`` has a slot of at least the window, so
-      evaluation followed by reduction modulo ``2^(8*w*window)`` (the mask)
-      is a ring homomorphism from ``Z[x]/(deg >= N)``: sums of products may
-      be masked, and wrap freely.  Only the terms below ``N`` are packed.
+      evaluation followed by reduction modulo ``2^M``, ``M = 8*w*window``
+      (the mask is ``2^M - 1``), is a ring homomorphism from
+      ``Z[x]/(deg >= N)``: sums of products may be reduced, and wrap
+      freely.  The pass keeps each sum as its balanced residue, in
+      ``[-2^(M-1), 2^(M-1))`` (:func:`~equijet.pseudopoly._image_dot`):
+      it is in the same class modulo ``2^M`` as the residue in
+      ``[0, 2^M)``, so the homomorphism holds, and :func:`_digits` reads
+      the lowest ``M`` bits, which every representative shares, so it
+      reads the same minors.  A value whose image is negative then stays
+      as wide as its degree, not as the window.  Only the terms below
+      ``N`` are packed.
       The minors are stated at ``N`` and are not exact: the pass on jets
       (:func:`~equijet.pseudopoly.berkowitz_minors`) forms every product
       with an operand that is not exact, so a non-exact entry of the
@@ -984,7 +992,11 @@ def hankel_images(coeffs: Sequence[Jet], k: int
       :func:`minor_images`, whose minors from the second on are not exact.
       Only the terms of the ``a_i`` below ``N`` are packed; the power sums
       and minors of the polynomials they make up agree below ``N`` with the
-      truncated ones, and the bounds below are theirs.
+      truncated ones, and the bounds below are theirs.  Both passes keep
+      each sum as its balanced residue modulo ``2^M``, as there: the same
+      class, so the homomorphism and the reading by :func:`_digits` hold,
+      and a power sum or minor whose image is negative stays as wide as
+      its degree.
 
     Every other ``P`` (rational or ``Q(alpha)`` coefficients, ``p = 1``,
     or ``a_1`` and ``a_2`` exact at a finite order, where each product's

@@ -279,10 +279,21 @@ def _berkowitz(rows, diagonal, one, zero, dot) -> list:
 
 def _image_dot(mask: Optional[int]):
     """The dot product of the ring of Kronecker images with this mask:
-    plain integers for None, else every sum reduced modulo ``mask + 1``."""
+    plain integers for None, else every sum reduced modulo ``2^M = mask + 1``
+    to its balanced residue, in ``[-2^(M-1), 2^(M-1))``.
+
+    The balanced residue is a representative of the same class modulo
+    ``2^M`` as the residue in ``[0, 2^M)``, so the pass still runs in
+    ``Z/2^M``, the image of the homomorphism from ``Z[x]/(deg >= N)``
+    (:func:`~equijet.jets.minor_images`), and :func:`~equijet.jets._digits`,
+    which reads the lowest ``M`` bits of any representative, reads the same
+    minors.  But a value whose image ``v`` in Z is negative keeps the width
+    of its degree, where its residue in ``[0, 2^M)``, ``2^M - |v|``, would
+    fill the whole window, so later products multiply narrower integers."""
     if mask is None:
         return lambda xs, ys, acc: sum(map(operator.mul, xs, ys), acc)
-    return lambda xs, ys, acc: sum(map(operator.mul, xs, ys), acc) & mask
+    half = (mask + 1) >> 1
+    return lambda xs, ys, acc: ((sum(map(operator.mul, xs, ys), acc) + half) & mask) - half
 
 
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:

@@ -9,7 +9,9 @@ commands: expressions with zero, unit, rational-literal and huge-exponent
 terms, orders 0-3 and up to 10, empty, duplicate and overlapping
 ``--vars``/``--params``, systems of 1-3 germs for ``tower``, mero germs with
 shared or repeated factors, fixed or generic, and ``binomial`` with unit
-targets.
+targets.  About one ``gendisc`` draw in ten is followed by a ``gendisc`` of
+a split integer quartic at an order of 14-30, drawn from a stream of its
+own so that the other draws stay as they are.
 """
 
 import random
@@ -160,18 +162,35 @@ def draw(rng):
     return argv
 
 
+def draw_split_quartic(rng):
+    """``gendisc`` of four factors ``y + a*x1 + b*x2 + c`` with small
+    integers, the first maybe repeated, plus a power of ``x1`` beyond the
+    order, at an order of 14-30."""
+    order = rng.randint(14, 30)
+    factors = [f"(y + ({rng.randint(-3, 3)})*x1 + ({rng.randint(-3, 3)})*x2"
+               f" + ({rng.randint(-2, 2)}))" for _ in range(4)]
+    if rng.random() < 0.3:
+        factors[1] = factors[0]
+    expr = "*".join(factors) + f" + x1^{order + rng.randint(1, 10)}"
+    argv = ["gendisc", expr, "--var", "y", "--vars", "x1,x2,y", "--order", str(order)]
+    return argv + ["--machine"] * (rng.random() < 0.5)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_drawn_command_ends_in_a_documented_exit(seed, capsys):
-    rng = random.Random(seed)
+    rng, quartics = random.Random(seed), random.Random(f"quartics:{seed}")
     for _ in range(DRAWS):
-        argv = draw(rng)
-        try:
-            code = main(argv)
-        except Exception as exc:  # name the input that escaped
-            pytest.fail(f"{argv} raised {exc!r}")
-        err = capsys.readouterr().err
-        assert code in range(5), argv
-        if code == 0 or (code == 3 and argv[0] in REPORTED_INCONCLUSIVE):
-            assert err == "", argv
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        argvs = [draw(rng)]
+        if argvs[0][0] == "gendisc" and quartics.random() < 0.1:
+            argvs.append(draw_split_quartic(quartics))
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except Exception as exc:  # name the input that escaped
+                pytest.fail(f"{argv} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in range(5), argv
+            if code == 0 or (code == 3 and argv[0] in REPORTED_INCONCLUSIVE):
+                assert err == "", argv
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, argv

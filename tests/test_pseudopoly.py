@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from statistics import median
 
 import pytest
 
 from equijet import jets as jets_module
 from equijet import pseudopoly as pseudopoly_module
 from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
-from equijet.jets import INFINITE_ORDER, Jet, VarContext, minor_images
+from equijet.jets import INFINITE_ORDER, Jet, VarContext, hankel_images, minor_images
+from equijet.parser import parse_jet
 from equijet.pseudopoly import (
     MAX_DEGREE,
     PseudoPolynomial,
@@ -552,11 +554,12 @@ def takes_the_graded_pass(rows):
 
 def check_graded_pass(rows, seen):
     """The graded pass formed no dot product of jets, and every sum of
-    products it formed lies in ``[0, 2^(8*w*window))``, its mask."""
+    products it formed is a balanced residue modulo ``2^M = mask + 1``
+    (``M = 8*w*window``): it lies in ``[-2^(M-1), 2^(M-1))``."""
     assert seen["dots"] == 0
     mask = minor_images(rows)[2]
     assert mask is not None
-    assert all(0 <= v <= mask for v in seen["values"])
+    assert all(-(mask + 1) // 2 <= v < (mask + 1) // 2 for v in seen["values"])
 
 
 def test_truncated_integer_matrices_take_the_graded_pass_property(monkeypatch):
@@ -879,3 +882,77 @@ def test_hankel_images_read_minors_that_meet_their_bounds(coeffs, minors, order,
     assert out == expected
     monkeypatch.undo()
     assert out == reference_hankel_minors(P, P.degree)
+
+
+def spy_image_dot(monkeypatch):
+    """Record every value that a dot of Kronecker images returns, in the
+    Newton pass and the Berkowitz pass alike."""
+    values = []
+    image_dot = pseudopoly_module._image_dot
+
+    def image_dot_spy(mask):
+        dot = image_dot(mask)
+
+        def value_spy(xs, ys, acc):
+            value = dot(xs, ys, acc)
+            values.append(value)
+            return value
+        return value_spy
+
+    monkeypatch.setattr(pseudopoly_module, "_image_dot", image_dot_spy)
+    return values
+
+
+def test_graded_values_are_balanced_residues_as_wide_as_their_degree(monkeypatch):
+    # a split quartic with negative terms plus a term past the order: many
+    # power sums and minors have negative images, and their residues in
+    # [0, 2^M) would be 2^M - |v|, as wide as the window
+    ctx = VarContext.make(["x1", "x2", "y"])
+    f = parse_jet("(y - x1 - 1)^2*(y - 2*x2 + 1)*(y + 3*x1 + x2 - 2) + x1^20", ctx, 14)
+    P = PseudoPolynomial.from_jet(f, "y")
+    mask = hankel_images(P.coeffs, P.degree)[2]
+    assert mask is not None
+    half = (mask + 1) // 2
+    values = spy_image_dot(monkeypatch)
+    out = hankel_minors(P, P.degree)
+    assert values and all(-half <= v < half for v in values)
+    assert median(v.bit_length() for v in values) < 2 * mask.bit_length() / 3
+    monkeypatch.undo()
+    assert out == reference_hankel_minors(P, P.degree)
+
+
+def test_graded_passes_that_wrap_past_the_window_match_the_references_property():
+    # orders 8-20: every entry has a negative term of degree N - 1, so its
+    # image is negative and products of two entries wrap past the window
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def wrapping(draw):
+        nx = draw(st.integers(1, 3))
+        ctx = VarContext.make([f"x{i}" for i in range(1, nx + 1)] + ["y"])
+        order = draw(st.integers(8, 20))
+
+        def monomial(degree):
+            cuts = sorted(draw(st.integers(0, degree)) for _ in range(nx - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree])) + (0,)
+
+        def entry():
+            terms = {monomial(draw(st.integers(0, order - 2))):
+                     draw(st.integers(-2 ** 20, 2 ** 20)) for _ in range(draw(st.integers(0, 2)))}
+            terms[monomial(order - 1)] = -draw(st.integers(1, 2 ** 20))
+            return Jet(ctx, order, terms, False)
+
+        p, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        return (PseudoPolynomial("y", [entry() for _ in range(p)]),
+                [[entry() for _ in range(n)] for _ in range(n)])
+
+    def check(drawn):
+        P, rows = drawn
+        assert hankel_images(P.coeffs, P.degree) is not None and minor_images(rows) is not None
+        assert hankel_minors(P, P.degree) == reference_hankel_minors(P, P.degree)
+        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+
+    settings = hypothesis.settings(derandomize=True, max_examples=30, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(wrapping())(check))()
