@@ -35,7 +35,9 @@ sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
 The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
-dicts (:func:`_inverse`).
+dicts (:func:`_inverse`).  The exact Weierstrass factors of an exact
+polynomial, when they are polynomials, come from a Hensel lift on term
+dicts (:func:`weierstrass_lift`).
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -348,6 +350,7 @@ def _inverse(t: Mapping[Exponents, Scalar], exact: bool, n: int, order
     c0 = t.get(zero)
     if not c0:
         raise NotAUnitError("constant term vanishes; not a unit")
+    # +-1 is its own inverse and stays an int
     inv0 = c0 if c0 in (1, -1) else scalar_inverse(c0)
     if len(t) == 1:
         return {zero: inv0}, exact
@@ -835,6 +838,85 @@ class Jet:
     def __repr__(self):
         tag = "exact" if self.exact else f"mod deg {self.order}"
         return f"<Jet {jet_to_text(self)} ({tag})>"
+
+
+def weierstrass_lift(f: Jet, var: str, p: int) -> Optional[Tuple[Jet, Jet]]:
+    """The exact factors ``(W, V)`` of an exact ``f`` of regularity order
+    ``p >= 1`` in ``var``, with ``f == W*V``, ``W`` the Weierstrass
+    polynomial and ``V`` the unit, when both are polynomials; else None.
+
+    Write ``x'`` for every variable but ``var`` (parameters included) and
+    ``f(0, var) = var^p * V0``, with ``V0(0) != 0`` since ``p`` is the
+    regularity order.  With ``t = V0^-1 mod var^p`` (a one-variable
+    recurrence) and ``s = (1 - t*V0) / var^p``, ``s*var^p + t*V0 = 1``.
+    The lift starts from ``W = var^p``, ``V = V0`` and the error
+    ``e = f - W*V``.  While ``e != 0``, let ``e_k`` be its part of least
+    degree ``k`` in ``x'``, and split ``t*e_k = var^p*Q + R`` with
+    ``deg_var R < p``; then ``W += R`` and ``V += dV`` with
+    ``dV = s*e_k + Q*V0``.  Modulo ``(x')^(k+1)`` the new product gains
+    ``var^p*dV + R*V0 = (s*var^p + t*V0)*e_k = e_k``, so each step matches
+    the unique lifts modulo ``(x')^(k+1)``; the error drops
+    ``W_old*dV + R*V_new``, all that the product gained.
+
+    If ``f = W1*V1`` for polynomials, the ``x'``-degrees add in the domain
+    ``K[var][x']``, so both factors have ``x'``-degree at most
+    ``deg_x'(f)``, and the lift reaches ``e = 0`` by then; so it stops
+    with None once ``k > deg_x'(f)``.  At ``e = 0``, ``W`` is monic of
+    degree ``p`` with ``W = var^p mod (x')`` and ``V(0) != 0``: the unique
+    Weierstrass polynomial and its unit.  Their total degrees add up to
+    that of ``f``, below its order, and both are returned exact at it.
+    """
+    n = len(f.ctx.names)
+    iv = f.ctx.index(var)
+
+    def power(d: int) -> Exponents:
+        return (0,) * iv + (d,) + (0,) * (n - iv - 1)
+
+    def low(k: Exponents) -> int:
+        return sum(k) - k[iv]
+
+    def add_into(acc: Dict[Exponents, Scalar], t: Mapping[Exponents, Scalar], sign: int = 1):
+        for k, c in t.items():
+            c = acc.get(k, 0) + sign * c
+            if c:
+                acc[k] = c
+            else:
+                acc.pop(k, None)
+
+    v0 = {power(k[iv] - p): c for k, c in f.terms.items() if not low(k)}
+    c0 = v0[power(0)]
+    # +-1 is its own inverse and stays an int
+    inv0 = c0 if c0 in (1, -1) else scalar_inverse(c0)
+    ts = [inv0]
+    for d in range(1, p):
+        ts.append(-inv0 * sum(v0.get(power(i), 0) * ts[d - i] for i in range(1, d + 1)))
+    t = {power(d): c for d, c in enumerate(ts) if c}
+    s = {power(k[iv] - p): -c for k, c in _product(t, v0, n, None).items() if k[iv] >= p}
+    w: Dict[Exponents, Scalar] = {power(p): 1}
+    v = dict(v0)
+    e = {k: c for k, c in f.terms.items() if low(k)}
+    top = max(map(low, f.terms))
+    while e:
+        k = min(map(low, e))
+        if k > top:
+            return None
+        ek = {key: c for key, c in e.items() if low(key) == k}
+        r: Dict[Exponents, Scalar] = {}
+        q: Dict[Exponents, Scalar] = {}
+        for key, c in _product(t, ek, n, None).items():
+            if key[iv] < p:
+                r[key] = c
+            else:
+                q[key[:iv] + (key[iv] - p,) + key[iv + 1:]] = c
+        dv = _product(s, ek, n, None)
+        add_into(dv, _product(q, v0, n, None))
+        # (W + R)*(V + dV) - W*V = W*dV + R*(V + dV): W before its update,
+        # V after it
+        add_into(e, _product(w, dv, n, None), -1)
+        add_into(v, dv)
+        add_into(e, _product(r, v, n, None), -1)
+        add_into(w, r)
+    return Jet.polynomial(f.ctx, w, f.order), Jet.polynomial(f.ctx, v, f.order)
 
 
 def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:

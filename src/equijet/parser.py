@@ -52,6 +52,11 @@ class _Token:
     column: int
 
 
+#: Only ASCII digits make a number: ``str.isdigit`` also holds for a
+#: superscript digit (``'\u00b2'``), which ``int`` rejects.
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     line, col = 1, 1
@@ -67,9 +72,9 @@ def _tokenize(text: str) -> List[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i

@@ -13,19 +13,30 @@ on the line spanned by a direction is its regularity order after the shear.
 
 Preparation carries one extra step worth calling out: the unit and the
 distinguished polynomial produced by the finite-order iteration are, in
-general, only known modulo the order.  When the input is an exact polynomial
-the candidate distinguished factor, lifted to an exact polynomial, is
-checked by :func:`polygcd.exact_divide`; on success the factorization is
-certified exact, which is what later lets vanishing claims about
-discriminants stay sound.  Candidates of low orders are checked first:
-the Weierstrass polynomial is unique, so one certified at any order is the
-answer, and the costly division at the full order runs only when no
-cheaper candidate passes.  When ``var^p`` divides exact input, as it does
-in every one-variable context, ``W = var^p`` and the unit is the exact
-quotient, with no division at all.  A truncated series in one variable is
-still divided at its order, and its distinguished polynomial is exactly
-``var^p`` too, because a series in one variable is a unit times a power of
-it.
+general, only known modulo the order.  Exact input is therefore not
+divided but lifted, which certifies the factorization exact whenever it
+is a factorization into polynomials; that is what later lets vanishing
+claims about discriminants stay sound.  When ``var^p`` divides exact
+input, as it does in every one-variable context, ``W = var^p`` and the
+unit is the exact quotient.  Otherwise :func:`~equijet.jets.weierstrass_lift`
+lifts ``f(0, var) = var^p * V0`` in the other variables ``x'``:
+
+1. ``t = V0^-1 mod var^p`` and ``s = (1 - t*V0) / var^p`` give
+   ``s*var^p + t*V0 = 1``;
+2. from ``W = var^p`` and ``V = V0``, the part ``e_k`` of least degree
+   ``k`` in ``x'`` of the error ``f - W*V`` is split as
+   ``t*e_k = var^p*Q + R`` with ``deg_var R < p``, and ``W += R``,
+   ``V += s*e_k + Q*V0``, so the error gains a degree in ``x'`` per step;
+3. polynomial factors of ``f`` have ``x'``-degree at most that of ``f``, so
+   the lift gives up, with None, once ``k`` exceeds it;
+4. at a zero error ``W`` is monic of degree ``p``, ``W = var^p mod (x')``
+   and ``V(0) != 0``: the unique Weierstrass polynomial and its unit, both
+   exact polynomials below the order.
+
+Exact input whose ``W`` is a genuine series, and truncated input, are
+divided once, at the order.  A truncated series in one variable has the
+distinguished polynomial ``var^p`` exactly, because a series in one
+variable is a unit times a power of it.
 """
 
 from __future__ import annotations
@@ -43,8 +54,7 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .jets import INFINITE_ORDER, Jet
-from .polygcd import exact_divide
+from .jets import INFINITE_ORDER, Jet, weierstrass_lift
 from .pseudopoly import MAX_DEGREE, PseudoPolynomial
 
 #: How many integer directions the regularizing search will try.
@@ -217,31 +227,28 @@ def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
 def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     """Factor ``f = unit * W`` with ``W`` monic distinguished in ``var``.
 
-    Requires finite regularity order ``p``, and a finite order unless p = 0;
-    computed by dividing ``var^p`` by ``f``.  In a one-variable context
-    ``W`` is exactly ``var^p``.  For exact input the candidate ``W`` is
-    certified by :func:`polygcd.exact_divide`; on success ``W`` is exact,
-    and so is the unit unless the quotient reaches the certification order.
+    Requires finite regularity order ``p``, and a finite order unless p = 0.
+    In a one-variable context ``W`` is exactly ``var^p``.
 
     Exact input whose low part ``f mod var^p`` is zero (``var^p`` divides
     it, in one variable always) is answered in closed form: ``W = var^p``
     with exact zero coefficients and the unit ``f / var^p`` at the order,
-    which is what the first probe would certify, since ``var^p`` is monic,
-    distinguished and divides ``f`` exactly, and the quotient is a unit
-    because ``p`` is the regularity order.  Truncated input keeps the
-    division, whose unit is stated at the order of ``f`` although
-    ``f / var^p`` is known only modulo ``order - p``.
+    since ``var^p`` is monic, distinguished and divides ``f`` exactly, and
+    the quotient is a unit because ``p`` is the regularity order.
 
-    Other exact input is divided at the probe orders ``p+2, 2(p+2), 4(p+2), ...``
-    below the order, then at the order itself, and the first candidate that
-    certifies is returned.  An exact quotient ``f = q * W`` with ``W`` monic
-    and distinguished makes ``q`` a unit and ``W`` the unique Weierstrass
-    polynomial of ``f``, so the answer is the same whichever order found
-    it, and it is stated at the order of ``f``.  A probe whose quotient is
-    not a unit, or whose candidate is not distinguished or does not divide
-    ``f``, moves on to the next order; only the division at the order
-    itself can raise, or give the uncertified result.  Inexact input is
-    divided once, at its order.
+    Other exact input is lifted by :func:`~equijet.jets.weierstrass_lift`
+    (the four steps of the module docstring).  When ``f = W * V`` for
+    polynomials, ``W`` monic of degree ``p`` with ``W = var^p mod (x')``
+    and ``V(0) != 0``, the lift finds them: ``W`` is the unique Weierstrass
+    polynomial of ``f`` and ``V`` its unit, both exact, with total degree at
+    most that of ``f``, so below the order, at which they are stated.
+
+    Exact input that the lift leaves (its ``W`` is a genuine series) and
+    truncated input are computed by dividing ``var^p`` by ``f`` once, at
+    the order of ``f``; the result is not certified.  Truncated input in
+    particular keeps the division even when ``var^p`` divides it: its unit
+    is stated at the order of ``f`` although ``f / var^p`` is known only
+    modulo ``order - p``.
     """
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
@@ -258,39 +265,28 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         return PreparedForm(unit=unit, poly=poly, order=order)
     if order == INFINITE_ORDER:
         raise PreconditionError("Weierstrass preparation needs a finite order")
-    if f.exact and f.split(var, p)[0].is_zero():
-        # var^p divides f: W = var^p and the unit is the exact quotient
-        zero = Jet.zero(f.ctx, order)
-        return PreparedForm(unit=f.shift(var, -p).with_order(order),
-                            poly=PseudoPolynomial(var, (zero,) * p), order=order)
-    probes = []
     if f.exact:
-        probe = p + 2
-        while probe < order:
-            probes.append(probe)
-            probe *= 2
-    probes.append(order)
-    for probe in probes:
-        # dividing at the probe order truncates f there
-        vp = Jet.variable(f.ctx, var, probe) ** p
-        q, r = weierstrass_divide(vp, f, var)
-        candidate = PseudoPolynomial.from_jet(vp - r, var)
-        if not q.is_unit() or not candidate.is_distinguished:
-            if probe < order:
-                continue
-            raise ConsistencyError("division quotient is not a unit; input was not regular"
-                                   if not q.is_unit() else
-                                   "prepared polynomial is not distinguished")
-        # the coefficients hold only terms below the order, so nothing is dropped
-        lifted = candidate.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
-        if f.exact:
-            exact_q = exact_divide(f, lifted.as_jet())
-            if exact_q is not None:
-                return PreparedForm(unit=exact_q.truncate(order), poly=lifted, order=order)
+        if f.split(var, p)[0].is_zero():
+            # var^p divides f: W = var^p and the unit is the exact quotient
+            zero = Jet.zero(f.ctx, order)
+            return PreparedForm(unit=f.shift(var, -p).with_order(order),
+                                poly=PseudoPolynomial(var, (zero,) * p), order=order)
+        factors = weierstrass_lift(f, var, p)
+        if factors is not None:
+            w, unit = factors
+            return PreparedForm(unit=unit, poly=PseudoPolynomial.from_jet(w, var), order=order)
+    vp = Jet.variable(f.ctx, var, order) ** p
+    q, r = weierstrass_divide(vp, f, var)
+    poly = PseudoPolynomial.from_jet(vp - r, var)
+    if not q.is_unit():
+        raise ConsistencyError("division quotient is not a unit; input was not regular")
+    if not poly.is_distinguished:
+        raise ConsistencyError("prepared polynomial is not distinguished")
     if len(f.ctx.names) == 1:
-        # a one-variable series is a unit times var^p
-        candidate = lifted
-    return PreparedForm(unit=q.invert_unit(), poly=candidate, order=order)
+        # a one-variable series is a unit times var^p; the coefficients hold
+        # only terms below the order, so nothing is dropped
+        poly = poly.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
+    return PreparedForm(unit=q.invert_unit(), poly=poly, order=order)
 
 
 def regularizing_change(f: Jet, var: str, block: Sequence[str],

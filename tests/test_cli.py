@@ -117,6 +117,14 @@ def test_parse_error_is_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("expr", ["x2^² - x1", "x2^2 - ²"])
+def test_a_unicode_digit_is_a_parse_error_not_a_traceback(expr, capsys):
+    code, out = run(["prepare", expr, "--var", "x2", "--vars", "x1,x2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "unexpected character '²'" in err and err.count("\n") == 1
+
+
 def test_precondition_error_is_exit_2():
     code, _ = run(["prepare", "0", "--var", "x2", "--vars", "x1,x2"])
     assert code == 2

@@ -52,6 +52,9 @@ def test_errors_after_a_newline_are_located_on_their_line():
     ("x1 * )", "unexpected ')'", 6),
     # the whole text is tokenized before the grammar error is reached
     ("x2^^2 + $", "unexpected character '$'", 9),
+    # only ASCII digits make a number: int() rejects a superscript
+    ("x2^² - x1", "unexpected character '²'", 4),
+    ("x2^2 - ²", "unexpected character '²'", 8),
 ])
 def test_grammar_and_tokenizer_errors_are_located(text, message, column):
     with pytest.raises(ParseError) as err:

@@ -69,6 +69,18 @@ def test_power_sums_of_y2_minus_x1_cubed():
     assert s[2] == Jet(YX, 16, {(3, 0): 2}, True)
 
 
+def test_map_coeffs_of_a_degree_0_polynomial_is_the_polynomial_itself():
+    # the constant 1 has no coefficient to map, and keeps its context and order
+    one = PseudoPolynomial("y", (), ctx=YX, order=9)
+    mapped = one.map_coeffs(lambda c: pytest.fail("a coefficient was mapped"))
+    assert mapped is one
+    assert (mapped.degree, mapped.ctx, mapped.order) == (0, YX, 9)
+    # a polynomial of positive degree maps each coefficient
+    P = PseudoPolynomial.from_jet(Jet.variable(YX, "y") ** 2 - Jet.variable(YX, "x1") ** 3, "y")
+    doubled = P.map_coeffs(lambda c: c.scale(2))
+    assert doubled.coeffs == (P.coeffs[0], P.coeffs[1].scale(2))
+
+
 def test_berkowitz_matches_laplace_oracle():
     rng = random.Random(11)
 

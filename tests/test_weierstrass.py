@@ -6,6 +6,7 @@ import pytest
 from equijet.errors import (
     ConsistencyError,
     ContextMismatchError,
+    NoRegularDirectionError,
     NotAUnitError,
     NotRegularError,
     PreconditionError,
@@ -18,6 +19,7 @@ from equijet.pseudopoly import PseudoPolynomial
 from equijet.scalars import NumberField, scalar_inverse, scalar_is_rational
 from equijet.weierstrass import (
     LinearChange,
+    PreparedForm,
     find_regular_change,
     prepare_in,
     regularity_order,
@@ -74,6 +76,12 @@ def test_find_change_shear_for_monomial():
 def test_find_change_zero_rejected():
     with pytest.raises(PreconditionError):
         find_regular_change(Jet.zero(X2), "x2", ["x1", "x2"])
+
+
+def test_find_change_of_a_germ_with_no_term_in_the_block_is_an_error():
+    # every term of x1*(1 + x2) involves x1, which the block leaves out
+    with pytest.raises(NoRegularDirectionError, match="no term of f is supported in the block"):
+        find_regular_change(x1() * (1 + x2()), "x2", ("x2",))
 
 
 def test_find_change_deterministic():
@@ -445,7 +453,7 @@ def test_prepare_not_regular():
 def test_prepare_at_infinite_order_needs_a_finite_order(monkeypatch):
     f = ((x2() ** 2 - x1() ** 3) * (1 + x1())).with_order(INFINITE_ORDER)
     monkeypatch.setattr(weierstrass, "weierstrass_divide",
-                        lambda *args: pytest.fail("a probe division ran"))
+                        lambda *args: pytest.fail("a division ran"))
     with pytest.raises(PreconditionError, match="Weierstrass preparation needs a finite order"):
         weierstrass_prepare(f, "x2")
     # p = 0: a unit is its own preparation at every order
@@ -544,22 +552,51 @@ def test_prepare_exact_flag_property():
     check()
 
 
+def record_divisions(monkeypatch):
+    """The list that names every ``weierstrass_divide`` and ``exact_divide``
+    call from now on, through whichever module of the package binds them."""
+    import sys
+
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("equijet")]:
+        for name in ("weierstrass_divide", "exact_divide"):
+            real = getattr(module, name, None)
+            if real is not None:
+                def recording(*args, _name=name, _real=real):
+                    calls.append(_name)
+                    return _real(*args)
+                monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def test_prepare_certifies_a_polynomial_w_below_the_order(monkeypatch):
-    orders = []
-    divide = weierstrass.weierstrass_divide
-
-    def recording(g, f, var):
-        orders.append(min(g.order, f.order))
-        return divide(g, f, var)
-
-    monkeypatch.setattr(weierstrass, "weierstrass_divide", recording)
+    # exact input whose W is a polynomial is lifted: no division, no exact
+    # division to certify it
+    calls = record_divisions(monkeypatch)
     order = 24
     f = (x2(order) - x1(order) ** 2) * (1 + x1(order) + x2(order))
     pf = weierstrass_prepare(f, "x2")
     assert pf.exact and pf.order == order
     assert pf.poly.coeffs == (Jet.polynomial(X2, {(2, 0): -1}, order),)
     assert pf.unit == 1 + x1(order) + x2(order)
-    assert orders and max(orders) < order
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [6, 12, 24])
+def test_prepare_certifies_a_product_that_no_division_order_certified(order, monkeypatch):
+    # the division at every order overstated the edge terms of this W, so
+    # no division order certified it; the lift gives both factors
+    calls = record_divisions(monkeypatch)
+    pf, change = prepare_in(parse_jet("(x2^2 + x1*x2 - 2*x1 - 3*x1^2)*(1 + x2)", X2, order),
+                            "x2", ("x1", "x2"))
+    assert change.is_identity and calls == []
+    assert pf.exact and pf.order == order
+    assert pf.poly == PseudoPolynomial("x2", [Jet.polynomial(X2, {(1, 0): 1}, order),
+                                              Jet.polynomial(X2, {(1, 0): -2, (2, 0): -3}, order)])
+    assert pf.unit == Jet.polynomial(X2, {(0, 0): 1, (0, 1): 1}, order)
+    # the route before the lift left it uncertified
+    assert not probe_prepare(parse_jet("(x2^2 + x1*x2 - 2*x1 - 3*x1^2)*(1 + x2)", X2, order),
+                             "x2")[1]
 
 
 def test_prepare_of_a_genuine_series_keeps_the_documented_report():
@@ -579,7 +616,7 @@ def to_sympy(j, gens):
 
 def test_prepare_returns_the_factors_of_an_exact_product_property():
     # f = u*W with W distinguished and u a polynomial unit: the preparation is
-    # exactly (u, W), whatever probe order certified it
+    # exactly (u, W)
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -592,11 +629,9 @@ def test_prepare_returns_the_factors_of_an_exact_product_property():
         w = {(0,) * (n - 1) + (p,): Fraction(1)}
         for j in range(1, p + 1):
             for _ in range(draw(st.integers(0, 2))):
-                # a_j of order at least j: the division then loses no term of
-                # W at any order (README, "Truncation contract")
+                # a_j of any positive order: the lift takes every polynomial W
                 base = [draw(st.integers(0, 2)) for _ in range(n - 1)]
-                for _ in range(j):
-                    base[draw(st.integers(0, n - 2))] += 1
+                base[draw(st.integers(0, n - 2))] += 1
                 w[tuple(base) + (p - j,)] = Fraction(draw(st.integers(-3, 3)))
         u = {(0,) * n: Fraction(draw(st.sampled_from((-2, -1, 1, 3))))}
         for _ in range(draw(st.integers(0, 3))):
@@ -712,9 +747,107 @@ def full_order_preparation(f, var, p):
     return q.invert_unit(), PseudoPolynomial.from_jet(vp - r, var)
 
 
+def probe_prepare(f, var):
+    """Reference: ``weierstrass_prepare`` on exact input as it ran before
+    the lift, and whether it certified.  ``var^p`` is divided by ``f`` at
+    the probe orders ``p+2, 2(p+2), ...`` below the order, then at the
+    order, and the first candidate ``W`` that ``exact_divide`` certifies
+    is the answer; else the division at the order is."""
+    p = regularity_order(f, var)
+    order = f.order
+    if f.split(var, p)[0].is_zero():
+        zero = Jet.zero(f.ctx, order)
+        return PreparedForm(f.shift(var, -p).with_order(order),
+                            PseudoPolynomial(var, (zero,) * p), order), True
+    probes = []
+    probe = p + 2
+    while probe < order:
+        probes.append(probe)
+        probe *= 2
+    for probe in probes + [order]:
+        vp = Jet.variable(f.ctx, var, probe) ** p
+        q, r = weierstrass_divide(vp, f, var)
+        candidate = PseudoPolynomial.from_jet(vp - r, var)
+        if not q.is_unit() or not candidate.is_distinguished:
+            continue
+        lifted = candidate.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
+        exact_q = exact_divide(f, lifted.as_jet())
+        if exact_q is not None:
+            return PreparedForm(exact_q.truncate(order), lifted, order), True
+    return PreparedForm(q.invert_unit(), candidate, order), False
+
+
+def test_prepare_agrees_with_the_probe_route_property():
+    # where a probe certified, the lift gives the same factors; where only
+    # the lift certifies, unit*W == f exactly; elsewhere the division at the
+    # order gives the answer, as before
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"probe": 0, "lift only": 0, "neither": 0}
+
+    def check_one(f, var):
+        p = regularity_order(f, var)
+        pf = weierstrass_prepare(f, var)
+        old, certified = probe_prepare(f, var)
+        if certified:
+            seen["probe"] += 1
+            assert (pf.unit, pf.poly, pf.order) == (old.unit, old.poly, old.order)
+        elif pf.exact:
+            seen["lift only"] += 1
+            assert pf.poly.exact and pf.unit.exact and pf.order == f.order
+            assert pf.unit * pf.poly.as_jet() == f
+        else:
+            seen["neither"] += 1
+            unit, poly = full_order_preparation(f, var, p)
+            assert (pf.unit, pf.poly, pf.order) == (unit, poly, f.order)
+
+    @st.composite
+    def germs(draw):
+        n = draw(st.integers(2, 3))
+        params = ("t",) if draw(st.booleans()) else ()
+        ctx = VarContext.make([f"x{i}" for i in range(1, n + 1)], params)
+        width = len(ctx.names)
+        p = draw(st.integers(1, 4))
+        # W = var^p + a_1 var^(p-1) + ... with every a_j vanishing at 0
+        w = {(0,) * (width - 1) + (p,): 1}
+        for j in range(1, p + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                base = [0] * (width - 1)
+                base[draw(st.integers(0, width - 2))] = draw(st.integers(1, 2))
+                w[tuple(base) + (p - j,)] = draw(st.integers(-3, 3))
+        # a unit with a var term, as in (1 + x2) above, is where the division
+        # overstated the edge terms of W
+        u = {(0,) * width: draw(st.sampled_from((-2, -1, 1, 3))),
+             (0,) * (width - 1) + (1,): draw(st.sampled_from((1, -1, 2, 0)))}
+        for _ in range(draw(st.integers(0, 2))):
+            key = tuple(draw(st.integers(0, 1)) for _ in range(width))
+            if any(key):
+                u[key] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        f = Jet.polynomial(ctx, w, INFINITE_ORDER) * Jet.polynomial(ctx, u, INFINITE_ORDER)
+        if draw(st.booleans()):
+            # a tail of var alone: W is then, in general, a genuine series
+            tail = (0,) * (width - 1) + (draw(st.integers(p + 1, p + 3)),)
+            f = f + Jet.polynomial(ctx, {tail: draw(st.sampled_from((-1, 2)))}, INFINITE_ORDER)
+        order = draw(st.integers(p + 2, 10))
+        return Jet.polynomial(ctx, f.graded_items(), order)
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(germs())
+    def check(f):
+        check_one(f, f.ctx.names[-1])
+
+    check()
+    # one germ over Q(alpha), alpha^2 = 2, whose unit has the constant alpha
+    a = Jet.constant(X2, ALPHA, 10)
+    f = (x2(10) ** 2 + a * x1(10) * x2(10) - x1(10)) * (a + x2(10) - x1(10))
+    check_one(f, "x2")
+    assert weierstrass_prepare(f, "x2").unit == a + x2(10) - x1(10)
+    assert min(seen.values()) >= 5, seen
+
+
 def test_prepare_of_a_genuine_series_is_the_full_order_division_property():
-    # W is a genuine series when a high power of var sits in the tail: every
-    # probe fails, and the answer is the one division at the order
+    # W is a genuine series when a high power of var sits in the tail: the
+    # lift gives up, and the answer is the one division at the order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     genuine = []
