@@ -41,19 +41,20 @@ dicts (:func:`weierstrass_lift`).
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
-width that hold every leading principal minor, so that a whole
-division-free determinant pass runs on plain integers and each minor is
-unpacked once.  Entries known to every order are packed in a box of the
-exponents, and the pass runs in Z.  Entries truncated at a least order
-``N`` are packed in a box graded by total degree below ``N``, and the pass
-runs modulo ``2^(8*w*window)``: evaluation followed by that reduction is a
-ring homomorphism from ``Z[x]/(deg >= N)``.  Its minors but the first are
+width that hold every minor, so that a whole determinant pass runs on
+plain integers and each leading principal minor is unpacked once.  Entries
+known to every order are packed in a box of the exponents, and the pass
+runs in Z, where it may divide exactly (fraction-free elimination).
+Entries truncated at a least order ``N`` are packed in a box graded by
+total degree below ``N``, and the division-free pass runs modulo
+``2^(8*w*window)``: evaluation followed by that reduction is a ring
+homomorphism from ``Z[x]/(deg >= N)``.  Its minors but the first are
 flagged not exact, as on jets, where a non-exact entry of the leading
 2-by-2 block clears the flag of every later minor.  The coefficients of a
 monic polynomial with integer coefficients have images in the same boxes
 (:func:`hankel_images`), sized for the Hankel minors of its power sums, so
-that Newton's identities run on the same integers as the Berkowitz pass
-that follows them.  :func:`_images` packs and unpacks for both.
+that Newton's identities run on the same integers as the pass of the
+minors that follows them.  :func:`_images` packs and unpacks for both.
 """
 
 from __future__ import annotations
@@ -934,11 +935,10 @@ def _norm(t: Mapping[Exponents, Scalar]) -> int:
 
 
 def _hadamard(norms: Sequence[Sequence[int]]) -> int:
-    """A bound on every coefficient of every leading principal minor of a
-    square matrix whose entries have the 1-norms ``norms``; see
-    :func:`minor_images`."""
-    square = max(math.prod(sum(x * x for x in norms[i][:k]) for i in range(k))
-                 for k in range(1, len(norms) + 1))
+    """A bound on every coefficient of every minor, on any rows and columns,
+    of a square matrix whose entries have the 1-norms ``norms``: the product
+    over all rows of ``max(1, row 2-norm)``; see :func:`minor_images`."""
+    square = math.prod(max(1, sum(x * x for x in row)) for row in norms)
     # an integer coefficient at most sqrt(square) is at most isqrt(square)
     return math.isqrt(square)
 
@@ -976,7 +976,7 @@ def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], orde
 def minor_images(rows: Sequence[Sequence[Jet]]
                  ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet], Optional[int]]]:
     """The Kronecker images of a square matrix of integer polynomials, for
-    a division-free determinant pass on plain integers, the map that reads
+    a determinant pass on plain integers, the map that reads
     each leading principal minor but the first back from its image, and the
     mask of the ring the pass runs in (None for all of Z).  None unless
     every entry has integer coefficients, in one context, and one of two
@@ -991,10 +991,11 @@ def minor_images(rows: Sequence[Sequence[Jet]]
     read back from its signed digits (:func:`_digits`) when it lies in the
     box and its coefficients fit ``w`` bytes:
 
-    * exact box: the images are in Z.  The k-by-k leading minor sums
-      products of one entry per row, so its degree in ``v`` is at most the
-      sum over rows of the row's greatest degree in ``v``; each variable's
-      digit has room for that sum over all rows.  The minors are exact.
+    * exact box: the images are in Z.  A minor on a subset of the rows
+      sums products of one entry per row, so its degree in ``v`` is at
+      most the sum over those rows of the row's greatest degree in ``v``;
+      each variable's digit has room for that sum over all rows.  The
+      minors are exact.
     * graded box: the box of :func:`_layout` graded below ``N``.  A
       monomial of degree ``>= N`` has a slot of at least the window, so
       evaluation followed by reduction modulo ``2^M``, ``M = 8*w*window``
@@ -1020,15 +1021,19 @@ def minor_images(rows: Sequence[Sequence[Jet]]
       the matrix keeps the pass on jets.
     * digit width, both boxes: on the unit torus ``|M_ij| <= ||M_ij||_1``,
       and a coefficient of a polynomial is at most its greatest modulus
-      there, so by Hadamard's bound every coefficient of the k-by-k leading
-      minor (in the graded box, of the polynomial minor of the packed
-      entries, which agrees below ``N``) is at most
-      ``prod_(i<k) sqrt(sum_(j<k) ||M_ij||_1^2)``; ``w`` holds the largest
-      of these bounds over k and every coefficient of an entry (which packs
-      one digit each), plus a sign bit.
+      there, so by Hadamard's bound every coefficient of the minor on the
+      rows ``R`` and the columns ``C`` (in the graded box, of the
+      polynomial minor of the packed entries, which agrees below ``N``) is
+      at most ``prod_(i in R) sqrt(sum_(j in C) ||M_ij||_1^2)``, and so at
+      most the product over all rows of ``max(1, sqrt(sum_j
+      ||M_ij||_1^2))`` (:func:`_hadamard`); ``w`` holds that bound plus a
+      sign bit.  An entry is a 1-by-1 minor, so its coefficients, packed
+      one digit each, fit too.
 
-    Only the minors are read back, so the values met on the way may
-    overflow their digits and the box freely.  Each entry is packed once.
+    Only the leading principal minors are read back.  The Berkowitz pass
+    meets values that may overflow their digits and the box freely; every
+    value that fraction-free elimination keeps is a minor, which fits
+    (:func:`~equijet.pseudopoly._bareiss`).  Each entry is packed once.
     The first minor is the entry ``rows[0][0]`` itself, at the least order.
     """
     ctx = rows[0][0].ctx
@@ -1046,7 +1051,7 @@ def minor_images(rows: Sequence[Sequence[Jet]]
         entries = [[_below(e.terms, order) for e in row] for row in rows]
         box = None
     norms = [[_norm(t) for t in row] for row in entries]
-    bound = max(_hadamard(norms), max(map(max, norms)))
+    bound = _hadamard(norms)
     packed, unpack, mask = _images(ctx, [t for row in entries for t in row], order, box, bound)
     n = len(rows)
     return [packed[i * n:(i + 1) * n] for i in range(n)], unpack, mask
@@ -1059,9 +1064,10 @@ def hankel_images(coeffs: Sequence[Jet], k: int
     minors ``d_1..d_k`` of the Hankel matrix ``(s_(i+j))`` of its Newton
     power sums, with the map that reads a minor but the first back and the
     mask of the ring, as :func:`minor_images` gives them.  Newton's
-    identities and the Berkowitz pass are both division-free, so both run
-    on the images, which :func:`minor_images` shows to be a ring: the power
-    sums are never read back, and only the minors have to fit.  Each
+    identities are division-free, so they run on the images, which
+    :func:`minor_images` shows to be a ring, and the pass of the minors
+    follows them there: the power sums are never read back, and only the
+    minors of their Hankel matrix have to fit.  Each
     ``a_i`` is packed once.  None unless ``p >= 2``, every ``a_i`` has
     integer coefficients, in one context, and one of two boxes applies:
 
@@ -1094,7 +1100,11 @@ def hankel_images(coeffs: Sequence[Jet], k: int
       ``prod_i a_i^(e_i)`` with ``sum_i i*e_i = j``.  The m-by-m leading
       minor sums products ``prod_(i<m) s_(i+sigma(i))`` over permutations
       ``sigma``, of weight ``sum_(i<m) (i + sigma(i)) = m*(m-1)``, so it is
-      isobaric of weight ``m*(m-1) <= k*(k-1)``.  A product of weight ``W``
+      isobaric of weight ``m*(m-1) <= k*(k-1)``.  So is every minor: one on
+      ``m`` rows ``R`` and ``m`` columns ``C`` has the weight
+      ``sum(R) + sum(C) <= m*(2*k-m-1) <= k*(k-1)``, the bordered minors
+      that :func:`~equijet.pseudopoly._bareiss` keeps among them.  A
+      product of weight ``W``
       has degree in ``v`` at most ``sum_i e_i*deg_v(a_i) <= W*delta_v``,
       with ``delta_v = max_i deg_v(a_i)/i``; so each variable's digit holds
       ``floor(k*(k-1)*delta_v)``, the greatest ``floor(k*(k-1)*deg_v(a_i)/i)``:
@@ -1104,8 +1114,8 @@ def hankel_images(coeffs: Sequence[Jet], k: int
       ||a_i||_1*N_(j-i) + [j <= p]*j*||a_j||_1``.  By the triangle
       inequality and ``||f*g||_1 <= ||f||_1*||g||_1``, Newton's identity
       gives ``||s_j||_1 <= N_j`` by induction.  Hadamard's bound of
-      :func:`minor_images` grows with the entries' norms, so it holds with
-      ``N_(i+j)`` in place of ``||s_(i+j)||_1``.  ``w`` holds the largest of
+      :func:`minor_images`, on every minor, grows with the entries' norms,
+      so it holds with ``N_(i+j)`` in place of ``||s_(i+j)||_1``.  ``w`` holds the largest of
       that bound, every ``||a_i||_1`` (each coefficient packs one digit)
       and ``p``, plus a sign bit.
 

@@ -14,7 +14,7 @@ so that ``Delta_1`` is the classical discriminant (up to the usual constant)
 and the first nonzero index detects the number of distinct roots:
 ``first_nonzero = p - #distinct + 1``.
 
-The coefficient ring (jets) has zero divisors, so every determinant here is
+The coefficient ring (jets) has zero divisors, so a determinant on jets is
 computed division-free (Berkowitz's algorithm).  Its pass meets the
 determinant of every leading principal submatrix on the way, so one pass over
 the p-by-p Hankel matrix gives the whole sequence ``Delta_1..Delta_p``.
@@ -26,16 +26,22 @@ minor unpacked once) or onto jets (one :meth:`Jet.dot`, a loop of jet
 products, per step), except ``v^p``, whose minors :func:`hankel_minors`
 states in closed form:
 
-* a polynomial (:func:`hankel_minors`) runs both recursions on images when
-  :func:`~equijet.jets.hankel_images` gives them, else on jets;
+* a polynomial (:func:`hankel_minors`) runs Newton's identities and then
+  the minors' pass on images when :func:`~equijet.jets.hankel_images` gives
+  them, else on jets;
 * a matrix handed to :func:`berkowitz_minors` (the Sylvester matrices of
-  :func:`resultant_jets`) runs the Berkowitz pass on images when
+  :func:`resultant_jets`) runs the minors' pass on images when
   :func:`~equijet.jets.minor_images` gives them, else on jets.
 
 The images live in Z when every input is known to every order, and modulo
 a power of 2 when the inputs are truncated and flag the minors as not
-exact.  Jets take rational or ``Q(alpha)`` coefficients, and truncated
-input whose flags each product's own truncation decides.
+exact.  Images in Z take exact division: the minors' pass there is
+fraction-free elimination (:func:`_bareiss`), whose pivots are the leading
+minors, in O(n^3) products where Berkowitz takes O(n^4); a zero pivot
+whose block does not vanish hands the matrix to the Berkowitz pass.  Images
+modulo a power of 2 and jets take the Berkowitz pass.  Jets take rational
+or ``Q(alpha)`` coefficients, and truncated input whose flags each
+product's own truncation decides.
 """
 
 from __future__ import annotations
@@ -277,6 +283,68 @@ def _berkowitz(rows, diagonal, one, zero, dot) -> list:
     return minors
 
 
+def _bareiss(rows: Sequence[Sequence[int]]) -> Optional[List[int]]:
+    """The leading principal minors ``d_1..d_n`` of a square matrix of
+    Kronecker images in Z (the exact box of
+    :func:`~equijet.jets.minor_images` or
+    :func:`~equijet.jets.hankel_images`) by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968), in O(n^3) products; None when a pivot
+    is 0 and the rank stop below does not apply, and the Berkowitz pass
+    must run.
+
+    With ``d_0 = 1``, step ``k = 1..n`` takes the pivot ``d_k``, the
+    top-left entry of the remaining block, drops its row and column, and
+    sets every other entry of the block to
+    ``a_ij <- (d_k*a_ij - a_ik*a_kj) // d_(k-1)``.  Let ``M`` be the matrix
+    of polynomials whose images these are.  After step ``k`` the entry
+    ``(i, j)`` (``i, j > k``) is the image of the bordered minor of ``M`` on
+    the rows ``1..k, i`` and the columns ``1..k, j``; its top-left entry is
+    ``d_(k+1)``:
+
+    * exact division: Sylvester's identity says that ``d_k`` times a
+      bordered minor of step ``k - 1``, less the product of two others,
+      is ``d_(k-1)`` times the bordered minor of step ``k``, in ``Z[x]``.
+      Evaluation at ``x_v = 2^(8*w*weight_v)`` is a ring homomorphism onto
+      Z, so the identity holds for the images, and ``d_(k-1)`` was taken
+      as a pivot only with a nonzero image: ``//`` divides exactly, and the
+      quotient is the image of the bordered minor;
+    * pivots read back as before: the pivots are the images of the minors
+      ``d_k``, the same integers that the Berkowitz pass forms in Z;
+    * the rank stop is sound: every bordered minor is a minor of ``M``, and
+      every minor of ``M`` fits the box and the digits of the images.  In
+      the box of :func:`~equijet.jets.minor_images` a subset of the rows
+      has a sum of greatest degrees no larger than that over all rows.  In
+      the box of :func:`~equijet.jets.hankel_images`, on the ``K``-by-``K``
+      matrix ``(s_(i+j))`` from ``i, j = 0``, the bordered minor of step
+      ``k`` at ``(i, j)`` is isobaric of weight
+      ``k*(k-1) + i + j <= (K-1)*(K-2) + 2*(K-1) = K*(K-1)``.  The digits
+      hold :func:`~equijet.jets._hadamard`, the product over all rows of
+      ``max(1, row 2-norm)``, which bounds a minor on any rows and columns.
+      So the image of a bordered minor is 0 exactly when the minor is the
+      zero polynomial.  When the pivot ``d_k`` is 0 and so is every entry
+      of the block, every minor of ``M`` bordering the leading
+      ``(k-1)``-by-``(k-1)`` block, whose minor ``d_(k-1)`` is not 0, is
+      zero, and by the bordering theorem ``M`` has rank ``k - 1`` over
+      ``Q(x)``: ``d_k..d_n`` are exact zeros.
+
+    Every value kept is a bordered minor, so it never outgrows the digits
+    and the box of the minors; only the products before each division are
+    wider.  No entry of ``rows`` is changed."""
+    block, previous, minors = rows, 1, []
+    while block:
+        top = block[0]
+        pivot = top[0]
+        if not pivot:
+            # rank k - 1 when the whole block vanishes, else Berkowitz
+            return None if any(map(any, block)) else minors + [0] * len(block)
+        minors.append(pivot)
+        tail = top[1:]
+        block = [[(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], tail)]
+                 for row in block[1:]]
+        previous = pivot
+    return minors
+
+
 def _image_dot(mask: Optional[int]):
     """The dot product of the ring of Kronecker images with this mask:
     plain integers for None, else every sum reduced modulo ``2^M = mask + 1``
@@ -296,11 +364,23 @@ def _image_dot(mask: Optional[int]):
     return lambda xs, ys, acc: ((sum(map(operator.mul, xs, ys), acc) + half) & mask) - half
 
 
+def _image_minors(rows: Sequence[Sequence[int]], mask: Optional[int]) -> List[int]:
+    """The images of the leading principal minors of a matrix of Kronecker
+    images in the ring of this mask (:func:`_image_dot`): by :func:`_bareiss`
+    in Z, unless it returns None, else by the Berkowitz pass."""
+    minors = _bareiss(rows) if mask is None else None
+    if minors is None:
+        minors = _berkowitz(rows, [rows[r][r] for r in range(len(rows))], 1, 0, _image_dot(mask))
+    return minors
+
+
 def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
-    """Division-free determinants of the leading principal submatrices of a
-    square matrix of jets, top-left 1-by-1 block first, each modulo the least
-    order ``N`` in the matrix, from one Berkowitz pass (it extends each
-    block's characteristic polynomial to the next).
+    """The determinants of the leading principal submatrices of a square
+    matrix of jets, top-left 1-by-1 block first, each modulo the least order
+    ``N`` in the matrix, from one pass: fraction-free elimination
+    (:func:`_bareiss`) on integer images in Z, else the division-free
+    Berkowitz pass (it extends each block's characteristic polynomial to the
+    next).
 
     This serves the matrices handed to it, the Sylvester matrices of
     :func:`resultant_jets` among them; :func:`hankel_minors` runs its own
@@ -311,16 +391,17 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
 
     * every entry exact at ``INFINITE_ORDER`` (the exact Sylvester matrices
       of :func:`resultant_jets`): the box is, per variable, the sum over
-      rows of the row's greatest degree, and the pass runs in Z;
+      rows of the row's greatest degree, and the pass runs in Z, by
+      :func:`_bareiss` unless a pivot is 0 and its block is not;
     * ``N`` finite and at least 1, with an entry of the leading 2-by-2
       block not exact: the box is graded by total degree below ``N``, and
-      the pass runs modulo ``2^(8*w*N^(#active))``, where evaluation is a
-      ring homomorphism from ``Z[x]/(deg >= N)``; every minor from the
-      second on is not exact, as it is on jets.
+      the Berkowitz pass runs modulo ``2^(8*w*N^(#active))``, where
+      evaluation is a ring homomorphism from ``Z[x]/(deg >= N)``; every
+      minor from the second on is not exact, as it is on jets.
 
-    In both, the digits hold Hadamard's bound
-    ``prod_i sqrt(sum_j ||M_ij||_1^2)`` at its largest over the leading
-    blocks, plus a sign bit.
+    In both, the digits hold Hadamard's bound, the product over all rows of
+    ``max(1, sqrt(sum_j ||M_ij||_1^2))``, which bounds every minor, plus a
+    sign bit.
 
     Every other matrix (rational or ``Q(alpha)`` coefficients, or a leading
     2-by-2 block exact at a finite order, where each product's own
@@ -336,8 +417,7 @@ def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
     images = minor_images(rows)
     if images is not None:
         packed, unpack, mask = images
-        minors = _berkowitz(packed, [packed[r][r] for r in range(n)], 1, 0, _image_dot(mask))
-        return [rows[0][0].truncate(order)] + [unpack(m) for m in minors[1:]]
+        return [rows[0][0].truncate(order)] + [unpack(m) for m in _image_minors(packed, mask)[1:]]
     ctx = rows[0][0].ctx
     return _berkowitz(rows, [rows[r][r].truncate(order) for r in range(n)],
                       Jet.constant(ctx, 1, order), Jet.zero(ctx, order), Jet.dot)
@@ -351,23 +431,26 @@ def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
 def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
     """``d_1..d_k``, the leading principal minors of the k-by-k Hankel matrix
     of power sums ``(s_(i+j))``, from one pass of Newton's identities and
-    one Berkowitz pass.
+    one pass of the minors: fraction-free elimination on images in Z, else
+    the Berkowitz pass.
 
     ``d_j`` is the sum over all j-element root subsets of the squared
     Vandermonde of the subset.  Exact coefficients are lifted to every
     order, so certified answers stay exact whatever their degree.
 
     :func:`~equijet.jets.hankel_images` alone picks the ring, on which
-    :func:`_newton` and :func:`_berkowitz` run once each.  It gives integer
+    :func:`_newton` and the minors' pass run once each.  It gives integer
     Kronecker images for integer coefficients, ``p >= 2``, and ``P`` exact,
     or truncated at an order ``N >= 1`` with ``a_1`` or ``a_2`` not exact:
-    each ``a_i`` is packed once, the passes run on the integers (modulo a
-    power of 2 in the truncated case), and each minor but the first is
-    unpacked once, so the power sums are never formed as jets.  The box and
-    the digit width hold the minors, by bounds on the degrees and norms of
-    the power sums proved there.  Every other ``P`` runs the passes on
-    jets, one :meth:`Jet.dot` per step.  Both give the same terms, order
-    and flag.
+    each ``a_i`` is packed once, the passes run on the integers, and each
+    minor but the first is unpacked once, so the power sums are never
+    formed as jets.  Exact ``P`` has images in Z, where :func:`_bareiss`
+    runs, unless a pivot is 0 and its block is not; truncated ``P`` has
+    images modulo a power of 2, where :func:`_berkowitz` runs.  The box and
+    the digit width hold every minor of the Hankel matrix, by bounds on the
+    degrees and norms of the power sums proved there.  Every other ``P``
+    runs :func:`_newton` and :func:`_berkowitz` on jets, one
+    :meth:`Jet.dot` per step.  All give the same terms, order and flag.
 
     ``v^p``, every coefficient an exact zero, runs no pass: its only root
     is 0, so ``d_1 = s_0 = p``, and every subset of two or more roots
@@ -393,9 +476,11 @@ def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
         one, zero, dot, scale = 1, 0, _image_dot(mask), operator.mul
     sums = _newton(coeffs, 2 * k - 1, scale(one, P.degree), zero, dot, scale)
     rows = [[sums[i + j] for j in range(k)] for i in range(k)]
-    minors = _berkowitz(rows, [rows[r][r] for r in range(k)], one, zero, dot)
-    if images is not None:
-        minors = [Jet.constant(P.ctx, P.degree, P.order)] + [unpack(m) for m in minors[1:]]
+    if images is None:
+        minors = _berkowitz(rows, [rows[r][r] for r in range(k)], one, zero, dot)
+    else:
+        minors = [Jet.constant(P.ctx, P.degree, P.order)]
+        minors += [unpack(m) for m in _image_minors(rows, mask)[1:]]
     return [_settle(d, base_order) for d in minors]
 
 

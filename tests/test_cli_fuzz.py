@@ -9,9 +9,12 @@ commands: expressions with zero, unit, rational-literal and huge-exponent
 terms, orders 0-3 and up to 10, empty, duplicate and overlapping
 ``--vars``/``--params``, systems of 1-3 germs for ``tower``, mero germs with
 shared or repeated factors, fixed or generic, and ``binomial`` with unit
-targets.  About one ``gendisc`` draw in ten is followed by a ``gendisc`` of
-a split integer quartic at an order of 14-30, drawn from a stream of its
-own so that the other draws stay as they are.
+targets.  About one ``gendisc`` draw in ten is followed by three more
+``gendisc`` commands, drawn from a stream of their own so that the other
+draws stay as they are: a split integer quartic at an order of 14-30, and
+two exact ones, a split quartic with one factor squared and a cusp
+``y^p - x1^q`` (``p = 3, 4``), whose exact passes stop at the rank and fall
+back to the Berkowitz pass.
 """
 
 import random
@@ -176,13 +179,29 @@ def draw_split_quartic(rng):
     return argv + ["--machine"] * (rng.random() < 0.5)
 
 
+def draw_exact_gendiscs(rng):
+    """Two exact ``gendisc`` commands, at orders above their degrees: four
+    factors ``y + a*x1 + b*x2 + c`` with small integers, the first squared
+    (three distinct roots: the exact pass stops at the rank), and
+    ``y^p - x1^q`` with ``p = 3, 4`` (``d_2`` vanishes and ``d_3`` does not:
+    the exact pass falls back to the Berkowitz pass)."""
+    factors = [f"(y + ({rng.randint(-3, 3)})*x1 + ({rng.randint(-3, 3)})*x2"
+               f" + ({rng.randint(-2, 2)}))" for _ in range(3)]
+    quartic = f"{factors[0]}^2*" + "*".join(factors[1:])
+    p, q = rng.randint(3, 4), rng.randint(1, 6)
+    return [["gendisc", quartic, "--var", "y", "--vars", "x1,x2,y",
+             "--order", str(rng.randint(5, 9))],
+            ["gendisc", f"y^{p} - x1^{q}", "--var", "y", "--vars", "x1,y",
+             "--order", str(max(p, q) + rng.randint(1, 4))]]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_drawn_command_ends_in_a_documented_exit(seed, capsys):
     rng, quartics = random.Random(seed), random.Random(f"quartics:{seed}")
     for _ in range(DRAWS):
         argvs = [draw(rng)]
         if argvs[0][0] == "gendisc" and quartics.random() < 0.1:
-            argvs.append(draw_split_quartic(quartics))
+            argvs += [draw_split_quartic(quartics), *draw_exact_gendiscs(quartics)]
         for argv in argvs:
             try:
                 code = main(argv)

@@ -491,8 +491,9 @@ def sylvester_hadamard(k):
     # [[8, 8], [-8, 8]]*x1: 128*x1^2 meets the bound, which needs a sign
     # bit beyond one byte
     ([[8, 8], [-8, 8]], [8, 128]),
-    # the same block above a zero row: the bound of the whole matrix is 0,
-    # that of the leading 2-by-2 block 128
+    # the same block above a zero row, which counts 1 in Hadamard's bound:
+    # the bound is 128, as on the leading 2-by-2 block, and the elimination
+    # stops at rank 2
     ([[8, 8, 0], [-8, 8, 0], [0, 0, 0]], [8, 128, 0]),
 ], ids=["hadamard-4", "sign-bit", "zero-row"])
 def test_integer_pass_reads_minors_that_meet_hadamards_bound(entries, minors):
@@ -968,3 +969,132 @@ def test_graded_passes_that_wrap_past_the_window_match_the_references_property()
     settings = hypothesis.settings(derandomize=True, max_examples=30, deadline=None,
                                    database=None)
     settings(hypothesis.given(wrapping())(check))()
+
+
+def spy_bareiss(monkeypatch):
+    """Record the outcome of every :func:`_bareiss` call (``full``, ``rank``
+    for a rank stop, ``fallback`` for None), every value it forms (the
+    quotient of each step), and the digit width ``M = 8*w*window`` of every
+    minor read back (:func:`~equijet.jets._digits`)."""
+    seen = {"outcomes": [], "values": [], "widths": set()}
+    bareiss, digits = pseudopoly_module._bareiss, jets_module._digits
+    values = seen["values"]
+
+    class Traced(int):
+        """An int whose products and differences stay traced and whose
+        quotients are recorded."""
+
+        def __mul__(self, other):
+            return Traced(int(self) * other)
+
+        def __sub__(self, other):
+            return Traced(int(self) - other)
+
+        def __floordiv__(self, other):
+            values.append(int(self) // other)
+            return Traced(values[-1])
+
+    def bareiss_spy(rows):
+        minors = bareiss([[Traced(x) for x in row] for row in rows])
+        if minors is None:
+            seen["outcomes"].append("fallback")
+            return None
+        seen["outcomes"].append("full" if all(minors) else "rank")
+        return [int(m) for m in minors]
+
+    def digits_spy(packed, window, width):
+        seen["widths"].add(8 * width * window)
+        return digits(packed, window, width)
+
+    monkeypatch.setattr(pseudopoly_module, "_bareiss", bareiss_spy)
+    monkeypatch.setattr(jets_module, "_digits", digits_spy)
+    return seen
+
+
+def test_exact_integer_passes_take_fraction_free_elimination_property(monkeypatch):
+    # exact integer polynomials and matrices: Bareiss runs on their images
+    # in Z, stops at the rank when a pivot and its whole block vanish, and
+    # hands a vanishing pivot with a nonzero bordered minor to Berkowitz;
+    # the minors match the references, and every value it forms is a
+    # bordered minor, which fits the digits of the minors
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ctx = VarContext.make(["x1", "x2", "y"])
+    small = st.integers(-3, 3)
+    coefficient = st.one_of(small, st.integers(-2 ** 40, 2 ** 40))
+
+    @st.composite
+    def polynomials(draw):
+        """A split ``P``, its roots most often distinct (the full pass), one
+        with a root repeated (a rank stop), or ``y^p - c*x1^q`` with
+        ``p = 3, 4``, whose ``d_2`` vanishes and ``d_3`` does not (the
+        fallback)."""
+        kind = draw(st.sampled_from(("split", "repeated", "cusp")))
+        if kind == "cusp":
+            p, q = draw(st.integers(3, 4)), draw(st.integers(1, 5))
+            c = draw(coefficient.filter(bool))
+            return PseudoPolynomial("y", [Jet.zero(ctx, INFINITE_ORDER)] * (p - 1)
+                                    + [Jet(ctx, INFINITE_ORDER, {(q, 0, 0): -c}, True)])
+        p = draw(st.integers(2, 5))
+        # a nonzero x1 term keeps P from being y^p, which takes no pass
+        roots = [{(1, 0, 0): draw(small.filter(bool)), (0, 1, 0): draw(small),
+                  (2, 0, 0): draw(small), (0, 0, 0): draw(small)} for _ in range(p)]
+        if kind == "repeated":
+            roots[-1] = roots[0]
+        y = Jet.variable(ctx, "y", INFINITE_ORDER)
+        f = Jet.constant(ctx, 1, INFINITE_ORDER)
+        for r in roots:
+            f = f * (y - Jet(ctx, INFINITE_ORDER, r, True))
+        return PseudoPolynomial.from_jet(f, "y")
+
+    @st.composite
+    def matrices(draw):
+        """A matrix of exact integer polynomials in ``x1, x2`` (full), a
+        product ``U*V`` through ``r < n`` columns (a rank stop), one with
+        ``a_11 = 0`` (the fallback), or one with an all-zero row (a rank
+        stop in the last row, else the fallback; the row counts 1 in
+        Hadamard's bound)."""
+        kind = draw(st.sampled_from(("random", "low-rank", "zero-pivot", "zero-row")))
+        n = draw(st.integers(2, 4))
+        terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+                                coefficient, min_size=1, max_size=3)
+
+        def entries(count):
+            return [[Jet(ctx, INFINITE_ORDER, draw(terms), True) for _ in range(count)]
+                    for _ in range(n)]
+
+        if kind == "low-rank":
+            r = draw(st.integers(1, n - 1))
+            U, V = entries(r), entries(n)[:r]
+            zero = Jet.zero(ctx, INFINITE_ORDER)
+            return [[Jet.dot(U[i], [V[m][j] for m in range(r)], zero) for j in range(n)]
+                    for i in range(n)]
+        rows = entries(n)
+        if kind == "zero-pivot":
+            rows[0][0] = Jet.zero(ctx, INFINITE_ORDER)
+        if kind == "zero-row":
+            rows[draw(st.integers(0, n - 1))] = [Jet.zero(ctx, INFINITE_ORDER)] * n
+        return rows
+
+    seen = spy_bareiss(monkeypatch)
+
+    def check_pass(run, reference):
+        seen["values"].clear()
+        seen["widths"].clear()
+        out = run()
+        # one digit width M for every minor read back, which no value formed
+        # on the way outgrows
+        (M,) = seen["widths"]
+        assert all(-2 ** (M - 1) <= v < 2 ** (M - 1) for v in seen["values"])
+        assert out == reference()
+
+    def check(drawn):
+        P, rows = drawn
+        check_pass(lambda: hankel_minors(P, P.degree), lambda: reference_hankel_minors(P, P.degree))
+        check_pass(lambda: berkowitz_minors(rows), lambda: dense_berkowitz_minors(rows))
+
+    settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
+                                   database=None)
+    settings(hypothesis.given(st.tuples(polynomials(), matrices()))(check))()
+    for outcome in ("full", "rank", "fallback"):
+        assert seen["outcomes"].count(outcome) >= 5, seen["outcomes"]

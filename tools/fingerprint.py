@@ -42,6 +42,15 @@ components ``x1, x2, x1 + x2, x1 - x2, -1/4`` of the germ
 1 to ``order + 1`` in ``x1, x2`` (so that some slices are truncated), with
 a drawn ``--k0`` of 0-4, a grid of ``t`` that holds 0 and repeats, and an
 order of 5-12.
+
+The workload ``degrees`` is the tool's too, and reaches degrees above the
+benchmark's 6.  Each seed draws exact ``gendisc`` commands on monic ``P`` in
+``y`` over ``x1, x2`` (:func:`degrees_jobs`): one split ``P`` of each degree
+3-7 with distinct roots ``a*x1 + b*x2 +- x1^2`` (``a, b`` from -3 to 3),
+:data:`DEGREES_REPEATED` of degree 4-6 with a repeated root, and
+:data:`DEGREES_CUSPS` cusps ``y^p - x1^q``, each at an order above its total
+degree, so that the input is exact.  They run and are hashed as the
+``systems`` commands are.  The degree-7 commands take a few seconds each.
 """
 
 from __future__ import annotations
@@ -186,6 +195,41 @@ def mero_jobs(seed: int):
     return jobs
 
 
+DEGREES_REPEATED = 2
+DEGREES_CUSPS = 3
+
+
+def degrees_jobs(seed: int):
+    """``(label, run)`` for the seeded exact ``gendisc`` commands of one seed."""
+    rng = random.Random(f"degrees:{seed}")
+
+    def roots(count):
+        """``count`` distinct roots ``a*x1 + b*x2 +- x1^2``."""
+        drawn = set()
+        while len(drawn) < count:
+            drawn.add((rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((-1, 1))))
+        return sorted(drawn)
+
+    cases = [(p, roots(p)) for p in range(3, 8)]
+    for _ in range(DEGREES_REPEATED):
+        p = rng.randint(4, 6)
+        distinct = roots(rng.randint(2, p - 1))
+        cases.append((p, distinct + [rng.choice(distinct) for _ in range(p - len(distinct))]))
+    jobs = []
+    for p, rs in cases:
+        expr = "*".join(f"(y - ({a})*x1 - ({b})*x2 - ({e})*x1^2)" for a, b, e in rs)
+        argv = ["gendisc", expr, "--var", "y", "--vars", "x1,x2,y", "--order", str(2 * p + 1),
+                "--machine"]
+        label = f"degrees/split/p{p}/{len(set(rs))}distinct"
+        jobs.append((label, lambda argv=argv: run_cli(argv)))
+    for _ in range(DEGREES_CUSPS):
+        p, q = rng.randint(3, 7), rng.randint(1, 7)
+        argv = ["gendisc", f"y^{p} - x1^{q}", "--var", "y", "--vars", "x1,y",
+                "--order", str(max(p, q) + 1), "--machine"]
+        jobs.append((f"degrees/cusp/p{p}/q{q}", lambda argv=argv: run_cli(argv)))
+    return jobs
+
+
 def run_cli(argv):
     """The exit code, stdout and stderr of ``cli.main``, or what it raised."""
     from equijet import cli
@@ -221,6 +265,8 @@ def main(argv=None) -> int:
             return systems_jobs(seed)
         if args.workload == "mero":
             return mero_jobs(seed)
+        if args.workload == "degrees":
+            return degrees_jobs(seed)
         import workloads
         return [(job.label, job.run) for job in workloads.make_jobs(args.workload, seed, root)]
 
