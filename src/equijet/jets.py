@@ -35,9 +35,9 @@ sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
 The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
-dicts (:func:`_inverse`).  The exact Weierstrass factors of an exact
-polynomial, when they are polynomials, come from a Hensel lift on term
-dicts (:func:`weierstrass_lift`).
+dicts (:func:`_inverse`).  The Weierstrass factors of an exact polynomial
+come from a Hensel lift on term dicts (:func:`weierstrass_lift`): exact
+when they are polynomials, else modulo its order.
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -841,34 +841,39 @@ class Jet:
         return f"<Jet {jet_to_text(self)} ({tag})>"
 
 
-def weierstrass_lift(f: Jet, var: str, p: int) -> Optional[Tuple[Jet, Jet]]:
-    """The exact factors ``(W, V)`` of an exact ``f`` of regularity order
-    ``p >= 1`` in ``var``, with ``f == W*V``, ``W`` the Weierstrass
-    polynomial and ``V`` the unit, when both are polynomials; else None.
+def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
+    """The Weierstrass polynomial ``W`` and the unit ``V`` of an exact ``f``
+    of finite order ``N`` and regularity order ``p >= 1`` in ``var``:
+    exact, with ``f == W*V``, when both are polynomials, else stated
+    modulo ``N`` and not exact.
 
     Write ``x'`` for every variable but ``var`` (parameters included) and
     ``f(0, var) = var^p * V0``, with ``V0(0) != 0`` since ``p`` is the
-    regularity order.  With ``t = V0^-1 mod var^p`` (a one-variable
-    recurrence) and ``s = (1 - t*V0) / var^p``, ``s*var^p + t*V0 = 1``.
-    The lift starts from ``W = var^p``, ``V = V0`` and the error
-    ``e = f - W*V``.  While ``e != 0``, let ``e_k`` be its part of least
-    degree ``k`` in ``x'``, and split ``t*e_k = var^p*Q + R`` with
+    regularity order.  The lift starts from ``W = var^p``, ``V = V0`` and
+    the error ``e = f - W*V``.  Unless ``e`` is 0 from the start, it takes
+    ``t = V0^-1 mod var^p`` and ``s = (1 - t*V0) / var^p``, so that
+    ``s*var^p + t*V0 = 1``.  While ``e != 0``, let ``e_k`` be its part of
+    least degree ``k`` in ``x'``, and split ``t*e_k = var^p*Q + R`` with
     ``deg_var R < p``; then ``W += R`` and ``V += dV`` with
     ``dV = s*e_k + Q*V0``.  Modulo ``(x')^(k+1)`` the new product gains
     ``var^p*dV + R*V0 = (s*var^p + t*V0)*e_k = e_k``, so each step matches
     the unique lifts modulo ``(x')^(k+1)``; the error drops
     ``W_old*dV + R*V_new``, all that the product gained.
 
-    If ``f = W1*V1`` for polynomials, the ``x'``-degrees add in the domain
-    ``K[var][x']``, so both factors have ``x'``-degree at most
-    ``deg_x'(f)``, and the lift reaches ``e = 0`` by then; so it stops
-    with None once ``k > deg_x'(f)``.  At ``e = 0``, ``W`` is monic of
-    degree ``p`` with ``W = var^p mod (x')`` and ``V(0) != 0``: the unique
-    Weierstrass polynomial and its unit.  Their total degrees add up to
-    that of ``f``, below its order, and both are returned exact at it.
+    The lift runs modulo ``(x')^N``: after each step the error terms of
+    ``x'``-degree ``>= N`` are dropped, so it ends within ``N`` steps.  If
+    none was dropped, ``f == W*V`` exactly, with ``W`` monic of degree
+    ``p``, ``W = var^p mod (x')`` and ``V(0) != 0``: the unique Weierstrass
+    polynomial and its unit, whose total degrees add up to that of ``f``,
+    below ``N``, so both are returned exact at ``N``.  If one was, the
+    factors are right modulo ``(x')^N``, so modulo total degree ``N`` (a
+    term below it has ``x'``-degree below it), and are returned at ``N``
+    not exact.  Polynomial factors never drop one: a truncation of each has
+    ``x'``-degree at most its own, and the two add up to ``deg_x'(f) < N``.
     """
     n = len(f.ctx.names)
     iv = f.ctx.index(var)
+    order = f.order
 
     def power(d: int) -> Exponents:
         return (0,) * iv + (d,) + (0,) * (n - iv - 1)
@@ -885,22 +890,15 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Optional[Tuple[Jet, Jet]]:
                 acc.pop(k, None)
 
     v0 = {power(k[iv] - p): c for k, c in f.terms.items() if not low(k)}
-    c0 = v0[power(0)]
-    # +-1 is its own inverse and stays an int
-    inv0 = c0 if c0 in (1, -1) else scalar_inverse(c0)
-    ts = [inv0]
-    for d in range(1, p):
-        ts.append(-inv0 * sum(v0.get(power(i), 0) * ts[d - i] for i in range(1, d + 1)))
-    t = {power(d): c for d, c in enumerate(ts) if c}
-    s = {power(k[iv] - p): -c for k, c in _product(t, v0, n, None).items() if k[iv] >= p}
     w: Dict[Exponents, Scalar] = {power(p): 1}
     v = dict(v0)
     e = {k: c for k, c in f.terms.items() if low(k)}
-    top = max(map(low, f.terms))
+    if e:
+        t = _inverse(v0, True, n, p)[0]
+        s = {power(k[iv] - p): -c for k, c in _product(t, v0, n, None).items() if k[iv] >= p}
+    exact = True
     while e:
         k = min(map(low, e))
-        if k > top:
-            return None
         ek = {key: c for key, c in e.items() if low(key) == k}
         r: Dict[Exponents, Scalar] = {}
         q: Dict[Exponents, Scalar] = {}
@@ -917,7 +915,11 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Optional[Tuple[Jet, Jet]]:
         add_into(v, dv)
         add_into(e, _product(r, v, n, None), -1)
         add_into(w, r)
-    return Jet.polynomial(f.ctx, w, f.order), Jet.polynomial(f.ctx, v, f.order)
+        beyond = [key for key in e if low(key) >= order]
+        for key in beyond:
+            del e[key]
+        exact = exact and not beyond
+    return Jet(f.ctx, order, w, exact), Jet(f.ctx, order, v, exact)
 
 
 def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:

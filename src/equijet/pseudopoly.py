@@ -552,12 +552,3 @@ def resultant_jets(A: Jet, B: Jet, var: str) -> Jet:
         rows.append([zero] * i + brow + [zero] * (n - i - db - 1))
     return _settle(berkowitz_det(rows), base_order)
 
-
-def resultant(P: PseudoPolynomial, Q: PseudoPolynomial) -> Jet:
-    """Resultant of two monic pseudopolynomials in the same variable."""
-    if P.var != Q.var:
-        raise ContextMismatchError(
-            f"distinguished variables differ: {P.var!r} vs {Q.var!r}")
-    if P.ctx != Q.ctx:
-        raise ContextMismatchError("pseudopolynomial contexts differ")
-    return resultant_jets(P.as_jet(), Q.as_jet(), P.var)

@@ -10,10 +10,11 @@ already recorded are carried through that change.  Each level is prepared
 in its own coordinates ``x_1..x_i``, with the parameters kept: a truncated
 coefficient is then known to be a series in those variables only, and
 without parameters the level of index 1 is exactly ``x_1^p``: on exact data
-its preparation is the quotient by ``x_1^p`` and its discriminants those of
-``x_1^p``, both in closed form, with no division and no Berkowitz pass
-(:func:`~equijet.weierstrass.weierstrass_prepare`,
-:func:`~equijet.pseudopoly.hankel_minors`).  The unit and
+the lift of its preparation starts at a zero error, so the unit is the
+quotient by ``x_1^p`` with no division
+(:func:`~equijet.weierstrass.weierstrass_prepare`), and its discriminants
+are those of ``x_1^p``, in closed form with no Berkowitz pass
+(:func:`~equijet.pseudopoly.hankel_minors`).  The unit and
 the coefficients are widened back to the full context, so reports keep
 full-width exponents.  The level is recorded, and the first nonzero
 generalized discriminant of its distinguished polynomial becomes the series

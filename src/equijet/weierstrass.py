@@ -13,12 +13,11 @@ on the line spanned by a direction is its regularity order after the shear.
 
 Preparation carries one extra step worth calling out: the unit and the
 distinguished polynomial produced by the finite-order iteration are, in
-general, only known modulo the order.  Exact input is therefore not
-divided but lifted, which certifies the factorization exact whenever it
-is a factorization into polynomials; that is what later lets vanishing
-claims about discriminants stay sound.  When ``var^p`` divides exact
-input, as it does in every one-variable context, ``W = var^p`` and the
-unit is the exact quotient.  Otherwise :func:`~equijet.jets.weierstrass_lift`
+general, only known modulo a lower degree than the order.  Exact input is
+therefore not divided but lifted, which states both factors honestly
+modulo the order and certifies the factorization exact whenever it is a
+factorization into polynomials; that is what later lets vanishing claims
+about discriminants stay sound.  :func:`~equijet.jets.weierstrass_lift`
 lifts ``f(0, var) = var^p * V0`` in the other variables ``x'``:
 
 1. ``t = V0^-1 mod var^p`` and ``s = (1 - t*V0) / var^p`` give
@@ -27,14 +26,16 @@ lifts ``f(0, var) = var^p * V0`` in the other variables ``x'``:
    ``k`` in ``x'`` of the error ``f - W*V`` is split as
    ``t*e_k = var^p*Q + R`` with ``deg_var R < p``, and ``W += R``,
    ``V += s*e_k + Q*V0``, so the error gains a degree in ``x'`` per step;
-3. polynomial factors of ``f`` have ``x'``-degree at most that of ``f``, so
-   the lift gives up, with None, once ``k`` exceeds it;
-4. at a zero error ``W`` is monic of degree ``p``, ``W = var^p mod (x')``
-   and ``V(0) != 0``: the unique Weierstrass polynomial and its unit, both
-   exact polynomials below the order.
+3. the lift runs modulo ``(x')^N``, ``N`` the order, and drops the error
+   terms of ``x'``-degree ``>= N``: it stops at ``x'``-degree ``N``, and
+   ``W`` and ``V`` are then right modulo total degree ``N``;
+4. at a zero error with no term dropped, ``W`` is monic of degree ``p``,
+   ``W = var^p mod (x')`` and ``V(0) != 0``: the unique Weierstrass
+   polynomial and its unit, both exact polynomials below the order.
 
-Exact input whose ``W`` is a genuine series, and truncated input, are
-divided once, at the order.  A truncated series in one variable has the
+When ``f = f(0, var)``, as always in one variable, the error is zero from
+the start: ``W = var^p`` and the unit is ``f / var^p``.  Truncated input
+is divided once, at the order.  A truncated series in one variable has the
 distinguished polynomial ``var^p`` exactly, because a series in one
 variable is a unit times a power of it.
 """
@@ -230,25 +231,21 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     Requires finite regularity order ``p``, and a finite order unless p = 0.
     In a one-variable context ``W`` is exactly ``var^p``.
 
-    Exact input whose low part ``f mod var^p`` is zero (``var^p`` divides
-    it, in one variable always) is answered in closed form: ``W = var^p``
-    with exact zero coefficients and the unit ``f / var^p`` at the order,
-    since ``var^p`` is monic, distinguished and divides ``f`` exactly, and
-    the quotient is a unit because ``p`` is the regularity order.
+    Exact input is lifted by :func:`~equijet.jets.weierstrass_lift` (the
+    four steps of the module docstring), with no division.  When
+    ``f = W * V`` for polynomials, ``W`` monic of degree ``p`` with
+    ``W = var^p mod (x')`` and ``V(0) != 0``, the lift finds them: ``W`` is
+    the unique Weierstrass polynomial of ``f`` and ``V`` its unit, both
+    exact, with total degree at most that of ``f``, so below the order, at
+    which they are stated.  Otherwise ``W`` is a genuine series, and both
+    factors are stated modulo the order, not exact.
 
-    Other exact input is lifted by :func:`~equijet.jets.weierstrass_lift`
-    (the four steps of the module docstring).  When ``f = W * V`` for
-    polynomials, ``W`` monic of degree ``p`` with ``W = var^p mod (x')``
-    and ``V(0) != 0``, the lift finds them: ``W`` is the unique Weierstrass
-    polynomial of ``f`` and ``V`` its unit, both exact, with total degree at
-    most that of ``f``, so below the order, at which they are stated.
-
-    Exact input that the lift leaves (its ``W`` is a genuine series) and
-    truncated input are computed by dividing ``var^p`` by ``f`` once, at
-    the order of ``f``; the result is not certified.  Truncated input in
-    particular keeps the division even when ``var^p`` divides it: its unit
-    is stated at the order of ``f`` although ``f / var^p`` is known only
-    modulo ``order - p``.
+    Truncated input is computed by dividing ``var^p`` by ``f`` once, at
+    the order of ``f``; the result is not certified, and it can be right
+    only to a lower degree than the order it is stated at.  In particular
+    a truncated ``f`` that ``var^p`` divides has its unit stated at the
+    order of ``f`` although ``f / var^p`` is known only modulo
+    ``order - p``.
     """
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
@@ -266,15 +263,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     if order == INFINITE_ORDER:
         raise PreconditionError("Weierstrass preparation needs a finite order")
     if f.exact:
-        if f.split(var, p)[0].is_zero():
-            # var^p divides f: W = var^p and the unit is the exact quotient
-            zero = Jet.zero(f.ctx, order)
-            return PreparedForm(unit=f.shift(var, -p).with_order(order),
-                                poly=PseudoPolynomial(var, (zero,) * p), order=order)
-        factors = weierstrass_lift(f, var, p)
-        if factors is not None:
-            w, unit = factors
-            return PreparedForm(unit=unit, poly=PseudoPolynomial.from_jet(w, var), order=order)
+        w, unit = weierstrass_lift(f, var, p)
+        return PreparedForm(unit=unit, poly=PseudoPolynomial.from_jet(w, var), order=order)
     vp = Jet.variable(f.ctx, var, order) ** p
     q, r = weierstrass_divide(vp, f, var)
     poly = PseudoPolynomial.from_jet(vp - r, var)

@@ -7,7 +7,7 @@ import pytest
 
 from equijet import jets as jets_module
 from equijet import pseudopoly as pseudopoly_module
-from equijet.errors import ContextMismatchError, DegreeCapError, PreconditionError
+from equijet.errors import DegreeCapError, PreconditionError
 from equijet.jets import INFINITE_ORDER, Jet, VarContext, hankel_images, minor_images
 from equijet.parser import parse_jet
 from equijet.pseudopoly import (
@@ -19,7 +19,6 @@ from equijet.pseudopoly import (
     hankel_minor,
     hankel_minors,
     power_sums,
-    resultant,
     resultant_jets,
 )
 from equijet.scalars import NumberField
@@ -253,13 +252,15 @@ def test_resultant_linear():
     yb = Jet.variable(ctx, "y") - Jet.variable(ctx, "b")
     P = PseudoPolynomial.from_jet(ya, "y")
     Q = PseudoPolynomial.from_jet(yb, "y")
-    assert resultant(P, Q) == Jet.variable(ctx, "a") - Jet.variable(ctx, "b")
+    assert resultant_jets(P.as_jet(), Q.as_jet(), P.var) == \
+        Jet.variable(ctx, "a") - Jet.variable(ctx, "b")
 
 
 def test_resultant_evaluation():
     f = Jet.variable(YX, "y") ** 2 - Jet.variable(YX, "x1")
     g = Jet.variable(YX, "y") + 1
-    r = resultant(PseudoPolynomial.from_jet(f, "y"), PseudoPolynomial.from_jet(g, "y"))
+    P, Q = PseudoPolynomial.from_jet(f, "y"), PseudoPolynomial.from_jet(g, "y")
+    r = resultant_jets(P.as_jet(), Q.as_jet(), P.var)
     assert r == Jet.constant(YX, 1, 16) - Jet.variable(YX, "x1")
 
 
@@ -321,12 +322,12 @@ def test_resultant_shared_factor_vanishes():
         extra_q = [Fraction(rng.randrange(-3, 4)) for _ in range(rng.randrange(0, 3))]
         P = PseudoPolynomial.from_roots(Y, "y", shared + extra_p)
         Q = PseudoPolynomial.from_roots(Y, "y", shared + extra_q)
-        assert resultant(P, Q).is_zero()
+        assert resultant_jets(P.as_jet(), Q.as_jet(), P.var).is_zero()
         if set(extra_p).isdisjoint(extra_q) and not (set(extra_p) & set(shared)) \
                 and not (set(extra_q) & set(shared)) and extra_p:
             P2 = PseudoPolynomial.from_roots(Y, "y", extra_p)
             Q2 = PseudoPolynomial.from_roots(Y, "y", shared + extra_q)
-            assert not resultant(P2, Q2).is_zero()
+            assert not resultant_jets(P2.as_jet(), Q2.as_jet(), P2.var).is_zero()
 
 
 def test_discriminant_of_distinct_linear_factors_nonzero():
@@ -344,13 +345,6 @@ def test_from_jet_requires_monic():
     f = Jet.constant(YX, 2, 16) * Jet.variable(YX, "y") ** 2
     with pytest.raises(PreconditionError):
         PseudoPolynomial.from_jet(f, "y")
-
-
-def test_variable_mismatch():
-    P = PseudoPolynomial.from_roots(YX, "y", [1])
-    Q = PseudoPolynomial.from_roots(YX, "x1", [1])
-    with pytest.raises(ContextMismatchError):
-        resultant(P, Q)
 
 
 def count_products(monkeypatch):

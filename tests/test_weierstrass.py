@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -600,11 +602,26 @@ def test_prepare_certifies_a_product_that_no_division_order_certified(order, mon
 
 
 def test_prepare_of_a_genuine_series_keeps_the_documented_report():
-    # README, "Truncation contract": -x1 modulo 10, uncertified
+    # README, "Truncation contract": -x1 - 4*x1^8 modulo 10, uncertified; a
+    # division states the x1^8 term only from order 18 on
     f = x2(10) ** 2 - x1(10) + x2(10) ** 9
     pf = weierstrass_prepare(f, "x2")
     assert not pf.exact and not pf.poly.exact
-    assert pf.poly.coeffs[1] == Jet(X2, 10, {(1, 0): -1}, False)
+    assert pf.poly.coeffs[1] == Jet(X2, 10, {(1, 0): -1, (8, 0): -4}, False)
+    assert agrees_below_its_order(pf, division_at_the_bound(f, "x2", 2))
+
+
+def test_prepare_at_order_96_agrees_with_order_48_within_a_time_budget():
+    # dividing at the order took about 29 s on a shared 2-vCPU Xeon; the
+    # lift takes well under a second there
+    text = "(x2 - x1^2)*(1 + x1 + x2) + x2^3"
+    start = time.process_time()
+    high = weierstrass_prepare(parse_jet(text, X2, 96), "x2")
+    elapsed = time.process_time() - start
+    assert elapsed < 3.0, elapsed
+    low = weierstrass_prepare(parse_jet(text, X2, 48), "x2")
+    assert not high.exact and high.order == 96 and low.order == 48
+    assert agrees_below_its_order(low, (high.unit, high.poly))
 
 
 def to_sympy(j, gens):
@@ -727,9 +744,9 @@ def test_prepare_of_a_multiple_of_a_power_is_the_exact_quotient_property(monkeyp
 def test_truncated_one_variable_unit_agrees_with_a_higher_order_below_its_order():
     # prepare "x^2 + 2*x^3 - x^5 + x^7" --var x --vars x --order 6 states the
     # unit 1 + 2*x - x^3 modulo 6, but f / x^2 is known only modulo 4: at
-    # order 12 the unit is 1 + 2*x - x^3 + x^5.  This is why the closed form
-    # f / var^p of weierstrass_prepare takes exact input only; on truncated
-    # input it would state the order N - p and change these reports.
+    # order 12 the unit is 1 + 2*x - x^3 + x^5.  weierstrass_prepare lifts
+    # exact input only; truncated input is still divided at the order, and
+    # stating the order N - p for it would change these reports.
     ctx = VarContext.make(["x"])
     text = "x^2 + 2*x^3 - x^5 + x^7"
     low, _ = prepare_in(parse_jet(text, ctx, 6), "x", ("x",))
@@ -745,6 +762,30 @@ def full_order_preparation(f, var, p):
     vp = Jet.variable(f.ctx, var, f.order) ** p
     q, r = weierstrass_divide(vp, f, var)
     return q.invert_unit(), PseudoPolynomial.from_jet(vp - r, var)
+
+
+def division_at_the_bound(f, var, p):
+    """Reference for exact ``f``: the division of ``var^p`` by ``f`` at an
+    order ``M`` that knows the unit and ``W`` below the order ``N`` of ``f``.
+
+    Give ``var`` the weight 1 and every other variable the weight ``lam``,
+    the largest of 1 and of ``(p - j)/|c|`` over the terms ``x^c*var^j``
+    of ``f mod var^p``.  A division at ``M`` knows ``W`` modulo total
+    degree ``ceil(M/lam)`` and the unit modulo ``ceil((M - p)/lam)``, so
+    ``M = ceil(lam*N) + p`` is enough for both."""
+    iv = f.ctx.index(var)
+    lam = max([Fraction(1)] + [Fraction(p - k[iv], sum(k) - k[iv])
+                               for k, _ in f.split(var, p)[0].graded_items()])
+    return full_order_preparation(f.with_order(math.ceil(lam * f.order) + p), var, p)
+
+
+def agrees_below_its_order(pf, reference):
+    """The unit and the coefficients of ``W`` of ``pf`` are those of the
+    ``(unit, poly)`` of ``reference`` below their own orders."""
+    unit, poly = reference
+    pairs = [(pf.unit, unit)] + list(zip(pf.poly.coeffs, poly.coeffs))
+    return all(got.graded_items() == [(k, c) for k, c in ref.graded_items() if sum(k) < got.order]
+               for got, ref in pairs)
 
 
 def probe_prepare(f, var):
@@ -779,8 +820,8 @@ def probe_prepare(f, var):
 
 def test_prepare_agrees_with_the_probe_route_property():
     # where a probe certified, the lift gives the same factors; where only
-    # the lift certifies, unit*W == f exactly; elsewhere the division at the
-    # order gives the answer, as before
+    # the lift certifies, unit*W == f exactly; elsewhere the lift states
+    # what a division at the bound knows below the order, uncertified
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     seen = {"probe": 0, "lift only": 0, "neither": 0}
@@ -798,8 +839,8 @@ def test_prepare_agrees_with_the_probe_route_property():
             assert pf.unit * pf.poly.as_jet() == f
         else:
             seen["neither"] += 1
-            unit, poly = full_order_preparation(f, var, p)
-            assert (pf.unit, pf.poly, pf.order) == (unit, poly, f.order)
+            assert not pf.poly.exact and not pf.unit.exact and pf.order == f.order
+            assert agrees_below_its_order(pf, division_at_the_bound(f, var, p))
 
     @st.composite
     def germs(draw):
@@ -845,12 +886,15 @@ def test_prepare_agrees_with_the_probe_route_property():
     assert min(seen.values()) >= 5, seen
 
 
-def test_prepare_of_a_genuine_series_is_the_full_order_division_property():
+def test_prepare_of_a_genuine_series_agrees_with_a_division_at_the_bound_property(
+        monkeypatch):
     # W is a genuine series when a high power of var sits in the tail: the
-    # lift gives up, and the answer is the one division at the order
+    # lift runs to the order, with no division, and states what a division
+    # at the bound knows below it, uncertified
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     genuine = []
+    calls = record_divisions(monkeypatch)
 
     @st.composite
     def germs(draw):
@@ -872,14 +916,15 @@ def test_prepare_of_a_genuine_series_is_the_full_order_division_property():
     def check(case):
         p, f = case
         var = f.ctx.names[-1]
+        calls.clear()
         pf = weierstrass_prepare(f, var)
+        assert calls == []
         if pf.exact:
             assert holds_identically(pf, f)
             return
         genuine.append(f)
-        unit, poly = full_order_preparation(f, var, p)
-        assert pf.unit == unit
-        assert pf.poly == poly and pf.order == f.order
+        assert not pf.poly.exact and not pf.unit.exact and pf.order == f.order
+        assert agrees_below_its_order(pf, division_at_the_bound(f, var, p))
 
     check()
     assert len(genuine) >= 20
