@@ -35,9 +35,10 @@ sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 (:meth:`Jet.dot`) is the loop of these products.
 
 The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
-dicts (:func:`_inverse`).  The Weierstrass factors of an exact polynomial
-come from a Hensel lift on term dicts (:func:`weierstrass_lift`): exact
-when they are polynomials, else modulo its order.
+dicts (:func:`_inverse`).  The Weierstrass factors of a jet come from a
+Hensel lift on term dicts (:func:`weierstrass_lift`) of its stored terms:
+exact when the jet is exact and they are polynomials, else modulo its
+order.
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -842,10 +843,13 @@ class Jet:
 
 
 def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
-    """The Weierstrass polynomial ``W`` and the unit ``V`` of an exact ``f``
-    of finite order ``N`` and regularity order ``p >= 1`` in ``var``:
-    exact, with ``f == W*V``, when both are polynomials, else stated
-    modulo ``N`` and not exact.
+    """The Weierstrass polynomial ``W`` and the unit ``V`` of ``f`` of
+    finite order ``N`` and regularity order ``p >= 1`` in ``var``: for an
+    exact ``f``, exact, with ``f == W*V``, when both are polynomials, else
+    stated modulo ``N`` and not exact.  A truncated ``f`` is lifted as the
+    polynomial of its stored terms, and both factors are stated modulo
+    ``N`` and not exact, except ``W`` in one variable: a series in one
+    variable is a unit times ``var^p``.
 
     Write ``x'`` for every variable but ``var`` (parameters included) and
     ``f(0, var) = var^p * V0``, with ``V0(0) != 0`` since ``p`` is the
@@ -870,6 +874,8 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
     term below it has ``x'``-degree below it), and are returned at ``N``
     not exact.  Polynomial factors never drop one: a truncation of each has
     ``x'``-degree at most its own, and the two add up to ``deg_x'(f) < N``.
+    The factors of a truncated ``f`` are those of one completion of it, so
+    they can be right only to a lower degree than ``N``.
     """
     n = len(f.ctx.names)
     iv = f.ctx.index(var)
@@ -896,7 +902,7 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
     if e:
         t = _inverse(v0, True, n, p)[0]
         s = {power(k[iv] - p): -c for k, c in _product(t, v0, n, None).items() if k[iv] >= p}
-    exact = True
+    exact = f.exact
     while e:
         k = min(map(low, e))
         ek = {key: c for key, c in e.items() if low(key) == k}
@@ -919,7 +925,7 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
         for key in beyond:
             del e[key]
         exact = exact and not beyond
-    return Jet(f.ctx, order, w, exact), Jet(f.ctx, order, v, exact)
+    return Jet(f.ctx, order, w, exact or n == 1), Jet(f.ctx, order, v, exact)
 
 
 def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:

@@ -13,12 +13,13 @@ on the line spanned by a direction is its regularity order after the shear.
 
 Preparation carries one extra step worth calling out: the unit and the
 distinguished polynomial produced by the finite-order iteration are, in
-general, only known modulo a lower degree than the order.  Exact input is
-therefore not divided but lifted, which states both factors honestly
-modulo the order and certifies the factorization exact whenever it is a
-factorization into polynomials; that is what later lets vanishing claims
-about discriminants stay sound.  :func:`~equijet.jets.weierstrass_lift`
-lifts ``f(0, var) = var^p * V0`` in the other variables ``x'``:
+general, only known modulo a lower degree than the order.  Preparation
+therefore does not divide but lifts, which states both factors of exact
+input honestly modulo the order and certifies the factorization exact
+whenever it is a factorization into polynomials; that is what later lets
+vanishing claims about discriminants stay sound.
+:func:`~equijet.jets.weierstrass_lift` lifts ``f(0, var) = var^p * V0`` in
+the other variables ``x'``:
 
 1. ``t = V0^-1 mod var^p`` and ``s = (1 - t*V0) / var^p`` give
    ``s*var^p + t*V0 = 1``;
@@ -35,7 +36,8 @@ lifts ``f(0, var) = var^p * V0`` in the other variables ``x'``:
 
 When ``f = f(0, var)``, as always in one variable, the error is zero from
 the start: ``W = var^p`` and the unit is ``f / var^p``.  Truncated input
-is divided once, at the order.  A truncated series in one variable has the
+is lifted as the polynomial of its stored terms, and neither factor is
+exact, except that a truncated series in one variable has the
 distinguished polynomial ``var^p`` exactly, because a series in one
 variable is a unit times a power of it.
 """
@@ -231,8 +233,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     Requires finite regularity order ``p``, and a finite order unless p = 0.
     In a one-variable context ``W`` is exactly ``var^p``.
 
-    Exact input is lifted by :func:`~equijet.jets.weierstrass_lift` (the
-    four steps of the module docstring), with no division.  When
+    Every input is lifted by :func:`~equijet.jets.weierstrass_lift` (the
+    four steps of the module docstring), with no division.  When an exact
     ``f = W * V`` for polynomials, ``W`` monic of degree ``p`` with
     ``W = var^p mod (x')`` and ``V(0) != 0``, the lift finds them: ``W`` is
     the unique Weierstrass polynomial of ``f`` and ``V`` its unit, both
@@ -240,12 +242,11 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     which they are stated.  Otherwise ``W`` is a genuine series, and both
     factors are stated modulo the order, not exact.
 
-    Truncated input is computed by dividing ``var^p`` by ``f`` once, at
-    the order of ``f``; the result is not certified, and it can be right
-    only to a lower degree than the order it is stated at.  In particular
-    a truncated ``f`` that ``var^p`` divides has its unit stated at the
-    order of ``f`` although ``f / var^p`` is known only modulo
-    ``order - p``.
+    Truncated input is lifted as the polynomial of its stored terms, and
+    the result is not certified.  It can be right only to a lower degree
+    than the order it is stated at: a truncated ``f`` that ``var^p``
+    divides has its unit stated at the order of ``f`` although
+    ``f / var^p`` is known only modulo ``order - p``.
     """
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
@@ -262,21 +263,8 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
         return PreparedForm(unit=unit, poly=poly, order=order)
     if order == INFINITE_ORDER:
         raise PreconditionError("Weierstrass preparation needs a finite order")
-    if f.exact:
-        w, unit = weierstrass_lift(f, var, p)
-        return PreparedForm(unit=unit, poly=PseudoPolynomial.from_jet(w, var), order=order)
-    vp = Jet.variable(f.ctx, var, order) ** p
-    q, r = weierstrass_divide(vp, f, var)
-    poly = PseudoPolynomial.from_jet(vp - r, var)
-    if not q.is_unit():
-        raise ConsistencyError("division quotient is not a unit; input was not regular")
-    if not poly.is_distinguished:
-        raise ConsistencyError("prepared polynomial is not distinguished")
-    if len(f.ctx.names) == 1:
-        # a one-variable series is a unit times var^p; the coefficients hold
-        # only terms below the order, so nothing is dropped
-        poly = poly.map_coeffs(lambda c: Jet.polynomial(c.ctx, c.graded_items(), order))
-    return PreparedForm(unit=q.invert_unit(), poly=poly, order=order)
+    w, unit = weierstrass_lift(f, var, p)
+    return PreparedForm(unit=unit, poly=PseudoPolynomial.from_jet(w, var), order=order)
 
 
 def regularizing_change(f: Jet, var: str, block: Sequence[str],

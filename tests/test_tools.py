@@ -1,4 +1,5 @@
-"""The tools under ``tools/``, run as a user runs them: in a subprocess."""
+"""The tools under ``tools/``: run as a user runs them, in a subprocess,
+or one helper in process."""
 
 import subprocess
 import sys
@@ -21,3 +22,38 @@ def test_fingerprint_of_cli_needs_the_corpus(tmp_path):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "corpus" in lines[0]
+
+
+def jet_entry(order, exact, *terms):
+    """A jet entry of a machine report with the ``(exponents, coefficient)``
+    pairs ``terms``."""
+    return {"text": "", "order": order, "exact": exact,
+            "terms": [{"exponents": list(k), "coefficient": c} for k, c in terms]}
+
+
+def test_orderaudit_compares_jets_below_the_least_order_a_truncated_side_states():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import orderaudit
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+
+    def findings(low, high):
+        disagree, structure = [], []
+        orderaudit.compare(low, high, "result", disagree, structure)
+        return disagree, structure
+
+    x, x3, x5 = ((1, 0), "1"), ((3, 0), "-1"), ((5, 0), "2")
+    # truncated at 3 against 9: the x^3 and x^5 terms lie beyond 3
+    assert findings(jet_entry(3, False, x), jet_entry(9, False, x, x3, x5)) == ([], [])
+    assert findings(jet_entry(6, False, x), jet_entry(9, False, x, x3)) == (
+        ["result below 6"], [])
+    # an exact side states no order: below the other side's
+    assert findings(jet_entry(9, True, x, x3), jet_entry(27, False, x, x3, x5)) == (
+        ["result below 27"], [])
+    assert findings(jet_entry(9, True, x), jet_entry(27, True, x)) == ([], [])
+    low = {"kind": "trivial", "levels": [jet_entry(3, True, x)]}
+    high = {"kind": "split", "levels": [jet_entry(9, True, x3), jet_entry(9, True, x)]}
+    assert findings(low, high) == (
+        ["result.levels[0] below inf"],
+        ['result.kind: "trivial" != "split"', "result.levels: length 1 != 2"])

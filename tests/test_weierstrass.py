@@ -624,6 +624,21 @@ def test_prepare_at_order_96_agrees_with_order_48_within_a_time_budget():
     assert agrees_below_its_order(low, (high.unit, high.poly))
 
 
+def test_prepare_of_a_truncated_germ_at_order_96_is_that_of_its_stored_terms():
+    # x1^200 lies beyond the order, so the stored terms are the exact germ
+    # of the test above; dividing at the order took about 15 s on a shared
+    # 2-vCPU Xeon, and its unit was wrong below 96
+    text = "(x2 - x1^2)*(1 + x1 + x2) + x2^3"
+    truncated = parse_jet(f"{text} + x1^200", X2, 96)
+    assert not truncated.exact
+    start = time.process_time()
+    pf = weierstrass_prepare(truncated, "x2")
+    elapsed = time.process_time() - start
+    assert elapsed < 3.0, elapsed
+    exact = weierstrass_prepare(parse_jet(text, X2, 96), "x2")
+    assert (pf.unit, pf.poly, pf.order) == (exact.unit, exact.poly, exact.order)
+
+
 def to_sympy(j, gens):
     sympy = pytest.importorskip("sympy")
     return sum((sympy.Rational(c.numerator, c.denominator)
@@ -682,7 +697,8 @@ def test_prepare_returns_the_factors_of_an_exact_product_property():
 
 def test_prepare_of_a_multiple_of_a_power_is_the_exact_quotient_property(monkeypatch):
     # var^p divides an exact f: W = var^p and the unit is f / var^p, with no
-    # division; the same f with a term beyond its order divides as before
+    # division; the same f with a term beyond its order is lifted too, and
+    # states what a division at the order states
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     divisions = []
@@ -723,13 +739,13 @@ def test_prepare_of_a_multiple_of_a_power_is_the_exact_quotient_property(monkeyp
         assert pf.poly == PseudoPolynomial(var, [Jet.zero(ctx, f.order)] * p)
         assert pf.unit == exact_divide(f, vp.truncate(f.order))
         assert pf.exact and pf.order == f.order and holds_identically(pf, f)
-        # a term var^N beyond the order N leaves f truncated: one division
-        # at the order, as before
+        # a term var^N beyond the order N leaves f truncated: still no
+        # division
         beyond = Jet.variable(ctx, var, INFINITE_ORDER) ** f.order
         truncated = (f.with_order(INFINITE_ORDER) + beyond).truncate(f.order)
         assert not truncated.exact
         pf = weierstrass_prepare(truncated, var)
-        assert divisions == [f.order]
+        assert divisions == []
         unit, poly = full_order_preparation(truncated, var, p)
         if len(ctx.names) == 1:
             # a one-variable series is a unit times var^p
@@ -745,8 +761,9 @@ def test_truncated_one_variable_unit_agrees_with_a_higher_order_below_its_order(
     # prepare "x^2 + 2*x^3 - x^5 + x^7" --var x --vars x --order 6 states the
     # unit 1 + 2*x - x^3 modulo 6, but f / x^2 is known only modulo 4: at
     # order 12 the unit is 1 + 2*x - x^3 + x^5.  weierstrass_prepare lifts
-    # exact input only; truncated input is still divided at the order, and
-    # stating the order N - p for it would change these reports.
+    # truncated input as the polynomial of its stored terms and states the
+    # factors at the order; stating the order N - p would change these
+    # reports.
     ctx = VarContext.make(["x"])
     text = "x^2 + 2*x^3 - x^5 + x^7"
     low, _ = prepare_in(parse_jet(text, ctx, 6), "x", ("x",))
@@ -764,18 +781,23 @@ def full_order_preparation(f, var, p):
     return q.invert_unit(), PseudoPolynomial.from_jet(vp - r, var)
 
 
+def weight(f, var, p):
+    """``lam`` of the bound on what a division or a preparation at the order
+    ``N`` of ``f`` knows.  Give ``var`` the weight 1 and every other
+    variable the weight ``lam``, the largest of 1 and of ``(p - j)/|c|``
+    over the terms ``x^c*var^j`` of ``f mod var^p``.  Then ``W`` is known
+    modulo total degree ``ceil(N/lam)`` and the unit modulo
+    ``ceil((N - p)/lam)``."""
+    iv = f.ctx.index(var)
+    return max([Fraction(1)] + [Fraction(p - k[iv], sum(k) - k[iv])
+                                for k, _ in f.split(var, p)[0].graded_items()])
+
+
 def division_at_the_bound(f, var, p):
     """Reference for exact ``f``: the division of ``var^p`` by ``f`` at an
-    order ``M`` that knows the unit and ``W`` below the order ``N`` of ``f``.
-
-    Give ``var`` the weight 1 and every other variable the weight ``lam``,
-    the largest of 1 and of ``(p - j)/|c|`` over the terms ``x^c*var^j``
-    of ``f mod var^p``.  A division at ``M`` knows ``W`` modulo total
-    degree ``ceil(M/lam)`` and the unit modulo ``ceil((M - p)/lam)``, so
-    ``M = ceil(lam*N) + p`` is enough for both."""
-    iv = f.ctx.index(var)
-    lam = max([Fraction(1)] + [Fraction(p - k[iv], sum(k) - k[iv])
-                               for k, _ in f.split(var, p)[0].graded_items()])
+    order ``M`` that knows the unit and ``W`` below the order ``N`` of ``f``;
+    by :func:`weight`, ``M = ceil(lam*N) + p`` is enough for both."""
+    lam = weight(f, var, p)
     return full_order_preparation(f.with_order(math.ceil(lam * f.order) + p), var, p)
 
 
@@ -786,6 +808,16 @@ def agrees_below_its_order(pf, reference):
     pairs = [(pf.unit, unit)] + list(zip(pf.poly.coeffs, poly.coeffs))
     return all(got.graded_items() == [(k, c) for k, c in ref.graded_items() if sum(k) < got.order]
                for got, ref in pairs)
+
+
+def agrees_below(pf, reference, w_order, unit_order):
+    """``W`` of ``pf`` is that of the ``(unit, poly)`` of ``reference``
+    modulo total degree ``w_order``, and the unit modulo ``unit_order``."""
+    unit, poly = reference
+    return all([(k, c) for k, c in got.graded_items() if sum(k) < below]
+               == [(k, c) for k, c in ref.graded_items() if sum(k) < below]
+               for got, ref, below in ((pf.poly.as_jet(), poly.as_jet(), w_order),
+                                       (pf.unit, unit, unit_order)))
 
 
 def probe_prepare(f, var):
@@ -928,3 +960,53 @@ def test_prepare_of_a_genuine_series_agrees_with_a_division_at_the_bound_propert
 
     check()
     assert len(genuine) >= 20
+
+
+def test_prepare_of_a_truncated_germ_agrees_with_its_full_series_below_the_bound_property(
+        monkeypatch):
+    # a term of degree at least N beyond the order N: the lift of the stored
+    # terms, with no division, knows what a division at the order knows
+    # below the bound of weight(), and the full series agrees with both there
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    calls = record_divisions(monkeypatch)
+
+    @st.composite
+    def germs(draw):
+        n = draw(st.integers(2, 3))
+        ctx = VarContext.make([f"x{i}" for i in range(1, n + 1)])
+        order = draw(st.integers(6, 12))
+        p = draw(st.integers(1, 3))
+        f = {(0,) * (n - 1) + (p,): Fraction(draw(st.sampled_from((-2, 1, 3))))}
+        if draw(st.booleans()):
+            f[(0,) * (n - 1) + (draw(st.integers(p + 1, order - 1)),)] = Fraction(
+                draw(st.sampled_from((-1, 2))))
+        for _ in range(draw(st.integers(1, 3))):
+            base = [draw(st.integers(0, 2)) for _ in range(n - 1)]
+            base[draw(st.integers(0, n - 2))] += 1
+            f[tuple(base) + (draw(st.integers(0, p)),)] = Fraction(draw(st.integers(-3, 3)))
+        beyond = [0] * n
+        for _ in range(draw(st.integers(order, order + 2))):
+            beyond[draw(st.integers(0, n - 1))] += 1
+        f[tuple(beyond)] = Fraction(draw(st.sampled_from((-3, -1, 1, 2))))
+        return p, order, Jet.polynomial(ctx, f, 4 * order + p)
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(germs())
+    def check(case):
+        p, order, full = case
+        var = full.ctx.names[-1]
+        f = full.truncate(order)
+        assert not f.exact
+        calls.clear()
+        pf = weierstrass_prepare(f, var)
+        assert calls == []
+        assert pf.order == order
+        assert not pf.unit.exact and not any(c.exact for c in pf.poly.coeffs)
+        lam = weight(f, var, p)
+        w_order, unit_order = math.ceil(order / lam), math.ceil((order - p) / lam)
+        assert agrees_below(pf, full_order_preparation(f, var, p), w_order, unit_order)
+        whole = weierstrass_prepare(full, var)
+        assert agrees_below(pf, (whole.unit, whole.poly), w_order, unit_order)
+
+    check()

@@ -120,10 +120,10 @@ def germ_text(rng: random.Random, names, order: int, beyond: bool) -> str:
     return " + ".join(terms)
 
 
-def systems_jobs(seed: int):
-    """``(label, run)`` for the seeded ``tower`` commands of one seed."""
+def systems_commands(seed: int):
+    """``(label, argv)`` for the seeded ``tower`` commands of one seed."""
     rng = random.Random(f"systems:{seed}")
-    jobs = []
+    commands = []
     for _ in range(SYSTEMS_DRAWS):
         names = [f"x{k}" for k in range(1, rng.randint(1, 3) + 1)]
         order = rng.randint(6, 12)
@@ -131,9 +131,13 @@ def systems_jobs(seed: int):
         beyond = rng.randrange(2 * count)  # an entry index, or no entry
         exprs = [germ_text(rng, names, order, k == beyond) for k in range(count)]
         argv = ["tower", *exprs, "--vars", ",".join(names), "--order", str(order)]
-        label = f"systems/{len(names)}v/{count}g/o{order}"
-        jobs.append((label, lambda argv=argv: run_cli(argv)))
-    return jobs
+        commands.append((f"systems/{len(names)}v/{count}g/o{order}", argv))
+    return commands
+
+
+def systems_jobs(seed: int):
+    """``(label, run)`` for the seeded ``tower`` commands of one seed."""
+    return [(label, lambda argv=argv: run_cli(argv)) for label, argv in systems_commands(seed)]
 
 
 MERO_DRAWS = 120
