@@ -38,7 +38,8 @@ The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
 dicts (:func:`_inverse`).  The Weierstrass factors of a jet come from a
 Hensel lift on term dicts (:func:`weierstrass_lift`) of its stored terms:
 exact when the jet is exact and they are polynomials, else modulo its
-order.
+order.  Division by them is the long division by the lifted ``W``
+(:func:`weierstrass_quotient`).
 
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
@@ -926,6 +927,36 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
             del e[key]
         exact = exact and not beyond
     return Jet(f.ctx, order, w, exact or n == 1), Jet(f.ctx, order, v, exact)
+
+
+def weierstrass_quotient(g: Jet, f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
+    """``(q, r)`` with ``g == q*f + r`` modulo the order ``N`` of ``g`` and
+    ``f`` and ``deg_var r < p``, ``p >= 1`` the regularity order of ``f``.
+
+    ``r`` and ``q_W`` are the long division of ``g`` by the monic ``W`` of
+    ``f = W*V`` (:func:`weierstrass_lift`) modulo ``(x')^N``: each pass
+    moves the part of ``r`` from ``var^p`` on into ``q_W``, adds it times
+    ``var^p - W``, which lies in ``(x')``, and drops the terms of
+    ``x'``-degree ``>= N``; ``q = q_W * V^-1``.  A term below total degree
+    ``N`` has ``x'``-degree below ``N``, so both are right modulo ``N``,
+    with ``W`` lifted at ``N + p``: its terms below ``(x')^N`` have total
+    degree at most ``N + p - 2``.  ``r`` is exact when ``g`` and ``W`` are
+    and no term was dropped; ``q`` too, if ``V`` is an exact constant."""
+    n, iv, order = len(f.ctx.names), f.ctx.index(var), f.order
+    w, v = weierstrass_lift(Jet(f.ctx, order + p, f.terms, f.exact), var, p)
+    tail = {k: -c for k, c in w.terms.items() if k[iv] < p}
+    r, q, exact = dict(g.terms), {}, g.exact and w.exact
+    while any(k[iv] >= p for k in r):
+        high = {k[:iv] + (k[iv] - p,) + k[iv + 1:]: r.pop(k) for k in [k for k in r if k[iv] >= p]}
+        for k, c in high.items():
+            q[k] = q.get(k, 0) + c
+        for k, c in _product(high, tail, n, None).items():
+            if sum(k) - k[iv] < order:
+                r[k] = r.get(k, 0) + c
+            else:
+                exact = exact and not c
+    return (Jet(f.ctx, order, q, exact) * v.truncate(order).invert_unit(),
+            Jet(f.ctx, order, r, exact))
 
 
 def _integer_jets(jets: Iterable[Jet], ctx: VarContext) -> bool:

@@ -125,11 +125,9 @@ class PseudoPolynomial:
             raise PreconditionError("a degree-0 pseudopolynomial must be the constant 1")
         if p == 0:
             return cls(var, (), ctx=f.ctx, order=f.order)
-        coeffs = []
-        for j in range(1, p + 1):
-            c = by_power.get(p - j)
-            coeffs.append(c if c is not None else Jet.zero(f.ctx, f.order, exact=f.exact))
-        return cls(var, coeffs)
+        # an absent coefficient is known to the order coefficients_in gives
+        return cls(var, [by_power[e] if e in by_power else Jet.zero(
+            f.ctx, f.order if f.exact else f.order - e, exact=f.exact) for e in reversed(range(p))])
 
     @classmethod
     def from_roots(cls, ctx: VarContext, var: str, roots, order: Optional[int] = None) -> "PseudoPolynomial":

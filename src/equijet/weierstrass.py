@@ -1,10 +1,9 @@
 """Weierstrass division and preparation at finite order.
 
-The division ``g = q f + r`` is computed by the standard order-by-order
-fixed-point iteration on jets; it converges within the certification order
-because the low part of a regular series has positive valuation in the
-remaining variables.  Its passes are jet products and differences around
-one unit inverse, which keep integral coefficients as ``int``.
+The division ``g = q f + r`` is the long division of ``g`` by the
+distinguished polynomial ``W`` of ``f = W*V`` that preparation lifts, run
+modulo ``(x')^N`` on term dicts, and ``q = q_W * V^-1``
+(:func:`~equijet.jets.weierstrass_quotient`); there is no fixed-point loop.
 
 A series that is not regular in ``var`` is made so by an integer shear
 ``x_j -> x_j + c_j * var`` of a block of coordinates (:class:`LinearChange`),
@@ -12,7 +11,7 @@ found by a seeded search over the directions ``c``: the valuation of ``f``
 on the line spanned by a direction is its regularity order after the shear.
 
 Preparation carries one extra step worth calling out: the unit and the
-distinguished polynomial produced by the finite-order iteration are, in
+distinguished polynomial that a division at the order gives are, in
 general, only known modulo a lower degree than the order.  Preparation
 therefore does not divide but lifts, which states both factors of exact
 input honestly modulo the order and certifies the factorization exact
@@ -51,13 +50,12 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import (
-    ConsistencyError,
     DegreeCapError,
     NoRegularDirectionError,
     NotRegularError,
     PreconditionError,
 )
-from .jets import INFINITE_ORDER, Jet, weierstrass_lift
+from .jets import INFINITE_ORDER, Jet, weierstrass_lift, weierstrass_quotient
 from .pseudopoly import MAX_DEGREE, PseudoPolynomial
 
 #: How many integer directions the regularizing search will try.
@@ -191,40 +189,22 @@ def find_regular_change(f: Jet, var: str, block: Sequence[str], seed: int = 0) -
 
 
 def weierstrass_divide(g: Jet, f: Jet, var: str) -> Tuple[Jet, Jet]:
-    """Divide ``g`` by a ``var``-regular series: ``g = q f + r`` mod the order,
-    with deg_var(r) < p.  The order ``N`` is ``min(g.order, f.order)``,
-    finite unless ``f`` is a constant.
-
-    With ``f = f_low + var^p * w`` and ``w`` a unit, each pass sets
-    ``q <- w^-1 * high``, ``high`` the part of ``g - q*f_low`` from
-    ``var^p`` on, until ``q`` repeats, flag included (at most ``N + 1``
-    passes; the flag only falls, so it costs at most one more pass).  ``r``
-    is ``g - q*f`` itself, not the last low part, so that a failed division
-    shows as ``deg_var r >= p`` and the flag of ``r`` is that of the
-    identity."""
+    """Divide ``g`` by a ``var``-regular series: ``g = q f + r`` mod the order
+    ``N = min(g.order, f.order)``, finite unless ``f`` is a constant, with
+    deg_var(r) < p, the regularity order of ``f`` mod ``N``.  A unit
+    (``p = 0``) leaves no remainder; else ``g`` is divided by the lifted
+    ``W`` of ``f`` (:func:`~equijet.jets.weierstrass_quotient`)."""
+    order = min(f._coerce(g).order, f.order)  # ContextMismatchError unless one context
+    g, f = g.truncate(order), f.truncate(order)
     p = regularity_order(f, var)
     if p == INFINITE_ORDER:
         raise NotRegularError(f"divisor is not regular in {var!r} to order {f.order}")
-    order = min(g.order, f.order)
-    g = g.truncate(order)
-    f = f.truncate(order)
     if order == INFINITE_ORDER and f.total_degree():
         # only a constant divisor has a quotient known to every order
         raise PreconditionError("Weierstrass division needs a finite order")
     if p == 0:
         return g * f.invert_unit(), Jet.zero(f.ctx, order)
-    f_low, w = f.split(var, p)
-    winv = w.invert_unit()
-    q = Jet.zero(f.ctx, order)
-    for _ in range(order + 1):
-        q_next = winv * (g - q * f_low).split(var, p)[1]
-        if q_next == q:
-            break
-        q = q_next
-    r = g - q * f
-    if (r.degree_in(var) or 0) >= p:
-        raise ConsistencyError("division iteration failed to reduce the remainder")
-    return q, r
+    return weierstrass_quotient(g, f, var, p)
 
 
 def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
@@ -252,9 +232,6 @@ def weierstrass_prepare(f: Jet, var: str) -> PreparedForm:
     if p == INFINITE_ORDER:
         raise NotRegularError(f"not regular in {var!r} to order {f.order}")
     order = f.order
-    if p >= order:
-        raise PreconditionError(
-            f"regularity order {p} reaches the certification order {order}")
     if p > MAX_DEGREE:
         raise DegreeCapError(f"degree {p} exceeds the cap {MAX_DEGREE}")
     if p == 0:

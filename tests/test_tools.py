@@ -57,3 +57,24 @@ def test_orderaudit_compares_jets_below_the_least_order_a_truncated_side_states(
     assert findings(low, high) == (
         ["result.levels[0] below inf"],
         ['result.kind: "trivial" != "split"', "result.levels: length 1 != 2"])
+
+
+def test_orderaudit_ends_with_the_slowest_jobs(monkeypatch, capsys):
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import orderaudit
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    report = '{"result": {"kind": "trivial"}}'
+    commands = [(f"job{i}", ["tower", "x", "--order", str(i + 1)]) for i in range(7)]
+    monkeypatch.setattr(orderaudit, "systems_commands", lambda seed: commands)
+    monkeypatch.setattr(orderaudit, "run_cli", lambda argv: (0, report, ""))
+    # main prepends the root to sys.path and sets these two
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.delenv("EQUIJET_ORDER", raising=False)
+    orderaudit.main(["--root", str(ROOT), "--workload", "systems", "--seeds", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "systems: 7 jobs, 0 errors, 7 comparable, 0 disagree, 0 structure"
+    assert len(lines) == 1 + orderaudit.SLOWEST
+    assert all(line.startswith("slow 3 ") and line.endswith("at 3N") for line in lines[1:])

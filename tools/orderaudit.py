@@ -24,6 +24,9 @@ One line is printed per finding, ``kind seed index label detail``, with
 ``kind`` one of ``disagree`` (a jet path), ``structure`` and ``error``;
 then one count line per workload.  A job is comparable when both runs
 succeed, and counted as disagreeing when one of its jet entries disagrees.
+Last come the :data:`SLOWEST` jobs that took the most CPU time, one line
+each, ``slow seed index label`` and the CPU seconds of the runs at ``N``
+and at ``FACTOR*N``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from fingerprint import run_cli, systems_commands
 
 #: The higher order is ``FACTOR`` times the command's own.
 FACTOR = 3
+#: How many of the slowest jobs the audit names at its end.
+SLOWEST = 5
 
 
 def is_jet(x) -> bool:
@@ -80,10 +86,13 @@ def at_order(argv, factor):
 
 
 def audit(argv):
-    """``(errors, disagree, structure)`` of one command at ``N`` and ``FACTOR*N``."""
-    reports, errors = [], []
+    """``(errors, disagree, structure, seconds)`` of one command at ``N`` and
+    ``FACTOR*N``, ``seconds`` the CPU time of each of the two runs."""
+    reports, errors, seconds = [], [], []
     for k in (1, FACTOR):
+        start = time.process_time()
         out = run_cli(at_order(argv, k))
+        seconds.append(time.process_time() - start)
         if isinstance(out, BaseException):
             errors.append(f"at {k}N raised {type(out).__name__}: {out}")
         elif out[0] != 0:
@@ -94,7 +103,7 @@ def audit(argv):
     disagree, structure = [], []
     if not errors:
         compare(reports[0], reports[1], "result", disagree, structure)
-    return errors, disagree, structure
+    return errors, disagree, structure, seconds
 
 
 def main(argv=None) -> int:
@@ -108,9 +117,11 @@ def main(argv=None) -> int:
     os.environ.pop("EQUIJET_ORDER", None)
 
     counts = dict.fromkeys(("jobs", "errors", "comparable", "disagree", "structure"), 0)
+    timed = []
     for seed in (int(s) for s in args.seeds.split(",")):
         for i, (label, command) in enumerate(systems_commands(seed)):
-            errors, disagree, structure = audit(command)
+            errors, disagree, structure, seconds = audit(command)
+            timed.append((sum(seconds), seed, i, label, seconds))
             counts["jobs"] += 1
             counts["errors"] += bool(errors)
             counts["comparable"] += not errors
@@ -121,6 +132,9 @@ def main(argv=None) -> int:
                 for line in lines:
                     print(kind, seed, i, label, line)
     print(f"{args.workload}: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
+    timed.sort(key=lambda t: t[0], reverse=True)
+    for _, seed, i, label, (low, high) in timed[:SLOWEST]:
+        print(f"slow {seed} {i} {label} {low:.2f}s at N, {high:.2f}s at {FACTOR}N")
     return 0
 
 
