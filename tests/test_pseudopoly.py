@@ -270,6 +270,56 @@ def test_resultant_with_constant_one():
     assert resultant_jets(f, one, "y").constant_term() == 1
 
 
+ALPHA = NumberField([-2, 0, 1]).generator()
+
+
+@pytest.mark.parametrize("F, C", [
+    # both exact, so lifted; C^2 has degree 4, past both orders
+    (Jet.polynomial(YX, {(0, 2): 1, (1, 1): 1, (1, 0): -1}, 2),
+     Jet.polynomial(YX, {(0, 0): 2, (2, 0): -1}, 2)),
+    # truncated, F at an order below C's, then above it
+    (Jet(YX, 4, {(0, 3): 1, (2, 1): 3, (1, 0): -1}, False),
+     Jet(YX, 9, {(0, 0): 2, (1, 0): 1, (3, 0): -2}, False)),
+    (Jet(YX, 9, {(0, 2): 1, (1, 0): 5}, False), Jet(YX, 4, {(0, 0): -3, (2, 0): 1}, False)),
+    # an exact C at an order that C^3 passes, with F truncated below it
+    (Jet(YX, 4, {(0, 3): 1, (1, 1): 2}, False), Jet.polynomial(YX, {(0, 0): 2, (2, 0): 1}, 5)),
+    # an exact C whose square stays exact, settled at F's lower order
+    (Jet(YX, 3, {(0, 2): 1, (1, 0): 1}, False), Jet.polynomial(YX, {(0, 0): 2, (1, 0): 1}, 5)),
+    # a truncated C with F exact at a lower order
+    (Jet.polynomial(YX, {(0, 2): 1, (1, 0): 1}, 2), Jet(YX, 7, {(0, 0): 1, (1, 0): 1}, False)),
+    # rational coefficients, exact and truncated
+    (Jet.polynomial(YX, {(0, 2): 1, (1, 1): Fraction(1, 2)}, 3),
+     Jet.polynomial(YX, {(0, 0): Fraction(1, 3), (1, 0): Fraction(-5, 2)}, 3)),
+    (Jet(YX, 3, {(0, 2): 1, (1, 0): Fraction(2, 3)}, False),
+     Jet(YX, 6, {(0, 0): Fraction(1, 3), (1, 0): 1}, False)),
+    # coefficients in Q(alpha), alpha^2 = 2
+    (Jet.polynomial(YX, {(0, 3): 1, (1, 0): ALPHA}, 4),
+     Jet.polynomial(YX, {(0, 0): ALPHA, (1, 0): 1}, 4)),
+    (Jet(YX, 3, {(0, 2): 1, (1, 0): ALPHA}, False), Jet(YX, 6, {(0, 0): ALPHA, (1, 0): 1}, False)),
+], ids=["exact", "truncated-below", "truncated-above", "exact-constant", "exact-square",
+        "truncated-constant", "rational", "rational-truncated", "field", "field-truncated"])
+def test_resultant_with_a_constant_operand_is_its_power(F, C):
+    # Res(F, c) = Res(c, F) = c^deg F: the power at c's own order, whatever
+    # F's (c lifted to every order when both are exact); a power that comes
+    # out exact is settled at the lower of the two orders
+    power = F.degree_in("y")
+    want = (C.with_order(INFINITE_ORDER) if F.exact and C.exact else C) ** power
+    if want.exact:
+        want = Jet.polynomial(YX, want.graded_items(), min(F.order, C.order))
+    assert resultant_jets(F, C, "y") == want
+    assert resultant_jets(C, F, "y") == want
+
+
+@pytest.mark.parametrize("entry", [
+    Jet(YX, INFINITE_ORDER, {(1, 0): 3, (0, 1): -1}, True),
+    Jet.polynomial(YX, {(2, 0): Fraction(1, 2)}, 4),
+    Jet(YX, 5, {(0, 0): 7, (3, 1): 2}, False),
+    Jet(YX, 2, {(1, 0): ALPHA}, True),
+], ids=["integer", "rational", "truncated", "field"])
+def test_determinant_of_a_1_by_1_matrix_is_its_entry(entry):
+    assert berkowitz_det([[entry]]) == entry
+
+
 def test_resultant_jets_matches_sympy_property():
     # an exact resultant is the whole Sylvester resultant; any other agrees
     # below its order with the resultant of exact lifts that keep the degree

@@ -78,3 +78,28 @@ def test_orderaudit_ends_with_the_slowest_jobs(monkeypatch, capsys):
     assert lines[0] == "systems: 7 jobs, 0 errors, 7 comparable, 0 disagree, 0 structure"
     assert len(lines) == 1 + orderaudit.SLOWEST
     assert all(line.startswith("slow 3 ") and line.endswith("at 3N") for line in lines[1:])
+
+
+def test_fingerprint_of_resultants_hashes_every_drawn_pair():
+    # a tool-owned workload: any checkout with src runs it, no bench/ needed
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from fingerprint import RESULTANTS_DRAWS
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "fingerprint.py"), "--root", str(ROOT),
+         "--workload", "resultants", "--seeds", "3"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == RESULTANTS_DRAWS + 1 and lines[-1].startswith("total ")
+    labels = [line.split()[2] for line in lines[:-1]]
+    assert all(label.startswith("resultants/") for label in labels)
+    # what no benchmark workload draws: a constant operand on either side,
+    # Q(alpha) entries and a truncated rational pair
+    degrees = [tuple(label.split("/d")[-1].split("-")) for label in labels]
+    assert any(da == "0" and db != "0" for da, db in degrees)
+    assert any(da != "0" and db == "0" for da, db in degrees)
+    assert any(label.startswith("resultants/field/") for label in labels)
+    assert any(label.startswith("resultants/rational/truncated-truncated/") for label in labels)

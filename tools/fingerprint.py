@@ -43,6 +43,17 @@ components ``x1, x2, x1 + x2, x1 - x2, -1/4`` of the germ
 a drawn ``--k0`` of 0-4, a grid of ``t`` that holds 0 and repeats, and an
 order of 5-12.
 
+The workload ``resultants`` is the tool's too, and runs in process.  Each
+seed draws :data:`RESULTANTS_DRAWS` pairs of polynomials in ``y`` over
+``x1, x2`` (:func:`resultants_jobs`), of degree 0-3 in ``y`` (0, a constant
+operand, on either side, about one time in three each), with integer,
+rational or ``Q(alpha)`` coefficients (``alpha^2 = 2``), each operand exact
+at a finite order, exact at every order, truncated, or now and then zero.
+Each job is one ``resultant_jets(A, B, "y")`` call, hashed by its jet or
+its error.  No benchmark workload draws a constant operand, a ``Q(alpha)``
+entry or a truncated rational pair; this one checks that a change to the
+determinant or the resultant leaves them as they were.
+
 The workload ``degrees`` is the tool's too, and reaches degrees above the
 benchmark's 6.  Each seed draws exact ``gendisc`` commands on monic ``P`` in
 ``y`` over ``x1, x2`` (:func:`degrees_jobs`): one split ``P`` of each degree
@@ -234,6 +245,61 @@ def degrees_jobs(seed: int):
     return jobs
 
 
+RESULTANTS_DRAWS = 500
+
+
+def resultants_jobs(seed: int):
+    """``(label, run)`` for the seeded ``resultant_jets`` calls of one seed."""
+    from equijet.jets import INFINITE_ORDER, Jet, VarContext
+    from equijet.pseudopoly import resultant_jets
+    from equijet.scalars import NumberField
+
+    rng = random.Random(f"resultants:{seed}")
+    ctx = VarContext.make(["x1", "x2", "y"])
+    alpha = NumberField([-2, 0, 1]).generator()
+
+    def scalar(kind):
+        a = rng.choice((-3, -2, -1, 1, 2, 3))
+        if kind == "rational" and rng.random() < 0.5:
+            return Fraction(a, rng.choice((2, 3, 5)))
+        if kind == "field" and rng.random() < 0.5:
+            return alpha * a + rng.randint(-2, 2)
+        return a
+
+    def operand(kind, degree):
+        """A polynomial of this degree in ``y`` whose terms have degree at
+        most 3 in ``x1, x2``, its leading coefficient a constant one time
+        in two, and its order and flag."""
+        terms = {(0, 0, degree): scalar(kind)} if rng.random() < 0.5 else {}
+        for j in range(degree + 1):
+            for _ in range(rng.randint(0 if terms or j < degree else 1, 3)):
+                e1 = rng.randint(0, 3)
+                terms[(e1, rng.randint(0, 3 - e1), j)] = scalar(kind)
+        order = rng.randint(degree + 1, degree + 6)
+        flag = "zero" if rng.random() < 0.05 else rng.choice(("exact", "every", "truncated"))
+        if flag == "zero":
+            return flag, Jet.zero(ctx, order, exact=rng.random() < 0.5)
+        if flag == "exact":
+            return flag, Jet.polynomial(ctx, terms, order)
+        if flag == "every":
+            return flag, Jet(ctx, INFINITE_ORDER, terms, True)
+        return flag, Jet(ctx, order, terms, False)
+
+    def run(a, b):
+        try:
+            return resultant_jets(a, b, "y")
+        except Exception as exc:  # an error is an output too
+            return exc
+
+    jobs = []
+    for _ in range(RESULTANTS_DRAWS):
+        kind = rng.choice(("integer", "rational", "field"))
+        da, db = (rng.choice((0, 0, 1, 2, 3)) for _ in range(2))
+        (fa, a), (fb, b) = operand(kind, da), operand(kind, db)
+        jobs.append((f"resultants/{kind}/{fa}-{fb}/d{da}-{db}", lambda a=a, b=b: run(a, b)))
+    return jobs
+
+
 def run_cli(argv):
     """The exit code, stdout and stderr of ``cli.main``, or what it raised."""
     from equijet import cli
@@ -271,6 +337,8 @@ def main(argv=None) -> int:
             return mero_jobs(seed)
         if args.workload == "degrees":
             return degrees_jobs(seed)
+        if args.workload == "resultants":
+            return resultants_jobs(seed)
         import workloads
         return [(job.label, job.run) for job in workloads.make_jobs(args.workload, seed, root)]
 
