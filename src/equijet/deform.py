@@ -83,10 +83,6 @@ class SolutionFamily:
                 raise ContextMismatchError("target context must be (x...)")
 
     @property
-    def fam_ctx(self) -> VarContext:
-        return VarContext.make(self.x_names + self.z_names)
-
-    @property
     def x_ctx(self) -> VarContext:
         return VarContext.make(self.x_names)
 

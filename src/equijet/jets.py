@@ -44,15 +44,15 @@ order.  Division by them is the long division by the lifted ``W``
 A square matrix of integer polynomials has Kronecker images too
 (:func:`minor_images`): each entry is packed once, in a box and a digit
 width that hold every minor, so that a whole determinant pass runs on
-plain integers and each leading principal minor is unpacked once.  Entries
+plain integers and the determinant is unpacked once.  Entries
 known to every order are packed in a box of the exponents, and the pass
 runs in Z, where it may divide exactly (fraction-free elimination).
 Entries truncated at a least order ``N`` are packed in a box graded by
 total degree below ``N``, and the division-free pass runs modulo
 ``2^(8*w*window)``: evaluation followed by that reduction is a ring
-homomorphism from ``Z[x]/(deg >= N)``.  Its minors but the first are
-flagged not exact, as on jets, where a non-exact entry of the leading
-2-by-2 block clears the flag of every later minor.  The coefficients of a
+homomorphism from ``Z[x]/(deg >= N)``.  The determinant is flagged not
+exact, as on jets, where a non-exact entry of the leading 2-by-2 block
+clears the flag of every minor after the first.  The coefficients of a
 monic polynomial with integer coefficients have images in the same boxes
 (:func:`hankel_images`), sized for the Hankel minors of its power sums, so
 that Newton's identities run on the same integers as the pass of the
@@ -1015,9 +1015,9 @@ def _images(ctx: VarContext, entries: Sequence[Mapping[Exponents, Scalar]], orde
 def minor_images(rows: Sequence[Sequence[Jet]]
                  ) -> Optional[Tuple[List[List[int]], Callable[[int], Jet], Optional[int]]]:
     """The Kronecker images of a square matrix of integer polynomials, for
-    a determinant pass on plain integers, the map that reads
-    each leading principal minor but the first back from its image, and the
-    mask of the ring the pass runs in (None for all of Z).  None unless
+    a determinant pass on plain integers, the map that reads the
+    determinant back from its image, and the mask of the ring the pass runs
+    in (None for all of Z).  None unless
     every entry has integer coefficients, in one context, and one of two
     boxes applies: the exact box when every entry is exact at
     ``INFINITE_ORDER``, the graded box when the least order ``N`` is finite
@@ -1026,7 +1026,7 @@ def minor_images(rows: Sequence[Sequence[Jet]]
     An entry ``sum c_k x^k`` becomes the integer ``sum c_k 2^(8*w*slot(k))``
     with ``slot(k) = sum_v k_v*weight_v``: evaluation at
     ``x_v = 2^(8*w*weight_v)``, a ring homomorphism.  So a pass of sums and
-    products on the images gives the image of each minor, and the minor is
+    products on the images gives the image of the determinant, and it is
     read back from its signed digits (:func:`_digits`) when it lies in the
     box and its coefficients fit ``w`` bytes:
 
@@ -1048,14 +1048,14 @@ def minor_images(rows: Sequence[Sequence[Jet]]
       reads the same minors.  A value whose image is negative then stays
       as wide as its degree, not as the window.  Only the terms below
       ``N`` are packed.
-      The minors are stated at ``N`` and are not exact: the pass on jets
-      (:func:`~equijet.pseudopoly.berkowitz_minors`) forms every product
+      The determinant is stated at ``N`` and is not exact: the pass on
+      jets (:func:`~equijet.pseudopoly.berkowitz_det`) forms every product
       with an operand that is not exact, so a non-exact entry of the
       leading 2-by-2 block leaves the third entry of the characteristic
       vector of that block (its determinant) not exact; every later step
       keeps that entry (times the constant 1) and sums it, times a
       coefficient, into the block's determinant, so every minor from the
-      second on is not exact.  When the leading 2-by-2 block is exact at a
+      second on, the determinant among them, is not exact.  When the leading 2-by-2 block is exact at a
       finite order, each product's own truncation decides its flag, and
       the matrix keeps the pass on jets.
     * digit width, both boxes: on the unit torus ``|M_ij| <= ||M_ij||_1``,
@@ -1069,11 +1069,10 @@ def minor_images(rows: Sequence[Sequence[Jet]]
       sign bit.  An entry is a 1-by-1 minor, so its coefficients, packed
       one digit each, fit too.
 
-    Only the leading principal minors are read back.  The Berkowitz pass
-    meets values that may overflow their digits and the box freely; every
-    value that fraction-free elimination keeps is a minor, which fits
+    Only the determinant is read back.  The Berkowitz pass meets values
+    that may overflow their digits and the box freely; every value that
+    fraction-free elimination keeps is a minor, which fits
     (:func:`~equijet.pseudopoly._bareiss`).  Each entry is packed once.
-    The first minor is the entry ``rows[0][0]`` itself, at the least order.
     """
     ctx = rows[0][0].ctx
     if not _integer_jets((e for row in rows for e in row), ctx):

@@ -29,9 +29,10 @@ states in closed form:
 * a polynomial (:func:`hankel_minors`) runs Newton's identities and then
   the minors' pass on images when :func:`~equijet.jets.hankel_images` gives
   them, else on jets;
-* a matrix handed to :func:`berkowitz_minors` (the Sylvester matrices of
-  :func:`resultant_jets`) runs the minors' pass on images when
-  :func:`~equijet.jets.minor_images` gives them, else on jets.
+* a matrix handed to :func:`berkowitz_det` (the Sylvester matrices of
+  :func:`resultant_jets`) runs the same pass on images when
+  :func:`~equijet.jets.minor_images` gives them, else on jets, and reads
+  back only the determinant.
 
 The images live in Z when every input is known to every order, and modulo
 a power of 2 when the inputs are truncated and flag the minors as not
@@ -372,58 +373,41 @@ def _image_minors(rows: Sequence[Sequence[int]], mask: Optional[int]) -> List[in
     return minors
 
 
-def berkowitz_minors(rows: Sequence[Sequence[Jet]]) -> List[Jet]:
-    """The determinants of the leading principal submatrices of a square
-    matrix of jets, top-left 1-by-1 block first, each modulo the least order
-    ``N`` in the matrix, from one pass: fraction-free elimination
-    (:func:`_bareiss`) on integer images in Z, else the division-free
-    Berkowitz pass (it extends each block's characteristic polynomial to the
-    next).
+def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
+    """The determinant of a square matrix of jets modulo its least order
+    ``N``, from one pass that reads back one value: fraction-free
+    elimination (:func:`_bareiss`) on integer images in Z, else the
+    division-free Berkowitz pass.  A 1-by-1 matrix is its entry at ``N``.
 
-    This serves the matrices handed to it, the Sylvester matrices of
-    :func:`resultant_jets` among them; :func:`hankel_minors` runs its own
-    pass.  A matrix of integer polynomials runs the pass on plain integers,
-    their Kronecker images (:func:`minor_images`): each entry is packed once
-    and each minor but the first (the entry ``rows[0][0]`` at order ``N``)
-    unpacked once.  It does so in one of two boxes:
+    A matrix of integer polynomials runs the pass on its Kronecker images
+    (:func:`minor_images`), each entry packed once, in one of two boxes:
 
-    * every entry exact at ``INFINITE_ORDER`` (the exact Sylvester matrices
-      of :func:`resultant_jets`): the box is, per variable, the sum over
-      rows of the row's greatest degree, and the pass runs in Z, by
-      :func:`_bareiss` unless a pivot is 0 and its block is not;
+    * every entry exact at ``INFINITE_ORDER``: the box is, per variable,
+      the sum over rows of the row's greatest degree, and the pass runs in
+      Z, by :func:`_bareiss` unless a pivot is 0 and its block is not;
     * ``N`` finite and at least 1, with an entry of the leading 2-by-2
-      block not exact: the box is graded by total degree below ``N``, and
-      the Berkowitz pass runs modulo ``2^(8*w*N^(#active))``, where
-      evaluation is a ring homomorphism from ``Z[x]/(deg >= N)``; every
-      minor from the second on is not exact, as it is on jets.
+      block not exact: the box is graded below ``N``, the Berkowitz pass
+      runs modulo ``2^(8*w*N^(#active))``, and the determinant is not
+      exact, as on jets.
 
-    In both, the digits hold Hadamard's bound, the product over all rows of
-    ``max(1, sqrt(sum_j ||M_ij||_1^2))``, which bounds every minor, plus a
-    sign bit.
-
-    Every other matrix (rational or ``Q(alpha)`` coefficients, or a leading
-    2-by-2 block exact at a finite order, where each product's own
-    truncation decides its flag) runs the pass on jets, where every step is
-    a dot product ``sum x*y`` (:meth:`Jet.dot`), one jet product per pair.
-    A product of two exact operands, one of them zero, is not formed; a
-    zero known only modulo its order is still multiplied, because it clears
-    the exact flag."""
+    In both, the digits hold Hadamard's bound on every minor plus a sign
+    bit.  Every other matrix (rational or ``Q(alpha)`` coefficients, or a
+    leading 2-by-2 block exact at a finite order, where each product's own
+    truncation decides its flag) runs the pass on jets, one
+    :meth:`Jet.dot` per step."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("a determinant needs a nonempty square matrix")
     order = min(e.order for r in rows for e in r)
+    if n == 1:
+        return rows[0][0].truncate(order)
     images = minor_images(rows)
     if images is not None:
         packed, unpack, mask = images
-        return [rows[0][0].truncate(order)] + [unpack(m) for m in _image_minors(packed, mask)[1:]]
+        return unpack(_image_minors(packed, mask)[-1])
     ctx = rows[0][0].ctx
     return _berkowitz(rows, [rows[r][r].truncate(order) for r in range(n)],
-                      Jet.constant(ctx, 1, order), Jet.zero(ctx, order), Jet.dot)
-
-
-def berkowitz_det(rows: Sequence[Sequence[Jet]]) -> Jet:
-    """Division-free determinant of a square matrix of jets."""
-    return berkowitz_minors(rows)[-1]
+                      Jet.constant(ctx, 1, order), Jet.zero(ctx, order), Jet.dot)[-1]
 
 
 def hankel_minors(P: PseudoPolynomial, k: int) -> List[Jet]:
@@ -520,6 +504,10 @@ def resultant_jets(A: Jet, B: Jet, var: str) -> Jet:
     Degrees are read from the stored terms, so for truncated inputs the
     caller must know the degree structure is trustworthy (monic inputs, or
     exact polynomials).
+
+    The matrix is padded with exact zeros known to every order, so only
+    the coefficients set its least order: for a constant operand ``c`` it
+    is diagonal, and the pass gives the power of ``c`` at ``c``'s order.
     """
     if A.ctx != B.ctx:
         raise ContextMismatchError("resultant operands in different contexts")
@@ -527,19 +515,15 @@ def resultant_jets(A: Jet, B: Jet, var: str) -> Jet:
     base_order = min(A.order, B.order)
     if A.exact and B.exact:
         A, B = A.with_order(INFINITE_ORDER), B.with_order(INFINITE_ORDER)
-    order = min(A.order, B.order)
     ca = A.coefficients_in(var)
     cb = B.coefficients_in(var)
     if not ca or not cb:
         return Jet.zero(ctx, base_order, exact=A.exact and B.exact)
     da, db = max(ca), max(cb)
-    if da == 0 and db == 0:
+    if da == db == 0:
+        # the 0-by-0 matrix: no entry to give the context of a pass
         return Jet.constant(ctx, 1, base_order)
-    if db == 0:
-        return _settle(cb[0] ** da, base_order)
-    if da == 0:
-        return _settle(ca[0] ** db, base_order)
-    zero = Jet.zero(ctx, order)
+    zero = Jet.zero(ctx, INFINITE_ORDER)
     arow = [ca.get(da - i, zero) for i in range(da + 1)]
     brow = [cb.get(db - i, zero) for i in range(db + 1)]
     n = da + db

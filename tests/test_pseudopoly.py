@@ -14,7 +14,6 @@ from equijet.pseudopoly import (
     MAX_DEGREE,
     PseudoPolynomial,
     berkowitz_det,
-    berkowitz_minors,
     generalized_discriminants,
     hankel_minor,
     hankel_minors,
@@ -99,8 +98,8 @@ def test_berkowitz_matches_laplace_oracle():
             m = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
             rows = [[const(v) for v in row] for row in m]
             assert berkowitz_det(rows).constant_term() == laplace(m)
-            # the same pass yields every leading principal minor
-            assert [d.constant_term() for d in berkowitz_minors(rows)] == \
+            # and so does every leading principal minor
+            assert [d.constant_term() for d in leading_dets(rows)] == \
                 [laplace([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
 
 
@@ -454,6 +453,24 @@ def dense_berkowitz_minors(rows):
     return minors
 
 
+def leading_blocks(rows):
+    """The leading principal k-by-k blocks of a square matrix, k = 1..n."""
+    return [[row[:k] for row in rows[:k]] for k in range(1, len(rows) + 1)]
+
+
+def leading_dets(rows):
+    """The leading principal minors, each the determinant of its block at
+    the block's own least order."""
+    return [berkowitz_det(block) for block in leading_blocks(rows)]
+
+
+def dense_leading_dets(rows):
+    """The references of :func:`leading_dets`: the last minor of the dense
+    pass on each block, not an entry of the whole matrix's list, which is
+    stated at the least order of the whole matrix."""
+    return [dense_berkowitz_minors(block)[-1] for block in leading_blocks(rows)]
+
+
 def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -488,7 +505,7 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
     def check(rows):
-        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+        assert leading_dets(rows) == dense_leading_dets(rows)
 
     settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
                                    database=None)
@@ -512,9 +529,9 @@ def test_berkowitz_minors_match_the_dense_pass_property(monkeypatch):
 
     def check_integer(rows):
         formed.clear()
-        minors = berkowitz_minors(rows)
+        minors = leading_dets(rows)
         assert not formed
-        assert minors == dense_berkowitz_minors(rows)
+        assert minors == dense_leading_dets(rows)
 
     settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
                                    database=None)
@@ -543,10 +560,10 @@ def sylvester_hadamard(k):
 def test_integer_pass_reads_minors_that_meet_hadamards_bound(entries, minors):
     ctx = VarContext.make(["x1", "x2"])
     rows = [[Jet(ctx, INFINITE_ORDER, {(1, 0): Fraction(v)}, True) for v in r] for r in entries]
-    out = berkowitz_minors(rows)
+    out = leading_dets(rows)
     assert out == [Jet(ctx, INFINITE_ORDER, {(k, 0): Fraction(m)} if m else {}, True)
                    for k, m in enumerate(minors, start=1)]
-    assert out == dense_berkowitz_minors(rows)
+    assert out == dense_leading_dets(rows)
 
 
 @pytest.mark.parametrize("kind", ["rational", "field", "truncated"])
@@ -567,13 +584,13 @@ def test_a_matrix_that_is_not_integer_keeps_the_dot_path(kind, monkeypatch):
         return dot(xs, ys, acc)
 
     monkeypatch.setattr(Jet, "dot", staticmethod(spy))
-    out = berkowitz_minors(rows)
+    out = leading_dets(rows)
     assert dots
-    assert out == dense_berkowitz_minors(rows)
+    assert out == dense_leading_dets(rows)
     # the integer matrix takes the integer pass, with no dot product of jets
     dots.clear()
     rows[2][1] = Jet(ctx, INFINITE_ORDER, {(2, 1): Fraction(5)}, True)
-    assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+    assert leading_dets(rows) == dense_leading_dets(rows)
     assert not dots
 
 
@@ -654,12 +671,14 @@ def test_truncated_integer_matrices_take_the_graded_pass_property(monkeypatch):
     graded = []
 
     def check(rows):
-        seen["dots"], seen["values"] = 0, []
-        minors = berkowitz_minors(rows)
         graded.append(takes_the_graded_pass(rows))
-        if graded[-1]:
-            check_graded_pass(rows, seen)
-        assert minors == dense_berkowitz_minors(rows)
+        # each leading block by its own rule, in its own window
+        for block in leading_blocks(rows):
+            seen["dots"], seen["values"] = 0, []
+            det = berkowitz_det(block)
+            if takes_the_graded_pass(block):
+                check_graded_pass(block, seen)
+            assert det == dense_berkowitz_minors(block)[-1]
 
     settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
                                    database=None)
@@ -693,10 +712,13 @@ def test_graded_pass_reads_truncated_minors(entries, order, minors, monkeypatch)
     rows = [[Jet(ctx, order, {k: Fraction(v) for k, v in entries.get((i, j), {}).items()},
                  False) for j in range(n)] for i in range(n)]
     seen = spy_graded_pass(monkeypatch)
-    out = berkowitz_minors(rows)
-    check_graded_pass(rows, seen)
+    out = []
+    for block in leading_blocks(rows):
+        seen["dots"], seen["values"] = 0, []
+        out.append(berkowitz_det(block))
+        check_graded_pass(block, seen)
     assert out == minors_of(ctx, order, minors)
-    assert out == dense_berkowitz_minors(rows)
+    assert out == dense_leading_dets(rows)
 
 
 def test_an_exact_leading_block_at_a_finite_order_keeps_the_dot_path(monkeypatch):
@@ -708,11 +730,11 @@ def test_an_exact_leading_block_at_a_finite_order_keeps_the_dot_path(monkeypatch
     rows = [[one, x1, zero], [x1, one, x2], [zero, x2, Jet(ctx, 4, {(1, 0): Fraction(2)}, False)]]
     assert minor_images(rows) is None
     seen = spy_graded_pass(monkeypatch)
-    out = berkowitz_minors(rows)
+    out = leading_dets(rows)
     assert seen["dots"]
     assert out[1] == Jet.polynomial(ctx, {(0, 0): 1, (2, 0): -1}, 4) and out[1].exact
     assert not out[2].exact
-    assert out == dense_berkowitz_minors(rows)
+    assert out == dense_leading_dets(rows)
 
 
 def reference_hankel_minors(P, k):
@@ -810,7 +832,7 @@ def test_hankel_minors_match_the_power_sums_and_the_dense_pass_property(monkeypa
     seen = spy_jet_products(monkeypatch)
     # hankel_minors runs its own passes on the ring hankel_images picks
     routes = []
-    for name in ("berkowitz_minors", "minor_images", "power_sums"):
+    for name in ("minor_images", "power_sums"):
         monkeypatch.setattr(pseudopoly_module, name,
                             lambda *args, _name=name: routes.append(_name))
     taken = []
@@ -1008,7 +1030,7 @@ def test_graded_passes_that_wrap_past_the_window_match_the_references_property()
         P, rows = drawn
         assert hankel_images(P.coeffs, P.degree) is not None and minor_images(rows) is not None
         assert hankel_minors(P, P.degree) == reference_hankel_minors(P, P.degree)
-        assert berkowitz_minors(rows) == dense_berkowitz_minors(rows)
+        assert leading_dets(rows) == dense_leading_dets(rows)
 
     settings = hypothesis.settings(derandomize=True, max_examples=30, deadline=None,
                                    database=None)
@@ -1135,7 +1157,16 @@ def test_exact_integer_passes_take_fraction_free_elimination_property(monkeypatc
     def check(drawn):
         P, rows = drawn
         check_pass(lambda: hankel_minors(P, P.degree), lambda: reference_hankel_minors(P, P.degree))
-        check_pass(lambda: berkowitz_minors(rows), lambda: dense_berkowitz_minors(rows))
+        # the 1-by-1 block is its entry and runs no pass; every other block
+        # runs one, in its own digits, and the count below takes the
+        # outcome of the whole matrix alone
+        blocks = leading_blocks(rows)
+        assert berkowitz_det(blocks[0]) == dense_berkowitz_minors(blocks[0])[-1]
+        for block in blocks[1:]:
+            mark = len(seen["outcomes"])
+            check_pass(lambda: berkowitz_det(block), lambda: dense_berkowitz_minors(block)[-1])
+            if block is not blocks[-1]:
+                del seen["outcomes"][mark:]
 
     settings = hypothesis.settings(derandomize=True, max_examples=40, deadline=None,
                                    database=None)
