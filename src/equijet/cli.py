@@ -138,6 +138,62 @@ def _rationals(csv: str) -> List[Fraction]:
     return out
 
 
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, without the
+    pure-Python encoder that an ``indent`` makes ``json`` fall back to.
+    A report holds strings, integers, booleans, None, lists, tuples and
+    dicts with string keys; anything else is a ``TypeError``."""
+    out: List[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    """Append ``value`` at the nesting that ``newline`` (a line break and
+    the indent of the current line) gives: strings through the C escaper
+    of ``json``, integers by ``int.__repr__``, containers one item a
+    line, two spaces deeper."""
+    if isinstance(value, str):
+        out.append(_ENCODE(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(_ENCODE(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _input_hash(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -498,7 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         inputs = {k: v for k, v in sorted(vars(args).items())
                   if k != "machine" and v is not None}
         report = _report(args.command, inputs, args, result)
-        text = json.dumps(report, indent=2) + "\n"
+        text = _report_text(report) + "\n"
         if args.machine:
             sys.stdout.write(text)
         else:

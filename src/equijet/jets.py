@@ -23,7 +23,17 @@ Conventions:
   constructor keeps this one format (and rejects a ``float``), so integer
   jets run on plain ``int`` arithmetic throughout;
 * the term dict is this module's own format: other modules read jets
-  through the queries and build them with the named constructors.
+  through the queries and build them with the named constructors, or
+  evaluate on values (below).
+
+A value (:data:`Value`) is the term dict and the flag of a jet at an order
+that the caller keeps.  The expression parser evaluates on values, with
+atoms (:func:`value_constant`, :func:`value_variable`), a signed sum of a
+whole run in one merge (:func:`value_sum`), products (:func:`value_product`)
+and powers (:func:`value_power`), and forms a jet (:func:`value_jet`) only
+where it hands one out.  :meth:`Jet.__mul__` and :meth:`Jet.__pow__` are
+:func:`value_product` and :func:`value_power` on the values of jets, so the
+flag rule of products and powers exists once.
 
 Products of rational jets with at least ``_KRONECKER_MIN_PAIRS`` term pairs
 are one big-integer multiply (Kronecker substitution, :func:`_kronecker`):
@@ -36,9 +46,10 @@ sparse to pack (``x1^3000 + x2``) take the schoolbook loop.  A dot product
 
 The unit inverse (:meth:`Jet.invert_unit`) is the degree recurrence on term
 dicts (:func:`_inverse`).  The Weierstrass factors of a jet come from a
-Hensel lift on term dicts (:func:`weierstrass_lift`) of its stored terms:
-exact when the jet is exact and they are polynomials, else modulo its
-order.  Division by them is the long division by the lifted ``W``
+Hensel lift on term dicts (:func:`weierstrass_lift`) of its stored terms,
+whose error products are formed only below ``x'``-degree ``N``: exact when
+the jet is exact and they are polynomials, else modulo its order.
+Division by them is the long division by the lifted ``W``
 (:func:`weierstrass_quotient`).
 
 A square matrix of integer polynomials has Kronecker images too
@@ -160,21 +171,24 @@ _NONZERO_TO_ONE = bytes([0] + [1] * 255)
 
 
 def _schoolbook(ta: Mapping[Exponents, Scalar], tb: Mapping[Exponents, Scalar],
-                limit: Optional[int]) -> Dict[Exponents, Scalar]:
+                limit: Optional[int], degree: Callable[[Exponents], int] = sum
+                ) -> Dict[Exponents, Scalar]:
     """The product of two term dicts pair by pair; with a ``limit``, only the
-    pairs of total degree below it: each term of ``a`` meets the terms of
-    ``b``, sorted by degree, up to the first one that reaches the limit."""
+    pairs whose ``degree`` (additive on exponents; the total degree unless
+    given) is below it: each term of ``a`` meets the terms of ``b``, sorted
+    by degree, up to the first one that reaches the limit."""
     prod: Dict[Exponents, Scalar] = {}
     items_b = list(tb.items())
     if limit is not None:
-        items_b.sort(key=lambda kv: sum(kv[0]))
-        degs_b = [sum(kb) for kb, _ in items_b]
+        items_b.sort(key=lambda kv: degree(kv[0]))
+        degs_b = [degree(kb) for kb, _ in items_b]
+    add = operator.add
     for ka, va in ta.items():
         row = items_b
         if limit is not None:
-            row = items_b[:bisect.bisect_left(degs_b, limit - sum(ka))]
+            row = items_b[:bisect.bisect_left(degs_b, limit - degree(ka))]
         for kb, vb in row:
-            key = tuple(x + y for x, y in zip(ka, kb))
+            key = tuple(map(add, ka, kb))
             val = va * vb
             cur = prod.get(key)
             prod[key] = val if cur is None else cur + val
@@ -371,6 +385,132 @@ def _inverse(t: Mapping[Exponents, Scalar], exact: bool, n: int, order
     return {k: v for layer in layers for k, v in layer.items()}, False
 
 
+# -- values: a term dict and its flag at one order ------------------------------
+
+#: A series known modulo an order that the caller keeps, in a context that
+#: the caller keeps: the term dict and the exactness flag of a :class:`Jet`
+#: (see the module docstring).
+Value = Tuple[Dict[Exponents, Scalar], bool]
+
+
+def _settled(ctx: VarContext, order, terms: Mapping[Exponents, Scalar], exact: bool) -> Value:
+    """``terms`` in the one coefficient format, without zero values and
+    without the terms at or above ``order``, and ``exact`` cleared when a
+    nonzero term was dropped."""
+    clean: Dict[Exponents, Scalar] = {}
+    dropped = False
+    width = len(ctx.names)
+    # nothing is dropped at INFINITE_ORDER: skip the degree comparison
+    finite = order != INFINITE_ORDER
+    for key, val in terms.items():
+        if len(key) != width:
+            raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
+        if type(val) is not int:
+            if type(val) is not Fraction:
+                val = as_scalar(val)
+            if type(val) is Fraction and val.denominator == 1:
+                val = val.numerator
+        if not val:
+            continue
+        if finite and sum(key) >= order:
+            dropped = True
+            continue
+        clean[key] = val
+    return clean, bool(exact) and not dropped
+
+
+def _atom(ctx: VarContext, order, key: Exponents, c) -> Value:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return _settled(ctx, order, {key: c}, True)
+
+
+def value_constant(ctx: VarContext, order, c) -> Value:
+    """The exact constant ``c`` at ``order``, as :meth:`Jet.constant` gives it."""
+    return _atom(ctx, order, (0,) * len(ctx.names), c)
+
+
+def value_variable(ctx: VarContext, order, name: str) -> Value:
+    """The variable ``name`` at ``order``, the value of :meth:`Jet.variable`."""
+    key = [0] * len(ctx.names)
+    key[ctx.index(name)] = 1
+    return _atom(ctx, order, tuple(key), 1)
+
+
+def value_sum(signed: Iterable[Tuple[bool, Value]]) -> Value:
+    """The sum of values at one order, each negated when its ``bool`` says
+    so, in one merge.  No value has a term at or above the order, so the sum
+    drops none: it has the terms (in their order) and the flag of the
+    left-to-right chain of :meth:`Jet.__add__` and :meth:`Jet.__sub__`,
+    which removes a term that cancels, so that a later one is appended."""
+    terms: Dict[Exponents, Scalar] = {}
+    exact = True
+    for negate, (t, e) in signed:
+        exact = exact and e
+        for key, val in t.items():
+            if negate:
+                val = -val
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = val
+                continue
+            val = cur + val
+            if not val:
+                del terms[key]
+            elif type(val) is Fraction and val.denominator == 1:
+                terms[key] = val.numerator
+            else:
+                terms[key] = val
+    return terms, exact
+
+
+def value_product(ctx: VarContext, order, a: Value, b: Value) -> Value:
+    """The product of two values at ``order`` by :func:`_product`.  Exact
+    operands multiply in full, and dropping a nonzero term at or above the
+    order clears the flag; otherwise only the pairs below the order are
+    formed, and the product is not exact."""
+    (ta, ea), (tb, eb) = a, b
+    full = ea and eb
+    return _settled(ctx, order, _product(ta, tb, len(ctx.names), None if full else order), full)
+
+
+def value_power(ctx: VarContext, order, a: Value, e: int) -> Value:
+    """``a^e`` at ``order`` for an integer ``e >= 0``, with the terms and the
+    flag of the product of ``e`` copies of ``a`` (:func:`value_product`).
+
+    ``e = 0`` gives the exact constant 1.  A one-term ``a = c*x^k`` gives
+    ``c^e*x^(e*k)``: every partial product is one term, so nothing is
+    dropped, and the flag of ``a`` holds, unless ``e*|k| >= order``, where
+    the term is dropped and the flag cleared.  Any other ``a`` takes square
+    and multiply, from the lowest bit of ``e``; the first factor is ``a``
+    itself, never a product with the constant 1 (whose terms and flag would
+    be the same)."""
+    terms, exact = a
+    if e == 0:
+        return value_constant(ctx, order, 1)
+    if len(terms) == 1:
+        (key, c), = terms.items()
+        if e * sum(key) >= order:
+            return {}, False
+        return _settled(ctx, order, {tuple([e * k for k in key]): c ** e}, exact)
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else value_product(ctx, order, result, a)
+        if e > 1:
+            a = value_product(ctx, order, a, a)
+        e >>= 1
+    return result
+
+
+def value_jet(ctx: VarContext, order, a: Value) -> "Jet":
+    """The jet of a value at ``order``; the value's terms are its own."""
+    jet = object.__new__(Jet)
+    jet.ctx, jet.order = ctx, order
+    jet.terms, jet.exact = a
+    return jet
+
+
 class Jet:
     """A series known modulo total degree ``order``; see module docstring."""
 
@@ -381,29 +521,9 @@ class Jet:
             raise ValueError("order must be >= 0")
         if not exact and order == INFINITE_ORDER:
             raise ValueError("only an exact jet is known to every order")
-        clean: Dict[Exponents, Scalar] = {}
-        dropped = False
-        width = len(ctx.names)
-        # nothing is dropped at INFINITE_ORDER: skip the degree comparison
-        finite = order != INFINITE_ORDER
-        for key, val in terms.items():
-            if len(key) != width:
-                raise ContextMismatchError(f"exponent vector {key} does not fit context {ctx.names}")
-            if type(val) is not int:
-                if type(val) is not Fraction:
-                    val = as_scalar(val)
-                if type(val) is Fraction and val.denominator == 1:
-                    val = val.numerator
-            if not val:
-                continue
-            if finite and sum(key) >= order:
-                dropped = True
-                continue
-            clean[key] = val
         self.ctx = ctx
         self.order = order
-        self.terms = clean
-        self.exact = bool(exact) and not dropped
+        self.terms, self.exact = _settled(ctx, order, terms, exact)
 
     # -- constructors --------------------------------------------------
 
@@ -418,9 +538,7 @@ class Jet:
 
     @classmethod
     def variable(cls, ctx: VarContext, name: str, order: int = DEFAULT_ORDER) -> "Jet":
-        key = [0] * len(ctx.names)
-        key[ctx.index(name)] = 1
-        return cls(ctx, order, {tuple(key): 1}, True)
+        return value_jet(ctx, order, value_variable(ctx, order, name))
 
     @classmethod
     def monomial(cls, ctx: VarContext, exps: Exponents, coeff=1, order: int = DEFAULT_ORDER) -> "Jet":
@@ -517,7 +635,8 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        """The product, known modulo the lower of the two orders.
+        """The product, known modulo the lower of the two orders, by
+        :func:`value_product`.
 
         Two exact operands give the whole product (truncated afterwards,
         which clears the flag when a term is dropped); otherwise only the
@@ -531,10 +650,8 @@ class Jet:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        full = self.exact and other.exact
-        limit = None if full else order
-        prod = _product(self.terms, other.terms, len(self.ctx.names), limit)
-        return Jet(self.ctx, order, prod, full)
+        return value_jet(self.ctx, order, value_product(
+            self.ctx, order, (self.terms, self.exact), (other.terms, other.exact)))
 
     __rmul__ = __mul__
 
@@ -560,22 +677,13 @@ class Jet:
         return Jet(self.ctx, self.order, {k: s * v for k, v in self.terms.items()}, self.exact)
 
     def __pow__(self, n: int) -> "Jet":
-        """Square and multiply, from the lowest bit of ``n``.  The first
-        factor is the jet itself, never a product with the constant 1 (whose
-        terms, order and flag would be the same); ``n == 0`` gives the exact
-        constant 1 at this jet's order."""
+        """The power at this jet's order by :func:`value_power`: the terms
+        and the flag of the product of ``n`` copies; ``n == 0`` gives the
+        exact constant 1."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers must be nonnegative integers")
-        if n == 0:
-            return Jet.constant(self.ctx, 1, self.order, exact=True)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return value_jet(self.ctx, self.order,
+                         value_power(self.ctx, self.order, (self.terms, self.exact), n))
 
     def invert_unit(self) -> "Jet":
         """Multiplicative inverse modulo the order, by the degree recurrence
@@ -865,16 +973,34 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
     the unique lifts modulo ``(x')^(k+1)``; the error drops
     ``W_old*dV + R*V_new``, all that the product gained.
 
-    The lift runs modulo ``(x')^N``: after each step the error terms of
-    ``x'``-degree ``>= N`` are dropped, so it ends within ``N`` steps.  If
-    none was dropped, ``f == W*V`` exactly, with ``W`` monic of degree
-    ``p``, ``W = var^p mod (x')`` and ``V(0) != 0``: the unique Weierstrass
-    polynomial and its unit, whose total degrees add up to that of ``f``,
-    below ``N``, so both are returned exact at ``N``.  If one was, the
-    factors are right modulo ``(x')^N``, so modulo total degree ``N`` (a
-    term below it has ``x'``-degree below it), and are returned at ``N``
-    not exact.  Polynomial factors never drop one: a truncation of each has
-    ``x'``-degree at most its own, and the two add up to ``deg_x'(f) < N``.
+    The lift runs modulo ``(x')^N``: ``W_old*dV`` and ``R*V_new`` are
+    formed only on their pairs of ``x'``-degree below ``N`` (the schoolbook
+    loop sorted by ``x'``-degree), so the error holds no term of
+    ``x'``-degree ``>= N``, ``k`` grows with every step, and the lift ends
+    within ``N`` steps.  The factors are right modulo ``(x')^N``, so modulo
+    total degree ``N`` (a term below it has ``x'``-degree below it).  They
+    are exact iff ``f`` is and ``D = deg_x'(W) + deg_x'(V) < N``:
+
+    * the products of a domain add their top ``x'``-degrees: the
+      ``x'``-degree grades the polynomial ring, and the top parts of two
+      nonzero polynomials have a nonzero product;
+    * each step adds terms of ``x'``-degree ``k`` only: ``t``, ``s`` and
+      ``V0`` lie in ``var`` alone, so ``R``, ``Q`` and ``dV`` are
+      homogeneous of ``x'``-degree ``k``.  As ``k`` grows, ``W`` and ``V``
+      only gain higher parts, and in every step their degrees are at most
+      their last ones.
+
+    Hence if ``D < N`` every product of every step has ``x'``-degree at
+    most ``D``, so no pair was left out: the error is the whole of
+    ``f - W*V``, and it ended at 0.  If ``f == W*V``, then ``D =
+    deg_x'(f) < N``.  And if ``D >= N``, ``W*V`` has a nonzero part of
+    ``x'``-degree ``D`` that ``f`` lacks, so ``f != W*V`` and a nonzero
+    term was left out (else the error would be the whole of ``f - W*V``,
+    which ended at 0).  So the flag holds iff ``f == W*V``, iff no nonzero term was ever
+    dropped.  Then ``W`` is monic of degree ``p``, ``W = var^p mod (x')``
+    and ``V(0) != 0``: the unique Weierstrass polynomial and its unit, whose
+    total degrees add up to that of ``f``, below ``N``, so both are
+    returned exact at ``N``; else both are returned at ``N`` not exact.
     The factors of a truncated ``f`` are those of one completion of it, so
     they can be right only to a lower degree than ``N``.
     """
@@ -903,7 +1029,6 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
     if e:
         t = _inverse(v0, True, n, p)[0]
         s = {power(k[iv] - p): -c for k, c in _product(t, v0, n, None).items() if k[iv] >= p}
-    exact = f.exact
     while e:
         k = min(map(low, e))
         ek = {key: c for key, c in e.items() if low(key) == k}
@@ -918,14 +1043,11 @@ def weierstrass_lift(f: Jet, var: str, p: int) -> Tuple[Jet, Jet]:
         add_into(dv, _product(q, v0, n, None))
         # (W + R)*(V + dV) - W*V = W*dV + R*(V + dV): W before its update,
         # V after it
-        add_into(e, _product(w, dv, n, None), -1)
+        add_into(e, _schoolbook(w, dv, order, low), -1)
         add_into(v, dv)
-        add_into(e, _product(r, v, n, None), -1)
+        add_into(e, _schoolbook(r, v, order, low), -1)
         add_into(w, r)
-        beyond = [key for key in e if low(key) >= order]
-        for key in beyond:
-            del e[key]
-        exact = exact and not beyond
+    exact = f.exact and max(map(low, w)) + max(map(low, v)) < order
     return Jet(f.ctx, order, w, exact or n == 1), Jet(f.ctx, order, v, exact)
 
 

@@ -25,76 +25,81 @@ the grammar's grouping, on which the exactness flag of a truncated product
 can depend.  The text is tokenized before anything is evaluated, but a
 grammar error is found where it stands, after the subexpressions before it
 have been evaluated.
+
+Values are term dicts with their flags at the one order of the parse
+(:data:`~equijet.jets.Value`), evaluated by the value functions of
+:mod:`~equijet.jets`: a whole ``+``/``-`` run is one merge
+(:func:`~equijet.jets.value_sum`), and products and powers are those of
+``Jet.__mul__`` and ``Jet.__pow__``.  A jet is formed only where one is
+handed out: the result of :func:`parse_jet` and each base of
+:func:`parse_factored`.  The tokenizer is one regular expression over the
+ASCII tokens; any other character is white space, the start of a name or
+a located error, as ``str.isspace`` and ``str.isalpha`` say.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from .errors import ParseError, UnknownVariableError
-from .jets import Jet, VarContext
+from .jets import (
+    Jet, Value, VarContext, value_constant, value_jet, value_power, value_product, value_sum,
+    value_variable,
+)
 
 #: what each grammar rule returns: its value, evaluated on call, and its factors
-_Value = Tuple[Callable[[], Jet], List[Tuple[Jet, int]]]
+_Rule = Tuple[Callable[[], Value], List[Tuple[Value, int]]]
 
 
-def _evaluated(jet: Jet) -> _Value:
-    return (lambda: jet), [(jet, 1)]
+def _evaluated(value: Value) -> _Rule:
+    return (lambda: value), [(value, 1)]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    line: int
-    column: int
+#: A token is ``(kind, text, line, column)`` with the kind ``"int"``,
+#: ``"name"``, ``"op"`` or ``"end"``.
+_Token = Tuple[str, str, int, int]
 
-
-#: Only ASCII digits make a number: ``str.isdigit`` also holds for a
-#: superscript digit (``'\u00b2'``), which ``int`` rejects.
-_DIGITS = "0123456789"
+#: The ASCII tokens and runs of ASCII white space.  Only ASCII digits make a
+#: number: ``str.isdigit`` also holds for a superscript digit
+#: (``'\u00b2'``), which ``int`` rejects.  ``\w`` is ``str.isalnum`` or
+#: ``_``, so a name goes on through non-ASCII letters and digits.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()/])"
+                    r"|(?P<space>[ \t\n\r\x0b\x0c\x1c-\x1f]+)")
+_NAME_REST = re.compile(r"\w*")
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of ``text``, each at its line and column (both from 1).
+    A character that no ASCII token takes is white space if
+    ``str.isspace`` says so, starts a name if ``str.isalpha`` does, and is
+    otherwise a located error."""
     tokens: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
+    line, line_start = 1, 0
+    i, size = 0, len(text)
+    match = _TOKEN.match
+    while i < size:
+        m = match(text, i)
+        if m is None:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if not ch.isalpha():
+                raise ParseError(f"unexpected character {ch!r}", line, i - line_start + 1)
+            j = _NAME_REST.match(text, i + 1).end()
+            tokens.append(("name", text[i:j], line, i - line_start + 1))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        kind, j = m.lastgroup, m.end()
+        if kind != "space":
+            tokens.append((kind, text[i:j], line, i - line_start + 1))
+        elif "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = text.rindex("\n", i, j) + 1
+        i = j
+    tokens.append(("end", "", line, size - line_start + 1))
     return tokens
 
 
@@ -115,89 +120,92 @@ class _Parser:
 
     def accept_op(self, ops: str) -> str:
         """The operator at the cursor, consumed, if it is one of ``ops``."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
+        kind, text, _, _ = self.tokens[self.pos]
+        if kind == "op" and text in ops:
             self.pos += 1
-            return tok.text
+            return text
         return ""
 
     def expect_op(self, text: str) -> _Token:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+        if tok[0] != "op" or tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2], tok[3])
         return self.advance()
 
-    def parse_all(self) -> _Value:
+    def parse_all(self) -> _Rule:
         value = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.column)
+        kind, text, line, column = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input starting at {text!r}", line, column)
         return value
 
-    def parse_expr(self) -> _Value:
+    def parse_expr(self) -> _Rule:
         value, factors = self.parse_term()
+        signed = None
         while op := self.accept_op("+-"):
             rhs, _ = self.parse_term()
-            value, factors = _evaluated(value() + rhs() if op == "+" else value() - rhs())
-        return value, factors
+            if signed is None:
+                signed = [(False, value())]
+            signed.append((op == "-", rhs()))
+        if signed is None:
+            return value, factors
+        return _evaluated(value_sum(signed))
 
-    def parse_term(self) -> _Value:
+    def parse_term(self) -> _Rule:
         value, factors = self.parse_unary()
         while self.accept_op("*"):
             rhs, rhs_factors = self.parse_unary()
-            value = lambda lhs=value, rhs=rhs: lhs() * rhs()
+            value = lambda lhs=value, rhs=rhs: value_product(self.ctx, self.order, lhs(), rhs())
             factors = factors + rhs_factors
         return value, factors
 
-    def parse_unary(self) -> _Value:
+    def parse_unary(self) -> _Rule:
         if self.accept_op("-"):
             value, _ = self.parse_unary()
-            return _evaluated(-value())
+            return _evaluated(value_sum([(True, value())]))
         return self.parse_power()
 
-    def parse_power(self) -> _Value:
+    def parse_power(self) -> _Rule:
         value, factors = self.parse_atom()
         while self.accept_op("^"):
-            exp_tok = self.peek()
-            if exp_tok.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal",
-                                 exp_tok.line, exp_tok.column)
-            self.advance()
-            base, exp = value(), int(exp_tok.text)
-            value, factors = (lambda base=base, exp=exp: base ** exp), [(base, exp)]
+            kind, text, line, column = self.advance()
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer literal", line, column)
+            base, exp = value(), int(text)
+            value = lambda base=base, exp=exp: value_power(self.ctx, self.order, base, exp)
+            factors = [(base, exp)]
         return value, factors
 
-    def parse_atom(self) -> _Value:
-        tok = self.advance()
-        if tok.kind == "int":
-            den = 1
-            if self.accept_op("/"):
-                den_tok = self.advance()
-                if den_tok.kind != "int":
-                    raise ParseError("expected an integer denominator",
-                                     den_tok.line, den_tok.column)
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.column)
-                hat = self.peek()
-                if hat.text == "^":
-                    literal, exp = f"{tok.text}/{den_tok.text}", self.tokens[self.pos + 1]
-                    raise ParseError(f"'^' after the rational literal {literal}; write "
-                                     f"({literal})^{exp.text if exp.kind == 'int' else 'n'}",
-                                     hat.line, hat.column)
-            return _evaluated(Jet.constant(self.ctx, Fraction(int(tok.text), den), self.order))
-        if tok.kind == "name":
-            if tok.text not in self.ctx.names:
+    def parse_atom(self) -> _Rule:
+        kind, text, line, column = self.advance()
+        if kind == "int":
+            if not self.accept_op("/"):
+                return _evaluated(value_constant(self.ctx, self.order, int(text)))
+            den_kind, den_text, den_line, den_column = self.advance()
+            if den_kind != "int":
+                raise ParseError("expected an integer denominator", den_line, den_column)
+            den = int(den_text)
+            if den == 0:
+                raise ParseError("zero denominator", den_line, den_column)
+            hat = self.peek()
+            if hat[1] == "^":
+                literal, exp = f"{text}/{den_text}", self.tokens[self.pos + 1]
+                raise ParseError(f"'^' after the rational literal {literal}; write "
+                                 f"({literal})^{exp[1] if exp[0] == 'int' else 'n'}",
+                                 hat[2], hat[3])
+            return _evaluated(value_constant(self.ctx, self.order, Fraction(int(text), den)))
+        if kind == "name":
+            if text not in self.ctx.names:
                 raise UnknownVariableError(
-                    f"unknown variable {tok.text!r} at line {tok.line}, column {tok.column} "
+                    f"unknown variable {text!r} at line {line}, column {column} "
                     f"(declared: {sorted(self.ctx.names)})")
-            return _evaluated(Jet.variable(self.ctx, tok.text, self.order))
-        if tok.kind == "op" and tok.text == "(":
+            return _evaluated(value_variable(self.ctx, self.order, text))
+        if kind == "op" and text == "(":
             value = self.parse_expr()
             self.expect_op(")")
             return value
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column)
+        raise ParseError(f"unexpected {text or 'end of input'!r}", line, column)
 
 
 def parse_jet(text: str, ctx: VarContext, order: int) -> Jet:
@@ -205,7 +213,7 @@ def parse_jet(text: str, ctx: VarContext, order: int) -> Jet:
     at or above the order are dropped and flagged); an undeclared variable
     is rejected with its source position."""
     value, _ = _Parser(text, ctx, order).parse_all()
-    return value()
+    return value_jet(ctx, order, value())
 
 
 def parse_factored(text: str, ctx: VarContext, order: int) -> List[Tuple[Jet, int]]:
@@ -216,4 +224,4 @@ def parse_factored(text: str, ctx: VarContext, order: int) -> List[Tuple[Jet, in
     evaluated, not their powers or their product.
     """
     _, factors = _Parser(text, ctx, order).parse_all()
-    return factors
+    return [(value_jet(ctx, order, base), exp) for base, exp in factors]

@@ -325,3 +325,26 @@ def test_expression_may_start_with_minus(expr):
     _, expected = machine_run(["tower", "0 - x2^2 + x1^3", "--vars", "x1,x2"])
     assert code == 0
     assert json.loads(out)["result"] == json.loads(expected)["result"]
+
+
+def test_report_writer_is_json_dumps_with_an_indent_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from equijet.cli import _report_text
+
+    # quotes, backslashes, control, non-ASCII and astral characters
+    text = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé ☺\U0001d11e '))
+    leaves = (text | st.none() | st.booleans()
+              | st.integers(-(10 ** 40), 10 ** 40) | st.integers(-3, 3))
+    values = st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(text, inner, max_size=4)), max_leaves=20)
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(values)
+    def body(value):
+        assert _report_text(value) == json.dumps(value, indent=2)
+
+    body()
+    assert _report_text({"a": [], "b": {}, "c": ()}) == json.dumps(
+        {"a": [], "b": {}, "c": ()}, indent=2)

@@ -15,6 +15,7 @@ from equijet.deform import (
     verify_family,
     verify_nested,
 )
+from equijet import jets as jets_module
 from equijet.errors import NotASolutionError, PreconditionError
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.tower import build_tower, check_family
@@ -147,18 +148,18 @@ def test_jet_nth_root_forms_no_product_with_the_constant_1(a, n, lead_root, monk
     u = a.shift("x", -val).scale(Fraction(1, a.coefficient((val,))))
     expected = nth_root_series_by_powers(u, n).scale(lead_root).shift("x", val // n)
     callers = Counter()
-    mul = Jet.__mul__
+    product = jets_module.value_product
 
-    def spy(x, y):
-        if any(j.graded_items() == [((0,), 1)] for j in (x, y)):
+    def spy(ctx, order, x, y):
+        # every product of jets, those of their powers too
+        if any(terms == {(0,): 1} for terms, _ in (x, y)):
             frame = sys._getframe(1)
-            while frame.f_code.co_name == "__pow__":
+            while frame.f_code.co_name in ("value_power", "__pow__", "__mul__"):
                 frame = frame.f_back
             callers[frame.f_code.co_name] += 1
-        return mul(x, y)
+        return product(ctx, order, x, y)
 
-    monkeypatch.setattr(Jet, "__mul__", spy)
-    monkeypatch.setattr(Jet, "__rmul__", spy)
+    monkeypatch.setattr(jets_module, "value_product", spy)
     root = jet_nth_root(a, n)
     assert not callers
     # an exact power is certified as the polynomial of the same terms
@@ -208,19 +209,21 @@ def test_binomial_family_unit_series():
 
 def test_binomial_family_of_unit_targets_forms_no_product_by_one(monkeypatch):
     # d = 3, e = 0: the family is (z^3, z^2), with no x^0 multiplied in
-    def is_one(j):
-        return j.exact and j.graded_items() == [((0,) * len(j.ctx.names), 1)]
+    def is_one(ctx, value):
+        terms, exact = value
+        return exact and terms == {(0,) * len(ctx.names): 1}
 
     ones = []
-    mul = Jet.__mul__
+    product = jets_module.value_product
 
-    def spy(a, b):
-        if isinstance(b, Jet) and (is_one(a) or is_one(b)):
+    def spy(ctx, order, a, b):
+        # every product of jets, those of their powers too
+        if is_one(ctx, a) or is_one(ctx, b):
             ones.append((a, b))
-        return mul(a, b)
+        return product(ctx, order, a, b)
 
     y = xv() * (1 + xv())
-    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(jets_module, "value_product", spy)
     sf, check = binomial_family(y ** 3, y ** 2)
     monkeypatch.undo()
     z = Jet.variable(XZ, "z")

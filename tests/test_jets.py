@@ -305,19 +305,42 @@ def test_power_squares_and_multiplies_from_the_base(kind, monkeypatch):
     for _ in range(9):
         expected.append(expected[-1] * base)
     operands = []
-    mul = Jet.__mul__
+    product = jets_module.value_product
 
-    def spy(a, b):
+    def spy(ctx, order, a, b):
         operands.append((a, b))
-        return mul(a, b)
+        return product(ctx, order, a, b)
 
-    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(jets_module, "value_product", spy)
     for n, power in enumerate(expected):
         operands.clear()
         assert base ** n == power
         assert len(operands) == max(n.bit_length() + bin(n).count("1") - 2, 0)
-        assert one not in [j for pair in operands for j in pair]
+        assert (one.terms, one.exact) not in [v for pair in operands for v in pair]
     assert (base ** 9).exact == (kind == "infinite")
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 9, INFINITE_ORDER])
+def test_power_of_one_term_is_the_product_of_its_copies(order, monkeypatch):
+    # c*x^k to the e-th power is c^e*x^(e*k) with the base's flag, dropped
+    # with its flag cleared iff e*|k| reaches the order: the terms, order
+    # and flag of the product of e copies, with no product formed
+    alpha = NumberField([-2, 0, 1]).generator()
+    bases = [Jet(X2, order, {k: c}, exact) for k in ((0, 0), (1, 0), (1, 2), (3, 1))
+             for c in (1, -2, Fraction(-3, 2), alpha, alpha + 1)
+             for exact in ((True,) if order == INFINITE_ORDER else (True, False))]
+    for base in bases:
+        if not base.terms:
+            continue
+        expected = [Jet.constant(X2, 1, order)]
+        for _ in range(9):
+            expected.append(expected[-1] * base)
+        monkeypatch.setattr(jets_module, "value_product", None)
+        for n, power in enumerate(expected):
+            got = base ** n
+            assert (got.order, got.exact, got.terms) == (power.order, power.exact, power.terms)
+            assert [type(v) for v in got.terms.values()] == [type(v) for v in power.terms.values()]
+        monkeypatch.undo()
 
 
 def test_settled_order_of_the_zero_polynomial_is_at_least_one():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from equijet import jets as jets_module
+from equijet import parser as parser_module
 from equijet.errors import ParseError, UnknownVariableError
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.parser import parse_factored, parse_jet
@@ -127,14 +129,17 @@ def test_factor_lists_follow_products_powers_and_negations():
 
 
 def test_parse_factored_forms_only_the_bases(monkeypatch):
+    # every product, the parser's and those of a power, is one call of
+    # value_product
     calls = []
-    mul = Jet.__mul__
+    product = jets_module.value_product
 
-    def spy(self, other):
+    def spy(*args):
         calls.append(1)
-        return mul(self, other)
+        return product(*args)
 
-    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(jets_module, "value_product", spy)
+    monkeypatch.setattr(parser_module, "value_product", spy)
     parse_factored("(x1 + 4*x2)^2*(x1 - 4*x2)", X2, 16)
     assert len(calls) == 2
     calls.clear()
@@ -204,3 +209,61 @@ def test_random_text_matches_its_value():
         want = {k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms() if c}
         assert jet.exact, text
         assert dict(jet.graded_items()) == want, text
+
+
+def random_jet_text(rng, order, depth=0):
+    """A random expression at ``order`` as ``(text, jet, level)``: ``jet``
+    is the tree evaluated by the ``Jet`` operators in the grammar's
+    grouping (sums and products from the left, powers of powers from the
+    inside out), and ``level`` is as in :func:`random_text`.  Exponents run
+    past the order now and then, so that powers drop terms."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        pick = rng.random()
+        if pick < 0.3:
+            num = rng.randrange(0, 9)
+            return str(num), Jet.constant(TX2, num, order), ATOM
+        if pick < 0.5:
+            num, den = rng.randrange(-9, 9), rng.randrange(2, 5)
+            text = f"{abs(num)}/{den}"
+            value = Jet.constant(TX2, Fraction(abs(num), den), order)
+            return (f"-{text}", -value, UNARY) if num < 0 else (text, value, UNARY)
+        name = rng.choice(NAMES)
+        return name, Jet.variable(TX2, name, order), ATOM
+
+    def operand(least):
+        text, value, level = random_jet_text(rng, order, depth + 1)
+        if level < least or rng.random() < 0.1:
+            text = f"({text})"
+        return text, value
+
+    if roll < 0.55:
+        (lt, lv), (rt, rv) = operand(SUM), operand(PRODUCT)
+        op = rng.choice("+-")
+        space = rng.choice([" ", "", "\n", "\t", " \n  "])
+        return f"{lt}{space}{op} {rt}", lv + rv if op == "+" else lv - rv, SUM
+    if roll < 0.7:
+        (lt, lv), (rt, rv) = operand(PRODUCT), operand(UNARY)
+        return f"{lt}*{rt}", lv * rv, PRODUCT
+    if roll < 0.8:
+        text, value = operand(UNARY)
+        return f"-{text}", -value, UNARY
+    text, value = operand(POWER)
+    exp = rng.randrange(0, 4) if rng.random() < 0.8 else rng.randrange(4, 12)
+    return f"{text}^{exp}", value ** exp, POWER
+
+
+@pytest.mark.parametrize("order", range(0, 9))
+def test_random_text_matches_its_jet_at_every_order_property(order):
+    # terms (in their insertion order), order and flag of the parsed jet are
+    # those of the same tree on jets: the flag of a truncated product or
+    # power depends on the grouping
+    rng = random.Random(f"parser-flags:{order}")
+    flags = set()
+    for _ in range(300):
+        text, want, _ = random_jet_text(rng, order)
+        got = parse_jet(text, TX2, order)
+        assert (got.order, got.exact, list(got.terms.items())) == (
+            want.order, want.exact, list(want.terms.items())), text
+        flags.add(got.exact)
+    assert flags == {True, False}

@@ -103,3 +103,27 @@ def test_fingerprint_of_resultants_hashes_every_drawn_pair():
     assert any(da != "0" and db == "0" for da, db in degrees)
     assert any(label.startswith("resultants/field/") for label in labels)
     assert any(label.startswith("resultants/rational/truncated-truncated/") for label in labels)
+
+
+def test_fingerprint_of_parse_hashes_every_drawn_text():
+    # a tool-owned workload: any checkout with src runs it, no bench/ needed
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from fingerprint import PARSE_DRAWS, parse_jobs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "fingerprint.py"), "--root", str(ROOT),
+         "--workload", "parse", "--seeds", "3"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == PARSE_DRAWS + 1 and lines[-1].startswith("total ")
+    labels = {line.split()[2] for line in lines[:-1]}
+    assert labels == {f"parse/{kind}/o{order}" for kind in ("valid", "broken")
+                      for order in range(13)}
+    # valid texts give jets of both flags, broken ones located errors
+    outputs = [run() for _, run in parse_jobs(3)]
+    flags = {out[0].exact for out in outputs if not isinstance(out[0], Exception)}
+    located = [out for out in outputs if isinstance(out[0], Exception) and out[1] is not None]
+    assert flags == {True, False} and len(located) > PARSE_DRAWS // 10

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import time
@@ -13,7 +15,8 @@ from equijet.errors import (
     NotRegularError,
     PreconditionError,
 )
-from equijet import weierstrass
+from equijet import cli, weierstrass
+from equijet import jets as jets_module
 from equijet.jets import INFINITE_ORDER, Jet, VarContext
 from equijet.parser import parse_jet
 from equijet.polygcd import exact_divide
@@ -298,6 +301,130 @@ def loop_divide(g, f, var):
     if (r.degree_in(var) or 0) >= p:
         raise ConsistencyError("division iteration failed to reduce the remainder")
     return q, r
+
+
+def full_product_lift(f, var, p):
+    """Reference: the Hensel lift that ``weierstrass_lift`` ran before it
+    bounded its error products, forming ``W_old*dV`` and ``R*V_new`` in full
+    and dropping the error terms of ``x'``-degree ``>= N`` after each step;
+    the factors are exact iff none was ever dropped."""
+    n, iv, order = len(f.ctx.names), f.ctx.index(var), f.order
+
+    def power(d):
+        return (0,) * iv + (d,) + (0,) * (n - iv - 1)
+
+    def low(k):
+        return sum(k) - k[iv]
+
+    def add_into(acc, t, sign=1):
+        for k, c in t.items():
+            c = acc.get(k, 0) + sign * c
+            if c:
+                acc[k] = c
+            else:
+                acc.pop(k, None)
+
+    v0 = {power(k[iv] - p): c for k, c in f.terms.items() if not low(k)}
+    w, v = {power(p): 1}, dict(v0)
+    e = {k: c for k, c in f.terms.items() if low(k)}
+    if e:
+        t = jets_module._inverse(v0, True, n, p)[0]
+        s = {power(k[iv] - p): -c for k, c in jets_module._product(t, v0, n, None).items()
+             if k[iv] >= p}
+    exact = f.exact
+    while e:
+        k = min(map(low, e))
+        ek = {key: c for key, c in e.items() if low(key) == k}
+        r, q = {}, {}
+        for key, c in jets_module._product(t, ek, n, None).items():
+            if key[iv] < p:
+                r[key] = c
+            else:
+                q[key[:iv] + (key[iv] - p,) + key[iv + 1:]] = c
+        dv = jets_module._product(s, ek, n, None)
+        add_into(dv, jets_module._product(q, v0, n, None))
+        add_into(e, jets_module._product(w, dv, n, None), -1)
+        add_into(v, dv)
+        add_into(e, jets_module._product(r, v, n, None), -1)
+        add_into(w, r)
+        beyond = [key for key in e if low(key) >= order]
+        for key in beyond:
+            del e[key]
+        exact = exact and not beyond
+    return Jet(f.ctx, order, w, exact or n == 1), Jet(f.ctx, order, v, exact)
+
+
+def random_lift_input(rng):
+    """A germ in 1-4 variables, regular of order ``p`` in a drawn ``var``,
+    with integer, rational or ``Q(alpha)`` coefficients, exact, truncated,
+    or a product whose factors may pass the order."""
+    alpha = NumberField([-2, 0, 1]).generator()
+    ctx = VarContext.make([f"x{i}" for i in range(1, rng.randint(1, 4) + 1)])
+    n, iv = len(ctx.names), rng.randrange(len(ctx.names))
+    var, p, order = ctx.names[iv], rng.randint(1, 3), rng.randint(2, 9)
+    kind = rng.choice(("integer", "rational", "field"))
+
+    def scalar():
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        if kind == "rational" and rng.random() < 0.5:
+            return Fraction(c, rng.choice((2, 3)))
+        if kind == "field" and rng.random() < 0.3:
+            return alpha * c + rng.randint(-1, 1)
+        return c
+
+    def monomial(d_var, low):
+        key = [0] * n
+        key[iv] = d_var
+        for _ in range(low):
+            key[rng.choice([i for i in range(n) if i != iv])] += 1
+        return tuple(key)
+
+    terms = {monomial(p + j, 0): scalar() for j in range(rng.randint(1, 2))}
+    if n > 1:
+        for _ in range(rng.randint(1, 5)):
+            terms[monomial(rng.randint(0, p + 1), rng.randint(1, order))] = scalar()
+    f = Jet.polynomial(ctx, terms, 1)
+    if rng.random() < 0.4:
+        unit = {(0,) * n: 1}
+        for _ in range(rng.randint(1, 3)):
+            unit[tuple(rng.randint(0, 1) for _ in range(n))] = scalar()
+        f = f * Jet.polynomial(ctx, unit, 1)
+    f = Jet(ctx, order, f.terms, rng.random() < 0.6)
+    return f, var, p
+
+
+def test_lift_matches_the_full_product_lift_property():
+    # terms, order and flag of both factors; the flag from the x'-degrees
+    # of the factors is the one that tracked every dropped term
+    rng = random.Random(33)
+    flags = set()
+    for _ in range(1500):
+        f, var, p = random_lift_input(rng)
+        if regularity_order(f, var) != p:
+            continue
+        got = jets_module.weierstrass_lift(f, var, p)
+        want = full_product_lift(f, var, p)
+        for a, b in zip(got, want):
+            assert (a.order, a.exact, a.terms) == (b.order, b.exact, b.terms), (f, var, p)
+        flags.add((len(f.ctx.names) > 1, f.exact, got[1].exact))
+    assert {(True, True, True), (True, True, False), (True, False, False)} <= flags
+
+
+def test_tower_of_a_three_variable_system_at_order_30_within_a_time_budget():
+    # the lift forms its error products below x'-degree N only: most pairs
+    # of this tower's lifts lie above it
+    argv = ["tower", "(3)*x1^2*x2^1",
+            "(-1)*x2^1*x3^1 + (-3)*x1^1*x2^1 + (-3)*x3^1 + (-1)*x1^4*x2^5*x3^5",
+            "--vars", "x1,x2,x3", "--order", "30", "--machine"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.process_time() - start < 3.0
+    # the descent is inconclusive, as it was when the lift took 8 s
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == ("error: descent to level 2: vanishing of discriminant index 1 "
+                              "is certified only modulo degree 27\n")
 
 
 def outcome(fn, *args):

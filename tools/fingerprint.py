@@ -54,6 +54,17 @@ its error.  No benchmark workload draws a constant operand, a ``Q(alpha)``
 entry or a truncated rational pair; this one checks that a change to the
 determinant or the resultant leaves them as they were.
 
+The workload ``parse`` is the tool's too, and runs in process.  Each seed
+draws :data:`PARSE_DRAWS` texts in ``t, x1, x2`` (:func:`parse_jobs`):
+integer, big-integer and rational literals, sums, products, negations and
+powers (nested, and past the order now and then), joined by spaces,
+newlines and tabs, at orders 0-12.  About one text in five is then broken
+(:func:`broken_text`): an unexpected ASCII or non-ASCII character, a
+doubled or missing operator, a power of a rational literal, a zero
+denominator, an unknown or non-ASCII name.  Each job parses its text with
+``parse_jet`` and ``parse_factored`` and is hashed by the two results, or
+by its error's type, message, line and column.
+
 The workload ``degrees`` is the tool's too, and reaches degrees above the
 benchmark's 6.  Each seed draws exact ``gendisc`` commands on monic ``P`` in
 ``y`` over ``x1, x2`` (:func:`degrees_jobs`): one split ``P`` of each degree
@@ -300,6 +311,89 @@ def resultants_jobs(seed: int):
     return jobs
 
 
+PARSE_DRAWS = 2000
+PARSE_NAMES = ("t", "x1", "x2")
+
+
+def parse_text(rng: random.Random, order: int, depth: int = 0) -> str:
+    """A random expression in :data:`PARSE_NAMES`; compound operands are
+    parenthesized now and then, so the grammar groups the rest."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        pick = rng.random()
+        if pick < 0.25:
+            return str(rng.randrange(10))
+        if pick < 0.35:
+            return str(rng.randrange(10 ** 9))
+        if pick < 0.55:
+            return f"{rng.randrange(10)}/{rng.randrange(1, 8)}"
+        return rng.choice(PARSE_NAMES)
+
+    def operand():
+        text = parse_text(rng, order, depth + 1)
+        return f"({text})" if rng.random() < 0.4 else text
+
+    if roll < 0.5:
+        space = rng.choice(("", " ", "\n", "\t", " \n\t "))
+        return f"{operand()}{space}{rng.choice('+-')}{rng.choice(('', ' '))}{operand()}"
+    if roll < 0.65:
+        return f"{operand()}*{operand()}"
+    if roll < 0.75:
+        return f"-{operand()}"
+    if rng.random() < 0.2:
+        # a power past the order: its terms of positive degree are dropped
+        base = rng.choice(PARSE_NAMES)
+        if rng.random() < 0.5:
+            base = f"({rng.randrange(3)} {rng.choice('+-')} {base})"
+        return f"{base}^{rng.randrange(order, order + 3)}"
+    text = operand()
+    for _ in range(rng.choice((1, 1, 1, 2))):
+        text += f"^{rng.randrange(4)}"
+    return text
+
+
+def broken_text(rng: random.Random, text: str) -> str:
+    """``text`` with one drawn fault."""
+    at = rng.randrange(len(text) + 1)
+    fault = rng.choice(("char", "char", "delete", "op", "rational", "zero", "name"))
+    if fault == "char":
+        return text[:at] + rng.choice("$@.!\u00b2\u00e9\u00a0\u2003") + text[at:]
+    if fault == "delete":
+        return text[:at] + text[at + 1:]
+    if fault == "op":
+        return text[:at] + rng.choice(("^^", "**", "+*", "(", ")", "^", "/")) + text[at:]
+    if fault == "rational":
+        return f"{text} + 3/4^{rng.randrange(3)}"
+    if fault == "zero":
+        return f"{text}*1/0"
+    return text + " + " + rng.choice(("zz", "x3", "x1\u00b2", "\u00e9"))
+
+
+def parse_jobs(seed: int):
+    """``(label, run)`` for the seeded texts of one seed."""
+    from equijet.jets import VarContext
+    from equijet.parser import parse_factored, parse_jet
+
+    rng = random.Random(f"parse:{seed}")
+    ctx = VarContext.make(["x1", "x2"], params=["t"])
+
+    def run(text, order):
+        try:
+            return parse_jet(text, ctx, order), parse_factored(text, ctx, order)
+        except Exception as exc:  # an error is an output too, with its position
+            return exc, getattr(exc, "line", None), getattr(exc, "column", None)
+
+    jobs = []
+    for _ in range(PARSE_DRAWS):
+        order = rng.randint(0, 12)
+        text = parse_text(rng, order)
+        kind = "valid"
+        if rng.random() < 0.2:
+            text, kind = broken_text(rng, text), "broken"
+        jobs.append((f"parse/{kind}/o{order}", lambda text=text, order=order: run(text, order)))
+    return jobs
+
+
 def run_cli(argv):
     """The exit code, stdout and stderr of ``cli.main``, or what it raised."""
     from equijet import cli
@@ -339,6 +433,8 @@ def main(argv=None) -> int:
             return degrees_jobs(seed)
         if args.workload == "resultants":
             return resultants_jobs(seed)
+        if args.workload == "parse":
+            return parse_jobs(seed)
         import workloads
         return [(job.label, job.run) for job in workloads.make_jobs(args.workload, seed, root)]
 
